@@ -1,6 +1,13 @@
 """Random spanning trees, splicers, and the experiments built on them."""
 
-from .graph import DirectedGraph, Graph, GraphFormatError, SamplingError, cut_edges
+from .graph import (
+    ConvergenceError,
+    DirectedGraph,
+    Graph,
+    GraphFormatError,
+    SamplingError,
+    cut_edges,
+)
 from .generators import (
     arc_probability,
     complete_graph,

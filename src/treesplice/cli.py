@@ -5,8 +5,9 @@ One process, subcommand style:
     treesplice generate | sample-tree | splice | sparsify | expansion |
                verify | route-sim | preset
 
-Exit codes: 0 on success, 1 when an embedded assertion or sampling step
-fails, 2 on usage or input errors.
+Exit codes: 0 on success, 1 when an embedded assertion, a sampling step or
+a numerical iteration (Lanczos for lambda_2) fails, 2 on usage or input
+errors.  Each of these failures prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .experiments import (
     run_preset,
     summary_json,
 )
-from .graph import Graph, GraphFormatError, SamplingError
+from .graph import ConvergenceError, Graph, GraphFormatError, SamplingError
 from .routing import reliability_experiment
 from .sampler import aldous_broder
 from .splice import sparsify_gnp, splice
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SamplingError as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ConvergenceError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

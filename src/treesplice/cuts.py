@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .graph import Graph, cut_edges
+from .graph import ConvergenceError, Graph, cut_edges
 from .linalg import laplacian_dense, laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
@@ -172,7 +172,7 @@ def spectral_lower_bound(obj, tol: float = 1e-8, maxiter: int | None = None) -> 
 
     Computed by Lanczos iteration on the Laplacian with the constant vector
     deflated by a rank-one shift; small instances fall back to a dense solve.
-    Non-convergence at the iteration cap is reported as a RuntimeError.
+    Non-convergence at the iteration cap raises ConvergenceError.
     """
     graph = _as_graph(obj)
     if graph.n < 2:
@@ -202,7 +202,7 @@ def spectral_lower_bound(obj, tol: float = 1e-8, maxiter: int | None = None) -> 
             return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:
-        raise RuntimeError(f"eigenvalue iteration did not converge: {exc}") from exc
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return float(vals[0])
 
 

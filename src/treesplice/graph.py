@@ -30,6 +30,10 @@ class SamplingError(RuntimeError):
     """A randomized procedure failed (retry cap, non-cover, empty selection)."""
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative numerical method stopped at its iteration cap."""
+
+
 def _as_edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if arr.size == 0:
@@ -106,22 +110,6 @@ class Graph:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
         return indptr, other[order].astype(np.int32), eids[order]
-
-    @cached_property
-    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, max_degree) neighbor and edge-id tables for vectorized walking."""
-        indptr, nbr, eid = self._csr
-        deg = self.degrees
-        dmax = int(deg.max()) if self.n else 0
-        nbr_t = np.zeros((self.n, max(dmax, 1)), dtype=np.int32)
-        eid_t = np.full((self.n, max(dmax, 1)), -1, dtype=np.int32)
-        rows = np.repeat(np.arange(self.n), deg)
-        cols = np.arange(2 * self.m) - np.repeat(indptr[:-1], deg)
-        nbr_t[rows, cols] = nbr
-        eid_t[rows, cols] = eid
-        nbr_t.setflags(write=False)
-        eid_t.setflags(write=False)
-        return nbr_t, eid_t
 
     @cached_property
     def _py_adj(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -236,13 +224,21 @@ class DirectedGraph:
         return deg
 
     @cached_property
-    def out_adj(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per-vertex (targets, source edge ids), in arc order."""
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, heads, source edge ids) of the out-arcs, in arc order."""
         order = np.argsort(self.tails, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.out_degrees, out=indptr[1:])
-        heads = self.heads[order]
-        eids = self.source_eids[order]
+        return indptr, self.heads[order], self.source_eids[order]
+
+    def walk_step_cap(self) -> int:
+        """Safety cap for oriented walks: 64 n bit_length(n) steps."""
+        return 64 * self.n * max(self.n.bit_length(), 1)
+
+    @cached_property
+    def out_adj(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per-vertex (targets, source edge ids), in arc order."""
+        indptr, heads, eids = self._csr
         targets = [heads[indptr[v] : indptr[v + 1]].tolist() for v in range(self.n)]
         src = [eids[indptr[v] : indptr[v + 1]].tolist() for v in range(self.n)]
         return targets, src

@@ -9,7 +9,13 @@ the graph (emitting the first-visit tree) or stops with no output.
 
 Samplers are pure given (inputs, seed) and safe to run concurrently on a
 shared graph; a single run is inherently sequential.  ``_batch_cover_walks``
-is the vectorized engine behind the Monte Carlo estimators.
+is the vectorized engine behind the Monte Carlo estimators.  It runs many
+independent first-visit walks in lockstep under one of two step rules, chosen
+by the graph type: the uniform-neighbour rule of ``aldous_broder`` on a
+``Graph``, and the traversed-arc rule of ``process_bp_on`` on a fixed
+``DirectedGraph``, where a walk with no untraversed arc left before cover is
+flagged as stuck.  The scalar samplers remain for single long walks and for
+walks on a fresh orientation per run.
 """
 
 from __future__ import annotations
@@ -109,10 +115,6 @@ class SpanningTree:
                 depth[u] = base + i + 1
 
 
-def _walk_step_budget(graph: Graph) -> int:
-    return graph.walk_step_cap()
-
-
 def aldous_broder(
     graph: Graph, seed: int, start: int = 0
 ) -> tuple[SpanningTree, WalkTrace]:
@@ -138,7 +140,7 @@ def aldous_broder(
     trace = [start]
     append = trace.append
     unvisited = n - 1
-    cap = _walk_step_budget(graph)
+    cap = graph.walk_step_cap()
     cur = start
     while unvisited:
         lst = nbrs[cur]
@@ -172,8 +174,16 @@ def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:
     ]
 
 
+# Per-walk bytes of the per-step temporaries and collectors, as measured by
+# tracemalloc: about 80 under the uniform rule, 150 under the oriented rule.
+_STEP_TEMP_BYTES = 96
+_ORIENTED_TEMP_BYTES = 64
+# Byte budget of one lockstep chunk.
+_BATCH_BYTES = 16 << 20
+
+
 def _batch_cover_walks(
-    graph: Graph,
+    graph: Graph | DirectedGraph,
     trials: int,
     rng: np.random.Generator,
     start: int = 0,
@@ -181,40 +191,72 @@ def _batch_cover_walks(
     watch_edge_ids=None,
     cut_edge_ids=None,
     track_cover_steps: bool = False,
-    chunk: int = 1 << 18,
 ) -> dict:
     """Run many first-visit cover walks in lockstep and accumulate statistics.
+
+    The step rule follows the graph type:
+      Graph         -- uniform-neighbour rule; every walk covers a connected
+                       graph, and its first-entry edges form a uniform tree.
+      DirectedGraph -- traversed-arc rule of ``_OrientedWalk``: each old arc
+                       out of the current vertex has probability 1/(n-1), the
+                       rest splits evenly over new arcs.  A walk whose current
+                       vertex has no untraversed arc before cover stops; the
+                       result's ``stuck`` flags it, and its collectors hold
+                       the partial walk.  Edge ids are the arcs' source ids.
 
     Collectors:
       edge_counts    -- per-edge count of appearances in the sampled trees
       watch_edge_ids -- per-walk bitmask over the listed edge ids (<= 64)
       cut_edge_ids   -- per-walk count of tree edges among the listed ids
       track_cover_steps -- per-walk number of walk steps until cover
+
+    Walks run in chunks sized from the ``_BATCH_BYTES`` budget.  Per walk a
+    chunk holds the visited row (n bytes), under the oriented rule an
+    arc-slot row and a traversed count per vertex (s bytes each, s = 1 below
+    256 out-arcs per vertex), and 96 (oriented: 160) bytes of per-step
+    temporaries.  Memory is thus bounded by chunk x (n + s (arcs + n) + 160)
+    bytes, about chunk x (n + arcs); the budget keeps 1e5 uniform walks on
+    up to 70 vertices in one chunk.
     """
     n = graph.n
     if n < 2:
         raise ValueError("batch walks need n >= 2")
-    if int(graph.degrees.min()) == 0:
-        raise SamplingError("graph has an isolated vertex; walks cannot cover")
-    nbr_t, eid_t = graph._padded
-    deg = graph.degrees.astype(np.int64)
-    cap = _walk_step_budget(graph)
+    oriented = isinstance(graph, DirectedGraph)
+    indptr, heads, arc_eids = graph._csr
+    deg = np.diff(indptr)
+    cap = graph.walk_step_cap()
+    row = n + _STEP_TEMP_BYTES
+    if oriented:
+        listed = [np.asarray(x) for x in (watch_edge_ids, cut_edge_ids) if x is not None]
+        if (edge_counts or listed) and (arc_eids < 0).any():
+            raise ValueError("edge collectors need arcs tagged with source edge ids")
+        m = 1 + max(int(a.max(initial=-1)) for a in [arc_eids, *listed])
+        arcs = heads.size
+        slot_t = np.min_scalar_type(max(int(deg.max()), 1))
+        local = (np.arange(arcs) - np.repeat(indptr[:-1], deg)).astype(slot_t)
+        row += _ORIENTED_TEMP_BYTES + (arcs + n) * slot_t.itemsize
+    else:
+        if int(deg.min()) == 0:
+            raise SamplingError("graph has an isolated vertex; walks cannot cover")
+        m = graph.m
+    chunk = max(1, _BATCH_BYTES // row)
 
-    counts = np.zeros(graph.m, dtype=np.int64) if edge_counts else None
+    counts = np.zeros(m, dtype=np.int64) if edge_counts else None
     masks_out = [] if watch_edge_ids is not None else None
     cuts_out = [] if cut_edge_ids is not None else None
     steps_out = [] if track_cover_steps else None
+    stuck_out = [] if oriented else None
 
     bit_of = None
     if watch_edge_ids is not None:
         watch = np.asarray(watch_edge_ids, dtype=np.int64)
         if watch.size > 64:
             raise ValueError("can watch at most 64 edges")
-        bit_of = np.zeros(graph.m, dtype=np.uint64)
+        bit_of = np.zeros(m, dtype=np.uint64)
         bit_of[watch] = np.uint64(1) << np.arange(watch.size, dtype=np.uint64)
     in_cut = None
     if cut_edge_ids is not None:
-        in_cut = np.zeros(graph.m, dtype=np.int32)
+        in_cut = np.zeros(m, dtype=np.int32)
         in_cut[np.asarray(cut_edge_ids, dtype=np.int64)] = 1
 
     done = 0
@@ -228,6 +270,12 @@ def _batch_cover_walks(
         masks = np.zeros(w, dtype=np.uint64) if bit_of is not None else None
         ccnt = np.zeros(w, dtype=np.int32) if in_cut is not None else None
         steps = np.zeros(w, dtype=np.int64) if track_cover_steps else None
+        if oriented:
+            # Per walk and vertex, the first d1 slots of the vertex's arc
+            # range hold its traversed arcs (as local slot indices).
+            perm = np.tile(local, (w, 1))
+            d1 = np.zeros((w, n), dtype=slot_t)
+            stuck = np.zeros(w, dtype=bool)
         it = 0
         while act.size:
             it += 1
@@ -237,13 +285,35 @@ def _batch_cover_walks(
                     "is the graph connected?"
                 )
             c = cur[act]
-            slot = rng.integers(0, deg[c])
-            nxt = nbr_t[c, slot]
+            if not oriented:
+                arc = indptr[c] + rng.integers(0, deg[c])
+            else:
+                k = d1[act, c].astype(np.int64)
+                span = deg[c] - k
+                if not span.all():
+                    stuck[act[span == 0]] = True
+                    act = act[span > 0]
+                    continue
+                # The draw of _OrientedWalk.step, shifted down by d1 * span:
+                # below 0 picks old slot r // span + d1, else new slot
+                # r // (n - 1 - d1) + d1.
+                r = rng.integers(0, span * (n - 1)) - k * span
+                new = r >= 0
+                slot = k + r // np.where(new, n - 1 - k, span)
+                base = indptr[c]
+                j = perm[act, base + slot]
+                if new.any():
+                    an, bn = act[new], base[new]
+                    perm[an, bn + slot[new]] = perm[an, bn + k[new]]
+                    perm[an, bn + k[new]] = j[new]
+                    d1[an, c[new]] += 1
+                arc = base + j
+            nxt = heads[arc]
             fresh = ~visited[act, nxt]
             if fresh.any():
                 aw = act[fresh]
                 fn = nxt[fresh]
-                fe = eid_t[c[fresh], slot[fresh]]
+                fe = arc_eids[arc[fresh]]
                 visited[aw, fn] = True
                 nvis[aw] += 1
                 if counts is not None:
@@ -263,6 +333,8 @@ def _batch_cover_walks(
             cuts_out.append(ccnt)
         if steps_out is not None:
             steps_out.append(steps)
+        if stuck_out is not None:
+            stuck_out.append(stuck)
 
     result: dict = {"trials": trials}
     if counts is not None:
@@ -273,6 +345,8 @@ def _batch_cover_walks(
         result["cut_counts"] = np.concatenate(cuts_out)
     if steps_out is not None:
         result["cover_steps"] = np.concatenate(steps_out)
+    if stuck_out is not None:
+        result["stuck"] = np.concatenate(stuck_out)
     return result
 
 
@@ -407,7 +481,7 @@ def process_bp_on(
     first_visit[start] = 0
     trace = [start]
     unvisited = n - 1
-    cap = step_cap if step_cap is not None else 64 * n * max(n.bit_length(), 1)
+    cap = step_cap if step_cap is not None else oriented.walk_step_cap()
     while unvisited:
         out = walk.step()
         if out is None:
@@ -445,7 +519,7 @@ def process_bp(
     """
     oriented = direct_edges_dp(graph, p, child_seed(seed, "orient"))
     return process_bp_on(
-        oriented, seed, start, step_cap=max(_walk_step_budget(graph), 64 * graph.n)
+        oriented, seed, start, step_cap=max(graph.walk_step_cap(), 64 * graph.n)
     )
 
 
@@ -463,7 +537,7 @@ def sequential_two_trees_bp(
         raise ValueError("need at least 2 vertices")
     oriented = direct_edges_dp(graph, p, child_seed(seed, "orient"))
     walk = _OrientedWalk(oriented, seed, start)
-    cap = 2 * max(_walk_step_budget(graph), 64 * n)
+    cap = 2 * max(graph.walk_step_cap(), 64 * n)
     trees = []
     for phase in (1, 2):
         root = walk.cur

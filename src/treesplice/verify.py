@@ -17,12 +17,7 @@ import numpy as np
 
 from .graph import Graph, cut_edges
 from .generators import complete_graph, direct_edges_dp, gnp_graph
-from .sampler import (
-    SpanningTree,
-    _batch_cover_walks,
-    process_bp,
-    process_bp_on,
-)
+from .sampler import SpanningTree, _batch_cover_walks, process_bp
 from .seeds import child_seed, substream
 
 ENUMERATION_EDGE_CAP = 20
@@ -331,29 +326,32 @@ def coupling_distance_estimate(
         raise ValueError("trials must be >= 1")
     if n <= 8:
         total_trees = n ** (n - 2)
-        counts: dict[int, int] = {}
-        failures = 0
         if p >= 1.0:
             host = complete_graph(n)
             oriented = direct_edges_dp(host, 1.0, child_seed(seed, "orient"))
-            for t in range(trials):
-                res = process_bp_on(oriented, child_seed(seed, "trial", t), start)
-                if res.success:
-                    key = tree_mask_in_complete(n, res.tree)
-                    counts[key] = counts.get(key, 0) + 1
-                else:
-                    failures += 1
+            # complete_graph numbers edges as _kn_edge_id does, so the mask
+            # over all edge ids is the tree's key.
+            res = _batch_cover_walks(
+                oriented, trials, substream(seed, "coupling"), start=start,
+                watch_edge_ids=np.arange(host.m),
+            )
+            stuck = res["stuck"]
+            counts = np.unique(res["masks"][~stuck], return_counts=True)[1].tolist()
+            failures = int(stuck.sum())
         else:
+            tally: dict[int, int] = {}
+            failures = 0
             for t in range(trials):
                 host = gnp_graph(n, p, child_seed(seed, "host", t))
                 res = process_bp(host, p, child_seed(seed, "trial", t), start)
                 if res.success:
                     key = tree_mask_in_complete(n, res.tree)
-                    counts[key] = counts.get(key, 0) + 1
+                    tally[key] = tally.get(key, 0) + 1
                 else:
                     failures += 1
+            counts = list(tally.values())
         u = 1.0 / total_trees
-        seen_mass_gap = sum(abs(c / trials - u) for c in counts.values())
+        seen_mass_gap = sum(abs(c / trials - u) for c in counts)
         unseen = total_trees - len(counts)
         tv = 0.5 * (seen_mass_gap + unseen * u + failures / trials)
         return tv

@@ -61,6 +61,23 @@ def test_expansion_spectral_on_larger_graph(tmp_path, capsys):
     assert payload["lambda2"] > 0
 
 
+def test_lanczos_non_convergence_is_a_one_line_failure(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    gpath = tmp_path / "g.txt"
+    assert run(["generate", "--kind", "gnp", "--n", "80", "--p", "0.2", "--seed", "7", "--out", str(gpath)]) == 0
+    capsys.readouterr()
+    assert run(["expansion", "--graph", str(gpath), "--method", "spectral"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: eigenvalue iteration did not converge")
+    assert err.count("\n") == 1
+
+
 def test_sparsify_cli(tmp_path):
     gpath = tmp_path / "g.txt"
     wpath = tmp_path / "w.txt"
@@ -93,7 +110,13 @@ def test_verify_checks(tmp_path, capsys):
     assert run(["verify", "--check", "resistance", "--graph", str(gpath), "--trials", "40000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_abs_error"] < 0.02
-    assert run(["verify", "--check", "coupling", "--n", "6", "--p", "1.0", "--trials", "20000"]) == 0
+    coupling = ["verify", "--check", "coupling", "--n", "6", "--p", "1.0", "--trials", "20000"]
+    assert run(coupling) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # Multinomial noise floor over 1296 trees is ~sqrt(1296/(2 pi 2e4)) ~ 0.1.
+    assert 0.0 < payload["estimate"] <= 0.15
+    assert run(coupling) == 0
+    assert json.loads(capsys.readouterr().out) == payload
     assert run(["verify", "--check", "coupling"]) == 2  # missing --n
 
 

@@ -1,29 +1,36 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesplice.generators import (
     complete_graph,
     cycle_graph,
+    direct_edges_dp,
     gnp_graph,
     path_graph,
+    petersen_graph,
+    wheel_graph,
 )
-from treesplice.graph import Graph, SamplingError
+from treesplice import sampler
+from treesplice.graph import DirectedGraph, Graph, SamplingError
 from treesplice.sampler import (
     _OrientedWalk,
     _batch_cover_walks,
     aldous_broder,
     edge_inclusion_probability,
     process_bp,
+    process_bp_on,
     sample_trees,
     sequential_two_trees_bp,
     tree_edge_frequencies,
 )
-from treesplice.generators import direct_edges_dp
-from treesplice.seeds import substream
+from treesplice.seeds import child_seed, substream
 
 
 def test_tree_invariants_on_random_graphs():
@@ -242,3 +249,103 @@ def test_exchangeable_tree_indices_chi_square():
         table[1, idx[m]] += 1
     _, pval, _, _ = stats.chi2_contingency(table)
     assert pval > 0.01
+
+
+def _batch_digest(res: dict) -> str:
+    h = hashlib.sha256()
+    for key in ("edge_counts", "masks", "cut_counts", "cover_steps"):
+        h.update(np.ascontiguousarray(res[key]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "graph, digest",
+    [
+        (petersen_graph(), "69b8d16fe3d5b2e31e14bc22547e59111d4580f4fcab770ce779e4cefa24faf7"),
+        (wheel_graph(8), "670466b3c26bcb4e68b90614d342d0ea88740d8597a67be1950bb18bc4438887"),
+    ],
+)
+def test_uniform_rule_output_is_unchanged_below_one_chunk(graph, digest):
+    # Digests from the engine as it was with a fixed 2^18-walk chunk.
+    res = _batch_cover_walks(
+        graph, 5000, substream(7, "batch-identity"), start=1, edge_counts=True,
+        watch_edge_ids=np.arange(graph.m), cut_edge_ids=[0, 3, 5],
+        track_cover_steps=True,
+    )
+    assert _batch_digest(res) == digest
+
+
+def test_small_budget_splits_walks_into_chunks(monkeypatch):
+    # Room for about a hundred walks per chunk.
+    monkeypatch.setattr(sampler, "_BATCH_BYTES", 20_000)
+    uniform = petersen_graph()
+    oriented = direct_edges_dp(complete_graph(5), 1.0, seed=2)
+    for graph in (uniform, oriented):
+        res = _batch_cover_walks(
+            graph, 1000, substream(3, "chunks"), track_cover_steps=True
+        )
+        steps = res["cover_steps"]
+        assert steps.shape == (1000,)
+        covered = ~res.get("stuck", np.zeros(1000, dtype=bool))
+        assert (steps[covered] >= graph.n - 1).all()
+
+
+def _oriented_outcomes(oriented, trials, seed):
+    """Scalar, then 10x as many batched, walk outcomes: tree mask, or -1 if stuck."""
+    scalar = []
+    for t in range(trials):
+        res = process_bp_on(oriented, child_seed(seed, "scalar", t))
+        ids = res.tree.edge_ids().tolist() if res.success else None
+        scalar.append(sum(1 << e for e in ids) if ids is not None else -1)
+    m = int(oriented.source_eids.max()) + 1
+    batch = _batch_cover_walks(
+        oriented, 10 * trials, substream(seed, "batch"), watch_edge_ids=np.arange(m)
+    )
+    keys = batch["masks"].astype(np.int64)
+    keys[batch["stuck"]] = -1
+    return np.array(scalar), keys
+
+
+@pytest.mark.parametrize("p", [1.0, 0.6])
+def test_oriented_rule_tree_law_matches_scalar_walk_on_k4(p):
+    # At p=1 every arc is present, so each step is uniform over n-1 arcs and
+    # all 16 trees occur.  At p=0.6 every out-degree is 2 < n-1, so the
+    # 1/(n-1) weight of traversed arcs shapes the law, stuck walks included.
+    oriented = direct_edges_dp(complete_graph(4), p, seed=21)
+    assert oriented.n_arcs == (12 if p == 1.0 else 8)
+    scalar, batch = _oriented_outcomes(oriented, 3000, seed=22)
+    cells = np.union1d(scalar, batch)
+    if p == 1.0:
+        assert np.setdiff1d(cells, [-1]).size == 16
+    table = np.array([[np.count_nonzero(x == c) for c in cells] for x in (scalar, batch)])
+    _, p_value, _, _ = chi2_contingency(table)
+    assert p_value > 1e-3
+
+
+def test_oriented_rule_stuck_rate_matches_scalar_walk():
+    # Arcs 0->1, 1->2, 2->3, 1->0, 2->1: walks that turn back strand at 0.
+    oriented = direct_edges_dp(path_graph(4), 0.4, seed=25)
+    assert oriented.n_arcs == 5
+    scalar, batch = _oriented_outcomes(oriented, 2000, seed=26)
+    p1 = float(np.mean(scalar == -1))
+    p2 = float(np.mean(batch == -1))
+    pooled = (p1 * scalar.size + p2 * batch.size) / (scalar.size + batch.size)
+    se = math.sqrt(pooled * (1 - pooled) * (1 / scalar.size + 1 / batch.size))
+    assert 0.2 < p2 < 0.9
+    assert abs(p1 - p2) <= 4 * se
+
+
+def test_oriented_rule_reports_a_start_without_arcs_as_stuck():
+    oriented = DirectedGraph(3, [1], [2], [0])
+    res = _batch_cover_walks(
+        oriented, 5, substream(1, "sink"), track_cover_steps=True
+    )
+    assert res["stuck"].all()
+    assert (res["cover_steps"] == 0).all()
+
+
+def test_oriented_rule_iteration_cap_raises(monkeypatch):
+    oriented = direct_edges_dp(complete_graph(6), 1.0, seed=3)
+    monkeypatch.setattr(DirectedGraph, "walk_step_cap", lambda self: 2)
+    with pytest.raises(SamplingError, match="did not cover"):
+        _batch_cover_walks(oriented, 10, substream(1, "cap"))
