@@ -166,23 +166,20 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     if check == "uniformity":
         from .linalg import spanning_tree_count
-        from .verify import enumerate_trees
+        from .verify import ENUMERATION_EDGE_CAP, enumerate_trees, uniform_tv_distance
         from .sampler import _batch_cover_walks
         from .seeds import substream
 
         count = spanning_tree_count(g)
-        if g.m > 20 or count > 4096:
+        if g.m > ENUMERATION_EDGE_CAP or count > 4096:
             raise ValueError("uniformity check needs an enumerable tree space")
         trees = enumerate_trees(g)
         res = _batch_cover_walks(
             g, args.trials, substream(args.seed, "uniformity"),
             watch_edge_ids=np.arange(g.m),
         )
-        _, counts = np.unique(res["masks"], return_counts=True)
-        tv = 0.5 * (
-            np.abs(counts / args.trials - 1.0 / count).sum()
-            + (count - len(counts)) / count
-        )
+        counts = np.unique(res["masks"], return_counts=True)[1].tolist()
+        tv = uniform_tv_distance(counts, args.trials, count)
         payload = {
             "check": check,
             "trees": count,

@@ -214,31 +214,11 @@ def _tree_component_subsets(graph: Graph, seed: int, want: int) -> list[np.ndarr
     while len(out) < want:
         tree, _ = aldous_broder(graph, child_seed(seed, "cut-tree", j))
         j += 1
-        adj = tree.adjacency()
-        # DFS entry/exit clocks; a subtree is a contiguous slice of the
-        # entry order, so each cut is a plain array slice.
-        tin = np.zeros(n, dtype=np.int64)
-        tout = np.zeros(n, dtype=np.int64)
-        order: list[int] = []
-        stack = [(tree.root, -1, False)]
-        clock = 0
-        while stack:
-            v, par, closing = stack.pop()
-            if closing:
-                tout[v] = clock
-                continue
-            tin[v] = clock
-            clock += 1
-            order.append(v)
-            stack.append((v, par, True))
-            for w in adj[v]:
-                if w != par:
-                    stack.append((w, v, False))
-        order_arr = np.array(order, dtype=np.int64)
+        order, tin, tout = tree.dfs_intervals()
         for v in range(n):
             if int(tree.parent[v]) < 0:
                 continue
-            members = order_arr[tin[v] : tout[v]]
+            members = order[tin[v] : tout[v]]
             if 1 <= members.size < n:
                 out.append(members)
             if len(out) >= want:

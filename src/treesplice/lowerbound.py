@@ -27,7 +27,6 @@ class LowerBoundFamily:
     base: Graph
     paths: tuple[tuple[int, ...], ...]
     ring_cycles: tuple[tuple[int, ...], ...]
-    path_cycles: tuple[tuple[int, ...], ...]
     d: int
     ell: int
 
@@ -115,7 +114,6 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
 
     paths: list[tuple[int, ...]] = []
     rings: list[tuple[int, ...]] = []
-    pcycles: list[tuple[int, ...]] = []
     for i in chosen:
         seg = segments[i]
         ring = tuple(_neighborhood(base, seg))
@@ -128,7 +126,6 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
             add_edge(ring[0], ring[1])
         paths.append(seg)
         rings.append(ring)
-        pcycles.append(seg)
 
     graph = Graph(n, sorted(existing))
     return LowerBoundFamily(
@@ -136,7 +133,6 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
         base=base,
         paths=tuple(paths),
         ring_cycles=tuple(rings),
-        path_cycles=tuple(pcycles),
         d=d,
         ell=ell,
     )

@@ -1,8 +1,9 @@
-"""Tree-table routing with failover switching, reliability and stretch experiments.
+"""Interval routing with failover switching, reliability and stretch experiments.
 
-Routing state is one next-hop table per (tree, destination): the destination
-determines the next edge, so each vertex stores k*n entries.  Under edge
-failures a route follows its current tree until blocked, then retries the
+Each spanning tree routes by its DFS entry/exit clocks (interval routing,
+Santoro & Khatib 1985): the next hop from v to dst is the child of v whose
+[tin, tout) holds dst, or else v's parent, so routing state is O(k*n).  Under
+edge failures a route follows its current tree until blocked, then retries the
 other trees in seeded-random (or round-robin) order; a (vertex, tree) pair is
 never re-entered, which bounds looping.
 """
@@ -10,6 +11,7 @@ never re-entered, which bounds looping.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,26 +20,35 @@ import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph
 from .seeds import BoundedDraws, child_seed, substream
-from .sampler import SpanningTree
 from .splice import Splicer, splice
 
 
 @dataclass(frozen=True)
 class RoutingState:
-    trees: tuple[SpanningTree, ...]
-    next_hop: np.ndarray          # (k, n destinations, n vertices), -1 undefined
-    tree_edge_sets: tuple[frozenset[tuple[int, int]], ...]
+    """Per tree t: ``parent[t]``, the DFS clocks ``tin[t]``/``tout[t]`` and,
+    for each vertex, its children in preorder (``children[t][v]``, by rising tin)."""
+
+    parent: tuple[list[int], ...]
+    tin: tuple[list[int], ...]
+    tout: tuple[list[int], ...]
+    children: tuple[list[list[int]], ...]
 
     @property
     def k(self) -> int:
-        return len(self.trees)
+        return len(self.parent)
 
     @property
     def n(self) -> int:
-        return self.trees[0].n
+        return len(self.parent[0])
 
-    def defined_entries(self) -> int:
-        return int((self.next_hop >= 0).sum())
+    def next_hop(self, t: int, v: int, dst: int) -> int:
+        """The neighbour of v on tree t's path to dst (v != dst)."""
+        tin = self.tin[t]
+        clock = tin[dst]
+        if tin[v] < clock < self.tout[t][v]:
+            kids = self.children[t][v]
+            return kids[bisect_right(kids, clock, key=tin.__getitem__) - 1]
+        return self.parent[t][v]
 
 
 @dataclass(frozen=True)
@@ -49,7 +60,7 @@ class RouteResult:
 
 
 def build_routing(trees) -> RoutingState:
-    """Next-hop tables by rooting each tree at every destination."""
+    """Interval routing state: DFS clocks and preorder children of each tree."""
     trees = tuple(trees)
     if not trees:
         raise ValueError("need at least one tree")
@@ -57,30 +68,16 @@ def build_routing(trees) -> RoutingState:
     for t in trees:
         if t.n != n:
             raise ValueError("trees span different vertex sets")
-    k = len(trees)
-    table = np.full((k, n, n), -1, dtype=np.int32)
-    edge_sets = []
-    for ti, tree in enumerate(trees):
-        adj = tree.adjacency()
-        edge_sets.append(
-            frozenset((min(u, v), max(u, v)) for u, v in tree.edges())
-        )
-        for dst in range(n):
-            # BFS from dst: each vertex's next hop is its BFS parent.
-            row = table[ti, dst]
-            row[dst] = -1
-            stack = [dst]
-            seen = bytearray(n)
-            seen[dst] = 1
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        row[w] = v
-                        stack.append(w)
-    table.setflags(write=False)
-    return RoutingState(trees=trees, next_hop=table, tree_edge_sets=tuple(edge_sets))
+    per_tree = []
+    for tree in trees:
+        order, tin, tout = tree.dfs_intervals()
+        parent = tree.parent.tolist()
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v in order.tolist()[1:]:
+            kids[parent[v]].append(v)
+        per_tree.append((parent, tin.tolist(), tout.tolist(), kids))
+    parent, tin, tout, children = zip(*per_tree)
+    return RoutingState(parent, tin, tout, children)
 
 
 def route(
@@ -135,9 +132,7 @@ def route(
             raise ValueError(f"unknown policy {policy!r}")
         moved = False
         for t in order:
-            nh = int(state.next_hop[t, dst, cur])
-            if nh < 0:
-                continue
+            nh = state.next_hop(t, cur, dst)
             e = (min(cur, nh), max(cur, nh))
             if e in dead:
                 continue

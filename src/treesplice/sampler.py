@@ -78,6 +78,35 @@ class SpanningTree:
                 adj[p].append(v)
         return adj
 
+    def dfs_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """DFS preorder ``order`` from the root with entry/exit clocks ``tin``/``tout``.
+
+        ``order[tin[v]:tout[v]]`` is exactly the subtree of v, so v's
+        descendants are the vertices whose entry clock lies in
+        [tin[v], tout[v]).  Children are entered in descending vertex order.
+        Raises ValueError when some vertex's parent chain does not reach the root.
+        """
+        n = self.n
+        parent = self.parent.tolist()
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if p >= 0:
+                kids[p].append(v)
+        order, stack = [], [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(kids[v])
+        if len(order) < n:
+            raise ValueError("parent structure contains a cycle")
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        order_arr = np.array(order, dtype=np.int64)
+        tin = np.empty(n, dtype=np.int64)
+        tin[order_arr] = np.arange(n)
+        return order_arr, tin, tin + np.array(size, dtype=np.int64)
+
     def validate(self, graph: Graph) -> None:
         """Check the spanning/acyclic/parent invariants against ``graph``."""
         n = self.n
@@ -100,19 +129,7 @@ class SpanningTree:
         if seen_root != 1:
             raise ValueError("exactly one root expected")
         # Every vertex must reach the root through parents without cycles.
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[self.root] = 0
-        for v in range(n):
-            chain = []
-            w = v
-            while depth[w] < 0:
-                chain.append(w)
-                w = int(self.parent[w])
-                if len(chain) > n:
-                    raise ValueError("parent structure contains a cycle")
-            base = depth[w]
-            for i, u in enumerate(reversed(chain)):
-                depth[u] = base + i + 1
+        self.dfs_intervals()
 
 
 def aldous_broder(

@@ -306,6 +306,20 @@ def tree_mask_in_complete(n: int, tree: SpanningTree) -> int:
     return mask
 
 
+def uniform_tv_distance(
+    counts, trials: int, total_trees: int, failures: int = 0
+) -> float:
+    """Total variation between sampled trees and the uniform law on ``total_trees``.
+
+    ``counts`` tallies each distinct tree seen in ``trials`` runs; the
+    ``failures`` runs that gave no tree count as their own outcome mass.
+    """
+    u = 1.0 / total_trees
+    seen_mass_gap = sum(abs(c / trials - u) for c in counts)
+    unseen = total_trees - len(counts)
+    return 0.5 * (seen_mass_gap + unseen * u + failures / trials)
+
+
 def coupling_distance_estimate(
     n: int, p: float, trials: int, seed: int, start: int = 0
 ) -> float:
@@ -350,11 +364,7 @@ def coupling_distance_estimate(
                 else:
                     failures += 1
             counts = list(tally.values())
-        u = 1.0 / total_trees
-        seen_mass_gap = sum(abs(c / trials - u) for c in counts)
-        unseen = total_trees - len(counts)
-        tv = 0.5 * (seen_mass_gap + unseen * u + failures / trials)
-        return tv
+        return uniform_tv_distance(counts, trials, total_trees, failures)
     failures = 0
     for t in range(trials):
         host = gnp_graph(n, p, child_seed(seed, "host", t))

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from treesplice.generators import complete_graph, gnp_graph, path_graph, star_graph
@@ -16,10 +18,8 @@ def test_path_tree_next_hops():
     state = build_routing(sample_trees(g, 1, seed=1))
     for dst in range(6):
         for v in range(6):
-            nh = int(state.next_hop[0, dst, v])
-            if v == dst:
-                assert nh == -1
-            else:
+            if v != dst:
+                nh = state.next_hop(0, v, dst)
                 assert nh == (v + 1 if v < dst else v - 1)
 
 
@@ -29,41 +29,52 @@ def test_star_tree_next_hop_is_center():
     for dst in range(1, 6):
         for leaf in range(1, 6):
             if leaf != dst:
-                assert state.next_hop[0, dst, leaf] == 0
+                assert state.next_hop(0, leaf, dst) == 0
 
 
-def test_routing_table_size_contract():
+def _tree_distances(tree) -> list[list[int]]:
+    adj = tree.adjacency()
+    dist = []
+    for a in range(tree.n):
+        row = [-1] * tree.n
+        row[a] = 0
+        queue = deque([a])
+        while queue:
+            x = queue.popleft()
+            for w in adj[x]:
+                if row[w] < 0:
+                    row[w] = row[x] + 1
+                    queue.append(w)
+        dist.append(row)
+    return dist
+
+
+def test_next_hop_is_a_tree_neighbour_one_step_closer():
     g = complete_graph(9)
     for k in (1, 2, 3):
-        state = build_routing(sample_trees(g, k, seed=3))
-        assert state.defined_entries() == k * g.n * (g.n - 1)
+        trees = sample_trees(g, k, seed=3)
+        state = build_routing(trees)
+        assert (state.k, state.n) == (k, g.n)
+        for t, tree in enumerate(trees):
+            adj = tree.adjacency()
+            dist = _tree_distances(tree)
+            for dst in range(g.n):
+                for v in range(g.n):
+                    if v != dst:
+                        nh = state.next_hop(t, v, dst)
+                        assert nh in adj[v]
+                        assert dist[nh][dst] == dist[v][dst] - 1
 
 
 def test_route_without_failures_hits_tree_distance():
     g = complete_graph(20)
     trees = sample_trees(g, 1, seed=4)
     state = build_routing(trees)
-    adj = trees[0].adjacency()
-
-    def tree_dist(a, b):
-        from collections import deque
-
-        dq = deque([(a, 0)])
-        seen = {a}
-        while dq:
-            x, d = dq.popleft()
-            if x == b:
-                return d
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    dq.append((w, d + 1))
-        raise AssertionError
-
+    dist = _tree_distances(trees[0])
     for src, dst in ((0, 19), (3, 7), (11, 2)):
         r = route(state, src, dst)
         assert r.delivered
-        assert r.hops == tree_dist(src, dst)
+        assert r.hops == dist[src][dst]
         assert r.hops <= g.n - 1
         assert r.switches == 0
 

@@ -59,6 +59,33 @@ def test_walking_a_tree_returns_it():
     assert sorted(tree.edges()) == sorted(g.iter_edges())
 
 
+def _descendants_by_parent_chains(tree) -> list[set[int]]:
+    out = [set() for _ in range(tree.n)]
+    for w in range(tree.n):
+        v = w
+        while v >= 0:
+            out[v].add(w)
+            v = int(tree.parent[v])
+    return out
+
+
+def test_dfs_intervals_slice_out_each_subtree():
+    trees = [aldous_broder(path_graph(9), seed=1, start=4)[0]]
+    trees += sample_trees(gnp_graph(30, 0.2, seed=5), 3, seed=6)
+    trees += sample_trees(petersen_graph(), 2, seed=7)
+    for tree in trees:
+        order, tin, tout = tree.dfs_intervals()
+        assert sorted(order.tolist()) == list(range(tree.n))
+        assert (order[tin] == np.arange(tree.n)).all()
+        for v, below in enumerate(_descendants_by_parent_chains(tree)):
+            members = order[tin[v] : tout[v]]
+            assert len(members) == len(below) and set(members.tolist()) == below
+    # A parent chain that never reaches the root is rejected.
+    looped = sampler.SpanningTree(0, np.array([-1, 2, 1]), np.array([-1, 0, 0]))
+    with pytest.raises(ValueError, match="cycle"):
+        looped.dfs_intervals()
+
+
 def test_start_vertex_is_root_and_respected():
     g = complete_graph(6)
     tree, trace = aldous_broder(g, seed=2, start=4)
