@@ -55,7 +55,7 @@ from .lowerbound import (
     validate_family,
 )
 from .cuts import (
-    CutRatioSample,
+    CutRatios,
     ExpansionReport,
     edge_expansion_exact,
     sampled_cut_ratios,

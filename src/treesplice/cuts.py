@@ -4,13 +4,17 @@ Exact expansion enumerates every vertex subset (feasible to n = 24) with a
 vectorized subset-DP: subsets containing vertex 0 are scanned once and their
 complements evaluated alongside, which halves the work.  Above that scale the
 spectral certificate (edge expansion >= lambda_2 / 2) and four sampled cut
-families stand in for "every cut".  All analyses are read-only.
+families stand in for "every cut".  A sampled cut's value is x^T L_w x for its
+indicator x, summed a block of indicator columns X at a time as the column sums
+of (L_w X) * X; the three float64 n-by-block arrays stay within
+``_CUT_BLOCK_BYTES`` (4 MiB) together.  All analyses are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -22,6 +26,7 @@ from .seeds import child_seed, substream
 from .splice import Splicer, WeightedGraph
 
 EXACT_SCAN_MAX_N = 24
+_CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
 
 
 @dataclass(frozen=True)
@@ -41,15 +46,25 @@ class ExpansionReport:
 
 
 @dataclass(frozen=True)
-class CutRatioSample:
-    subset: tuple[int, ...]
-    base_cut: float
-    derived_cut: float
-    family: str
+class CutRatios:
+    """Sampled cuts as arrays: cut i is family ``FAMILIES[family[i]]``, has vertex
+    set ``members[indptr[i]:indptr[i + 1]]`` and values base_cut[i], derived_cut[i]."""
+
+    FAMILIES: ClassVar[tuple[str, ...]] = (
+        "min-degree-singleton", "random-size-class", "tree-component", "bfs-ball"
+    )
+    family: np.ndarray
+    indptr: np.ndarray
+    members: np.ndarray
+    base_cut: np.ndarray
+    derived_cut: np.ndarray
 
     @property
-    def ratio(self) -> float:
+    def ratio(self) -> np.ndarray:
         return self.derived_cut / self.base_cut
+
+    def __len__(self) -> int:
+        return self.family.shape[0]
 
 
 def _neighbor_bitmasks(graph: Graph) -> np.ndarray:
@@ -297,54 +312,45 @@ def sample_cut_subsets(graph: Graph, samples: int, seed: int) -> list[tuple[str,
     return out
 
 
-def _batch_cut_values(graph: Graph, block: np.ndarray, weights=None) -> np.ndarray:
-    """Cut sizes (or weights) for a block of indicator rows at once."""
-    xu = block[:, graph.edge_u]
-    xv = block[:, graph.edge_v]
-    crossing = xu != xv
-    if weights is None:
-        return crossing.sum(axis=1).astype(np.float64)
-    rows, cols = np.nonzero(crossing)
-    out = np.zeros(block.shape[0])
-    np.add.at(out, rows, weights[cols])
+def _cut_values(graph: Graph, weights, indptr, members) -> np.ndarray:
+    """x^T L_w x for each CSR vertex set's indicator x, a column block at a time."""
+    n = graph.n
+    lap = laplacian_sparse(graph, weights)
+    cuts = indptr.size - 1
+    out = np.empty(cuts)
+    block = max(1, _CUT_BLOCK_BYTES // (3 * 8 * n))
+    for lo in range(0, cuts, block):
+        hi = min(lo + block, cuts)
+        x = np.zeros((n, hi - lo))
+        cols = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
+        x[members[indptr[lo] : indptr[hi]], cols] = 1.0
+        out[lo:hi] = ((lap @ x) * x).sum(axis=0)
     return out
 
 
-def sampled_cut_ratios(
-    graph: Graph, derived, samples: int, seed: int, block: int = 256
-) -> list[CutRatioSample]:
+def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> CutRatios:
     """Cut sizes of ``derived`` against ``graph`` over the sampled families."""
     d_graph = _as_graph(derived)
     if d_graph.n != graph.n:
         raise ValueError("graph and derived object must share a vertex set")
     weights = derived.weights if isinstance(derived, WeightedGraph) else None
     subsets = sample_cut_subsets(graph, samples, seed)
-    result: list[CutRatioSample] = []
-    for lo in range(0, len(subsets), block):
-        chunk = subsets[lo : lo + block]
-        indicators = np.zeros((len(chunk), graph.n), dtype=bool)
-        for i, (_, members) in enumerate(chunk):
-            indicators[i, members] = True
-        base_vals = _batch_cut_values(graph, indicators)
-        derived_vals = _batch_cut_values(d_graph, indicators, weights)
-        for (family, members), b, dv in zip(chunk, base_vals, derived_vals):
-            result.append(
-                CutRatioSample(
-                    subset=tuple(members.tolist()),
-                    base_cut=float(b),
-                    derived_cut=float(dv),
-                    family=family,
-                )
-            )
-    return result
+    family = np.array([CutRatios.FAMILIES.index(f) for f, _ in subsets], dtype=np.int8)
+    indptr = np.zeros(len(subsets) + 1, dtype=np.int64)
+    np.cumsum([m.size for _, m in subsets], out=indptr[1:])
+    members = np.concatenate([m for _, m in subsets]).astype(np.int64, copy=False)
+    return CutRatios(
+        family=family,
+        indptr=indptr,
+        members=members,
+        base_cut=_cut_values(graph, None, indptr, members),
+        derived_cut=_cut_values(d_graph, weights, indptr, members),
+    )
 
 
 def sparsifier_quality(
     graph: Graph, weighted: WeightedGraph, samples: int, seed: int
 ) -> tuple[float, float]:
     """(c_low, c_high): min ratio and max log-normalized ratio over sampled cuts."""
-    ratios = sampled_cut_ratios(graph, weighted, samples, seed)
-    logn = math.log(graph.n)
-    c_low = min(r.ratio for r in ratios)
-    c_high = max(r.ratio / logn for r in ratios)
-    return c_low, c_high
+    ratio = sampled_cut_ratios(graph, weighted, samples, seed).ratio
+    return float(ratio.min()), float(ratio.max() / math.log(graph.n))

@@ -157,7 +157,7 @@ def _run_bounded_degree(cfg: ExperimentConfig):
             g = random_regular_graph(n, d, child_seed(cfg.seed, "graph-retry", s))
         u = splice(g, k, child_seed(cfg.seed, "splice", s))
         ratios = sampled_cut_ratios(g, u, cuts, child_seed(cfg.seed, "cuts", s))
-        m = min(r.ratio for r in ratios)
+        m = float(ratios.ratio.min())
         worst = min(worst, m)
         rows.append({"seed_index": s, "min_ratio": m, "cuts": len(ratios)})
     assertions.append(_ge("min cut ratio across seeds", worst, bound))
@@ -209,8 +209,8 @@ def _run_complete_graph(cfg: ExperimentConfig):
     spectral_seeds = cfg.samples or 20
     rows = []
     good = 0
+    kn = complete_graph(n)
     for s in range(seeds):
-        kn = complete_graph(n)
         u = splice(kn, k, child_seed(cfg.seed, "splice", s))
         rep = vertex_expansion_exact(u.support)
         ok = rep.value >= 0.5
@@ -238,8 +238,8 @@ def _run_complete_graph(cfg: ExperimentConfig):
     lam_min = math.inf
     for size in ladder:
         vals = []
+        kn = complete_graph(size)
         for s in range(spectral_seeds):
-            kn = complete_graph(size)
             u = splice(kn, k, child_seed(cfg.seed, "spectral", size, s))
             lam = spectral_lower_bound(u)
             vals.append(lam)
@@ -373,13 +373,13 @@ def _run_stretch(cfg: ExperimentConfig):
     big_stretches = []
     small_stretches = []
     dia_max = 0
+    kn = complete_graph(n)
+    ks = complete_graph(small)
     for s in range(seeds):
-        kn = complete_graph(n)
         one = splice(kn, 1, child_seed(cfg.seed, "one-tree", n, s))
         ms, _ = stretch_stats(kn, one, pairs, child_seed(cfg.seed, "pairs", n, s))
         big_stretches.append(ms)
         rows.append({"kind": "single-tree-stretch", "n": n, "seed_index": s, "value": ms})
-        ks = complete_graph(small)
         one_s = splice(ks, 1, child_seed(cfg.seed, "one-tree", small, s))
         ms_s, _ = stretch_stats(ks, one_s, pairs, child_seed(cfg.seed, "pairs", small, s))
         small_stretches.append(ms_s)

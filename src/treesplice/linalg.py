@@ -20,25 +20,19 @@ EXACT_RESISTANCE_MAX_N = 64
 
 def laplacian_dense(graph: Graph, dtype=np.float64) -> np.ndarray:
     """Combinatorial Laplacian D - A as a dense array."""
-    n = graph.n
-    lap = np.zeros((n, n), dtype=dtype)
-    eu = graph.edge_u
-    ev = graph.edge_v
-    np.add.at(lap, (eu, ev), -1)
-    np.add.at(lap, (ev, eu), -1)
-    lap[np.arange(n), np.arange(n)] = graph.degrees.astype(dtype)
-    return lap
+    return laplacian_sparse(graph).toarray().astype(dtype, copy=False)
 
 
-def laplacian_sparse(graph: Graph) -> sp.csr_matrix:
+def laplacian_sparse(graph: Graph, weights=None) -> sp.csr_matrix:
+    """Laplacian D_w - A_w in CSR form; unit edge weights when ``weights`` is None."""
     n = graph.n
     eu = graph.edge_u
     ev = graph.edge_v
+    w = np.ones(graph.m) if weights is None else np.asarray(weights, dtype=np.float64)
+    diag = np.bincount(eu, w, minlength=n) + np.bincount(ev, w, minlength=n)
     rows = np.concatenate([eu, ev, np.arange(n)])
     cols = np.concatenate([ev, eu, np.arange(n)])
-    vals = np.concatenate(
-        [-np.ones(2 * graph.m), graph.degrees.astype(np.float64)]
-    )
+    vals = np.concatenate([-w, -w, diag])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

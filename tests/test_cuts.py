@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from treesplice import cuts
 from treesplice.cuts import (
+    CutRatios,
+    _cut_values,
     edge_expansion_exact,
     evaluate_subset,
     sample_cut_subsets,
@@ -18,9 +21,10 @@ from treesplice.generators import (
     cycle_graph,
     gnp_graph,
     path_graph,
+    random_regular_graph,
     star_graph,
 )
-from treesplice.graph import Graph
+from treesplice.graph import Graph, cut_edges
 from treesplice.splice import WeightedGraph, splice
 from treesplice.seeds import child_seed
 
@@ -122,16 +126,67 @@ def test_cut_families_cover_requested_kinds():
 def test_sampled_ratios_identity_is_one():
     g = gnp_graph(40, 0.3, seed=23)
     assert g.is_connected()
-    for r in sampled_cut_ratios(g, g, 40, seed=3):
-        assert r.ratio == 1.0
+    ratios = sampled_cut_ratios(g, g, 40, seed=3)
+    assert (ratios.ratio == 1.0).all()
 
 
 def test_sampled_ratios_of_splicer_at_most_one():
     g = complete_graph(48)
     spl = splice(g, 2, seed=5)
-    for r in sampled_cut_ratios(g, spl, 60, seed=6):
-        assert r.ratio <= 1.0 + 1e-12
-        assert r.base_cut >= 1
+    ratios = sampled_cut_ratios(g, spl, 60, seed=6)
+    assert (ratios.ratio <= 1.0 + 1e-12).all()
+    assert (ratios.base_cut >= 1).all()
+
+
+def _csr(subsets):
+    indptr = np.cumsum([0] + [len(a) for a in subsets])
+    return indptr, np.concatenate([np.asarray(a, dtype=np.int64) for a in subsets])
+
+
+def _random_subsets(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "g", [gnp_graph(60, 0.2, seed=21), random_regular_graph(40, 3, seed=5)]
+)
+def test_cut_values_count_cut_edges_exactly(g, monkeypatch):
+    # 7 indicator columns a block, so blocks split and the last one is short.
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * 8 * g.n * 7)
+    subsets = _random_subsets(g.n, 300, seed=g.m)
+    got = _cut_values(g, None, *_csr(subsets))
+    want = [len(cut_edges(g, a)) for a in subsets]
+    assert got.tolist() == want
+
+
+def test_cut_values_match_weighted_cut_weight(monkeypatch):
+    g = gnp_graph(60, 0.2, seed=21)
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * 8 * g.n * 7)
+    rng = np.random.default_rng(8)
+    wg = WeightedGraph(g, rng.uniform(0.05, 20.0, g.m))
+    subsets = _random_subsets(g.n, 300, seed=9)
+    got = _cut_values(g, wg.weights, *_csr(subsets))
+    want = np.array([wg.cut_weight(a) for a in subsets])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_cut_ratios_line_up_with_sampled_subsets():
+    g = gnp_graph(60, 0.2, seed=21)
+    spl = splice(g, 2, seed=3)
+    subsets = sample_cut_subsets(g, 90, seed=4)
+    ratios = sampled_cut_ratios(g, spl, 90, seed=4)
+    assert len(ratios) == len(subsets) == ratios.indptr.size - 1
+    assert ratios.indptr[-1] == ratios.members.size
+    for i, (family, members) in enumerate(subsets):
+        assert CutRatios.FAMILIES[ratios.family[i]] == family
+        cut = ratios.members[ratios.indptr[i] : ratios.indptr[i + 1]]
+        assert cut.tolist() == members.tolist()
+        assert ratios.base_cut[i] == len(cut_edges(g, members))
+        assert ratios.derived_cut[i] == len(cut_edges(spl.support, members))
 
 
 def test_sparsifier_quality_identity_weights():
