@@ -7,7 +7,8 @@ One process, subcommand style:
 
 Exit codes: 0 on success, 1 when an embedded assertion, a sampling step or
 a numerical iteration (Lanczos for lambda_2) fails, 2 on usage or input
-errors.  Each of these failures prints one line to stderr.
+errors, including a file that cannot be read or written.  Each of these
+failures prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -191,13 +192,11 @@ def _cmd_verify(args) -> int:
         _emit(args, payload, rows=[payload])
         return EXIT_OK
     if check == "resistance":
-        from .linalg import effective_resistance
+        from .linalg import effective_resistances
         from .sampler import tree_edge_frequencies
 
         freqs = tree_edge_frequencies(g, args.trials, args.seed)
-        worst = 0.0
-        for eid in range(g.m):
-            worst = max(worst, abs(freqs[eid] - effective_resistance(g, eid)))
+        worst = float(np.abs(freqs - effective_resistances(g)).max(initial=0.0))
         payload = {
             "check": check,
             "trials": args.trials,
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError, FileNotFoundError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SamplingError as exc:

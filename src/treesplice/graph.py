@@ -136,6 +136,18 @@ class Graph:
             u, v = v, u
         return self._edge_index.get((u, v))
 
+    def resolve_edge(self, edge) -> int:
+        """Id of an edge given by id or (u, v) pair; ValueError if it names none."""
+        if isinstance(edge, (tuple, list)):
+            eid = self.edge_id(int(edge[0]), int(edge[1]))
+            if eid is None:
+                raise ValueError(f"({edge[0]}, {edge[1]}) is not an edge")
+            return eid
+        eid = int(edge)
+        if not 0 <= eid < self.m:
+            raise ValueError("edge id out of range")
+        return eid
+
     def has_edge(self, u: int, v: int) -> bool:
         return self.edge_id(u, v) is not None
 

@@ -1,9 +1,17 @@
 """Exact linear-algebra oracles: Laplacians, tree counting, effective resistance.
 
-Tree counting is a Laplacian cofactor determinant evaluated with fraction-free
-integer elimination, so the result is exact at any size.  Effective resistance
-is solved in exact rationals up to n = 64 and in floating point with one step
-of iterative refinement above that.
+One fraction-free integer elimination (Bareiss) is the only exact engine.  On
+the Laplacian with the ground vertex n-1 removed it gives the tree count
+tau = det(L_red) and, when asked, the integer adjugate A = tau * L_red^-1.
+Every exact tree law is read from A (Burton & Pemantle's transfer-current
+theorem): for oriented edges e = (a, b) and f = (c, d),
+
+    N[e, f] = A[a, c] - A[a, d] - A[b, c] + A[b, d]
+
+is tau times the transfer current Y[e, f] (the ground row and column of A are
+zero), so N[e, e] / tau is e's effective resistance, which equals P(e in T).
+Effective resistance is exact up to n = 64 and in floating point with one
+step of iterative refinement above that.
 """
 
 from __future__ import annotations
@@ -36,15 +44,23 @@ def laplacian_sparse(graph: Graph, weights=None) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
+def _bareiss_det(mat: list[list[int]], adjugate: bool = False):
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    With ``adjugate=True`` the elimination runs Gauss-Jordan on [mat | I] and
+    returns ``(det, adj)``, where ``adj = det * mat^-1`` is the integer
+    adjugate (``None`` when det is 0).  Every intermediate entry is a minor of
+    the augmented matrix, so each division is exact.
+    """
     n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
+    width = 2 * n if adjugate else n
+    a = [
+        row[:] + ([0] * i + [1] + [0] * (n - 1 - i) if adjugate else [])
+        for i, row in enumerate(mat)
+    ]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -52,28 +68,26 @@ def _bareiss_det(mat: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+                return (0, None) if adjugate else 0
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(n) if adjugate else range(k + 1, n):
+            if i == k:
+                continue
             row_i = a[i]
-            row_k = a[k]
             aik = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    if not adjugate:
+        return sign * prev
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def spanning_tree_count(graph: Graph) -> int:
-    """Number of spanning trees (matrix-tree cofactor); 0 when disconnected."""
+def _ground_minor(graph: Graph) -> list[list[int]]:
+    """Integer Laplacian with the ground vertex n-1's row and column removed."""
     n = graph.n
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    if graph.m < n - 1 or not graph.is_connected():
-        return 0
     minor = [[0] * (n - 1) for _ in range(n - 1)]
     deg = graph.degrees
     for v in range(n - 1):
@@ -82,67 +96,44 @@ def spanning_tree_count(graph: Graph) -> int:
         if u < n - 1 and v < n - 1:
             minor[u][v] -= 1
             minor[v][u] -= 1
-    return _bareiss_det(minor)
+    return minor
 
 
-def _solve_fraction(system: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals (partial pivot by nonzero)."""
-    n = len(system)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(system)]
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise ValueError("singular system")
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            factor = a[i][k] / pivot
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k, n + 1):
-                row_i[j] -= factor * row_k[j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n]
-        for j in range(k + 1, n):
-            acc -= a[k][j] * x[j]
-        x[k] = acc / a[k][k]
-    return x
+def spanning_tree_count(graph: Graph) -> int:
+    """Number of spanning trees (matrix-tree cofactor); 0 when disconnected."""
+    n = graph.n
+    if n == 0 or graph.m < n - 1 or not graph.is_connected():
+        return 0
+    return _bareiss_det(_ground_minor(graph))
+
+
+def _ground_adjugate(graph: Graph) -> tuple[int, list[list[int]]]:
+    """tau(G) and the integer adjugate of the ground-reduced Laplacian.
+
+    The adjugate comes back n x n, with a zero row and column at the ground
+    vertex n-1, so ``_transfer_current`` can index it by vertex.
+    """
+    if not graph.is_connected():
+        raise ValueError("graph has no spanning tree")
+    tau, adj = _bareiss_det(_ground_minor(graph), adjugate=True)
+    for row in adj:
+        row.append(0)
+    adj.append([0] * graph.n)
+    return tau, adj
+
+
+def _transfer_current(adj: list[list[int]], e: tuple[int, int], f: tuple[int, int]) -> int:
+    """N[e, f] = tau * Y[e, f] for oriented edges e and f, from ``_ground_adjugate``."""
+    (a, b), (c, d) = e, f
+    return adj[a][c] - adj[a][d] - adj[b][c] + adj[b][d]
 
 
 def effective_resistance_exact(graph: Graph, u: int, v: int) -> Fraction:
     """Exact effective resistance between adjacent-or-not vertices u and v."""
-    n = graph.n
-    ground = v
-    index = [w for w in range(n) if w != ground]
-    pos = {w: i for i, w in enumerate(index)}
-    system = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
-    deg = graph.degrees
-    for w in index:
-        system[pos[w]][pos[w]] = Fraction(int(deg[w]))
-    for a, b in graph.iter_edges():
-        if a != ground and b != ground:
-            system[pos[a]][pos[b]] -= 1
-            system[pos[b]][pos[a]] -= 1
-    rhs = [Fraction(0)] * (n - 1)
-    rhs[pos[u]] = Fraction(1)
-    x = _solve_fraction(system, rhs)
-    return x[pos[u]]
-
-
-def _reduced_laplacian_solve(graph: Graph, rhs: np.ndarray) -> np.ndarray:
-    """Solve the ground-reduced Laplacian system with one refinement pass."""
-    lap = laplacian_dense(graph)
-    reduced = lap[:-1, :-1]
-    x = np.linalg.solve(reduced, rhs)
-    resid = rhs - reduced @ x
-    x += np.linalg.solve(reduced, resid)
-    return x
+    if not (0 <= u < graph.n and 0 <= v < graph.n):
+        raise ValueError(f"vertices must lie in [0, {graph.n})")
+    tau, adj = _ground_adjugate(graph)
+    return Fraction(_transfer_current(adj, (u, v), (u, v)), tau)
 
 
 def effective_resistance(graph: Graph, edge) -> float:
@@ -151,51 +142,37 @@ def effective_resistance(graph: Graph, edge) -> float:
     Accepts an edge id or an (u, v) pair; requires a connected graph.  Equals
     the potential difference across the endpoints under a unit current.
     """
-    if isinstance(edge, (tuple, list)):
-        u, v = int(edge[0]), int(edge[1])
-        if graph.edge_id(u, v) is None:
-            raise ValueError(f"({u}, {v}) is not an edge")
-    else:
-        u, v = graph.edge(int(edge))
-    if not graph.is_connected():
-        raise ValueError("effective resistance needs a connected graph")
-    if graph.n <= EXACT_RESISTANCE_MAX_N:
-        return float(effective_resistance_exact(graph, u, v))
-    ground = graph.n - 1
-    rhs = np.zeros(graph.n - 1)
-    if u == ground or v == ground:
-        other = v if u == ground else u
-        rhs[other] = 1.0
-        x = _reduced_laplacian_solve(graph, rhs)
-        return float(x[other])
-    rhs[u] = 1.0
-    rhs[v] = -1.0
-    x = _reduced_laplacian_solve(graph, rhs)
-    return float(x[u] - x[v])
+    return float(effective_resistances(graph, [graph.resolve_edge(edge)])[0])
 
 
 def effective_resistances(graph: Graph, edge_ids=None) -> np.ndarray:
-    """Effective resistance for many edges at once (float path, one factorization)."""
+    """Effective resistance of each listed edge (all edges when None).
+
+    Up to ``EXACT_RESISTANCE_MAX_N`` vertices every value is the correctly
+    rounded exact rational N[e, e] / tau from one integer adjugate.  Above
+    that, one float factorization with one refinement step serves all edges.
+    """
+    ids = np.arange(graph.m) if edge_ids is None else np.asarray(edge_ids, dtype=np.int64)
+    if ids.size and not (0 <= ids.min() and ids.max() < graph.m):
+        raise ValueError(f"edge ids must lie in [0, {graph.m})")
     if not graph.is_connected():
         raise ValueError("effective resistance needs a connected graph")
-    if edge_ids is None:
-        edge_ids = np.arange(graph.m)
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    eu = graph.edge_u[ids]
+    ev = graph.edge_v[ids]
     n = graph.n
-    ground = n - 1
-    lap = laplacian_dense(graph)
-    reduced = lap[:-1, :-1]
-    rhs = np.zeros((n - 1, edge_ids.size))
-    eu = graph.edge_u[edge_ids]
-    ev = graph.edge_v[edge_ids]
-    cols = np.arange(edge_ids.size)
-    keep_u = eu != ground
-    keep_v = ev != ground
-    rhs[eu[keep_u], cols[keep_u]] = 1.0
-    rhs[ev[keep_v], cols[keep_v]] += -1.0
+    if n <= EXACT_RESISTANCE_MAX_N:
+        tau, adj = _ground_adjugate(graph)
+        return np.array(
+            [_transfer_current(adj, e, e) / tau for e in zip(eu.tolist(), ev.tolist())],
+            dtype=np.float64,
+        )
+    reduced = laplacian_dense(graph)[:-1, :-1]
+    cols = np.arange(ids.size)
+    rhs = np.zeros((n, ids.size))
+    rhs[eu, cols] = 1.0
+    rhs[ev, cols] = -1.0
+    rhs = rhs[:-1]  # the ground vertex n-1 sits at potential 0
     x = np.linalg.solve(reduced, rhs)
     x += np.linalg.solve(reduced, rhs - reduced @ x)
-    out = np.zeros(edge_ids.size)
-    out[keep_u] += x[eu[keep_u], cols[keep_u]]
-    out[keep_v] -= x[ev[keep_v], cols[keep_v]]
-    return out
+    x = np.vstack([x, np.zeros(ids.size)])
+    return x[eu, cols] - x[ev, cols]

@@ -382,16 +382,8 @@ def edge_inclusion_probability(
     graph: Graph, edge, trials: int, seed: int
 ) -> float:
     """Empirical probability that ``edge`` lands in a random spanning tree."""
-    if isinstance(edge, (tuple, list)):
-        eid = graph.edge_id(int(edge[0]), int(edge[1]))
-        if eid is None:
-            raise ValueError(f"({edge[0]}, {edge[1]}) is not an edge")
-    else:
-        eid = int(edge)
-        if not 0 <= eid < graph.m:
-            raise ValueError("edge id out of range")
-    freqs = tree_edge_frequencies(graph, trials, seed)
-    return float(freqs[eid])
+    eid = graph.resolve_edge(edge)
+    return float(tree_edge_frequencies(graph, trials, seed)[eid])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 Every Monte Carlo report carries its trial count, point estimates, and
 standard errors; assertions compare against estimate +/- 4 standard errors
-with frozen seeds.  Exact verification switches in whenever the spanning-tree
-space is enumerable.
+with frozen seeds.  On graphs with at most ``ENUMERATION_EDGE_CAP`` edges the
+negative-correlation check is exact instead: its joint, all-absent and
+marginal laws are determinants of the integer transfer currents that
+``linalg`` reads from one adjugate.  ``enumerate_trees`` lists the trees of
+such small graphs, as an independent reference for that oracle and for the
+CLI's uniformity check.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .graph import Graph, cut_edges
+from .linalg import _bareiss_det, _ground_adjugate, _transfer_current
 from .generators import complete_graph, direct_edges_dp, gnp_graph
 from .sampler import SpanningTree, _batch_cover_walks, process_bp
 from .seeds import child_seed, substream
@@ -81,22 +86,6 @@ def enumerate_trees(graph: Graph) -> list[SpanningTree]:
     return out
 
 
-def _resolve_edge_ids(graph: Graph, edges) -> list[int]:
-    ids = []
-    for e in edges:
-        if isinstance(e, (tuple, list)):
-            eid = graph.edge_id(int(e[0]), int(e[1]))
-            if eid is None:
-                raise ValueError(f"({e[0]}, {e[1]}) is not an edge")
-            ids.append(eid)
-        else:
-            eid = int(e)
-            if not 0 <= eid < graph.m:
-                raise ValueError("edge id out of range")
-            ids.append(eid)
-    return ids
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     edge_ids: tuple[int, ...]
@@ -139,31 +128,46 @@ class CorrelationReport:
         }
 
 
+def exact_tree_law(
+    graph: Graph, edge_ids
+) -> tuple[int, Fraction, Fraction, tuple[Fraction, ...]]:
+    """tau, P(S in T), P(S and T disjoint) and each P(e in T), T a uniform tree.
+
+    With N = tau * Y the integer transfer currents on the k edges of S
+    (Burton & Pemantle), P(S in T) = det(N) / tau^k and
+    P(S and T disjoint) = det(tau I - N) / tau^k.  Raises ``ValueError`` when
+    the graph has no spanning tree.
+    """
+    tau, adj = _ground_adjugate(graph)
+    distinct = list(dict.fromkeys(edge_ids))  # a repeated edge is the same event
+    ends = [graph.edge(e) for e in distinct]
+    cur = [[_transfer_current(adj, e, f) for f in ends] for e in ends]
+    k = len(ends)
+    absent = [[tau * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(cur)]
+    marginal = {e: Fraction(cur[j][j], tau) for j, e in enumerate(distinct)}
+    return (
+        tau,
+        Fraction(_bareiss_det(cur), tau**k),
+        Fraction(_bareiss_det(absent), tau**k),
+        tuple(marginal[e] for e in edge_ids),
+    )
+
+
 def negative_correlation_check(
     graph: Graph, edges, trials: int, seed: int
 ) -> CorrelationReport:
     """Joint tree-membership of an edge set versus the product of marginals.
 
-    Exact by enumeration when feasible; otherwise Monte Carlo with a
+    Exact (``exact_tree_law``, ``trials`` = the tree count) on graphs with at
+    most ``ENUMERATION_EDGE_CAP`` edges; otherwise Monte Carlo with a
     4-standard-error margin.  Checks the complementary (all-absent) events
     too.
     """
-    ids = _resolve_edge_ids(graph, edges)
+    ids = [graph.resolve_edge(e) for e in edges]
     if not 1 <= len(ids) <= 4:
         raise ValueError("between 1 and 4 edges required")
     if graph.m <= ENUMERATION_EDGE_CAP:
-        trees = enumerate_trees(graph)
-        total = len(trees)
-        if total == 0:
-            raise ValueError("graph has no spanning tree")
-        contains = np.zeros((total, len(ids)), dtype=bool)
-        for t_i, tree in enumerate(trees):
-            tree_edges = set(tree.edge_ids().tolist())
-            for j, e in enumerate(ids):
-                contains[t_i, j] = e in tree_edges
-        joint = Fraction(int(contains.all(axis=1).sum()), total)
-        joint_c = Fraction(int((~contains).all(axis=1).sum()), total)
-        marg = tuple(Fraction(int(c), total) for c in contains.sum(axis=0))
+        tau, joint, joint_c, marg = exact_tree_law(graph, ids)
         return CorrelationReport(
             edge_ids=tuple(ids),
             joint=float(joint),
@@ -171,7 +175,7 @@ def negative_correlation_check(
             joint_complement=float(joint_c),
             marginals_complement=tuple(float(1 - x) for x in marg),
             exact=True,
-            trials=total,
+            trials=tau,
             margin=0.0,
         )
     if trials < 1:

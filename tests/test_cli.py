@@ -100,6 +100,22 @@ def test_missing_file_is_usage_error(tmp_path):
     assert run(["expansion", "--graph", str(tmp_path / "nope.txt")]) == 2
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    assert run(["generate", "--kind", "complete", "--n", "4", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sampling_failure_is_a_one_line_failure(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("4 2\n0 1\n1 2\n")  # vertex 3 is isolated
+    assert run(["sample-tree", "--graph", str(gpath), "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sampling failure: ") and err.count("\n") == 1
+
+
 def test_verify_checks(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     assert run(["generate", "--kind", "complete", "--n", "4", "--out", str(gpath)]) == 0

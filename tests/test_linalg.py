@@ -14,6 +14,7 @@ from treesplice.generators import (
 )
 from treesplice.graph import Graph
 from treesplice.linalg import (
+    _bareiss_det,
     effective_resistance,
     effective_resistance_exact,
     effective_resistances,
@@ -123,6 +124,34 @@ def test_batched_resistances_match_single():
     for eid in (0, 7, g.m - 1):
         assert batch[eid] == pytest.approx(effective_resistance(g, eid), rel=1e-9)
     assert batch.sum() == pytest.approx(g.n - 1, rel=1e-9)
+
+
+def test_bareiss_adjugate_inverts_integer_matrices():
+    rng = np.random.default_rng(21)
+    mats = [[[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]]]  # need row swaps
+    mats += [rng.integers(-4, 5, size=(k, k)).tolist() for k in range(1, 7) for _ in range(5)]
+    for mat in mats:
+        k = len(mat)
+        det = _bareiss_det(mat)
+        assert det == round(np.linalg.det(np.array(mat, dtype=float)))
+        det2, adj = _bareiss_det(mat, adjugate=True)
+        assert det2 == det
+        if det == 0:
+            assert adj is None
+            continue
+        prod = [[sum(adj[i][t] * mat[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+        assert prod == [[det * (i == j) for j in range(k)] for i in range(k)]
+
+
+def test_batched_resistances_reject_bad_edge_ids():
+    g = cycle_graph(5)
+    for bad in ([-1], [5], [0, 7]):
+        with pytest.raises(ValueError, match="edge ids"):
+            effective_resistances(g, bad)
+    with pytest.raises(ValueError):
+        effective_resistance(g, 5)
+    with pytest.raises(ValueError):
+        effective_resistance_exact(g, -1, 0)  # would read the ground row
 
 
 def test_laplacian_row_sums_zero():

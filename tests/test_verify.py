@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ from treesplice.generators import (
     complete_graph,
     cycle_graph,
     gnp_graph,
+    petersen_graph,
     prism_graph,
     random_regular_graph,
     wheel_graph,
 )
 from treesplice.graph import Graph
-from treesplice.linalg import effective_resistance, spanning_tree_count
+from treesplice.linalg import (
+    EXACT_RESISTANCE_MAX_N,
+    effective_resistance,
+    effective_resistance_exact,
+    effective_resistances,
+    spanning_tree_count,
+)
 from treesplice.sampler import _batch_cover_walks, tree_edge_frequencies
 from treesplice.seeds import substream
 from treesplice.verify import (
@@ -22,6 +30,7 @@ from treesplice.verify import (
     chernoff_tail_check,
     coupling_distance_estimate,
     enumerate_trees,
+    exact_tree_law,
     min_tree_edge_probability,
     negative_correlation_check,
 )
@@ -73,6 +82,57 @@ def test_exact_marginals_match_effective_resistance():
             assert marginal == pytest.approx(
                 effective_resistance(g, eid), abs=1e-9
             ), f"{name} edge {eid}"
+
+
+def test_exact_tree_law_matches_enumeration_counts():
+    for name, g in CORPUS.items():
+        trees = enumerate_trees(g)
+        total = len(trees)
+        contains = np.zeros((total, g.m), dtype=bool)
+        for t_i, tree in enumerate(trees):
+            contains[t_i, tree.edge_ids()] = True
+        for k in range(1, 5):
+            # With replacement: a repeated edge must count as one event.
+            for ids in itertools.combinations_with_replacement(range(g.m), k):
+                tau, joint, absent, marg = exact_tree_law(g, ids)
+                sub = contains[:, list(ids)]
+                assert tau == total, name
+                assert joint == Fraction(int(sub.all(axis=1).sum()), total), (name, ids)
+                assert absent == Fraction(int((~sub).all(axis=1).sum()), total), (name, ids)
+                assert marg == tuple(Fraction(int(c), total) for c in sub.sum(axis=0)), (name, ids)
+
+
+def test_single_resistance_is_bitwise_the_batched_value():
+    graphs = dict(CORPUS, petersen=petersen_graph(), rr40=random_regular_graph(40, 3, seed=4))
+    for name, g in graphs.items():
+        assert g.n <= EXACT_RESISTANCE_MAX_N and g.is_connected()
+        batch = effective_resistances(g)
+        for eid in range(g.m):
+            assert effective_resistance(g, eid) == batch[eid], (name, eid)
+    g = random_regular_graph(EXACT_RESISTANCE_MAX_N, 3, seed=5)
+    assert g.is_connected()
+    batch = effective_resistances(g)
+    for eid in (0, g.m // 2, g.m - 1):
+        assert effective_resistance(g, eid) == batch[eid]
+
+
+def test_float_resistances_match_exact_above_the_cap():
+    n = EXACT_RESISTANCE_MAX_N + 6
+    g = random_regular_graph(n, 3, seed=6)
+    assert g.is_connected()
+    floats = effective_resistances(g)
+    ground_edge = next(e for e in range(g.m) if n - 1 in g.edge(e))
+    for eid in (0, ground_edge, g.m // 2, g.m - 1):
+        exact = effective_resistance_exact(g, *g.edge(eid))
+        assert abs(floats[eid] - exact) <= 1e-9, eid
+
+
+def test_exact_oracles_reject_a_graph_without_spanning_tree():
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(ValueError):
+        effective_resistance_exact(g, 0, 1)
+    with pytest.raises(ValueError, match="no spanning tree"):
+        negative_correlation_check(g, [0, 3], 0, 0)
 
 
 def test_negative_correlation_exact_on_all_pairs():
