@@ -34,14 +34,12 @@ from .linalg import (
 from .sampler import (
     ProcessBResult,
     SpanningTree,
-    TwoTreeResult,
     WalkTrace,
     aldous_broder,
     edge_inclusion_probability,
     process_bp,
     process_bp_on,
     sample_trees,
-    sequential_two_trees_bp,
     tree_edge_frequencies,
 )
 from .seeds import child_seed, substream

@@ -34,7 +34,7 @@ from .lowerbound import (
     validate_family,
 )
 from .routing import reliability_experiment, stretch_stats
-from .sampler import aldous_broder, sequential_two_trees_bp
+from .sampler import aldous_broder, process_bp
 from .seeds import child_seed, substream
 from .splice import sparsify_gnp, splice, union_trees
 from .verify import bernoulli_se, chernoff_tail_check, coupling_distance_estimate
@@ -270,7 +270,7 @@ def _run_random_graph(cfg: ExperimentConfig):
     rows = []
     for t in range(runs):
         host = gnp_graph(n, p, child_seed(cfg.seed, "host", t))
-        res = sequential_two_trees_bp(host, p, child_seed(cfg.seed, "walk", t))
+        res = process_bp(host, p, child_seed(cfg.seed, "walk", t), phases=2)
         successes += res.success
         rows.append({"kind": "two-tree-run", "index": t, "success": int(res.success)})
     rate = successes / runs
@@ -284,12 +284,12 @@ def _run_random_graph(cfg: ExperimentConfig):
     lam_min = math.inf
     for s in range(lam_seeds):
         host = gnp_graph(n, p, child_seed(cfg.seed, "lam-host", s))
-        res = sequential_two_trees_bp(host, p, child_seed(cfg.seed, "lam-walk", s))
+        res = process_bp(host, p, child_seed(cfg.seed, "lam-walk", s), phases=2)
         attempts = 0
         while not res.success and attempts < 16:
             attempts += 1
-            res = sequential_two_trees_bp(
-                host, p, child_seed(cfg.seed, "lam-walk-retry", s, attempts)
+            res = process_bp(
+                host, p, child_seed(cfg.seed, "lam-walk-retry", s, attempts), phases=2
             )
         if not res.success:
             raise SamplingError("two-tree generation kept failing")

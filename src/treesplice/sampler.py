@@ -5,7 +5,10 @@ first-entry edge, which yields a uniformly random spanning tree whatever the
 start vertex.  ``process_bp`` walks a random orientation of a (random) graph
 with step probabilities that favor previously traversed arcs at rate
 1/(n-1) each, splitting the remainder evenly over new arcs; it either covers
-the graph (emitting the first-visit tree) or stops with no output.
+the graph (emitting the first-visit tree) or stops with no output.  Its
+loop, ``process_bp_on``, runs on a given orientation and cuts ``phases``
+trees from one continuous walk, restarting first-visit bookkeeping at each
+cover.
 
 Samplers are pure given (inputs, seed) and safe to run concurrently on a
 shared graph; a single run is inherently sequential.  ``_batch_cover_walks``
@@ -214,7 +217,7 @@ def _batch_cover_walks(
     The step rule follows the graph type:
       Graph         -- uniform-neighbour rule; every walk covers a connected
                        graph, and its first-entry edges form a uniform tree.
-      DirectedGraph -- traversed-arc rule of ``_OrientedWalk``: each old arc
+      DirectedGraph -- traversed-arc rule of ``process_bp_on``: each old arc
                        out of the current vertex has probability 1/(n-1), the
                        rest splits evenly over new arcs.  A walk whose current
                        vertex has no untraversed arc before cover stops; the
@@ -311,7 +314,7 @@ def _batch_cover_walks(
                     stuck[act[span == 0]] = True
                     act = act[span > 0]
                     continue
-                # The draw of _OrientedWalk.step, shifted down by d1 * span:
+                # The draw of process_bp_on's step, shifted down by d1 * span:
                 # below 0 picks old slot r // span + d1, else new slot
                 # r // (n - 1 - d1) + d1.
                 r = rng.integers(0, span * (n - 1)) - k * span
@@ -388,195 +391,104 @@ def edge_inclusion_probability(
 
 @dataclass(frozen=True)
 class ProcessBResult:
-    """Outcome of one oriented-walk run: a tree and trace, or a stuck state."""
+    """Outcome of an oriented walk: the first-visit trees of its completed phases.
 
-    success: bool
-    oriented: DirectedGraph
-    tree: SpanningTree | None = None
-    trace: WalkTrace | None = None
-    stuck_vertex: int | None = None
-    steps_taken: int = 0
-
-
-@dataclass(frozen=True)
-class TwoTreeResult:
-    """Two trees cut from one continuous oriented-walk edge sequence."""
-
-    success: bool
-    oriented: DirectedGraph
-    trees: tuple[SpanningTree, SpanningTree] | None = None
-    failed_phase: int | None = None
-    stuck_vertex: int | None = None
-    steps_taken: int = 0
-
-
-class _OrientedWalk:
-    """Mutable state of one oriented walk with traversed-arc bookkeeping.
-
-    Per vertex, the target list is kept partitioned: the first d1 slots hold
-    previously traversed arcs.  A step draws one integer below
-    (d - d1) * (n - 1); values under d1 * (d - d1) select an old arc (each
-    with probability 1/(n-1)), the rest split evenly over new arcs.
+    On failure the walk stranded at ``stuck_vertex`` in phase ``len(trees) + 1``.
     """
 
-    def __init__(self, oriented: DirectedGraph, seed: int, start: int):
-        self.n = oriented.n
-        if not 0 <= start < self.n:
-            raise ValueError("start vertex out of range")
-        targets, srcs = oriented.out_adj
-        self.targets = [t[:] for t in targets]
-        self.srcs = [s[:] for s in srcs]
-        self.d1 = [0] * self.n
-        self.draws = BoundedDraws(substream(seed, "walk"))
-        self.cur = start
-        self.steps = 0
-
-    def step_distribution(self) -> list:
-        """Exact per-slot step probabilities at the current vertex (debug aid).
-
-        Entries are Fractions in the mutable slot order: the first d1 slots
-        are previously traversed arcs at 1/(n-1) each, the rest split the
-        remainder evenly.  Sums to exactly 1 whenever a step is possible.
-        """
-        from fractions import Fraction
-
-        v = self.cur
-        d = len(self.targets[v])
-        d1 = self.d1[v]
-        if d1 >= d:
-            return []
-        old = Fraction(1, self.n - 1)
-        new = (1 - d1 * old) / (d - d1)
-        return [old] * d1 + [new] * (d - d1)
-
-    def step(self) -> tuple[int, int] | None:
-        """Advance one arc; returns (next vertex, source edge id) or None if stuck."""
-        v = self.cur
-        tl = self.targets[v]
-        d = len(tl)
-        d1 = self.d1[v]
-        if d1 >= d:
-            return None
-        span = d - d1
-        r = self.draws.below(span * (self.n - 1))
-        thr = d1 * span
-        if r < thr:
-            slot = r // span
-        else:
-            slot = d1 + (r - thr) // (self.n - 1 - d1)
-            sl = self.srcs[v]
-            tl[slot], tl[d1] = tl[d1], tl[slot]
-            sl[slot], sl[d1] = sl[d1], sl[slot]
-            slot = d1
-            self.d1[v] = d1 + 1
-        nxt = tl[slot]
-        eid = self.srcs[v][slot]
-        self.cur = nxt
-        self.steps += 1
-        return nxt, eid
+    success: bool
+    trees: tuple[SpanningTree, ...] = ()
+    stuck_vertex: int | None = None
+    steps_taken: int = 0
 
 
 def process_bp_on(
-    oriented: DirectedGraph, seed: int, start: int = 0, step_cap: int | None = None
+    oriented: DirectedGraph,
+    seed: int,
+    start: int = 0,
+    phases: int = 1,
+    step_cap: int | None = None,
 ) -> ProcessBResult:
-    """Run the oriented-walk process on an existing orientation."""
+    """Run the oriented-walk process on an existing orientation.
+
+    Per vertex the out-arc list is kept partitioned: the first d1 slots hold
+    previously traversed arcs.  A step draws one integer below
+    (d - d1) * (n - 1); values under d1 * (d - d1) select an old arc (each
+    with probability 1/(n-1)), the rest split evenly over new arcs.  Each
+    phase keeps the first-entry arcs until cover; the next phase roots its
+    tree at the current vertex, and traversed-arc state carries over.  The
+    walk stops with no further tree when every out-arc at the current vertex
+    has been traversed before cover.
+    """
     n = oriented.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    walk = _OrientedWalk(oriented, seed, start)
-    parent = np.full(n, -1, dtype=np.int32)
-    parent_edge = np.full(n, -1, dtype=np.int32)
-    first_visit = np.full(n, -1, dtype=np.int64)
-    first_visit[start] = 0
-    trace = [start]
-    unvisited = n - 1
-    cap = step_cap if step_cap is not None else oriented.walk_step_cap()
-    while unvisited:
-        out = walk.step()
-        if out is None:
-            return ProcessBResult(
-                False, oriented, stuck_vertex=walk.cur, steps_taken=walk.steps
+    if not 0 <= start < n:
+        raise ValueError("start vertex out of range")
+    if phases < 1:
+        raise ValueError("phases must be >= 1")
+    targets, srcs = oriented.out_adj
+    targets = [t[:] for t in targets]
+    srcs = [s[:] for s in srcs]
+    d1 = [0] * n
+    below = BoundedDraws(substream(seed, "walk")).below
+    cap = step_cap if step_cap is not None else phases * oriented.walk_step_cap()
+    cur = start
+    steps = 0
+    trees = []
+    for _ in range(phases):
+        root = cur
+        seen = [False] * n
+        seen[root] = True
+        parent = [-1] * n
+        parent_edge = [-1] * n
+        unvisited = n - 1
+        while unvisited:
+            tl = targets[cur]
+            k = d1[cur]
+            span = len(tl) - k
+            if span <= 0:
+                return ProcessBResult(False, tuple(trees), cur, steps)
+            r = below(span * (n - 1))
+            sl = srcs[cur]
+            if r < k * span:
+                slot = r // span
+            else:
+                slot = k + (r - k * span) // (n - 1 - k)
+                tl[slot], tl[k] = tl[k], tl[slot]
+                sl[slot], sl[k] = sl[k], sl[slot]
+                slot = k
+                d1[cur] = k + 1
+            nxt = tl[slot]
+            if not seen[nxt]:
+                seen[nxt] = True
+                parent[nxt] = cur
+                parent_edge[nxt] = sl[slot]
+                unvisited -= 1
+            cur = nxt
+            steps += 1
+            if steps > cap:
+                raise SamplingError(f"oriented walk exceeded {cap} steps without cover")
+        trees.append(
+            SpanningTree(
+                root,
+                np.array(parent, dtype=np.int32),
+                np.array(parent_edge, dtype=np.int32),
             )
-        nxt, eid = out
-        prev = trace[-1]
-        if first_visit[nxt] < 0:
-            first_visit[nxt] = len(trace)
-            parent[nxt] = prev
-            parent_edge[nxt] = eid
-            unvisited -= 1
-        trace.append(nxt)
-        if walk.steps > cap:
-            raise SamplingError(f"oriented walk exceeded {cap} steps without cover")
-    tree = SpanningTree(start, parent, parent_edge)
-    return ProcessBResult(
-        True,
-        oriented,
-        tree=tree,
-        trace=WalkTrace(np.array(trace, dtype=np.int32), first_visit),
-        steps_taken=walk.steps,
-    )
+        )
+    return ProcessBResult(True, tuple(trees), steps_taken=steps)
 
 
 def process_bp(
-    graph: Graph, p: float, seed: int, start: int = 0
+    graph: Graph, p: float, seed: int, start: int = 0, phases: int = 1
 ) -> ProcessBResult:
-    """Walk a random orientation of ``graph``; emit the first-visit tree.
+    """Walk a random orientation of ``graph``; one first-visit tree per phase.
 
+    With ``phases=2`` the two trees are cut from one continuous walk.
     Orientation and walk consume independent substreams, so the orientation
-    can be held fixed while re-walking.  Stops with no output when every
-    outgoing arc at the current vertex has been traversed before cover.
+    can be held fixed while re-walking.  Stops with no further tree when
+    every outgoing arc at the current vertex has been traversed before cover.
     """
     oriented = direct_edges_dp(graph, p, child_seed(seed, "orient"))
-    return process_bp_on(
-        oriented, seed, start, step_cap=max(graph.walk_step_cap(), 64 * graph.n)
-    )
-
-
-def sequential_two_trees_bp(
-    graph: Graph, p: float, seed: int, start: int = 0
-) -> TwoTreeResult:
-    """Two first-visit trees from one continuous oriented-walk edge sequence.
-
-    First-visit bookkeeping resets at the first cover (the walk position
-    persists, and traversed-arc state carries over); a failure reports which
-    phase was being collected.
-    """
-    n = graph.n
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    oriented = direct_edges_dp(graph, p, child_seed(seed, "orient"))
-    walk = _OrientedWalk(oriented, seed, start)
-    cap = 2 * max(graph.walk_step_cap(), 64 * n)
-    trees = []
-    for phase in (1, 2):
-        root = walk.cur
-        parent = np.full(n, -1, dtype=np.int32)
-        parent_edge = np.full(n, -1, dtype=np.int32)
-        visited = np.zeros(n, dtype=bool)
-        visited[root] = True
-        unvisited = n - 1
-        while unvisited:
-            prev = walk.cur
-            out = walk.step()
-            if out is None:
-                return TwoTreeResult(
-                    False,
-                    oriented,
-                    failed_phase=phase,
-                    stuck_vertex=walk.cur,
-                    steps_taken=walk.steps,
-                )
-            nxt, eid = out
-            if not visited[nxt]:
-                visited[nxt] = True
-                parent[nxt] = prev
-                parent_edge[nxt] = eid
-                unvisited -= 1
-            if walk.steps > cap:
-                raise SamplingError(
-                    f"oriented walk exceeded {cap} steps without double cover"
-                )
-        trees.append(SpanningTree(root, parent, parent_edge))
-    return TwoTreeResult(
-        True, oriented, trees=(trees[0], trees[1]), steps_taken=walk.steps
-    )
+    cap = phases * max(graph.walk_step_cap(), 64 * graph.n)
+    return process_bp_on(oriented, seed, start, phases, step_cap=cap)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, SamplingError, cut_edges
-from .sampler import SpanningTree, sample_trees, sequential_two_trees_bp
+from .sampler import SpanningTree, process_bp, sample_trees
 from .seeds import child_seed
 
 SPARSIFY_RETRY_CAP = 16
@@ -113,7 +113,7 @@ def sparsify_gnp(graph: Graph, p: float, seed: int) -> WeightedGraph:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     n = graph.n
     for attempt in range(SPARSIFY_RETRY_CAP):
-        res = sequential_two_trees_bp(graph, p, child_seed(seed, "attempt", attempt))
+        res = process_bp(graph, p, child_seed(seed, "attempt", attempt), phases=2)
         if res.success:
             spl = union_trees(list(res.trees))
             weights = np.full(spl.support.m, p * n)

@@ -156,7 +156,7 @@ def exact_tree_law(
 def negative_correlation_check(
     graph: Graph, edges, trials: int, seed: int
 ) -> CorrelationReport:
-    """Joint tree-membership of an edge set versus the product of marginals.
+    """Joint tree-membership of distinct edges versus the product of marginals.
 
     Exact (``exact_tree_law``, ``trials`` = the tree count) on graphs with at
     most ``ENUMERATION_EDGE_CAP`` edges; otherwise Monte Carlo with a
@@ -166,6 +166,8 @@ def negative_correlation_check(
     ids = [graph.resolve_edge(e) for e in edges]
     if not 1 <= len(ids) <= 4:
         raise ValueError("between 1 and 4 edges required")
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"edges must be distinct, got ids {ids}")
     if graph.m <= ENUMERATION_EDGE_CAP:
         tau, joint, joint_c, marg = exact_tree_law(graph, ids)
         return CorrelationReport(
@@ -363,7 +365,7 @@ def coupling_distance_estimate(
                 host = gnp_graph(n, p, child_seed(seed, "host", t))
                 res = process_bp(host, p, child_seed(seed, "trial", t), start)
                 if res.success:
-                    key = tree_mask_in_complete(n, res.tree)
+                    key = tree_mask_in_complete(n, res.trees[0])
                     tally[key] = tally.get(key, 0) + 1
                 else:
                     failures += 1

@@ -45,7 +45,6 @@ from treesplice.sampler import (
     _batch_cover_walks,
     aldous_broder,
     process_bp,
-    sequential_two_trees_bp,
     tree_edge_frequencies,
 )
 from treesplice.seeds import child_seed, substream
@@ -245,12 +244,12 @@ def test_c07_process_bp_coupling():
     lam_min = math.inf
     for s in range(20):
         host = gnp_graph(n, p, child_seed(107, "lam-host", s))
-        res = sequential_two_trees_bp(host, p, child_seed(107, "lam-walk", s))
+        res = process_bp(host, p, child_seed(107, "lam-walk", s), phases=2)
         attempt = 0
         while not res.success and attempt < 16:
             attempt += 1
-            res = sequential_two_trees_bp(
-                host, p, child_seed(107, "lam-retry", s, attempt)
+            res = process_bp(
+                host, p, child_seed(107, "lam-retry", s, attempt), phases=2
             )
         assert res.success
         lam_min = min(lam_min, spectral_lower_bound(union_trees(list(res.trees))))

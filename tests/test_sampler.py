@@ -1,6 +1,5 @@
 import hashlib
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +19,12 @@ from treesplice.generators import (
 from treesplice import sampler
 from treesplice.graph import DirectedGraph, Graph, SamplingError
 from treesplice.sampler import (
-    _OrientedWalk,
     _batch_cover_walks,
     aldous_broder,
     edge_inclusion_probability,
     process_bp,
     process_bp_on,
     sample_trees,
-    sequential_two_trees_bp,
     tree_edge_frequencies,
 )
 from treesplice.seeds import child_seed, substream
@@ -153,37 +150,14 @@ def test_cover_time_sanity_on_complete_graph():
     assert target / 2 <= mean <= target * 2
 
 
-def test_process_step_distribution_sums_to_one():
-    g = gnp_graph(12, 0.7, seed=3)
-    d = direct_edges_dp(g, 0.7, seed=4)
-    walk = _OrientedWalk(d, seed=5, start=0)
-    for _ in range(200):
-        dist = walk.step_distribution()
-        if not dist:
-            break
-        assert sum(dist) == Fraction(1)
-        walk.step()
-
-
-def test_process_step_probability_example():
-    # d(v)=3 with one traversed arc on 5 vertices: old 1/4, new 3/8 each.
-    d = direct_edges_dp(complete_graph(5), 1.0, seed=0)
-    walk = _OrientedWalk(d, seed=1, start=0)
-    walk.d1[0] = 1
-    walk.targets[0] = walk.targets[0][:3]
-    walk.srcs[0] = walk.srcs[0][:3]
-    dist = walk.step_distribution()
-    assert dist == [Fraction(1, 4), Fraction(3, 8), Fraction(3, 8)]
-    assert sum(dist) == 1
-
-
 def test_process_bp_on_complete_graph_p1_succeeds():
     g = complete_graph(8)
+    assert direct_edges_dp(g, 1.0, seed=7).n_arcs == 2 * g.m
     res = process_bp(g, 1.0, seed=7)
     assert res.success
-    res.tree.validate(g)
-    assert res.trace.covered()
-    assert res.oriented.n_arcs == 2 * g.m
+    (tree,) = res.trees
+    tree.validate(g)
+    assert res.steps_taken >= g.n - 1
 
 
 def test_process_bp_failure_reports_stuck_vertex():
@@ -196,7 +170,7 @@ def test_process_bp_failure_reports_stuck_vertex():
             failed = res
             break
     assert failed is not None
-    assert failed.tree is None
+    assert failed.trees == ()
     assert failed.stuck_vertex is not None
     assert failed.steps_taken >= 0
 
@@ -207,11 +181,14 @@ def test_process_bp_rejects_bad_arguments():
         process_bp(g, 0.0, seed=1)
     with pytest.raises(ValueError):
         process_bp(g, 0.5, seed=1, start=17)
+    for phases in (0, -1):
+        with pytest.raises(ValueError, match="phases"):
+            process_bp(g, 0.5, seed=1, phases=phases)
 
 
 def test_sequential_two_trees_both_span():
     g = complete_graph(32)
-    res = sequential_two_trees_bp(g, 1.0, seed=11)
+    res = process_bp(g, 1.0, seed=11, phases=2)
     assert res.success
     t1, t2 = res.trees
     t1.validate(g)
@@ -220,14 +197,12 @@ def test_sequential_two_trees_both_span():
 
 
 def test_sequential_two_trees_success_rate_at_scale():
-    import math
-
     n = 512
     p = 20 * math.log(n) / n
     ok = 0
     for s in range(100):
         host = gnp_graph(n, p, seed=6000 + s)
-        ok += sequential_two_trees_bp(host, p, seed=7000 + s).success
+        ok += process_bp(host, p, seed=7000 + s, phases=2).success
     assert ok / 100 >= 0.85
 
 
@@ -235,11 +210,40 @@ def test_sequential_two_trees_failure_reports_phase():
     g = path_graph(5)
     seen_phase = None
     for s in range(300):
-        res = sequential_two_trees_bp(g, 0.4, seed=s)
+        res = process_bp(g, 0.4, seed=s, phases=2)
         if not res.success:
-            seen_phase = res.failed_phase
+            seen_phase = len(res.trees) + 1
             break
     assert seen_phase in (1, 2)
+
+
+@pytest.mark.parametrize(
+    "graph, p",
+    [(complete_graph(7), 0.7), (gnp_graph(40, 0.2, seed=5), 1.0)],
+    ids=["k7", "gnp40"],
+)
+def test_two_phase_walk_extends_the_one_phase_walk(graph, p):
+    # The second phase continues the same walk, so its first phase is the
+    # one-phase run: the same tree, or the same failure at the same vertex.
+    # On G(40, 0.2) the walk rarely covers below p = 1; at p = 1 both
+    # outcomes of phase 1 occur.
+    outcomes = set()
+    for s in range(40):
+        one = process_bp(graph, p, seed=s)
+        two = process_bp(graph, p, seed=s, phases=2)
+        if one.success:
+            first = two.trees[0]
+            assert first.root == one.trees[0].root
+            assert np.array_equal(first.parent, one.trees[0].parent)
+            assert np.array_equal(first.parent_edge, one.trees[0].parent_edge)
+            assert two.steps_taken >= one.steps_taken
+            outcomes.add("covered" if two.success else "phase 2 stuck")
+        else:
+            assert not two.success and two.trees == ()
+            assert two.stuck_vertex == one.stuck_vertex
+            assert two.steps_taken == one.steps_taken
+            outcomes.add("phase 1 stuck")
+    assert "phase 1 stuck" in outcomes and len(outcomes) >= 2
 
 
 def test_disconnected_graph_trips_step_cap():
@@ -322,7 +326,7 @@ def _oriented_outcomes(oriented, trials, seed):
     scalar = []
     for t in range(trials):
         res = process_bp_on(oriented, child_seed(seed, "scalar", t))
-        ids = res.tree.edge_ids().tolist() if res.success else None
+        ids = res.trees[0].edge_ids().tolist() if res.success else None
         scalar.append(sum(1 << e for e in ids) if ids is not None else -1)
     m = int(oriented.source_eids.max()) + 1
     batch = _batch_cover_walks(
@@ -360,6 +364,14 @@ def test_oriented_rule_stuck_rate_matches_scalar_walk():
     se = math.sqrt(pooled * (1 - pooled) * (1 / scalar.size + 1 / batch.size))
     assert 0.2 < p2 < 0.9
     assert abs(p1 - p2) <= 4 * se
+    # Exact rate.  Old arcs weigh 1/3, and a lone new arc takes the other 2/3.
+    # After 0->1 the walk covers only through 1->2, then 2->3 (1/2 each).
+    # Once 2->1 and 1->2 are both used, the cover chance x from 2 solves
+    # x = 2/3 + (1/3)(1/3) x, so x = 3/4 and P(cover) = (1/2)(1/2 + (1/2)(1/3) x)
+    # = 5/16.
+    exact = 11 / 16
+    for rate, size in ((p1, scalar.size), (p2, batch.size)):
+        assert abs(rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / size)
 
 
 def test_oriented_rule_reports_a_start_without_arcs_as_stuck():

@@ -167,6 +167,18 @@ def test_negative_correlation_monte_carlo_on_larger_graph():
     assert rep.margin > 0
 
 
+@pytest.mark.parametrize(
+    "graph", [complete_graph(4), random_regular_graph(30, 3, seed=3)], ids=["exact", "mc"]
+)
+def test_negative_correlation_rejects_a_repeated_edge(graph):
+    # A repeated edge would count twice in the product of marginals, and the
+    # Monte Carlo watch bitmask would give both copies one bit.
+    u, v = graph.edge(0)
+    for edges in ([0, 0], [0, (u, v)], [(v, u), 0, 1]):
+        with pytest.raises(ValueError, match="distinct"):
+            negative_correlation_check(graph, edges, 1000, 0)
+
+
 def test_negative_correlation_input_validation():
     g = complete_graph(4)
     with pytest.raises(ValueError):
