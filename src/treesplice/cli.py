@@ -135,6 +135,9 @@ def _cmd_expansion(args) -> int:
         payload = rep.to_dict()
         payload["seed"] = args.seed
     else:
+        if args.kind != "edge":
+            raise ValueError("the spectral certificate bounds edge expansion only; "
+                             "use --method exact for --kind vertex")
         lam = spectral_lower_bound(g)
         payload = {
             "kind": "edge",

@@ -2,7 +2,14 @@
 
 Exact expansion enumerates every vertex subset (feasible to n = 24) with a
 vectorized subset-DP: subsets containing vertex 0 are scanned once and their
-complements evaluated alongside, which halves the work.  Above that scale the
+complements evaluated alongside, which halves the work.  The other vertices
+split into a low part 1..L and a high part L+1..n-1, and the scan runs one
+block of 2^L subsets per high subset h.  Neighbourhood unions, degree sums and
+sizes combine a high-part table entry with a low-part table, a complement reads
+both tables reversed, and inner-edge counts run the DP over the low bits from
+h's own count.  L is the largest with 2^L subsets' temporaries (about 80 bytes
+each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16 and no array holds
+2^(n-1) entries; a graph with n - 1 <= L runs as one block.  Above that scale the
 spectral certificate (edge expansion >= lambda_2 / 2) and four sampled cut
 families stand in for "every cut".  A sampled cut's value is x^T L_w x for its
 indicator x, summed a block of indicator columns X at a time as the column sums
@@ -27,6 +34,8 @@ from .splice import Splicer, WeightedGraph
 
 EXACT_SCAN_MAX_N = 24
 _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
+_SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
+_SCAN_BYTES_PER_SUBSET = 80  # tracemalloc peak of a block, per subset, at n = 24
 
 
 @dataclass(frozen=True)
@@ -75,66 +84,78 @@ def _neighbor_bitmasks(graph: Graph) -> np.ndarray:
     return masks
 
 
+def _subset_tables(nbr: np.ndarray, deg: np.ndarray, first: int, bits: int):
+    """Full mask, neighbourhood union and degree sum of every subset s of the
+    vertices first..first+bits-1, where vertex first+b is bit b of s."""
+    size = 1 << bits
+    full = np.arange(size, dtype=np.uint32) << np.uint32(first)
+    gamma = np.zeros(size, dtype=np.uint32)
+    degsum = np.zeros(size, dtype=np.int32)
+    # Entries with low bit b derive from s ^ (1 << b), whose low bit is higher:
+    # bits run high to low.
+    for b in reversed(range(bits)):
+        step = 1 << (b + 1)
+        gamma[1 << b :: step] = gamma[::step] | nbr[first + b]
+        degsum[1 << b :: step] = degsum[::step] + deg[first + b]
+    return full, gamma, degsum
+
+
+def _inner_edges(nbr: np.ndarray, first: int, full: np.ndarray, start) -> np.ndarray:
+    """Edges inside each subset, by the same DP: ``full`` holds each subset's
+    mask together with vertices fixed outside the table, whose own inner
+    edges are ``start``."""
+    inner = np.empty(full.shape[0], dtype=np.int32)
+    inner[0] = start
+    for b in reversed(range(full.shape[0].bit_length() - 1)):
+        step = 1 << (b + 1)
+        inner[1 << b :: step] = inner[::step] + np.bitwise_count(nbr[first + b] & full[::step])
+    return inner
+
+
 def _subset_scan(graph: Graph, kind: str) -> tuple[float, int]:
     """Min ratio and witness bitmask over all proper A with |A| <= n/2."""
     n = graph.n
-    half = 1 << (n - 1)
     nbr = _neighbor_bitmasks(graph)
-    deg = graph.degrees.astype(np.int64)
-
-    # t indexes subsets of {1..n-1}; vertex i is bit i-1 of t, so the full-space
-    # mask is (t << 1) and A = (t << 1) | 1.  DP entries with low bit b derive
-    # from the parent t ^ (1<<b), whose low bit is higher: bits run high to low.
-    full_of_t = np.arange(half, dtype=np.uint32) << np.uint32(1)
-    gamma = np.zeros(half, dtype=np.uint32)      # union of neighborhoods over t
-    for b in reversed(range(n - 1)):
-        step = 1 << (b + 1)
-        gamma[1 << b :: step] = gamma[::step] | nbr[b + 1]
-
-    sizes = np.bitwise_count(full_of_t).astype(np.int32) + 1
-    a_mask = full_of_t | np.uint32(1)
+    deg = graph.degrees.astype(np.int32)
     universe = np.uint32((1 << n) - 1)
 
-    if kind == "edge":
-        inner = np.zeros(half, dtype=np.int32)   # edges inside t
-        degsum = np.zeros(half, dtype=np.int32)
-        for b in reversed(range(n - 1)):
-            step = 1 << (b + 1)
-            prev_full = full_of_t[::step]
-            inner[1 << b :: step] = inner[::step] + np.bitwise_count(
-                np.uint32(nbr[b + 1]) & prev_full
-            ).astype(np.int32)
-            degsum[1 << b :: step] = degsum[::step] + np.int32(deg[b + 1])
-        inner_a = inner + np.bitwise_count(np.uint32(nbr[0]) & full_of_t)
-        degsum_a = degsum + deg[0]
-        delta = degsum_a - 2 * inner_a           # |cut(A)| = |cut(complement)|
-        num_a = delta.astype(np.float64)
-        num_c = num_a
-    else:
-        gamma_a = gamma | np.uint32(nbr[0])
-        num_a = np.bitwise_count(gamma_a & ~a_mask & universe).astype(np.float64)
-        comp_t = np.uint32(half - 1) ^ np.arange(half, dtype=np.uint32)
-        gamma_c = gamma[comp_t]                  # complement never contains vertex 0
-        num_c = np.bitwise_count(gamma_c & a_mask).astype(np.float64)
+    # t indexes subsets of {1..n-1}; vertex i is bit i-1 of t, so A = (t << 1) | 1.
+    # t = (h << low) | lo: block h scans every lo, so blocks visit t in order.
+    low = min(n - 1, (_SCAN_BLOCK_BYTES // _SCAN_BYTES_PER_SUBSET).bit_length() - 1)
+    full_lo, gamma_lo, deg_lo = _subset_tables(nbr, deg, 1, low)
+    full_hi, gamma_hi, deg_hi = _subset_tables(nbr, deg, low + 1, n - 1 - low)
+    inner_hi = _inner_edges(nbr, low + 1, full_hi, 0)
+    size_lo = np.bitwise_count(full_lo).astype(np.int32) + 1
+    size_hi = np.bitwise_count(full_hi).astype(np.int32)
 
-    best = math.inf
-    best_mask = 0
-    csizes = n - sizes
-    ok_a = sizes <= n // 2
-    if ok_a.any():
-        ratios = np.where(ok_a, num_a / sizes, np.inf)
+    # Each side keeps its first minimum (strict <); A wins ties at the end.
+    best_a = best_c = math.inf
+    mask_a = mask_c = 0
+    for h in range(full_hi.shape[0]):
+        full = full_lo | full_hi[h]
+        a_mask = full | np.uint32(1)
+        sizes = size_lo + size_hi[h]
+        if kind == "edge":
+            inner = _inner_edges(nbr, 1, full, inner_hi[h]) + np.bitwise_count(nbr[0] & full)
+            num_a = (deg_lo + (deg_hi[h] + deg[0]) - 2 * inner).astype(np.float64)
+            num_c = num_a                        # |cut(A)| = |cut(complement)|
+        else:
+            gamma_a = gamma_lo | (gamma_hi[h] | nbr[0])
+            num_a = np.bitwise_count(gamma_a & ~a_mask & universe).astype(np.float64)
+            gamma_c = gamma_lo[::-1] | gamma_hi[-1 - h]   # complement (~h, ~lo) lacks vertex 0
+            num_c = np.bitwise_count(gamma_c & a_mask).astype(np.float64)
+
+        ratios = np.where(sizes <= n // 2, num_a / sizes, np.inf)
         i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best = float(ratios[i])
-            best_mask = int(a_mask[i])
-    ok_c = (csizes >= 1) & (csizes <= n // 2)
-    if ok_c.any():
+        if ratios[i] < best_a:
+            best_a, mask_a = float(ratios[i]), int(a_mask[i])
+        csizes = n - sizes
+        ok_c = (csizes >= 1) & (csizes <= n // 2)
         ratios = np.where(ok_c, num_c / np.maximum(csizes, 1), np.inf)
         i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best = float(ratios[i])
-            best_mask = int(universe ^ np.uint32(a_mask[i]))
-    return best, best_mask
+        if ratios[i] < best_c:
+            best_c, mask_c = float(ratios[i]), int(universe ^ a_mask[i])
+    return (best_a, mask_a) if best_a <= best_c else (best_c, mask_c)
 
 
 def _scan_report(graph: Graph, kind: str) -> ExpansionReport:

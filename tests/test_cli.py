@@ -61,6 +61,18 @@ def test_expansion_spectral_on_larger_graph(tmp_path, capsys):
     assert payload["lambda2"] > 0
 
 
+def test_expansion_spectral_rejects_vertex_kind(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    assert run(["generate", "--kind", "cycle", "--n", "4", "--out", str(gpath)]) == 0
+    capsys.readouterr()
+    argv = ["expansion", "--graph", str(gpath), "--kind", "vertex", "--method", "spectral"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the spectral certificate bounds edge expansion only")
+    assert err.count("\n") == 1
+
+
 def test_lanczos_non_convergence_is_a_one_line_failure(tmp_path, capsys, monkeypatch):
     import scipy.sparse.linalg as spla
 

@@ -1,5 +1,5 @@
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,24 +41,81 @@ def test_vertex_expansion_known_values():
     assert vertex_expansion_exact(cycle_graph(6)).value == pytest.approx(2 / 3)
 
 
-def brute_expansion(g, kind):
-    best = math.inf
-    for r in range(1, g.n // 2 + 1):
-        for subset in itertools.combinations(range(g.n), r):
-            best = min(best, evaluate_subset(g, subset, kind))
-    return best
+def brute_scan(g, kind):
+    """The scan's contract by brute force: (value, witness bitmask) of the first
+    minimum over A = {0} | (t << 1) in t order and, separately, over the
+    complements of those A; A wins a tie between the two."""
+    universe = (1 << g.n) - 1
+    best = [(math.inf, 0), (math.inf, 0)]
+    for t in range(1 << (g.n - 1)):
+        a = (t << 1) | 1
+        for side, mask in enumerate((a, universe ^ a)):
+            members = [v for v in range(g.n) if mask >> v & 1]
+            if 1 <= len(members) <= g.n // 2:
+                ratio = evaluate_subset(g, members, kind)
+                if ratio < best[side][0]:
+                    best[side] = (ratio, mask)
+    return best[0] if best[0][0] <= best[1][0] else best[1]
+
+
+def small_blocks(monkeypatch, low_bits):
+    """Make the subset scan run in blocks of 2**low_bits subsets."""
+    monkeypatch.setattr(cuts, "_SCAN_BLOCK_BYTES", cuts._SCAN_BYTES_PER_SUBSET << low_bits)
+
+
+def connected_gnp(n, p, seed):
+    while True:
+        g = gnp_graph(n, p, seed=seed)
+        if g.is_connected():
+            return g
+        seed += 1000
 
 
 @pytest.mark.parametrize("kind", ["edge", "vertex"])
-def test_scan_matches_brute_force_on_random_graphs(kind):
-    for s in range(6):
-        g = gnp_graph(10, 0.4, seed=900 + s)
-        if not g.is_connected():
-            continue
+def test_scan_matches_brute_force_on_random_graphs(kind, monkeypatch):
+    graphs = [gnp_graph(10, 0.4, seed=900 + s) for s in range(6)]
+    graphs = [g for g in graphs if g.is_connected()]
+    small = [connected_gnp(n, p, seed=n) for n, p in ((12, 0.3), (13, 0.5), (14, 0.25))]
+
+    def check(g):
         rep = (edge_expansion_exact if kind == "edge" else vertex_expansion_exact)(g)
-        assert rep.value == pytest.approx(brute_expansion(g, kind), abs=1e-12)
-        assert evaluate_subset(g, rep.witness, kind) == pytest.approx(rep.value)
+        value, mask = brute_scan(g, kind)
+        assert rep.value == value
+        assert rep.witness == tuple(v for v in range(g.n) if mask >> v & 1)
+        assert evaluate_subset(g, rep.witness, kind) == rep.value
         assert 1 <= len(rep.witness) <= g.n // 2
+
+    for g in graphs:
+        check(g)
+    small_blocks(monkeypatch, 2)
+    for g in graphs[:2] + small:
+        check(g)
+
+
+def test_blocked_scan_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(31)
+    for i in range(100):
+        n = int(rng.integers(2, 17))
+        g = connected_gnp(n, float(rng.uniform(0.15, 0.9)), seed=i)
+        for kind in ("edge", "vertex"):
+            want = cuts._subset_scan(g, kind)
+            small_blocks(monkeypatch, 1 + i % 3 if n < 14 else 3)
+            assert cuts._subset_scan(g, kind) == want
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", ["edge", "vertex"])
+def test_scan_at_its_cap_is_memory_bounded(kind):
+    g = random_regular_graph(cuts.EXACT_SCAN_MAX_N, 3, seed=2)
+    tracemalloc.start()
+    try:
+        rep = (edge_expansion_exact if kind == "edge" else vertex_expansion_exact)(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20      # a block of 2^16 subsets peaks near 5 MiB
+    assert evaluate_subset(g, rep.witness, kind) == rep.value
+    assert 1 <= len(rep.witness) <= g.n // 2
 
 
 def test_scan_rejects_large_or_disconnected():
