@@ -171,18 +171,15 @@ def _cmd_verify(args) -> int:
     if check == "uniformity":
         from .linalg import spanning_tree_count
         from .verify import ENUMERATION_EDGE_CAP, enumerate_trees, uniform_tv_distance
-        from .sampler import _batch_cover_walks
+        from .sampler import _tree_masks
         from .seeds import substream
 
         count = spanning_tree_count(g)
         if g.m > ENUMERATION_EDGE_CAP or count > 4096:
             raise ValueError("uniformity check needs an enumerable tree space")
         trees = enumerate_trees(g)
-        res = _batch_cover_walks(
-            g, args.trials, substream(args.seed, "uniformity"),
-            watch_edge_ids=np.arange(g.m),
-        )
-        counts = np.unique(res["masks"], return_counts=True)[1].tolist()
+        masks, _ = _tree_masks(g, args.trials, substream(args.seed, "uniformity"), np.arange(g.m))
+        counts = np.unique(masks, return_counts=True)[1].tolist()
         tv = uniform_tv_distance(counts, args.trials, count)
         payload = {
             "check": check,

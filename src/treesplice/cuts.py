@@ -27,10 +27,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .graph import ConvergenceError, Graph, cut_edges
-from .linalg import laplacian_dense, laplacian_sparse
+from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
-from .splice import Splicer, WeightedGraph
+from .splice import WeightedGraph, _as_graph
 
 EXACT_SCAN_MAX_N = 24
 _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
@@ -195,16 +195,8 @@ def evaluate_subset(graph: Graph, subset, kind: str) -> float:
     return len(out - inside) / len(subset)
 
 
-def _as_graph(obj) -> Graph:
-    if isinstance(obj, Splicer):
-        return obj.support
-    if isinstance(obj, WeightedGraph):
-        return obj.graph
-    return obj
-
-
 def spectral_lower_bound(obj, tol: float = 1e-8, maxiter: int | None = None) -> float:
-    """lambda_2 of the combinatorial Laplacian; edge expansion >= lambda_2 / 2.
+    """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
 
     Computed by Lanczos iteration on the Laplacian with the constant vector
     deflated by a rank-one shift; small instances fall back to a dense solve.
@@ -216,11 +208,10 @@ def spectral_lower_bound(obj, tol: float = 1e-8, maxiter: int | None = None) -> 
     if not graph.is_connected():
         raise ValueError("spectral bound needs a connected graph")
     n = graph.n
+    lap = laplacian_sparse(graph, obj.weights if isinstance(obj, WeightedGraph) else None)
     if n <= 64:
-        vals = np.linalg.eigvalsh(laplacian_dense(graph))
-        return float(vals[1])
-    lap = laplacian_sparse(graph)
-    shift = 2.0 * float(graph.degrees.max()) + 2.0
+        return float(np.linalg.eigvalsh(lap.toarray())[1])
+    shift = 2.0 * float(lap.diagonal().max()) + 2.0
 
     def matvec(x):
         return lap @ x + shift * x.mean()

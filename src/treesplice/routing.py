@@ -20,7 +20,7 @@ import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph
 from .seeds import BoundedDraws, child_seed, substream
-from .splice import Splicer, splice
+from .splice import _as_graph, splice
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ def route(
 ) -> RouteResult:
     """Route src -> dst over the trees, skipping failed base edges.
 
-    ``failed`` holds (u, v) pairs.  At each vertex the current tree's next
-    hop is taken if its edge is alive; otherwise the other trees are tried in
-    seeded-random order (policy "random") or cyclically (policy
-    "round-robin").  The route fails when every tree's next hop is dead, when
-    a (vertex, tree) state repeats, or at the hop cap (default 4n).
+    ``failed`` holds (u, v) tuples in either orientation.  At each vertex the
+    current tree's next hop is taken if its edge is alive; otherwise the other
+    trees are tried in seeded-random order (policy "random") or cyclically
+    (policy "round-robin").  The route fails when every tree's next hop is
+    dead, when a (vertex, tree) state repeats, or at the hop cap (default 4n).
     """
     n = state.n
     k = state.k
@@ -107,10 +107,7 @@ def route(
         hop_cap = 4 * n
     if hop_cap < 1:
         raise ValueError("hop cap must be >= 1")
-    if isinstance(failed, (set, frozenset)):
-        dead = failed  # caller guarantees (min, max) normalized pairs
-    else:
-        dead = {(min(u, v), max(u, v)) for u, v in failed}
+    dead = frozenset(failed)
     draws = BoundedDraws(substream(seed, "route"), size=16)
     cur = src
     tree = 0
@@ -133,8 +130,7 @@ def route(
         moved = False
         for t in order:
             nh = state.next_hop(t, cur, dst)
-            e = (min(cur, nh), max(cur, nh))
-            if e in dead:
+            if (cur, nh) in dead or (nh, cur) in dead:
                 continue
             if (nh, t) in visited_states:
                 continue
@@ -273,12 +269,6 @@ def reliability_experiment(
 DIAMETER_MAX_N = 4096
 
 
-def _support_graph(obj) -> Graph:
-    if isinstance(obj, Splicer):
-        return obj.support
-    return obj
-
-
 def stretch_stats(
     graph: Graph, spliced, pairs: int, seed: int
 ) -> tuple[float, int | None]:
@@ -287,7 +277,7 @@ def stretch_stats(
     Distances are unweighted BFS hops with no failures.  The diameter comes
     from all-sources BFS and is only computed up to n = 4096 (None above).
     """
-    support = _support_graph(spliced)
+    support = _as_graph(spliced)
     if support.n != graph.n:
         raise ValueError("vertex sets differ")
     if pairs < 1:

@@ -11,14 +11,17 @@ trees from one continuous walk, restarting first-visit bookkeeping at each
 cover.
 
 Samplers are pure given (inputs, seed) and safe to run concurrently on a
-shared graph; a single run is inherently sequential.  ``_batch_cover_walks``
+shared graph; a single run is inherently sequential.  ``_cover_walk_trees``
 is the vectorized engine behind the Monte Carlo estimators.  It runs many
 independent first-visit walks in lockstep under one of two step rules, chosen
 by the graph type: the uniform-neighbour rule of ``aldous_broder`` on a
 ``Graph``, and the traversed-arc rule of ``process_bp_on`` on a fixed
-``DirectedGraph``, where a walk with no untraversed arc left before cover is
-flagged as stuck.  The scalar samplers remain for single long walks and for
-walks on a fresh orientation per run.
+``DirectedGraph``.  It yields the walks' trees, one row of first-entry edge
+ids per walk, a chunk at a time; a walk with no untraversed arc left before
+cover keeps a -1 in its row.  Callers reduce the rows to what they count:
+``_tree_edge_counts`` per edge, ``_tree_masks`` per walk.  The scalar
+samplers remain for single long walks and for walks on a fresh orientation
+per run.
 """
 
 from __future__ import annotations
@@ -194,108 +197,83 @@ def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:
     ]
 
 
-# Per-walk bytes of the per-step temporaries and collectors, as measured by
-# tracemalloc: about 80 under the uniform rule, 150 under the oriented rule.
+# Per-walk bytes of the per-step temporaries, as measured by tracemalloc: about
+# 80 under the uniform rule, 150 under the oriented rule.
 _STEP_TEMP_BYTES = 96
 _ORIENTED_TEMP_BYTES = 64
 # Byte budget of one lockstep chunk.
 _BATCH_BYTES = 16 << 20
 
 
-def _batch_cover_walks(
-    graph: Graph | DirectedGraph,
-    trials: int,
-    rng: np.random.Generator,
-    start: int = 0,
-    edge_counts: bool = False,
-    watch_edge_ids=None,
-    cut_edge_ids=None,
-    track_cover_steps: bool = False,
-) -> dict:
-    """Run many first-visit cover walks in lockstep and accumulate statistics.
+def _cover_walk_trees(
+    graph: Graph | DirectedGraph, trials: int, rng: np.random.Generator, start: int = 0
+):
+    """Run many first-visit cover walks in lockstep; yield their trees by chunk.
+
+    Each chunk is an array ``first`` of shape (walks, n): ``first[w, v]`` is
+    the id of the edge by which walk w first entered v, -2 at ``start`` and -1
+    where the walk never arrived.  Its dtype is the smallest signed integer
+    that holds m + 1, so a table of m + 2 entries indexed by ``first`` reads
+    its last two entries at -1 and -2.
 
     The step rule follows the graph type:
       Graph         -- uniform-neighbour rule; every walk covers a connected
-                       graph, and its first-entry edges form a uniform tree.
+                       graph, and each row is a uniform spanning tree.
       DirectedGraph -- traversed-arc rule of ``process_bp_on``: each old arc
                        out of the current vertex has probability 1/(n-1), the
                        rest splits evenly over new arcs.  A walk whose current
-                       vertex has no untraversed arc before cover stops; the
-                       result's ``stuck`` flags it, and its collectors hold
-                       the partial walk.  Edge ids are the arcs' source ids.
-
-    Collectors:
-      edge_counts    -- per-edge count of appearances in the sampled trees
-      watch_edge_ids -- per-walk bitmask over the listed edge ids (<= 64)
-      cut_edge_ids   -- per-walk count of tree edges among the listed ids
-      track_cover_steps -- per-walk number of walk steps until cover
+                       vertex has no untraversed arc before cover stops, and
+                       its row keeps a -1.  Edge ids are the arcs' source ids.
 
     Walks run in chunks sized from the ``_BATCH_BYTES`` budget.  Per walk a
-    chunk holds the visited row (n bytes), under the oriented rule an
-    arc-slot row and a traversed count per vertex (s bytes each, s = 1 below
-    256 out-arcs per vertex), and 96 (oriented: 160) bytes of per-step
-    temporaries.  Memory is thus bounded by chunk x (n + s (arcs + n) + 160)
-    bytes, about chunk x (n + arcs); the budget keeps 1e5 uniform walks on
-    up to 70 vertices in one chunk.
+    chunk holds the ``first`` row (n bytes below 127 edges, 2n below 32767),
+    under the oriented rule an arc-slot row and a traversed count per vertex
+    (s bytes each, s = 1 below 256 out-arcs per vertex), and 96 (oriented:
+    160) bytes of per-step temporaries.  Memory is thus bounded by
+    chunk x (n b + s (arcs + n) + 160) bytes, with b the row's item size; the
+    budget keeps 1e5 uniform walks on up to 70 vertices and 126 edges in one
+    chunk.
     """
     n = graph.n
     if n < 2:
         raise ValueError("batch walks need n >= 2")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 <= start < n:
+        raise ValueError("start vertex out of range")
     oriented = isinstance(graph, DirectedGraph)
     indptr, heads, arc_eids = graph._csr
     deg = np.diff(indptr)
     cap = graph.walk_step_cap()
-    row = n + _STEP_TEMP_BYTES
     if oriented:
-        listed = [np.asarray(x) for x in (watch_edge_ids, cut_edge_ids) if x is not None]
-        if (edge_counts or listed) and (arc_eids < 0).any():
-            raise ValueError("edge collectors need arcs tagged with source edge ids")
-        m = 1 + max(int(a.max(initial=-1)) for a in [arc_eids, *listed])
-        arcs = heads.size
-        slot_t = np.min_scalar_type(max(int(deg.max()), 1))
-        local = (np.arange(arcs) - np.repeat(indptr[:-1], deg)).astype(slot_t)
-        row += _ORIENTED_TEMP_BYTES + (arcs + n) * slot_t.itemsize
+        if (arc_eids < 0).any():
+            raise ValueError("batch walks need arcs tagged with source edge ids")
+        m = 1 + int(arc_eids.max(initial=-1))
     else:
         if int(deg.min()) == 0:
             raise SamplingError("graph has an isolated vertex; walks cannot cover")
         m = graph.m
+    first_t = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > m)
+    row = n * np.dtype(first_t).itemsize + _STEP_TEMP_BYTES
+    if oriented:
+        arcs = heads.size
+        slot_t = np.min_scalar_type(max(int(deg.max()), 1))
+        local = (np.arange(arcs) - np.repeat(indptr[:-1], deg)).astype(slot_t)
+        row += _ORIENTED_TEMP_BYTES + (arcs + n) * slot_t.itemsize
     chunk = max(1, _BATCH_BYTES // row)
 
-    counts = np.zeros(m, dtype=np.int64) if edge_counts else None
-    masks_out = [] if watch_edge_ids is not None else None
-    cuts_out = [] if cut_edge_ids is not None else None
-    steps_out = [] if track_cover_steps else None
-    stuck_out = [] if oriented else None
-
-    bit_of = None
-    if watch_edge_ids is not None:
-        watch = np.asarray(watch_edge_ids, dtype=np.int64)
-        if watch.size > 64:
-            raise ValueError("can watch at most 64 edges")
-        bit_of = np.zeros(m, dtype=np.uint64)
-        bit_of[watch] = np.uint64(1) << np.arange(watch.size, dtype=np.uint64)
-    in_cut = None
-    if cut_edge_ids is not None:
-        in_cut = np.zeros(m, dtype=np.int32)
-        in_cut[np.asarray(cut_edge_ids, dtype=np.int64)] = 1
-
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         w = min(chunk, trials - done)
         cur = np.full(w, start, dtype=np.int32)
-        visited = np.zeros((w, n), dtype=bool)
-        visited[:, start] = True
+        first = np.full((w, n), -1, dtype=first_t)
+        first[:, start] = -2
         nvis = np.ones(w, dtype=np.int32)
         act = np.arange(w, dtype=np.int64)
-        masks = np.zeros(w, dtype=np.uint64) if bit_of is not None else None
-        ccnt = np.zeros(w, dtype=np.int32) if in_cut is not None else None
-        steps = np.zeros(w, dtype=np.int64) if track_cover_steps else None
         if oriented:
             # Per walk and vertex, the first d1 slots of the vertex's arc
             # range hold its traversed arcs (as local slot indices).
             perm = np.tile(local, (w, 1))
             d1 = np.zeros((w, n), dtype=slot_t)
-            stuck = np.zeros(w, dtype=bool)
         it = 0
         while act.size:
             it += 1
@@ -311,7 +289,6 @@ def _batch_cover_walks(
                 k = d1[act, c].astype(np.int64)
                 span = deg[c] - k
                 if not span.all():
-                    stuck[act[span == 0]] = True
                     act = act[span > 0]
                     continue
                 # The draw of process_bp_on's step, shifted down by d1 * span:
@@ -329,56 +306,56 @@ def _batch_cover_walks(
                     d1[an, c[new]] += 1
                 arc = base + j
             nxt = heads[arc]
-            fresh = ~visited[act, nxt]
+            fresh = first[act, nxt] == -1
             if fresh.any():
                 aw = act[fresh]
-                fn = nxt[fresh]
-                fe = arc_eids[arc[fresh]]
-                visited[aw, fn] = True
+                first[aw, nxt[fresh]] = arc_eids[arc[fresh]]
                 nvis[aw] += 1
-                if counts is not None:
-                    np.add.at(counts, fe, 1)
-                if masks is not None:
-                    masks[aw] |= bit_of[fe]
-                if ccnt is not None:
-                    ccnt[aw] += in_cut[fe]
             cur[act] = nxt
-            if steps is not None:
-                steps[act] += 1
             act = act[nvis[act] < n]
-        done += w
-        if masks_out is not None:
-            masks_out.append(masks)
-        if cuts_out is not None:
-            cuts_out.append(ccnt)
-        if steps_out is not None:
-            steps_out.append(steps)
-        if stuck_out is not None:
-            stuck_out.append(stuck)
+        yield first
 
-    result: dict = {"trials": trials}
-    if counts is not None:
-        result["edge_counts"] = counts
-    if masks_out is not None:
-        result["masks"] = np.concatenate(masks_out)
-    if cuts_out is not None:
-        result["cut_counts"] = np.concatenate(cuts_out)
-    if steps_out is not None:
-        result["cover_steps"] = np.concatenate(steps_out)
-    if stuck_out is not None:
-        result["stuck"] = np.concatenate(stuck_out)
-    return result
+
+def _tree_edge_counts(
+    graph: Graph, trials: int, rng: np.random.Generator, start: int = 0
+) -> np.ndarray:
+    """Per edge, how many of ``trials`` sampled trees contain it."""
+    counts = np.zeros(graph.m + 2, dtype=np.int64)
+    for first in _cover_walk_trees(graph, trials, rng, start):
+        for col in first.T:
+            counts += np.bincount(col + 2, minlength=graph.m + 2)
+    return counts[2:]
+
+
+def _tree_masks(
+    graph: Graph | DirectedGraph, trials: int, rng: np.random.Generator, ids, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk, a bitmask of the listed edge ids (at most 64) in its tree, and
+    whether the walk got stuck before cover (only under the oriented rule)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size > 64:
+        raise ValueError("can mask at most 64 edges")
+    size = 1 + max(int(graph._csr[2].max(initial=-1)), int(ids.max(initial=-1)))
+    bit = np.zeros(size + 2, dtype=np.uint64)  # -1 and -2 index the two zeros
+    bit[ids] = np.uint64(1) << np.arange(ids.size, dtype=np.uint64)
+    masks, stuck = [], []
+    for first in _cover_walk_trees(graph, trials, rng, start):
+        mask = np.zeros(len(first), dtype=np.uint64)
+        short = np.zeros(len(first), dtype=bool)
+        for col in first.T:
+            mask |= bit[col]
+            short |= col == -1
+        masks.append(mask)
+        stuck.append(short)
+    return np.concatenate(masks), np.concatenate(stuck)
 
 
 def tree_edge_frequencies(
     graph: Graph, trials: int, seed: int, start: int = 0
 ) -> np.ndarray:
     """Empirical per-edge inclusion frequencies over many sampled trees."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = substream(seed, "tree-frequencies")
-    res = _batch_cover_walks(graph, trials, rng, start=start, edge_counts=True)
-    return res["edge_counts"] / float(trials)
+    return _tree_edge_counts(graph, trials, rng, start) / float(trials)
 
 
 def edge_inclusion_probability(

@@ -66,6 +66,15 @@ class WeightedGraph:
         return float(self.weights[cut_edges(self.graph, subset)].sum())
 
 
+def _as_graph(obj) -> Graph:
+    """The graph under a ``Splicer`` (its support) or a ``WeightedGraph``."""
+    if isinstance(obj, Splicer):
+        return obj.support
+    if isinstance(obj, WeightedGraph):
+        return obj.graph
+    return obj
+
+
 def union_trees(trees: list[SpanningTree] | tuple[SpanningTree, ...]) -> Splicer:
     """Union the trees' edge sets, counting how many trees contain each edge."""
     if not trees:

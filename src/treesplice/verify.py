@@ -22,7 +22,9 @@ import numpy as np
 from .graph import Graph, cut_edges
 from .linalg import _bareiss_det, _ground_adjugate, _transfer_current
 from .generators import complete_graph, direct_edges_dp, gnp_graph
-from .sampler import SpanningTree, _batch_cover_walks, process_bp
+from .sampler import (
+    SpanningTree, _cover_walk_trees, _tree_edge_counts, _tree_masks, process_bp,
+)
 from .seeds import child_seed, substream
 
 ENUMERATION_EDGE_CAP = 20
@@ -180,11 +182,8 @@ def negative_correlation_check(
             trials=tau,
             margin=0.0,
         )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = substream(seed, "negative-correlation")
-    res = _batch_cover_walks(graph, trials, rng, watch_edge_ids=np.array(ids))
-    masks = res["masks"]
+    masks, _ = _tree_masks(graph, trials, rng, ids)
     all_bits = np.uint64((1 << len(ids)) - 1)
     joint = float(np.count_nonzero(masks == all_bits)) / trials
     joint_c = float(np.count_nonzero(masks == np.uint64(0))) / trials
@@ -257,15 +256,19 @@ def chernoff_tail_check(
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable tail estimate")
     ids = cut_edges(graph, subset)
-    rng = substream(seed, "chernoff-tail")
-    res = _batch_cover_walks(
-        graph, trials, rng, edge_counts=True, cut_edge_ids=ids
-    )
+    in_cut = np.zeros(graph.m + 2, dtype=bool)  # -1 and -2 index the two False
+    in_cut[ids] = True
+    counts = []
+    for first in _cover_walk_trees(graph, trials, substream(seed, "chernoff-tail")):
+        rows = np.zeros(len(first), dtype=np.int32)
+        for col in first.T:
+            rows += in_cut[col]
+        counts.append(rows)
+    sums = np.concatenate(counts)
     cut_m = int(ids.size)
-    p_bar = float(res["edge_counts"][ids].sum()) / (trials * cut_m)
+    p_bar = float(sums.sum()) / (trials * cut_m)
     mean = p_bar * cut_m
     scale = math.sqrt(max(mean, 1e-12))
-    sums = res["cut_counts"]
     lambdas, empirical, bounds, ses = [], [], [], []
     for mult in LAMBDA_GRID:
         lam = mult * scale
@@ -289,27 +292,8 @@ def chernoff_tail_check(
 
 def min_tree_edge_probability(graph: Graph, trials: int, seed: int) -> float:
     """Smallest empirical tree-membership frequency over all edges."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = substream(seed, "min-edge-probability")
-    res = _batch_cover_walks(graph, trials, rng, edge_counts=True)
-    return float(res["edge_counts"].min()) / trials
-
-
-def _kn_edge_id(n: int, u: int, v: int) -> int:
-    if u > v:
-        u, v = v, u
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
-def tree_mask_in_complete(n: int, tree: SpanningTree) -> int:
-    """Bitmask of the tree's edges under complete-graph edge numbering."""
-    mask = 0
-    for v in range(n):
-        p = int(tree.parent[v])
-        if p >= 0:
-            mask |= 1 << _kn_edge_id(n, p, v)
-    return mask
+    return float(_tree_edge_counts(graph, trials, rng).min()) / trials
 
 
 def uniform_tv_distance(
@@ -349,23 +333,20 @@ def coupling_distance_estimate(
         if p >= 1.0:
             host = complete_graph(n)
             oriented = direct_edges_dp(host, 1.0, child_seed(seed, "orient"))
-            # complete_graph numbers edges as _kn_edge_id does, so the mask
-            # over all edge ids is the tree's key.
-            res = _batch_cover_walks(
-                oriented, trials, substream(seed, "coupling"), start=start,
-                watch_edge_ids=np.arange(host.m),
+            # The mask over all edge ids is the tree's key.
+            masks, stuck = _tree_masks(
+                oriented, trials, substream(seed, "coupling"), np.arange(host.m), start
             )
-            stuck = res["stuck"]
-            counts = np.unique(res["masks"][~stuck], return_counts=True)[1].tolist()
+            counts = np.unique(masks[~stuck], return_counts=True)[1].tolist()
             failures = int(stuck.sum())
         else:
-            tally: dict[int, int] = {}
+            tally: dict[tuple, int] = {}
             failures = 0
             for t in range(trials):
                 host = gnp_graph(n, p, child_seed(seed, "host", t))
                 res = process_bp(host, p, child_seed(seed, "trial", t), start)
                 if res.success:
-                    key = tree_mask_in_complete(n, res.trees[0])
+                    key = tuple(sorted(res.trees[0].edges()))
                     tally[key] = tally.get(key, 0) + 1
                 else:
                     failures += 1

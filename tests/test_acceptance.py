@@ -42,7 +42,7 @@ from treesplice.lowerbound import (
 )
 from treesplice.routing import reliability_experiment, stretch_stats
 from treesplice.sampler import (
-    _batch_cover_walks,
+    _tree_masks,
     aldous_broder,
     process_bp,
     tree_edge_frequencies,
@@ -86,10 +86,8 @@ def test_c01_uniformity_oracle_k4():
     assert n_trees == 16
     assert len(enumerate_trees(g)) == 16
     trials = 1_600_000
-    res = _batch_cover_walks(
-        g, trials, substream(101, "uniformity"), watch_edge_ids=np.arange(g.m)
-    )
-    _, counts = np.unique(res["masks"], return_counts=True)
+    masks, _ = _tree_masks(g, trials, substream(101, "uniformity"), np.arange(g.m))
+    _, counts = np.unique(masks, return_counts=True)
     tv = 0.5 * (
         float(np.abs(counts / trials - 1 / 16).sum()) + (16 - len(counts)) / 16
     )
@@ -145,10 +143,7 @@ def test_c03_negative_correlation():
         ("3reg30", random_regular_graph(30, 3, seed=303)),
     ):
         assert g.is_connected()
-        res = _batch_cover_walks(
-            g, trials, substream(103, "mc", name), watch_edge_ids=np.arange(g.m)
-        )
-        masks = res["masks"]
+        masks, _ = _tree_masks(g, trials, substream(103, "mc", name), np.arange(g.m))
         pick = substream(103, "pairs", name)
         pairs = set()
         while len(pairs) < 50:

@@ -135,6 +135,8 @@ def test_verify_checks(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trees"] == 16
     assert payload["tv_distance"] < 0.05
+    assert run(["verify", "--check", "uniformity", "--graph", str(gpath), "--trials", "0"]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
     assert run(["verify", "--check", "resistance", "--graph", str(gpath), "--trials", "40000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_abs_error"] < 0.02

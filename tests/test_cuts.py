@@ -134,6 +134,15 @@ def test_spectral_closed_forms():
         spectral_lower_bound(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_spectral_bound_scales_with_edge_weights():
+    # K_4 takes the dense path and K_80 the Lanczos one; lambda_2(K_n) = n.
+    for n in (4, 80):
+        g = complete_graph(n)
+        got = spectral_lower_bound(WeightedGraph(g, np.full(g.m, 10.0)))
+        assert got == pytest.approx(10 * n, rel=1e-6)
+        assert spectral_lower_bound(WeightedGraph(g, np.ones(g.m))) == pytest.approx(n, rel=1e-6)
+
+
 def test_spectral_is_a_valid_certificate_on_small_graphs():
     for s in range(6):
         g = gnp_graph(12, 0.4, seed=300 + s)

@@ -97,6 +97,14 @@ def test_route_fails_over_to_second_tree():
     assert hits >= 1
 
 
+def test_failed_edges_block_in_either_orientation_and_container():
+    state = build_routing(sample_trees(path_graph(4), 1, seed=1))
+    for failed in ({(3, 2)}, [(3, 2)], frozenset({(2, 3)}), ((2, 3),)):
+        r = route(state, 0, 3, failed=failed)
+        assert not r.delivered and r.path == (0, 1, 2), failed
+    assert route(state, 0, 3, failed={(1, 3)}).delivered
+
+
 def test_route_blocked_at_source_fails_isolated():
     g = complete_graph(8)
     spl = splice(g, 2, seed=6)

@@ -19,7 +19,10 @@ from treesplice.generators import (
 from treesplice import sampler
 from treesplice.graph import DirectedGraph, Graph, SamplingError
 from treesplice.sampler import (
-    _batch_cover_walks,
+    SpanningTree,
+    _cover_walk_trees,
+    _tree_edge_counts,
+    _tree_masks,
     aldous_broder,
     edge_inclusion_probability,
     process_bp,
@@ -95,10 +98,8 @@ def test_start_vertex_is_root_and_respected():
 def test_k3_tree_frequencies_uniform():
     g = complete_graph(3)
     trials = 100_000
-    res = _batch_cover_walks(
-        g, trials, substream(5, "k3"), watch_edge_ids=np.arange(3)
-    )
-    _, counts = np.unique(res["masks"], return_counts=True)
+    masks, _ = _tree_masks(g, trials, substream(5, "k3"), np.arange(3))
+    _, counts = np.unique(masks, return_counts=True)
     assert len(counts) == 3
     for c in counts:
         assert abs(c / trials - 1 / 3) <= 0.01
@@ -138,16 +139,6 @@ def test_batch_walker_matches_marginals_of_single_walker():
     batch = tree_edge_frequencies(g, trials, seed=8)
     # Every cycle edge has inclusion probability (n-1)/n = 5/6.
     assert np.allclose(batch, 5 / 6, atol=0.01)
-
-
-def test_cover_time_sanity_on_complete_graph():
-    n = 64
-    g = complete_graph(n)
-    rng = substream(12, "cover-test")
-    res = _batch_cover_walks(g, 400, rng, track_cover_steps=True)
-    mean = float(res["cover_steps"].mean())
-    target = n * sum(1 / i for i in range(1, n))
-    assert target / 2 <= mean <= target * 2
 
 
 def test_process_bp_on_complete_graph_p1_succeeds():
@@ -263,14 +254,13 @@ def test_aldous_broder_always_yields_valid_tree(seed, n):
 
 def test_exchangeable_tree_indices_chi_square():
     import scipy.stats as stats
-    from treesplice.verify import tree_mask_in_complete
 
     g = complete_graph(4)
     first, second = [], []
     for s in range(3000):
         a, b = sample_trees(g, 2, seed=s)
-        first.append(tree_mask_in_complete(4, a))
-        second.append(tree_mask_in_complete(4, b))
+        first.append(tuple(a.edge_ids()))
+        second.append(tuple(b.edge_ids()))
     cells = sorted(set(first) | set(second))
     idx = {c: i for i, c in enumerate(cells)}
     table = np.zeros((2, len(cells)))
@@ -282,28 +272,65 @@ def test_exchangeable_tree_indices_chi_square():
     assert pval > 0.01
 
 
-def _batch_digest(res: dict) -> str:
-    h = hashlib.sha256()
-    for key in ("edge_counts", "masks", "cut_counts", "cover_steps"):
-        h.update(np.ascontiguousarray(res[key]).tobytes())
-    return h.hexdigest()
+def _rows(graph, trials, rng, start=0) -> np.ndarray:
+    return np.concatenate(list(_cover_walk_trees(graph, trials, rng, start)))
 
 
 @pytest.mark.parametrize(
     "graph, digest",
     [
-        (petersen_graph(), "69b8d16fe3d5b2e31e14bc22547e59111d4580f4fcab770ce779e4cefa24faf7"),
-        (wheel_graph(8), "670466b3c26bcb4e68b90614d342d0ea88740d8597a67be1950bb18bc4438887"),
+        (petersen_graph(), "6f7d277d566ea909278b9e1687ed0af08b46b2f03ae37ee77202fa1cc1eacf8f"),
+        (wheel_graph(8), "e9642dc0a9d0053d494de64394aa03cdca571ad45d76798d0ef4da09ff98be0a"),
     ],
+    ids=["petersen", "wheel8"],
 )
 def test_uniform_rule_output_is_unchanged_below_one_chunk(graph, digest):
-    # Digests from the engine as it was with a fixed 2^18-walk chunk.
-    res = _batch_cover_walks(
-        graph, 5000, substream(7, "batch-identity"), start=1, edge_counts=True,
-        watch_edge_ids=np.arange(graph.m), cut_edge_ids=[0, 3, 5],
-        track_cover_steps=True,
-    )
-    assert _batch_digest(res) == digest
+    # Digests of the per-edge counts, the masks over all edges and the counts
+    # over edges {0, 3, 5} that the engine gave when it accumulated them
+    # itself, per step, on one stream; each reduction re-walks that stream.
+    def rng():
+        return substream(7, "batch-identity")
+
+    in_cut = np.zeros(graph.m + 2, dtype=bool)
+    in_cut[[0, 3, 5]] = True
+    h = hashlib.sha256()
+    h.update(_tree_edge_counts(graph, 5000, rng(), start=1).tobytes())
+    h.update(_tree_masks(graph, 5000, rng(), np.arange(graph.m), start=1)[0].tobytes())
+    h.update(in_cut[_rows(graph, 5000, rng(), start=1)].sum(axis=1, dtype=np.int32).tobytes())
+    assert h.hexdigest() == digest
+
+
+def _assert_uniform_rows_are_trees(graph, rows, start):
+    assert (rows[:, start] == -2).all()
+    assert ((rows >= 0).sum(axis=1) == graph.n - 1).all()
+    assert ((rows == -2).sum(axis=1) == 1).all()
+    for row in rows:
+        eid = np.where(row >= 0, row, 0)
+        parent = graph.edge_u[eid] + graph.edge_v[eid] - np.arange(graph.n)
+        parent[start] = -1
+        SpanningTree(start, parent, row.clip(-1)).validate(graph)
+
+
+@pytest.mark.parametrize("budget", [None, 20_000])
+def test_uniform_rows_are_spanning_trees(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(sampler, "_BATCH_BYTES", budget)
+    for graph, start in ((petersen_graph(), 3), (gnp_graph(30, 0.2, seed=5), 0)):
+        assert graph.is_connected()
+        chunks = list(_cover_walk_trees(graph, 400, substream(4, "rows"), start))
+        assert (len(chunks) > 1) == (budget is not None)
+        _assert_uniform_rows_are_trees(graph, np.concatenate(chunks), start)
+
+
+def test_out_of_range_start_or_no_trials_is_rejected():
+    g = complete_graph(5)
+    with pytest.raises(ValueError, match="trials"):
+        tree_edge_frequencies(g, 0, 1)
+    for start in (-1, 5):
+        with pytest.raises(ValueError, match="start"):
+            tree_edge_frequencies(g, 1000, 1, start=start)
+        with pytest.raises(ValueError, match="start"):
+            next(_cover_walk_trees(direct_edges_dp(g, 1.0, seed=1), 10, substream(1, "s"), start))
 
 
 def test_small_budget_splits_walks_into_chunks(monkeypatch):
@@ -312,13 +339,13 @@ def test_small_budget_splits_walks_into_chunks(monkeypatch):
     uniform = petersen_graph()
     oriented = direct_edges_dp(complete_graph(5), 1.0, seed=2)
     for graph in (uniform, oriented):
-        res = _batch_cover_walks(
-            graph, 1000, substream(3, "chunks"), track_cover_steps=True
-        )
-        steps = res["cover_steps"]
-        assert steps.shape == (1000,)
-        covered = ~res.get("stuck", np.zeros(1000, dtype=bool))
-        assert (steps[covered] >= graph.n - 1).all()
+        chunks = list(_cover_walk_trees(graph, 1000, substream(3, "chunks")))
+        assert len(chunks) > 5
+        rows = np.concatenate(chunks)
+        assert rows.shape == (1000, graph.n)
+        covered = (rows != -1).all(axis=1)
+        assert (rows[covered] >= 0).sum(axis=1).tolist() == [graph.n - 1] * covered.sum()
+    assert covered.any()
 
 
 def _oriented_outcomes(oriented, trials, seed):
@@ -329,11 +356,9 @@ def _oriented_outcomes(oriented, trials, seed):
         ids = res.trees[0].edge_ids().tolist() if res.success else None
         scalar.append(sum(1 << e for e in ids) if ids is not None else -1)
     m = int(oriented.source_eids.max()) + 1
-    batch = _batch_cover_walks(
-        oriented, 10 * trials, substream(seed, "batch"), watch_edge_ids=np.arange(m)
-    )
-    keys = batch["masks"].astype(np.int64)
-    keys[batch["stuck"]] = -1
+    masks, stuck = _tree_masks(oriented, 10 * trials, substream(seed, "batch"), np.arange(m))
+    keys = masks.astype(np.int64)
+    keys[stuck] = -1
     return np.array(scalar), keys
 
 
@@ -376,15 +401,12 @@ def test_oriented_rule_stuck_rate_matches_scalar_walk():
 
 def test_oriented_rule_reports_a_start_without_arcs_as_stuck():
     oriented = DirectedGraph(3, [1], [2], [0])
-    res = _batch_cover_walks(
-        oriented, 5, substream(1, "sink"), track_cover_steps=True
-    )
-    assert res["stuck"].all()
-    assert (res["cover_steps"] == 0).all()
+    rows = _rows(oriented, 5, substream(1, "sink"))
+    assert rows.tolist() == [[-2, -1, -1]] * 5
 
 
 def test_oriented_rule_iteration_cap_raises(monkeypatch):
     oriented = direct_edges_dp(complete_graph(6), 1.0, seed=3)
     monkeypatch.setattr(DirectedGraph, "walk_step_cap", lambda self: 2)
     with pytest.raises(SamplingError, match="did not cover"):
-        _batch_cover_walks(oriented, 10, substream(1, "cap"))
+        _rows(oriented, 10, substream(1, "cap"))

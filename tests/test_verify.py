@@ -15,7 +15,7 @@ from treesplice.generators import (
     random_regular_graph,
     wheel_graph,
 )
-from treesplice.graph import Graph
+from treesplice.graph import Graph, cut_edges
 from treesplice.linalg import (
     EXACT_RESISTANCE_MAX_N,
     effective_resistance,
@@ -23,7 +23,7 @@ from treesplice.linalg import (
     effective_resistances,
     spanning_tree_count,
 )
-from treesplice.sampler import _batch_cover_walks, tree_edge_frequencies
+from treesplice.sampler import _tree_masks, tree_edge_frequencies
 from treesplice.seeds import substream
 from treesplice.verify import (
     bernoulli_se,
@@ -206,6 +206,23 @@ def test_chernoff_mean_inclusion_on_k16():
     assert abs(rep.p_bar - 2 / 16) <= 4 * se
 
 
+def test_chernoff_tail_counts_the_trees_that_the_masks_see():
+    # Re-walking the check's own stream, each tree's cut count is the popcount
+    # of its mask over the cut edges.
+    g = petersen_graph()
+    subset = [0, 1, 2, 3, 4]
+    trials = 10_000
+    rep = chernoff_tail_check(g, subset, trials, seed=5)
+    ids = cut_edges(g, subset)
+    masks, _ = _tree_masks(g, trials, substream(5, "chernoff-tail"), ids)
+    sums = np.bitwise_count(masks)
+    assert rep.p_bar == float(sums.sum()) / (trials * ids.size)
+    mean = rep.p_bar * ids.size
+    assert list(rep.empirical) == [
+        float(np.count_nonzero(sums < mean - lam)) / trials for lam in rep.lambdas
+    ]
+
+
 def test_chernoff_requires_enough_trials():
     with pytest.raises(ValueError):
         chernoff_tail_check(complete_graph(8), [0, 1], 100, seed=0)
@@ -241,6 +258,12 @@ def test_coupling_estimate_p1_collapses():
     assert tv <= 0.09
 
 
+def test_coupling_estimate_below_p1_is_unchanged():
+    # Value from when trees were keyed by a bitmask over K_5's edge ids; the
+    # sorted edge tuple keys the same trees in the same first-seen order.
+    assert coupling_distance_estimate(5, 0.7, 3000, seed=2) == 0.7766666666666668
+
+
 def test_coupling_estimate_failure_rate_regime():
     est = coupling_distance_estimate(64, 10 * math.log(64) / 64, 60, seed=13)
     assert 0.0 <= est <= 1.0
@@ -263,10 +286,8 @@ def test_uniformity_chi_square_on_enumerable_corpus():
         g = CORPUS[name]
         count = spanning_tree_count(g)
         assert count <= 30
-        res = _batch_cover_walks(
-            g, trials, substream(15, "chisq", name), watch_edge_ids=np.arange(g.m)
-        )
-        _, counts = np.unique(res["masks"], return_counts=True)
+        masks, _ = _tree_masks(g, trials, substream(15, "chisq", name), np.arange(g.m))
+        _, counts = np.unique(masks, return_counts=True)
         assert len(counts) == count
         chi2 = ((counts - trials / count) ** 2 / (trials / count)).sum()
         crit = stats.chi2.ppf(1 - 0.001, df=count - 1)
