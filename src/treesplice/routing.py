@@ -187,7 +187,9 @@ class ReliabilitySummary:
         ]
 
 
-def _adjacency_csr(graph: Graph, keep: np.ndarray) -> sp.csr_matrix:
+def _adjacency_csr(
+    graph: Graph, keep: np.ndarray | slice = slice(None)
+) -> sp.csr_matrix:
     eu = graph.edge_u[keep]
     ev = graph.edge_v[keep]
     ones = np.ones(eu.size)
@@ -217,6 +219,8 @@ def reliability_experiment(
     if pairs < 1 or trials < 1:
         raise ValueError("pairs and trials must be >= 1")
     n = graph.n
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
     results = []
     for t in range(trials):
         spl = splice(graph, k, child_seed(seed, "splice", t))
@@ -269,13 +273,32 @@ def reliability_experiment(
 DIAMETER_MAX_N = 4096
 
 
+def _edge_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """One integer per vertex pair, ``lo * n + hi`` (lo < hi)."""
+    return lo.astype(np.int64) * n + hi
+
+
+def _bfs_pairs(adj: sp.csr_matrix, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+    """BFS hop distance from srcs[i] to dsts[i], one BFS per distinct source."""
+    uniq, row = np.unique(srcs, return_inverse=True)
+    dist = csgraph.shortest_path(adj, method="D", unweighted=True, indices=uniq)
+    return dist[row, dsts]
+
+
 def stretch_stats(
     graph: Graph, spliced, pairs: int, seed: int
 ) -> tuple[float, int | None]:
     """Mean distance inflation over sampled pairs, plus the exact support diameter.
 
-    Distances are unweighted BFS hops with no failures.  The diameter comes
-    from all-sources BFS and is only computed up to n = 4096 (None above).
+    Distances are unweighted BFS hops with no failures, and the support must
+    be a subgraph of the base graph.  A sampled pair that is a base edge is at
+    base distance 1, so base BFS runs only from the sources of the other pairs
+    (on K_n it never runs).  The diameter comes from all-sources BFS on the
+    support up to n = DIAMETER_MAX_N (None above), and the sampled pairs'
+    support distances are read from it; above that cap they come from BFS
+    from the pairs' sources.  A pair connected in the base but not in the support has
+    infinite stretch, so the mean reads inf; pairs disconnected in the base
+    are skipped.
     """
     support = _as_graph(spliced)
     if support.n != graph.n:
@@ -283,32 +306,30 @@ def stretch_stats(
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     n = graph.n
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    base_codes = _edge_codes(graph.edge_u, graph.edge_v, n)
+    if not np.isin(_edge_codes(support.edge_u, support.edge_v, n), base_codes).all():
+        raise ValueError("support is not a subgraph of the base graph")
     rng = substream(seed, "stretch-pairs")
     srcs = rng.integers(0, n, size=pairs)
     offs = rng.integers(1, n, size=pairs)
     dsts = (srcs + offs) % n
-    uniq_srcs = np.unique(srcs)
-    keep_all = np.ones(graph.m, dtype=bool)
-    base_adj = _adjacency_csr(graph, keep_all)
-    sup_adj = _adjacency_csr(support, np.ones(support.m, dtype=bool))
-    d_base = csgraph.shortest_path(
-        base_adj, method="D", unweighted=True, indices=uniq_srcs
-    )
-    d_sup = csgraph.shortest_path(
-        sup_adj, method="D", unweighted=True, indices=uniq_srcs
-    )
-    row_of = {int(s): i for i, s in enumerate(uniq_srcs)}
-    ratios = []
-    for s, d in zip(srcs, dsts):
-        b = d_base[row_of[int(s)], int(d)]
-        u = d_sup[row_of[int(s)], int(d)]
-        if not math.isfinite(b) or b <= 0 or not math.isfinite(u):
-            continue
-        ratios.append(u / b)
-    mean_stretch = float(np.mean(ratios)) if ratios else math.nan
+    pair_codes = _edge_codes(np.minimum(srcs, dsts), np.maximum(srcs, dsts), n)
+    far = ~np.isin(pair_codes, base_codes)
+    d_base = np.ones(pairs)
+    if far.any():
+        d_base[far] = _bfs_pairs(_adjacency_csr(graph), srcs[far], dsts[far])
+    sup_adj = _adjacency_csr(support)
     diameter: int | None = None
     if n <= DIAMETER_MAX_N:
         full = csgraph.shortest_path(sup_adj, method="D", unweighted=True)
+        d_sup = full[srcs, dsts]
         if np.isfinite(full).all():
             diameter = int(full.max())
+    else:
+        d_sup = _bfs_pairs(sup_adj, srcs, dsts)
+    linked = np.isfinite(d_base)
+    ratios = d_sup[linked] / d_base[linked]
+    mean_stretch = float(np.mean(ratios)) if ratios.size else math.nan
     return mean_stretch, diameter

@@ -2,8 +2,8 @@
 
 import pytest
 
-from treesplice.generators import complete_graph, gnp_graph
-from treesplice.graph import DirectedGraph, SamplingError
+from treesplice.generators import complete_graph, gnp_graph, path_graph
+from treesplice.graph import DirectedGraph, Graph, SamplingError
 from treesplice.lowerbound import lower_bound_family
 from treesplice.routing import reliability_experiment, stretch_stats
 from treesplice.sampler import process_bp_on, sample_trees
@@ -57,9 +57,20 @@ def test_reliability_validates_arguments():
         reliability_experiment(g, 1, 1.5, pairs=5, trials=2, seed=0)
     with pytest.raises(ValueError):
         reliability_experiment(g, 1, 0.1, pairs=0, trials=2, seed=0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            reliability_experiment(Graph(n, []), 1, 0.1, pairs=5, trials=2, seed=0)
 
 
 def test_stretch_validates_pairs():
     g = gnp_graph(12, 0.5, seed=1)
     with pytest.raises(ValueError):
         stretch_stats(g, g, pairs=0, seed=0)
+
+
+def test_stretch_rejects_tiny_graphs_and_foreign_support():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            stretch_stats(Graph(n, []), Graph(n, []), pairs=5, seed=0)
+    with pytest.raises(ValueError, match="not a subgraph"):
+        stretch_stats(path_graph(5), complete_graph(5), pairs=50, seed=0)

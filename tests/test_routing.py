@@ -1,8 +1,19 @@
+import math
 from collections import deque
 
+import numpy as np
 import pytest
 
-from treesplice.generators import complete_graph, gnp_graph, path_graph, star_graph
+from treesplice import routing
+from treesplice.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    random_regular_graph,
+    star_graph,
+)
+from treesplice.graph import Graph
 from treesplice.routing import (
     build_routing,
     reliability_experiment,
@@ -10,6 +21,7 @@ from treesplice.routing import (
     stretch_stats,
 )
 from treesplice.sampler import sample_trees
+from treesplice.seeds import substream
 from treesplice.splice import splice
 
 
@@ -32,11 +44,11 @@ def test_star_tree_next_hop_is_center():
                 assert state.next_hop(0, leaf, dst) == 0
 
 
-def _tree_distances(tree) -> list[list[int]]:
-    adj = tree.adjacency()
+def _bfs_rows(adj: list[list[int]]) -> list[list[int]]:
+    """All-pairs hop distances by plain BFS; -1 marks an unreachable vertex."""
     dist = []
-    for a in range(tree.n):
-        row = [-1] * tree.n
+    for a in range(len(adj)):
+        row = [-1] * len(adj)
         row[a] = 0
         queue = deque([a])
         while queue:
@@ -57,7 +69,7 @@ def test_next_hop_is_a_tree_neighbour_one_step_closer():
         assert (state.k, state.n) == (k, g.n)
         for t, tree in enumerate(trees):
             adj = tree.adjacency()
-            dist = _tree_distances(tree)
+            dist = _bfs_rows(adj)
             for dst in range(g.n):
                 for v in range(g.n):
                     if v != dst:
@@ -70,7 +82,7 @@ def test_route_without_failures_hits_tree_distance():
     g = complete_graph(20)
     trees = sample_trees(g, 1, seed=4)
     state = build_routing(trees)
-    dist = _tree_distances(trees[0])
+    dist = _bfs_rows(trees[0].adjacency())
     for src, dst in ((0, 19), (3, 7), (11, 2)):
         r = route(state, src, dst)
         assert r.delivered
@@ -184,3 +196,91 @@ def test_stretch_of_single_tree_exceeds_one():
 def test_stretch_requires_matching_vertex_sets():
     with pytest.raises(ValueError):
         stretch_stats(complete_graph(10), complete_graph(12), pairs=5, seed=0)
+
+
+def _graph_adjacency(g: Graph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.iter_edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _stretch_reference(g: Graph, support: Graph, pairs: int, seed: int):
+    """stretch_stats by plain BFS per pair: same pair draws, ratios in pair order."""
+    rng = substream(seed, "stretch-pairs")
+    srcs = rng.integers(0, g.n, size=pairs)
+    dsts = (srcs + rng.integers(1, g.n, size=pairs)) % g.n
+    d_base = _bfs_rows(_graph_adjacency(g))
+    d_sup = _bfs_rows(_graph_adjacency(support))
+    ratios = []
+    for s, d in zip(srcs.tolist(), dsts.tolist()):
+        if d_base[s][d] < 0:
+            continue
+        u = d_sup[s][d]
+        ratios.append(u / d_base[s][d] if u >= 0 else math.inf)
+    mean = float(np.mean(ratios)) if ratios else math.nan
+    flat = [x for row in d_sup for x in row]
+    return mean, (None if min(flat) < 0 else max(flat))
+
+
+def _two_components() -> Graph:
+    """K_6 on 0..5 beside a 7-cycle on 6..12: pairs across are disconnected."""
+    edges = list(complete_graph(6).iter_edges())
+    edges += [(u + 6, v + 6) for u, v in cycle_graph(7).iter_edges()]
+    return Graph(13, edges)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [gnp_graph(60, 0.1, seed=3), random_regular_graph(50, 3, seed=4), cycle_graph(40)],
+    ids=["gnp", "regular", "cycle"],
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_stretch_matches_plain_bfs_reference(base, k):
+    assert base.is_connected()
+    spl = splice(base, k, seed=21 + k)
+    for seed, pairs in ((0, 1), (1, 7), (2, 600)):
+        got = stretch_stats(base, spl, pairs, seed)
+        assert got == _stretch_reference(base, spl.support, pairs, seed)
+
+
+def test_stretch_reference_on_disconnected_base():
+    g = _two_components()
+    paths = [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 12)]
+    forest = Graph(13, paths)
+    for support in (g, forest):
+        for seed, pairs in ((0, 5), (1, 400)):
+            got = stretch_stats(g, support, pairs, seed)
+            assert got == _stretch_reference(g, support, pairs, seed)
+            assert got[1] is None
+
+
+def test_stretch_reference_above_diameter_cap(monkeypatch):
+    g = gnp_graph(60, 0.1, seed=3)
+    two = _two_components()
+    cases = [(g, splice(g, 2, seed=24).support), (two, two)]
+    expected = [_stretch_reference(b, s, 500, 5)[0] for b, s in cases]
+    monkeypatch.setattr(routing, "DIAMETER_MAX_N", 12)
+    for (base, support), mean in zip(cases, expected):
+        assert stretch_stats(base, support, 500, 5) == (mean, None)
+
+
+def test_stretch_on_complete_graph_runs_one_bfs(monkeypatch):
+    calls = []
+    real = routing.csgraph.shortest_path
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(routing.csgraph, "shortest_path", counted)
+    g = complete_graph(64)
+    stretch_stats(g, splice(g, 2, seed=25), pairs=2000, seed=26)
+    assert calls == [None]
+
+
+def test_disconnected_support_has_infinite_stretch():
+    mean, dia = stretch_stats(complete_graph(6), Graph(6, [(0, 1)]), pairs=50, seed=0)
+    assert mean == math.inf
+    assert dia is None
