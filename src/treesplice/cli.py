@@ -59,7 +59,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
-    if getattr(args, "format", "json") == "csv" and rows is not None:
+    if args.format == "csv" and rows is not None:
         _write(args.out, rows_csv(rows))
     else:
         _write(args.out, json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n")
@@ -284,11 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, out=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", default="-")
+    def common(p, fmt=False):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="-")
+        if fmt:  # only the commands that write JSON reports can write CSV instead
             p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("generate", help="write a graph as an edge list")
@@ -331,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", choices=["edge", "vertex"], default="edge")
     p.add_argument("--method", choices=["exact", "spectral"], default="exact")
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=_cmd_expansion)
 
     p = sub.add_parser("verify", help="distributional checks")
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--trials", type=int, default=100_000)
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("route-sim", help="failure/reliability routing experiment")
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failure-prob", type=float, default=0.05)
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--trials", type=int, default=10)
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=_cmd_route_sim)
 
     p = sub.add_parser("preset", help="run a named experiment preset")

@@ -14,7 +14,7 @@ import io as _io
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,7 +40,8 @@ from .splice import sparsify_gnp, splice, union_trees
 from .verify import bernoulli_se, chernoff_tail_check, coupling_distance_estimate
 
 
-_INT_FIELDS = ("n", "d", "k", "ell", "trials", "samples", "seed")
+_COUNT_FIELDS = ("n", "d", "k", "ell", "trials", "samples")
+_INT_FIELDS = _COUNT_FIELDS + ("seed",)
 _FLOAT_FIELDS = ("p", "failure_prob")
 
 
@@ -99,16 +100,6 @@ class ExperimentConfig:
             raise ValueError("config must name a preset")
         return cls(**values)
 
-    def params_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name in ("preset", "seed", "out_json", "out_csv"):
-                continue
-            val = getattr(self, f.name)
-            if val is not None:
-                out[f.name] = val
-        return out
-
 
 @dataclass
 class Assertion:
@@ -141,40 +132,31 @@ def _le(name, value, bound, se=None) -> Assertion:
 
 
 def _run_bounded_degree(cfg: ExperimentConfig):
-    n = cfg.n or 256
-    d = cfg.d or 3
-    k = cfg.k or 2
-    seeds = cfg.trials or 20
-    cuts = cfg.samples or 10_000
+    n, d = cfg.n, cfg.d
     alpha = 81.0
     bound = 1.0 / (alpha * math.log(n))
-    assertions = []
     rows = []
     worst = math.inf
-    for s in range(seeds):
+    for s in range(cfg.trials):
         g = random_regular_graph(n, d, child_seed(cfg.seed, "graph", s))
         if not g.is_connected():
             g = random_regular_graph(n, d, child_seed(cfg.seed, "graph-retry", s))
-        u = splice(g, k, child_seed(cfg.seed, "splice", s))
-        ratios = sampled_cut_ratios(g, u, cuts, child_seed(cfg.seed, "cuts", s))
+        u = splice(g, cfg.k, child_seed(cfg.seed, "splice", s))
+        ratios = sampled_cut_ratios(g, u, cfg.samples, child_seed(cfg.seed, "cuts", s))
         m = float(ratios.ratio.min())
         worst = min(worst, m)
         rows.append({"seed_index": s, "min_ratio": m, "cuts": len(ratios)})
-    assertions.append(_ge("min cut ratio across seeds", worst, bound))
+    assertions = [_ge("min cut ratio across seeds", worst, bound)]
     return assertions, rows, {"alpha": alpha, "bound": bound}
 
 
 def _run_lower_bound(cfg: ExperimentConfig):
-    n = cfg.n or 3000
-    d = cfg.d or 3
-    ell = cfg.ell or 1
-    target_obs = cfg.samples or 100_000
-    fam = lower_bound_family(n, d, ell, child_seed(cfg.seed, "family"))
+    fam = lower_bound_family(cfg.n, cfg.d, cfg.ell, child_seed(cfg.seed, "family"))
     validate_family(fam)
     start = fam.start_vertex()
-    bound = forced_cut_probability_bound(d, ell)
+    bound = forced_cut_probability_bound(cfg.d, cfg.ell)
     paths = len(fam.paths)
-    trees_needed = cfg.trials or -(-target_obs // paths)
+    trees_needed = cfg.trials or -(-cfg.samples // paths)
     hits = 0
     total = 0
     rows = []
@@ -203,10 +185,7 @@ def _run_lower_bound(cfg: ExperimentConfig):
 
 
 def _run_complete_graph(cfg: ExperimentConfig):
-    n = cfg.n or 16
-    k = cfg.k or 2
-    seeds = cfg.trials or 100
-    spectral_seeds = cfg.samples or 20
+    n, k, seeds = cfg.n, cfg.k, cfg.trials
     rows = []
     good = 0
     kn = complete_graph(n)
@@ -239,7 +218,7 @@ def _run_complete_graph(cfg: ExperimentConfig):
     for size in ladder:
         vals = []
         kn = complete_graph(size)
-        for s in range(spectral_seeds):
+        for s in range(cfg.samples):
             u = splice(kn, k, child_seed(cfg.seed, "spectral", size, s))
             lam = spectral_lower_bound(u)
             vals.append(lam)
@@ -262,10 +241,8 @@ def _run_complete_graph(cfg: ExperimentConfig):
 
 
 def _run_random_graph(cfg: ExperimentConfig):
-    n = cfg.n or 1024
+    n, runs = cfg.n, cfg.trials
     p = cfg.p if cfg.p is not None else min(20.0 * math.log(n) / n, 1.0)
-    runs = cfg.trials or 100
-    tv_trials = cfg.samples or 1_000_000
     successes = 0
     rows = []
     for t in range(runs):
@@ -277,7 +254,7 @@ def _run_random_graph(cfg: ExperimentConfig):
     assertions = [
         _ge("two-tree success rate", rate, 0.9, bernoulli_se(rate, runs))
     ]
-    tv = coupling_distance_estimate(6, 1.0, tv_trials, child_seed(cfg.seed, "tv"))
+    tv = coupling_distance_estimate(6, 1.0, cfg.samples, child_seed(cfg.seed, "tv"))
     assertions.append(_le("tree distribution TV at n=6, p=1", tv, 0.02))
     rows.append({"kind": "tv", "index": 0, "success": tv})
     lam_seeds = min(20, runs)
@@ -298,23 +275,21 @@ def _run_random_graph(cfg: ExperimentConfig):
         lam_min = min(lam_min, lam)
         rows.append({"kind": "lambda2", "index": s, "success": lam})
     assertions.append(_ge("min lambda2 of two-tree unions", lam_min, 0.15))
-    return assertions, rows, {"p": p, "tv_trials": tv_trials}
+    return assertions, rows, {"p": p, "tv_trials": cfg.samples}
 
 
 def _run_sparsifier(cfg: ExperimentConfig):
-    n = cfg.n or 1000
+    n = cfg.n
     p = cfg.p if cfg.p is not None else min(10.0 * math.log(n) / n, 1.0)
-    seeds = cfg.trials or 20
-    cuts = cfg.samples or 10_000
     rows = []
     c_low_all = math.inf
     c_high_all = 0.0
     size_ok = True
-    for s in range(seeds):
+    for s in range(cfg.trials):
         host = gnp_graph(n, p, child_seed(cfg.seed, "host", s))
         wg = sparsify_gnp(host, p, child_seed(cfg.seed, "sparsify", s))
         c_low, c_high = sparsifier_quality(
-            host, wg, cuts, child_seed(cfg.seed, "cuts", s)
+            host, wg, cfg.samples, child_seed(cfg.seed, "cuts", s)
         )
         size_ok = size_ok and wg.graph.m <= 2 * (n - 1)
         c_low_all = min(c_low_all, c_low)
@@ -331,17 +306,14 @@ def _run_sparsifier(cfg: ExperimentConfig):
 
 
 def _run_tail_bound(cfg: ExperimentConfig):
-    n = cfg.n or 64
-    d = cfg.d or 3
-    trials = cfg.trials or 100_000
-    n_cuts = cfg.samples or 10
+    n, d, trials = cfg.n, cfg.d, cfg.trials
     g = random_regular_graph(n, d, child_seed(cfg.seed, "graph"))
     if not g.is_connected():
         g = random_regular_graph(n, d, child_seed(cfg.seed, "graph-retry"))
     rows = []
     all_ok = True
     pick = substream(cfg.seed, "cuts")
-    for c in range(n_cuts):
+    for c in range(cfg.samples):
         subset = np.sort(pick.choice(n, size=n // 2, replace=False))
         rep = chernoff_tail_check(
             g, subset.tolist(), trials, child_seed(cfg.seed, "tail", c)
@@ -360,14 +332,12 @@ def _run_tail_bound(cfg: ExperimentConfig):
                 }
             )
     assertions = [_ge("tail bound holds on all cuts", float(all_ok), 1.0)]
-    return assertions, rows, {"trials": trials, "cuts": n_cuts}
+    return assertions, rows, {"trials": trials, "cuts": cfg.samples}
 
 
 def _run_stretch(cfg: ExperimentConfig):
-    n = cfg.n or 1024
+    n, pairs = cfg.n, cfg.samples
     small = max(n // 4, 8)
-    seeds = cfg.trials or 20
-    pairs = cfg.samples or 2000
     diameter_cap = 4.0 * math.log2(n)
     rows = []
     big_stretches = []
@@ -375,7 +345,7 @@ def _run_stretch(cfg: ExperimentConfig):
     dia_max = 0
     kn = complete_graph(n)
     ks = complete_graph(small)
-    for s in range(seeds):
+    for s in range(cfg.trials):
         one = splice(kn, 1, child_seed(cfg.seed, "one-tree", n, s))
         ms, _ = stretch_stats(kn, one, pairs, child_seed(cfg.seed, "pairs", n, s))
         big_stretches.append(ms)
@@ -400,18 +370,11 @@ def _run_stretch(cfg: ExperimentConfig):
 
 
 def _run_routing(cfg: ExperimentConfig):
-    n = cfg.n or 256
-    k = cfg.k or 2
-    failure_prob = cfg.failure_prob if cfg.failure_prob is not None else 0.05
-    trials = cfg.trials or 50
-    pairs = cfg.samples or 200
-    g = complete_graph(n)
-    base = reliability_experiment(
-        g, 1, failure_prob, pairs, trials, child_seed(cfg.seed, "routes")
-    )
-    multi = reliability_experiment(
-        g, k, failure_prob, pairs, trials, child_seed(cfg.seed, "routes")
-    )
+    k = cfg.k
+    g = complete_graph(cfg.n)
+    args = (cfg.failure_prob, cfg.samples, cfg.trials, child_seed(cfg.seed, "routes"))
+    base = reliability_experiment(g, 1, *args)
+    multi = reliability_experiment(g, k, *args)
     ceiling_ok = all(
         t.delivered_fraction <= t.ceiling_fraction + 1e-12 for t in multi.trials
     ) and all(
@@ -431,15 +394,26 @@ def _run_routing(cfg: ExperimentConfig):
     }
 
 
+# Per preset, its runner and the default of every config key the runner reads;
+# None marks a value the runner derives when it is unset (p from n, and
+# thm-lower-bound's tree count, trials, from its observation target, samples).
 PRESETS = {
-    "thm-bounded-degree": _run_bounded_degree,
-    "thm-lower-bound": _run_lower_bound,
-    "thm-complete-graph": _run_complete_graph,
-    "thm-random-graph": _run_random_graph,
-    "thm-sparsifier": _run_sparsifier,
-    "thm-tail-bound": _run_tail_bound,
-    "stretch-diameter": _run_stretch,
-    "routing-reliability": _run_routing,
+    "thm-bounded-degree": (
+        _run_bounded_degree, dict(n=256, d=3, k=2, trials=20, samples=10_000)
+    ),
+    "thm-lower-bound": (
+        _run_lower_bound, dict(n=3000, d=3, ell=1, trials=None, samples=100_000)
+    ),
+    "thm-complete-graph": (_run_complete_graph, dict(n=16, k=2, trials=100, samples=20)),
+    "thm-random-graph": (
+        _run_random_graph, dict(n=1024, p=None, trials=100, samples=1_000_000)
+    ),
+    "thm-sparsifier": (_run_sparsifier, dict(n=1000, p=None, trials=20, samples=10_000)),
+    "thm-tail-bound": (_run_tail_bound, dict(n=64, d=3, trials=100_000, samples=10)),
+    "stretch-diameter": (_run_stretch, dict(n=1024, trials=20, samples=2000)),
+    "routing-reliability": (
+        _run_routing, dict(n=256, k=2, failure_prob=0.05, trials=50, samples=200)
+    ),
 }
 
 
@@ -493,21 +467,40 @@ def rows_csv(rows: list[dict]) -> str:
 def run_preset(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Run a preset; returns (summary, exit status).
 
-    Status 0 when every embedded assertion passes, 1 otherwise.  Unknown
-    presets raise ValueError (a usage error).  Writes the JSON summary and
+    Status 0 when every embedded assertion passes, 1 otherwise.  An unknown
+    preset, a key the preset does not read, or a count field (n, d, k, ell,
+    trials, samples) below 1 raises ValueError (a usage error).  Unset keys
+    take the preset's defaults, and the summary's ``parameters`` lists every
+    key the preset reads at its resolved value (null where the runner derives
+    it; the derived value is under ``derived``).  Writes the JSON summary and
     CSV detail when the config names output paths.
     """
     if cfg.preset not in PRESETS:
         raise ValueError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
+    runner, defaults = PRESETS[cfg.preset]
+    given = {
+        key: val for key, val in vars(cfg).items()
+        if val is not None and key not in ("preset", "seed", "out_json", "out_csv")
+    }
+    unread = sorted(set(given) - set(defaults))
+    if unread:
+        raise ValueError(
+            f"preset {cfg.preset} does not read {', '.join(unread)}; "
+            f"it reads {', '.join(defaults)}"
+        )
+    for key in _COUNT_FIELDS:
+        if key in given and given[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {given[key]}")
+    params = {**defaults, **given}
     t0 = time.time()
-    assertions, rows, extra = PRESETS[cfg.preset](cfg)
+    assertions, rows, extra = runner(replace(cfg, **params))
     passed = all(a.passed for a in assertions)
     summary = {
         "preset": cfg.preset,
         "seed": cfg.seed,
-        "parameters": cfg.params_dict(),
+        "parameters": params,
         "derived": extra,
         "assertions": [a.to_dict() for a in assertions],
         "passed": passed,

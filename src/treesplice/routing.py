@@ -279,10 +279,25 @@ def _edge_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _bfs_pairs(adj: sp.csr_matrix, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
-    """BFS hop distance from srcs[i] to dsts[i], one BFS per distinct source."""
+    """BFS hop distance from srcs[i] to dsts[i], one BFS per distinct source.
+
+    The sources run in blocks whose float64 distance rows fit in 4 MiB, and
+    only each pair's entry is kept, so memory does not grow with the number
+    of sources.
+    """
     uniq, row = np.unique(srcs, return_inverse=True)
-    dist = csgraph.shortest_path(adj, method="D", unweighted=True, indices=uniq)
-    return dist[row, dsts]
+    order = np.argsort(row, kind="stable")
+    ranked = row[order]
+    block = max(1, (4 << 20) // (8 * adj.shape[0]))
+    out = np.empty(srcs.size)
+    for lo in range(0, uniq.size, block):
+        dist = csgraph.shortest_path(
+            adj, method="D", unweighted=True, indices=uniq[lo : lo + block]
+        )
+        a, b = np.searchsorted(ranked, [lo, lo + block])
+        sel = order[a:b]
+        out[sel] = dist[row[sel] - lo, dsts[sel]]
+    return out
 
 
 def stretch_stats(

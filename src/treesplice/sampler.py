@@ -218,7 +218,9 @@ def _cover_walk_trees(
 
     The step rule follows the graph type:
       Graph         -- uniform-neighbour rule; every walk covers a connected
-                       graph, and each row is a uniform spanning tree.
+                       graph, and each row is a uniform spanning tree.  A
+                       disconnected graph raises SamplingError before any
+                       walk starts.
       DirectedGraph -- traversed-arc rule of ``process_bp_on``: each old arc
                        out of the current vertex has probability 1/(n-1), the
                        rest splits evenly over new arcs.  A walk whose current
@@ -250,8 +252,8 @@ def _cover_walk_trees(
             raise ValueError("batch walks need arcs tagged with source edge ids")
         m = 1 + int(arc_eids.max(initial=-1))
     else:
-        if int(deg.min()) == 0:
-            raise SamplingError("graph has an isolated vertex; walks cannot cover")
+        if not graph.is_connected():
+            raise SamplingError("graph is disconnected; walks cannot cover")
         m = graph.m
     first_t = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > m)
     row = n * np.dtype(first_t).itemsize + _STEP_TEMP_BYTES

@@ -318,9 +318,16 @@ def coupling_distance_estimate(
     For n <= 8 the spanning-tree space of K_n is enumerable (n^(n-2) cells), so
     the total variation distance between the empirical oriented-walk tree
     distribution and the exact uniform distribution is computed directly, with
-    failed runs counted as their own outcome mass.  Above that, the empirical
-    failure frequency over fresh G(n, p) instances is returned; the two walks
-    can be coupled until a failure, so that frequency bounds the distance.
+    failed runs counted as their own outcome mass.  The oriented walk never
+    draws a tree with probability above the uniform 1/n^(n-2), so this TV is
+    P(fail): below p = 1 the estimate is the failure fraction of the trials
+    (while no tree's share overshoots 1/n^(n-2)), and it says nothing about
+    how the successful trees are spread.  At p = 1 no walk can strand, since
+    stranding at v needs all n - 1 of v's out-arcs traversed, which visits
+    every vertex, and each step is uniform over the n - 1 arcs; there the TV is
+    sampling noise alone.  Above n = 8, the empirical failure frequency over
+    fresh G(n, p) instances is returned; the two walks can be coupled until a
+    failure, so that frequency bounds the distance.
     """
     if n < 2:
         raise ValueError("need n >= 2")

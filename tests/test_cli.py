@@ -168,6 +168,23 @@ def test_route_sim_csv(tmp_path, capsys):
     assert "np.float64" not in out
 
 
+def test_commands_without_reports_reject_format(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    assert run(["generate", "--kind", "complete", "--n", "6", "--out", str(gpath)]) == 0
+    graph = ["--graph", str(gpath)]
+    for argv in (
+        ["generate", "--kind", "cycle", "--n", "5"],
+        ["sample-tree", *graph],
+        ["splice", *graph],
+        ["sparsify", *graph, "--p", "1.0"],
+    ):
+        assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
 def test_preset_cli_with_config_and_exit_codes(tmp_path):
     cfgpath = tmp_path / "cfg.txt"
     outpath = tmp_path / "out.json"

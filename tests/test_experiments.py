@@ -93,6 +93,42 @@ def test_preset_repeat_runs_are_byte_identical(name):
     s1, _ = run_preset(cfg)
     s2, _ = run_preset(cfg)
     assert strip_meta(summary_json(s1)) == strip_meta(summary_json(s2))
+    _, defaults = PRESETS[name]
+    assert s1["parameters"] == {**defaults, **ALL_PRESET_SMALL[name]}
+
+
+def test_default_run_records_every_key_it_reads():
+    summary, _ = run_preset(ExperimentConfig(preset="routing-reliability", seed=1))
+    assert summary["parameters"] == {
+        "n": 256, "k": 2, "failure_prob": 0.05, "trials": 50, "samples": 200,
+    }
+
+
+def test_derived_parameters_are_null_with_values_under_derived():
+    summary, _ = run_preset(
+        ExperimentConfig(preset="thm-lower-bound", seed=11, n=400, samples=500)
+    )
+    assert summary["parameters"]["trials"] is None
+    assert summary["derived"]["trees"] == -(-500 // summary["derived"]["segments"])
+
+
+@pytest.mark.parametrize(
+    "preset, key, value",
+    [
+        ("thm-bounded-degree", "trials", -1),
+        ("thm-sparsifier", "samples", 0),
+        ("thm-tail-bound", "ell", 2),
+        ("stretch-diameter", "p", 0.5),
+    ],
+)
+def test_bad_or_unread_keys_are_rejected_by_name(preset, key, value, tmp_path):
+    from treesplice.cli import main
+
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        run_preset(ExperimentConfig(preset=preset, **{key: value}))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"preset={preset}\n{key}={value}\n")
+    assert main(["preset", "--config", str(cfg)]) == 2
 
 
 def test_different_seed_changes_summary():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -15,6 +16,8 @@ from treesplice.generators import (
 )
 from treesplice.graph import Graph
 from treesplice.routing import (
+    _adjacency_csr,
+    _bfs_pairs,
     build_routing,
     reliability_experiment,
     route,
@@ -284,3 +287,19 @@ def test_disconnected_support_has_infinite_stretch():
     mean, dia = stretch_stats(complete_graph(6), Graph(6, [(0, 1)]), pairs=50, seed=0)
     assert mean == math.inf
     assert dia is None
+
+
+def test_pair_bfs_runs_sources_in_memory_bounded_blocks():
+    n = 6000
+    g = cycle_graph(n)
+    tracemalloc.start()
+    try:
+        assert stretch_stats(g, g, 1500, 0) == (1.0, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20  # a dense row per distinct source peaked at 61 MiB
+    rng = np.random.default_rng(7)
+    srcs, dsts = rng.integers(0, n, size=(2, 1500))
+    gap = np.abs(srcs - dsts)
+    assert np.array_equal(_bfs_pairs(_adjacency_csr(g), srcs, dsts), np.minimum(gap, n - gap))

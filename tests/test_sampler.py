@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +242,16 @@ def test_disconnected_graph_trips_step_cap():
     g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     with pytest.raises(SamplingError, match="cover"):
         aldous_broder(g, seed=0)
+
+
+def test_batch_walks_on_disconnected_graph_fail_fast():
+    # Two disjoint 100-cycles: no vertex is isolated, yet no walk can cover.
+    edges = list(cycle_graph(100).iter_edges())
+    g = Graph(200, edges + [(u + 100, v + 100) for u, v in edges])
+    t0 = time.perf_counter()
+    with pytest.raises(SamplingError, match="disconnected"):
+        tree_edge_frequencies(g, 10_000, 1)
+    assert time.perf_counter() - t0 < 1.0  # walking to the step cap takes ~40 s
 
 
 @settings(max_examples=15, deadline=None)

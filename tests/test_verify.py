@@ -23,8 +23,8 @@ from treesplice.linalg import (
     effective_resistances,
     spanning_tree_count,
 )
-from treesplice.sampler import _tree_masks, tree_edge_frequencies
-from treesplice.seeds import substream
+from treesplice.sampler import _tree_masks, process_bp, tree_edge_frequencies
+from treesplice.seeds import child_seed, substream
 from treesplice.verify import (
     bernoulli_se,
     chernoff_tail_check,
@@ -262,6 +262,21 @@ def test_coupling_estimate_below_p1_is_unchanged():
     # Value from when trees were keyed by a bitmask over K_5's edge ids; the
     # sorted edge tuple keys the same trees in the same first-seen order.
     assert coupling_distance_estimate(5, 0.7, 3000, seed=2) == 0.7766666666666668
+
+
+def test_coupling_estimate_below_p1_equals_failure_fraction():
+    # No tree is drawn above the uniform 1/n^(n-2), so the TV estimate is the
+    # share of trials whose walk strands; replay the per-trial seeds.
+    n, p, trials, seed = 4, 0.6, 2000, 3
+    failures = sum(
+        not process_bp(
+            gnp_graph(n, p, child_seed(seed, "host", t)), p, child_seed(seed, "trial", t)
+        ).success
+        for t in range(trials)
+    )
+    assert 0 < failures < trials
+    tv = coupling_distance_estimate(n, p, trials, seed)
+    assert tv == pytest.approx(failures / trials, rel=0, abs=1e-12)
 
 
 def test_coupling_estimate_failure_rate_regime():
