@@ -152,6 +152,10 @@ class Graph:
         return self.edge_id(u, v) is not None
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if self.n <= 1:
             return True
         if self.m < self.n - 1:

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph
-from .seeds import BoundedDraws, child_seed, substream
+from .seeds import below, child_seed, substream, word_stream
 from .splice import _as_graph, splice
 
 
@@ -108,7 +108,7 @@ def route(
     if hop_cap < 1:
         raise ValueError("hop cap must be >= 1")
     dead = frozenset(failed)
-    draws = BoundedDraws(substream(seed, "route"), size=16)
+    word = word_stream(substream(seed, "route"), size=16)
     cur = src
     tree = 0
     hops = 0
@@ -122,7 +122,7 @@ def route(
         if policy == "random" and k > 1:
             rest = order[1:]
             for i in range(len(rest) - 1, 0, -1):
-                j = draws.below(i + 1)
+                j = below(word, i + 1)
                 rest[i], rest[j] = rest[j], rest[i]
             order = order[:1] + rest
         elif policy not in ("random", "round-robin"):

@@ -22,6 +22,11 @@ cover keeps a -1 in its row.  Callers reduce the rows to what they count:
 ``_tree_edge_counts`` per edge, ``_tree_masks`` per walk.  The scalar
 samplers remain for single long walks and for walks on a fresh orientation
 per run.
+
+The scalar walks apply ``seeds.below``'s exact rule inline to raw words from
+``seeds.word_stream``; a word below 2^64 minus the walk's largest bound passes
+for every bound, so only the top few words reach the exact limit.  The
+lockstep engine draws differently, with ``Generator.integers`` on array bounds.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .graph import DirectedGraph, Graph, SamplingError
 from .generators import direct_edges_dp
-from .seeds import BoundedDraws, child_seed, substream
+from .seeds import WORDS, child_seed, substream, word_stream
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,6 @@ class WalkTrace:
     @property
     def steps(self) -> int:
         return len(self.vertices) - 1
-
-    def covered(self) -> bool:
-        return bool((self.first_visit >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,8 @@ def aldous_broder(
 ) -> tuple[SpanningTree, WalkTrace]:
     """Uniform spanning tree by random walk; keeps each first-entry edge.
 
-    Walks until every vertex is visited; trips the step cap (and reports
-    non-cover) when the graph is disconnected.
+    Walks until every vertex is visited.  A disconnected graph raises
+    SamplingError before the first step.
     """
     n = graph.n
     if n < 1:
@@ -154,38 +156,39 @@ def aldous_broder(
     if n == 1:
         tree = SpanningTree(0, np.full(1, -1, np.int32), np.full(1, -1, np.int32))
         return tree, WalkTrace(np.zeros(1, np.int32), np.zeros(1, np.int64))
-    draws = BoundedDraws(substream(seed, "aldous-broder"))
+    if not graph.is_connected():
+        raise SamplingError("graph is disconnected; the walk cannot cover")
+    word = word_stream(substream(seed, "aldous-broder"))
+    safe = WORDS - int(graph.degrees.max())
     nbrs, eids = graph._py_adj
-    parent = np.full(n, -1, dtype=np.int32)
-    parent_edge = np.full(n, -1, dtype=np.int32)
-    first_visit = np.full(n, -1, dtype=np.int64)
+    parent, parent_edge, first_visit = [-1] * n, [-1] * n, [-1] * n
     first_visit[start] = 0
     trace = [start]
     append = trace.append
     unvisited = n - 1
     cap = graph.walk_step_cap()
     cur = start
-    while unvisited:
+    for step in range(1, cap):
         lst = nbrs[cur]
         d = len(lst)
-        if d == 0:
-            raise SamplingError(f"vertex {cur} is isolated; walk cannot cover")
-        j = draws.below(d)
+        w = word()
+        while w >= safe and w >= WORDS - WORDS % d:
+            w = word()
+        j = w % d
         nxt = lst[j]
+        append(nxt)
         if first_visit[nxt] < 0:
-            first_visit[nxt] = len(trace)
+            first_visit[nxt] = step
             parent[nxt] = cur
             parent_edge[nxt] = eids[cur][j]
             unvisited -= 1
-        append(nxt)
+            if not unvisited:
+                break
         cur = nxt
-        if len(trace) > cap:
-            raise SamplingError(
-                f"walk did not cover within {cap} steps "
-                f"({unvisited} vertices unvisited); is the graph connected?"
-            )
-    tree = SpanningTree(start, parent, parent_edge)
-    return tree, WalkTrace(np.array(trace, dtype=np.int32), first_visit)
+    else:
+        raise SamplingError(f"walk did not cover within {cap} steps")
+    tree = SpanningTree(start, np.array(parent, np.int32), np.array(parent_edge, np.int32))
+    return tree, WalkTrace(np.array(trace, np.int32), np.array(first_visit, np.int64))
 
 
 def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:
@@ -410,7 +413,8 @@ def process_bp_on(
     targets = [t[:] for t in targets]
     srcs = [s[:] for s in srcs]
     d1 = [0] * n
-    below = BoundedDraws(substream(seed, "walk")).below
+    word = word_stream(substream(seed, "walk"))
+    safe = WORDS - int(oriented.out_degrees.max(initial=0)) * (n - 1)
     cap = step_cap if step_cap is not None else phases * oriented.walk_step_cap()
     cur = start
     steps = 0
@@ -428,7 +432,11 @@ def process_bp_on(
             span = len(tl) - k
             if span <= 0:
                 return ProcessBResult(False, tuple(trees), cur, steps)
-            r = below(span * (n - 1))
+            bound = span * (n - 1)
+            w = word()
+            while w >= safe and w >= WORDS - WORDS % bound:
+                w = word()
+            r = w % bound
             sl = srcs[cur]
             if r < k * span:
                 slot = r // span

@@ -6,20 +6,26 @@ are backed by Philox, a counter-based generator, so identical (seed, path)
 always reproduces the same output and distinct paths are independent.
 Graphs and samplers never share a bare generator; parallel callers use
 distinct paths.
+
+The scalar kernels draw with no floating point: ``word_stream`` hands out raw
+64-bit words, and a draw below b (``below``, inlined by the walk loops) skips
+words at or above 2^64 - (2^64 mod b) and returns the next word mod b.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
-MASK64 = (1 << 64) - 1
+WORDS = 1 << 64  # the number of 64-bit words
 
 
 def _digest(seed: int, path: tuple) -> bytes:
     seed = int(seed)
-    if not 0 <= seed <= MASK64:
+    if not 0 <= seed < WORDS:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     name = "/".join(str(p) for p in path)
     return hashlib.blake2b(
@@ -38,40 +44,25 @@ def child_seed(seed: int, *path) -> int:
     return int.from_bytes(_digest(seed, path)[:8], "little")
 
 
-class BoundedDraws:
-    """Buffered unbiased integer draws below varying bounds.
+def word_stream(gen: np.random.Generator, size: int = 64) -> Callable[[], int]:
+    """Zero-argument callable returning ``gen``'s raw 64-bit words one by one,
+    read in blocks of ``size`` that grow fourfold up to 16384."""
 
-    Consumes raw 64-bit words from a generator and reduces them by rejection,
-    so walk decisions involve no floating point and no platform-dependent
-    rounding.  Cheap enough to sit inside per-step loops.
-    """
+    def blocks():
+        n = size
+        while True:
+            yield gen.integers(0, WORDS, size=n, dtype=np.uint64).tolist()
+            n = min(4 * n, 16384)
 
-    __slots__ = ("_gen", "_buf", "_pos", "_size", "_cap")
+    return chain.from_iterable(blocks()).__next__
 
-    def __init__(self, gen: np.random.Generator, size: int = 64, cap: int = 16384):
-        self._gen = gen
-        self._size = size
-        self._cap = cap
-        self._buf = gen.integers(0, 1 << 64, size=size, dtype=np.uint64).tolist()
-        self._pos = 0
 
-    def _next_word(self) -> int:
-        if self._pos >= len(self._buf):
-            self._size = min(self._size * 4, self._cap)
-            self._buf = self._gen.integers(
-                0, 1 << 64, size=self._size, dtype=np.uint64
-            ).tolist()
-            self._pos = 0
-        w = self._buf[self._pos]
-        self._pos += 1
-        return w
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = ((1 << 64) // bound) * bound
-        w = self._next_word()
-        while w >= limit:
-            w = self._next_word()
-        return w % bound
+def below(word: Callable[[], int], bound: int) -> int:
+    """Uniform integer in [0, bound) by exact rejection from the stream ``word``."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    limit = WORDS - WORDS % bound
+    w = word()
+    while w >= limit:
+        w = word()
+    return w % bound

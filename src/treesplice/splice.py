@@ -83,25 +83,18 @@ def union_trees(trees: list[SpanningTree] | tuple[SpanningTree, ...]) -> Splicer
     for t in trees:
         if t.n != n:
             raise ValueError("trees span different vertex sets")
-    counts: dict[int, int] = {}
-    endpoint: dict[int, tuple[int, int]] = {}
-    for t in trees:
-        for v in range(n):
-            p = int(t.parent[v])
-            if p < 0:
-                continue
-            eid = int(t.parent_edge[v])
-            counts[eid] = counts.get(eid, 0) + 1
-            endpoint[eid] = (min(p, v), max(p, v))
-    eids = sorted(counts)
-    support = Graph(n, [endpoint[e] for e in eids])
-    mult = np.array([counts[e] for e in eids], dtype=np.int32)
+    parent = np.concatenate([t.parent for t in trees])
+    keep = parent >= 0
+    edge = np.concatenate([t.parent_edge for t in trees])[keep]
+    child = np.tile(np.arange(n), len(trees))[keep]
+    eids, first, mult = np.unique(edge, return_index=True, return_counts=True)
+    support = Graph(n, np.column_stack([parent[keep][first], child[first]]))
     return Splicer(
         support=support,
-        multiplicity=mult,
+        multiplicity=mult.astype(np.int32),
         k=len(trees),
         source_trees=tuple(trees),
-        support_base_eids=np.array(eids, dtype=np.int64),
+        support_base_eids=eids.astype(np.int64),
     )
 
 

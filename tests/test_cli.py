@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from treesplice.cli import main
-from treesplice.io import parse_graph, parse_tree, parse_weighted
+from treesplice.graph import Graph
+from treesplice.io import parse_graph, parse_tree, parse_weighted, serialize_graph
 
 
 def run(argv):
@@ -126,6 +128,17 @@ def test_sampling_failure_is_a_one_line_failure(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("sampling failure: ") and err.count("\n") == 1
+
+
+def test_sample_tree_on_disjoint_cycles_fails_fast(tmp_path, capsys):
+    n = 8000
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(Graph(2 * n, edges + [(u + n, v + n) for u, v in edges])))
+    t0 = time.perf_counter()
+    assert run(["sample-tree", "--graph", str(gpath), "--seed", "1"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "disconnected" in capsys.readouterr().err
 
 
 def test_verify_checks(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_tree_invariants_on_random_graphs():
             continue
         tree, trace = aldous_broder(g, seed=s)
         tree.validate(g)
-        assert trace.covered()
+        assert (trace.first_visit >= 0).all()
         # First-visit parents are consistent with the trace.
         verts = trace.vertices
         for v in range(g.n):
@@ -238,16 +238,56 @@ def test_two_phase_walk_extends_the_one_phase_walk(graph, p):
     assert "phase 1 stuck" in outcomes and len(outcomes) >= 2
 
 
-def test_disconnected_graph_trips_step_cap():
+class _WordList:
+    """A generator stand-in whose raw 64-bit words are ``words``, in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def integers(self, low, high, size, dtype):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("kernel", ["aldous-broder", "walk"])
+def test_kernels_reject_the_top_word_inline(monkeypatch, kernel):
+    # Neither 3 (K_4's degree) nor a multiple of 5 (n - 1 on 6 vertices)
+    # divides 2^64, so the word 2^64 - 1 is rejected and the walk must be
+    # the one its remaining words give.
+    words = substream(3, kernel).integers(0, 1 << 64, size=50_000, dtype=np.uint64)
+    words = words.tolist()
+
+    def run(head):
+        monkeypatch.setattr(sampler, "substream", lambda seed, name: _WordList(head + words))
+        if kernel == "walk":
+            res = process_bp_on(direct_edges_dp(complete_graph(6), 1.0, seed=2), 3, phases=2)
+            return [t.parent_edge.tolist() for t in res.trees], res.steps_taken
+        tree, trace = aldous_broder(complete_graph(4), 3)
+        return tree.parent_edge.tolist(), trace.vertices.tolist()
+
+    assert run([(1 << 64) - 1]) == run([])
+
+
+def _disjoint_cycles(n: int) -> Graph:
+    edges = list(cycle_graph(n).iter_edges())
+    return Graph(2 * n, edges + [(u + n, v + n) for u, v in edges])
+
+
+def test_disconnected_graph_walk_fails_fast():
     g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    with pytest.raises(SamplingError, match="cover"):
+    with pytest.raises(SamplingError, match="disconnected"):
         aldous_broder(g, seed=0)
+    # Two disjoint 8000-cycles: walking to the step cap took 12.3 s.
+    g = _disjoint_cycles(8000)
+    t0 = time.perf_counter()
+    with pytest.raises(SamplingError, match="disconnected"):
+        aldous_broder(g, seed=0)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_batch_walks_on_disconnected_graph_fail_fast():
     # Two disjoint 100-cycles: no vertex is isolated, yet no walk can cover.
-    edges = list(cycle_graph(100).iter_edges())
-    g = Graph(200, edges + [(u + 100, v + 100) for u, v in edges])
+    g = _disjoint_cycles(100)
     t0 = time.perf_counter()
     with pytest.raises(SamplingError, match="disconnected"):
         tree_edge_frequencies(g, 10_000, 1)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesplice.generators import complete_graph, gnp_graph, path_graph
-from treesplice.graph import SamplingError, cut_edges
+from treesplice.generators import complete_graph, gnp_graph, path_graph, random_regular_graph
+from treesplice.graph import Graph, SamplingError, cut_edges
 from treesplice.sampler import sample_trees
 from treesplice.splice import (
     SPARSIFY_RETRY_CAP,
@@ -34,6 +34,27 @@ def test_union_identical_trees_doubles_multiplicity():
     assert spl.support.m == 2
     assert set(spl.multiplicity.tolist()) == {2}
     assert int(spl.multiplicity.sum()) == 2 * (g.n - 1)
+
+
+@pytest.mark.parametrize(
+    "graph", [complete_graph(12), random_regular_graph(12, 3, seed=2)], ids=["K12", "3-regular"]
+)
+def test_union_matches_plain_python_union(graph):
+    trees = sample_trees(graph, 3, seed=4)
+    counts, ends = {}, {}
+    for t in trees:
+        for v, (p, e) in enumerate(zip(t.parent.tolist(), t.parent_edge.tolist())):
+            if p >= 0:
+                counts[e] = counts.get(e, 0) + 1
+                ends[e] = (min(p, v), max(p, v))
+    eids = sorted(counts)
+    spl = union_trees(trees)
+    assert spl.support == Graph(graph.n, [ends[e] for e in eids])
+    assert spl.multiplicity.dtype == np.int32 and spl.support_base_eids.dtype == np.int64
+    assert spl.multiplicity.tolist() == [counts[e] for e in eids]
+    assert spl.support_base_eids.tolist() == eids
+    if graph.m < 3 * (graph.n - 1):
+        assert spl.multiplicity.max() > 1  # the three trees share edges
 
 
 def test_union_edge_disjoint_trees():
