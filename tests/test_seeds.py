@@ -58,18 +58,17 @@ class _OldBoundedDraws:
 
 
 class _StubGenerator:
-    """Hands out ``head``'s words first, then a constant filler word."""
+    """Hands out ``head``'s words first, then zeros; records each block size."""
 
-    def __init__(self, head, fill=0):
+    def __init__(self, head):
         self.words = list(head)
-        self.fill = fill
         self.sizes = []
 
     def integers(self, low, high, size, dtype):
         assert (low, high, dtype) == (0, 1 << 64, np.uint64)
         self.sizes.append(size)
         out, self.words = self.words[:size], self.words[size:]
-        return np.array(out + [self.fill] * (size - len(out)), dtype=np.uint64)
+        return np.array(out + [0] * (size - len(out)), dtype=np.uint64)
 
 
 def test_word_stream_draws_unbiased_and_deterministic():
