@@ -290,7 +290,7 @@ def sample_cut_subsets(graph: Graph, samples: int, seed: int) -> list[tuple[str,
         for members in _tree_component_subsets(graph, child_seed(seed, "trees"), quota_tree):
             out.append(("tree-component", members))
 
-    nbrs, _ = graph._py_adj
+    nbrs = graph._neighbor_lists
     made = 0
     attempt = 0
     # Radii whose balls keep swallowing every vertex get retired so dense

@@ -5,6 +5,14 @@
 ``DirectedGraph`` holds an arc set over the same vertex ids.  Both are safe
 to share across concurrent readers; all derived structures are cached
 lazily and never mutated afterwards.
+
+The one adjacency layout is ``_csr = (indptr, nbr, eid)``, read-only: row v
+holds v's neighbours (a ``DirectedGraph``'s out-arc heads) and their edge
+ids.  Two views derive from it.  ``_csr_rows`` splits a column into per-vertex
+Python lists, which scalar per-step loops index several times faster than
+numpy arrays; ``Graph._neighbor_lists`` caches the neighbour column so, and
+walks read edge ids back from ``eid`` by row position.  ``Graph._adjacency``
+wraps the arrays as a scipy matrix for csgraph searches, less failed edges.
 """
 
 from __future__ import annotations
@@ -14,6 +22,20 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: shared derived structures are never mutated."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _csr_rows(indptr: np.ndarray, col: np.ndarray) -> list[list[int]]:
+    """One CSR column as fresh per-row Python lists."""
+    return [col[indptr[v] : indptr[v + 1]].tolist() for v in range(indptr.size - 1)]
 
 
 class GraphFormatError(ValueError):
@@ -65,10 +87,7 @@ class Graph:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         lo, hi = _as_edge_arrays(self.n, edges)
-        self._eu = lo.astype(np.int32)
-        self._ev = hi.astype(np.int32)
-        self._eu.setflags(write=False)
-        self._ev.setflags(write=False)
+        self._eu, self._ev = _frozen(lo.astype(np.int32), hi.astype(np.int32))
 
     @property
     def m(self) -> int:
@@ -109,20 +128,31 @@ class Graph:
         order = np.argsort(ends, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
-        return indptr, other[order].astype(np.int32), eids[order]
+        return _frozen(indptr, other[order].astype(np.int32), eids[order])
 
     @cached_property
-    def _py_adj(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Plain-list adjacency, fastest for scalar per-step walk loops."""
+    def _neighbor_lists(self) -> list[list[int]]:
+        """Per-vertex neighbour lists in ``_csr`` row order, for scalar loops."""
+        indptr, nbr, _ = self._csr
+        return _csr_rows(indptr, nbr)
+
+    def _adjacency(self, keep: np.ndarray | None = None) -> sp.csr_matrix:
+        """``_csr`` as a 0/1 scipy matrix; with a boolean per-edge ``keep``
+        mask, the edges it clears are left out."""
         indptr, nbr, eid = self._csr
-        nbrs = [nbr[indptr[v] : indptr[v + 1]].tolist() for v in range(self.n)]
-        eids = [eid[indptr[v] : indptr[v + 1]].tolist() for v in range(self.n)]
-        return nbrs, eids
+        shape = (self.n, self.n)
+        if keep is None:
+            return sp.csr_matrix((np.ones(nbr.size), nbr, indptr), shape=shape)
+        # Copied, as eliminate_zeros compacts the index arrays in place.
+        adj = sp.csr_matrix((keep[eid].astype(float), nbr, indptr), shape=shape, copy=True)
+        adj.eliminate_zeros()
+        return adj
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """List of (neighbor, edge id) pairs for v."""
-        nbrs, eids = self._py_adj
-        return list(zip(nbrs[v], eids[v]))
+        indptr, nbr, eid = self._csr
+        lo, hi = indptr[v], indptr[v + 1]
+        return list(zip(nbr[lo:hi].tolist(), eid[lo:hi].tolist()))
 
     @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
@@ -160,21 +190,11 @@ class Graph:
             return True
         if self.m < self.n - 1:
             return False
-        indptr, nbr, _ = self._csr
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0], dtype=np.int32)
-        while frontier.size:
-            nxt = np.concatenate(
-                [nbr[indptr[v] : indptr[v + 1]] for v in frontier.tolist()]
-            )
-            nxt = nxt[~seen[nxt]]
-            if nxt.size == 0:
-                break
-            nxt = np.unique(nxt)
-            seen[nxt] = True
-            frontier = nxt
-        return bool(seen.all())
+        # The view is symmetric, so a search from 0 reaches all of 0's component.
+        reached = csgraph.breadth_first_order(
+            self._adjacency(), 0, return_predecessors=False
+        )
+        return reached.size == self.n
 
     def walk_step_cap(self) -> int:
         """Safety cap for cover walks: 64 n ln(n) * (max degree / min degree)."""
@@ -226,8 +246,7 @@ class DirectedGraph:
             self.source_eids = np.full(self.tails.shape, -1, dtype=np.int32)
         else:
             self.source_eids = np.asarray(source_eids, dtype=np.int32)
-        for a in (self.tails, self.heads, self.source_eids):
-            a.setflags(write=False)
+        _frozen(self.tails, self.heads, self.source_eids)
 
     @property
     def n_arcs(self) -> int:
@@ -245,19 +264,11 @@ class DirectedGraph:
         order = np.argsort(self.tails, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.out_degrees, out=indptr[1:])
-        return indptr, self.heads[order], self.source_eids[order]
+        return _frozen(indptr, self.heads[order], self.source_eids[order])
 
     def walk_step_cap(self) -> int:
         """Safety cap for oriented walks: 64 n bit_length(n) steps."""
         return 64 * self.n * max(self.n.bit_length(), 1)
-
-    @cached_property
-    def out_adj(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per-vertex (targets, source edge ids), in arc order."""
-        indptr, heads, eids = self._csr
-        targets = [heads[indptr[v] : indptr[v + 1]].tolist() for v in range(self.n)]
-        src = [eids[indptr[v] : indptr[v + 1]].tolist() for v in range(self.n)]
-        return targets, src
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, arcs={self.n_arcs})"

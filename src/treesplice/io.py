@@ -10,6 +10,7 @@ name the offending line.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph, GraphFormatError
 from .sampler import SpanningTree
@@ -106,20 +107,12 @@ def parse_tree(text: str) -> SpanningTree:
     graph = Graph(n, edges)
     if not graph.is_connected():
         raise GraphFormatError("edges do not form a spanning tree", 1)
-    parent = np.full(n, -1, dtype=np.int32)
+    pred = csgraph.breadth_first_order(graph._adjacency(), root)[1]
+    parent = np.maximum(pred, -1).astype(np.int32)
+    # A tree edge is the parent edge of whichever end has the other as parent.
+    child = np.where(parent[graph.edge_v] == graph.edge_u, graph.edge_v, graph.edge_u)
     parent_edge = np.full(n, -1, dtype=np.int32)
-    nbrs, eids = graph._py_adj
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w, e in zip(nbrs[v], eids[v]):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                parent_edge[w] = e
-                stack.append(w)
+    parent_edge[child] = np.arange(graph.m)
     return SpanningTree(root, parent, parent_edge)
 
 

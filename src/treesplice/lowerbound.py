@@ -51,7 +51,7 @@ class LowerBoundFamily:
 def _neighborhood(base: Graph, vertices: tuple[int, ...]) -> list[int]:
     inside = set(vertices)
     out: set[int] = set()
-    nbrs, _ = base._py_adj
+    nbrs = base._neighbor_lists
     for v in vertices:
         out.update(nbrs[v])
     return sorted(out - inside)
@@ -73,7 +73,7 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
     if ell < 1:
         raise ValueError("need ell >= 1")
     base = hamiltonian_regular_graph(n, d, child_seed(seed, "expander"))
-    nbrs, _ = base._py_adj
+    nbrs = base._neighbor_lists
 
     n_segments = n // ell
     closures: list[set[int]] = []

@@ -187,18 +187,6 @@ class ReliabilitySummary:
         ]
 
 
-def _adjacency_csr(
-    graph: Graph, keep: np.ndarray | slice = slice(None)
-) -> sp.csr_matrix:
-    eu = graph.edge_u[keep]
-    ev = graph.edge_v[keep]
-    ones = np.ones(eu.size)
-    return sp.csr_matrix(
-        (np.concatenate([ones, ones]), (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-        shape=(graph.n, graph.n),
-    )
-
-
 def reliability_experiment(
     graph: Graph,
     k: int,
@@ -236,7 +224,7 @@ def reliability_experiment(
         offs = p_rng.integers(1, n, size=pairs)
         dsts = (srcs + offs) % n
         labels = csgraph.connected_components(
-            _adjacency_csr(graph, ~fail_mask), directed=False
+            graph._adjacency(~fail_mask), directed=False
         )[1]
         delivered = 0
         hop_total = 0
@@ -334,8 +322,8 @@ def stretch_stats(
     far = ~np.isin(pair_codes, base_codes)
     d_base = np.ones(pairs)
     if far.any():
-        d_base[far] = _bfs_pairs(_adjacency_csr(graph), srcs[far], dsts[far])
-    sup_adj = _adjacency_csr(support)
+        d_base[far] = _bfs_pairs(graph._adjacency(), srcs[far], dsts[far])
+    sup_adj = support._adjacency()
     diameter: int | None = None
     if n <= DIAMETER_MAX_N:
         full = csgraph.shortest_path(sup_adj, method="D", unweighted=True)

@@ -23,10 +23,14 @@ cover keeps a -1 in its row.  Callers reduce the rows to what they count:
 samplers remain for single long walks and for walks on a fresh orientation
 per run.
 
-The scalar walks apply ``seeds.below``'s exact rule inline to raw words from
-``seeds.word_stream``; a word below 2^64 minus the walk's largest bound passes
-for every bound, so only the top few words reach the exact limit.  The
-lockstep engine draws differently, with ``Generator.integers`` on array bounds.
+Every walk reads the graph's CSR.  ``aldous_broder`` steps through the cached
+neighbour lists, keeps each first entry's row position and gathers the edge
+ids from the CSR after the walk; ``process_bp_on`` permutes list rows it
+slices afresh per call.  Both apply ``seeds.below``'s exact rule inline to raw
+words from ``seeds.word_stream``; a word below 2^64 minus the walk's largest
+bound passes for every bound, so only the top few words reach the exact limit.
+The lockstep engine draws differently, with ``Generator.integers`` on array
+bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, Graph, SamplingError
+from .graph import DirectedGraph, Graph, SamplingError, _csr_rows
 from .generators import direct_edges_dp
 from .seeds import WORDS, child_seed, substream, word_stream
 
@@ -160,8 +164,9 @@ def aldous_broder(
         raise SamplingError("graph is disconnected; the walk cannot cover")
     word = word_stream(substream(seed, "aldous-broder"))
     safe = WORDS - int(graph.degrees.max())
-    nbrs, eids = graph._py_adj
-    parent, parent_edge, first_visit = [-1] * n, [-1] * n, [-1] * n
+    nbrs = graph._neighbor_lists
+    # slot[v]: position, in its parent's row, of the edge that first entered v.
+    parent, slot, first_visit = [-1] * n, [-1] * n, [-1] * n
     first_visit[start] = 0
     trace = [start]
     append = trace.append
@@ -180,14 +185,17 @@ def aldous_broder(
         if first_visit[nxt] < 0:
             first_visit[nxt] = step
             parent[nxt] = cur
-            parent_edge[nxt] = eids[cur][j]
+            slot[nxt] = j
             unvisited -= 1
             if not unvisited:
                 break
         cur = nxt
     else:
         raise SamplingError(f"walk did not cover within {cap} steps")
-    tree = SpanningTree(start, np.array(parent, np.int32), np.array(parent_edge, np.int32))
+    indptr, _, eid = graph._csr
+    parent_edge = eid[indptr[parent] + slot]
+    parent_edge[start] = -1
+    tree = SpanningTree(start, np.array(parent, np.int32), parent_edge)
     return tree, WalkTrace(np.array(trace, np.int32), np.array(first_visit, np.int64))
 
 
@@ -385,11 +393,7 @@ class ProcessBResult:
 
 
 def process_bp_on(
-    oriented: DirectedGraph,
-    seed: int,
-    start: int = 0,
-    phases: int = 1,
-    step_cap: int | None = None,
+    oriented: DirectedGraph, seed: int, start: int = 0, phases: int = 1
 ) -> ProcessBResult:
     """Run the oriented-walk process on an existing orientation.
 
@@ -400,7 +404,8 @@ def process_bp_on(
     phase keeps the first-entry arcs until cover; the next phase roots its
     tree at the current vertex, and traversed-arc state carries over.  The
     walk stops with no further tree when every out-arc at the current vertex
-    has been traversed before cover.
+    has been traversed before cover, and raises SamplingError after
+    ``phases * oriented.walk_step_cap()`` steps without cover.
     """
     n = oriented.n
     if n < 2:
@@ -409,13 +414,12 @@ def process_bp_on(
         raise ValueError("start vertex out of range")
     if phases < 1:
         raise ValueError("phases must be >= 1")
-    targets, srcs = oriented.out_adj
-    targets = [t[:] for t in targets]
-    srcs = [s[:] for s in srcs]
+    indptr, heads, eids = oriented._csr
+    targets, srcs = _csr_rows(indptr, heads), _csr_rows(indptr, eids)
     d1 = [0] * n
     word = word_stream(substream(seed, "walk"))
     safe = WORDS - int(oriented.out_degrees.max(initial=0)) * (n - 1)
-    cap = step_cap if step_cap is not None else phases * oriented.walk_step_cap()
+    cap = phases * oriented.walk_step_cap()
     cur = start
     steps = 0
     trees = []
@@ -477,5 +481,4 @@ def process_bp(
     every outgoing arc at the current vertex has been traversed before cover.
     """
     oriented = direct_edges_dp(graph, p, child_seed(seed, "orient"))
-    cap = phases * max(graph.walk_step_cap(), 64 * graph.n)
-    return process_bp_on(oriented, seed, start, phases, step_cap=cap)
+    return process_bp_on(oriented, seed, start, phases)

@@ -192,6 +192,58 @@ def test_walk_step_cap_scales():
     assert cap >= 64 * 16 * math.log(16)
 
 
+def _union_find_components(n, edges):
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    return len({find(v) for v in range(n)})
+
+
+def test_is_connected_matches_union_find_near_the_threshold():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for t in range(100):
+        n = int(rng.integers(2, 60))
+        # Mean degree around ln n: both outcomes are common.
+        g = gnp_graph(n, float(rng.uniform(0.5, 1.5)) * math.log(n) / n, seed=t)
+        parts = _union_find_components(n, g.iter_edges())
+        assert g.is_connected() == (parts == 1)
+        seen.add((parts == 1, bool((g.degrees == 0).any()), g.m >= n - 1))
+    # Connected graphs, graphs with an isolated vertex, and disconnected
+    # graphs with enough edges to span all occur.
+    assert {(True, False, True), (False, True, True), (False, False, True)} <= seen
+    # Two triangles: m = n, yet disconnected.
+    assert not Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).is_connected()
+
+
+def test_masked_adjacency_drops_failed_edges():
+    from scipy.sparse.csgraph import connected_components
+
+    g = gnp_graph(30, 0.3, seed=2)
+    assert g.is_connected()
+    few = np.random.default_rng(3).random(g.m) < 0.1
+    kept = [e for e, k in zip(g.iter_edges(), few) if k]
+    cases = [
+        (np.ones(g.m, bool), 1),
+        (np.zeros(g.m, bool), g.n),
+        (few, _union_find_components(g.n, kept)),
+    ]
+    before = [a.tobytes() for a in g._csr]
+    for keep, parts in cases:
+        adj = g._adjacency(keep)
+        assert adj.nnz == 2 * int(keep.sum())
+        assert connected_components(adj, directed=False)[0] == parts
+    assert connected_components(g._adjacency(), directed=False)[0] == 1
+    assert [a.tobytes() for a in g._csr] == before
+
+
 def test_isolated_vertex_walks_fail():
     from treesplice.sampler import aldous_broder
 

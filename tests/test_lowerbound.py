@@ -66,7 +66,7 @@ def test_event_detected_on_crafted_trace():
     start = fam.start_vertex()
     # Walk straight to the ring, sweep it, then step into the segment.
     g = fam.graph
-    nbrs, _ = g._py_adj
+    nbrs = g._neighbor_lists
     # BFS path from start to ring[0] avoiding the closure until arrival.
     from collections import deque
 

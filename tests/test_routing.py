@@ -16,7 +16,6 @@ from treesplice.generators import (
 )
 from treesplice.graph import Graph
 from treesplice.routing import (
-    _adjacency_csr,
     _bfs_pairs,
     build_routing,
     reliability_experiment,
@@ -302,4 +301,4 @@ def test_pair_bfs_runs_sources_in_memory_bounded_blocks():
     rng = np.random.default_rng(7)
     srcs, dsts = rng.integers(0, n, size=(2, 1500))
     gap = np.abs(srcs - dsts)
-    assert np.array_equal(_bfs_pairs(_adjacency_csr(g), srcs, dsts), np.minimum(gap, n - gap))
+    assert np.array_equal(_bfs_pairs(g._adjacency(), srcs, dsts), np.minimum(gap, n - gap))

@@ -167,6 +167,35 @@ def test_process_bp_failure_reports_stuck_vertex():
     assert failed.steps_taken >= 0
 
 
+def test_oriented_walks_raise_at_the_orientation_step_cap(monkeypatch):
+    # K_6 needs 5 steps to cover, and no vertex runs out of its 5 out-arcs
+    # within 3 steps, so a cap of 2 is what stops the walk.
+    monkeypatch.setattr(DirectedGraph, "walk_step_cap", lambda self: 2)
+    g = complete_graph(6)
+    with pytest.raises(SamplingError, match="without cover"):
+        process_bp(g, 1.0, seed=1)
+    with pytest.raises(SamplingError, match="without cover"):
+        process_bp_on(direct_edges_dp(g, 1.0, seed=3), seed=1)
+
+
+def test_process_bp_on_leaves_the_orientation_unchanged():
+    # Each call permutes its own copy of the out-arc rows, so a second walk
+    # with the same seed repeats the first one exactly.
+    oriented = direct_edges_dp(complete_graph(30), 0.6, seed=1)
+    before = [a.tobytes() for a in oriented._csr]
+    runs = [process_bp_on(oriented, seed=2, phases=2) for _ in range(2)]
+    assert [a.tobytes() for a in oriented._csr] == before
+    first, second = runs
+    assert first.success and len(first.trees) == 2
+    assert (second.success, second.stuck_vertex, second.steps_taken) == (
+        first.success, first.stuck_vertex, first.steps_taken
+    )
+    for a, b in zip(first.trees, second.trees):
+        assert a.root == b.root
+        assert np.array_equal(a.parent, b.parent)
+        assert np.array_equal(a.parent_edge, b.parent_edge)
+
+
 def test_process_bp_rejects_bad_arguments():
     g = complete_graph(6)
     with pytest.raises(ValueError):
