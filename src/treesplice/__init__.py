@@ -2,9 +2,9 @@
 
 from .graph import (
     ConvergenceError,
-    DirectedGraph,
     Graph,
     GraphFormatError,
+    Orientation,
     SamplingError,
     cut_edges,
 )

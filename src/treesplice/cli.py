@@ -174,8 +174,7 @@ def _cmd_verify(args) -> int:
         from .sampler import _tree_masks
         from .seeds import substream
 
-        count = spanning_tree_count(g)
-        if g.m > ENUMERATION_EDGE_CAP or count > 4096:
+        if g.m > ENUMERATION_EDGE_CAP or (count := spanning_tree_count(g)) > 4096:
             raise ValueError("uniformity check needs an enumerable tree space")
         trees = enumerate_trees(g)
         masks, _ = _tree_masks(g, args.trials, substream(args.seed, "uniformity"), np.arange(g.m))

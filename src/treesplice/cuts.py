@@ -36,6 +36,7 @@ EXACT_SCAN_MAX_N = 24
 _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
 _SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
 _SCAN_BYTES_PER_SUBSET = 80  # tracemalloc peak of a block, per subset, at n = 24
+_LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2 above the dense-solve size
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,12 @@ def evaluate_subset(graph: Graph, subset, kind: str) -> float:
     return len(out - inside) / len(subset)
 
 
-def spectral_lower_bound(obj, tol: float = 1e-8, maxiter: int | None = None) -> float:
+def spectral_lower_bound(obj) -> float:
     """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
 
     Computed by Lanczos iteration on the Laplacian with the constant vector
     deflated by a rank-one shift; small instances fall back to a dense solve.
-    Non-convergence at the iteration cap raises ConvergenceError.
+    Non-convergence at ARPACK's iteration cap (10 n) raises ConvergenceError.
     """
     graph = _as_graph(obj)
     if graph.n < 2:
@@ -223,9 +224,8 @@ def spectral_lower_bound(obj, tol: float = 1e-8, maxiter: int | None = None) -> 
             op,
             k=1,
             which="SA",
-            tol=tol,
+            tol=_LANCZOS_TOL,
             v0=v0,
-            maxiter=maxiter,
             return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:

@@ -33,6 +33,7 @@ from .lowerbound import (
     lower_bound_family,
     validate_family,
 )
+from . import routing
 from .routing import reliability_experiment, stretch_stats
 from .sampler import aldous_broder, process_bp
 from .seeds import child_seed, substream
@@ -337,6 +338,10 @@ def _run_tail_bound(cfg: ExperimentConfig):
 
 def _run_stretch(cfg: ExperimentConfig):
     n, pairs = cfg.n, cfg.samples
+    if n > routing.DIAMETER_MAX_N:
+        raise ValueError(
+            f"stretch-diameter measures exact diameters up to n = {routing.DIAMETER_MAX_N}"
+        )
     small = max(n // 4, 8)
     diameter_cap = 4.0 * math.log2(n)
     rows = []

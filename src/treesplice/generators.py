@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .graph import DirectedGraph, Graph, SamplingError
+from .graph import Graph, Orientation, SamplingError
 from .seeds import substream
 
 _REGULAR_RETRY_CAP = 1000
@@ -171,20 +171,14 @@ def arc_probability(p: float) -> float:
     return 1.0 - math.sqrt(1.0 - p)
 
 
-def direct_edges_dp(graph: Graph, p: float, seed: int) -> DirectedGraph:
+def direct_edges_dp(graph: Graph, p: float, seed: int) -> Orientation:
     """Randomly orient every edge of ``graph``: both ways, forward, or backward.
 
     The three outcomes have probabilities calibrated so that, when the input
     is itself a G(n,p) sample, each arc of the result appears independently
-    with probability q = 1 - sqrt(1-p).  Arcs remember their source edge id.
+    with probability q = 1 - sqrt(1-p).
     """
     both, single, _ = orientation_probabilities(p)
     rng = substream(seed, "direct-edges")
     r = rng.random(graph.m)
-    keep_fwd = r < both + single
-    keep_bwd = (r < both) | (r >= both + single)
-    eids = np.arange(graph.m, dtype=np.int32)
-    tails = np.concatenate([graph.edge_u[keep_fwd], graph.edge_v[keep_bwd]])
-    heads = np.concatenate([graph.edge_v[keep_fwd], graph.edge_u[keep_bwd]])
-    srcs = np.concatenate([eids[keep_fwd], eids[keep_bwd]])
-    return DirectedGraph(graph.n, tails, heads, srcs)
+    return Orientation(graph, r < both + single, (r < both) | (r >= both + single))

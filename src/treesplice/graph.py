@@ -2,24 +2,25 @@
 
 ``Graph`` is an immutable undirected simple graph with dense edge ids
 (assigned in construction order and stable for the object's lifetime).
-``DirectedGraph`` holds an arc set over the same vertex ids.  Both are safe
+``Orientation`` directs a graph's edges by two per-edge masks.  Both are safe
 to share across concurrent readers; all derived structures are cached
 lazily and never mutated afterwards.
 
-The one adjacency layout is ``_csr = (indptr, nbr, eid)``, read-only: row v
-holds v's neighbours (a ``DirectedGraph``'s out-arc heads) and their edge
-ids.  Two views derive from it.  ``_csr_rows`` splits a column into per-vertex
-Python lists, which scalar per-step loops index several times faster than
-numpy arrays; ``Graph._neighbor_lists`` caches the neighbour column so, and
-walks read edge ids back from ``eid`` by row position.  ``Graph._adjacency``
-wraps the arrays as a scipy matrix for csgraph searches, less failed edges.
+The one adjacency layout is ``Graph._csr = (indptr, nbr, eid)``, read-only:
+row v holds v's neighbours and their edge ids.  The views derive from it.  An
+``Orientation``'s ``_csr`` keeps, row by row and in order, the entries whose
+arc its masks allow.  ``_csr_rows`` splits a column into per-vertex Python
+lists, which scalar per-step loops index several times faster than numpy
+arrays; ``Graph._neighbor_lists`` caches the neighbour column so, and walks
+read edge ids back from ``eid`` by row position.  ``Graph._adjacency`` wraps
+the arrays as a scipy matrix for csgraph searches, less failed edges.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -222,56 +223,56 @@ class Graph:
         return hash((self.n, self._eu.tobytes(), self._ev.tobytes()))
 
 
-class DirectedGraph:
-    """Arc set over vertices 0..n-1; optionally tagged with source edge ids."""
+class Orientation:
+    """A choice of directions for the edges of ``graph``.
 
-    def __init__(
-        self,
-        n: int,
-        tails: np.ndarray | Sequence[int],
-        heads: np.ndarray | Sequence[int],
-        source_eids: np.ndarray | Sequence[int] | None = None,
-    ):
-        self.n = int(n)
-        self.tails = np.asarray(tails, dtype=np.int32)
-        self.heads = np.asarray(heads, dtype=np.int32)
-        if self.tails.shape != self.heads.shape:
-            raise ValueError("tails and heads must have equal length")
-        if self.tails.size and (
-            min(self.tails.min(), self.heads.min()) < 0
-            or max(self.tails.max(), self.heads.max()) >= self.n
-        ):
-            raise ValueError("arc endpoint out of range")
-        if source_eids is None:
-            self.source_eids = np.full(self.tails.shape, -1, dtype=np.int32)
-        else:
-            self.source_eids = np.asarray(source_eids, dtype=np.int32)
-        _frozen(self.tails, self.heads, self.source_eids)
+    Edge e (u < v) gives the arc u->v if ``forward[e]`` and v->u if
+    ``backward[e]``; both, one or neither may hold.  The masks are read-only
+    copies, and the arcs' edge ids are the base graph's.
+    """
+
+    def __init__(self, graph: Graph, forward, backward):
+        self.graph = graph
+        self.forward = np.array(forward, dtype=bool)
+        self.backward = np.array(backward, dtype=bool)
+        if self.forward.shape != (graph.m,) or self.backward.shape != (graph.m,):
+            raise ValueError(f"direction masks must have one entry per edge ({graph.m})")
+        _frozen(self.forward, self.backward)
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def m(self) -> int:
+        return self.graph.m
 
     @property
     def n_arcs(self) -> int:
-        return int(self.tails.shape[0])
+        return int(self.forward.sum() + self.backward.sum())
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
-        deg = np.bincount(self.tails, minlength=self.n)
+        deg = np.diff(self._csr[0])
         deg.setflags(write=False)
         return deg
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, heads, source edge ids) of the out-arcs, in arc order."""
-        order = np.argsort(self.tails, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.out_degrees, out=indptr[1:])
-        return _frozen(indptr, self.heads[order], self.source_eids[order])
+        """(indptr, heads, edge ids) of the out-arcs: each base row, filtered."""
+        indptr, nbr, eid = self.graph._csr
+        tail = np.repeat(np.arange(self.n), np.diff(indptr))
+        keep = np.where(nbr > tail, self.forward[eid], self.backward[eid])
+        out = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail[keep], minlength=self.n), out=out[1:])
+        return _frozen(out, nbr[keep], eid[keep])
 
     def walk_step_cap(self) -> int:
         """Safety cap for oriented walks: 64 n bit_length(n) steps."""
         return 64 * self.n * max(self.n.bit_length(), 1)
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(n={self.n}, arcs={self.n_arcs})"
+        return f"Orientation(n={self.n}, arcs={self.n_arcs})"
 
 
 def cut_edges(graph: Graph, subset) -> np.ndarray:

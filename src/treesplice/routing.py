@@ -4,8 +4,8 @@ Each spanning tree routes by its DFS entry/exit clocks (interval routing,
 Santoro & Khatib 1985): the next hop from v to dst is the child of v whose
 [tin, tout) holds dst, or else v's parent, so routing state is O(k*n).  Under
 edge failures a route follows its current tree until blocked, then retries the
-other trees in seeded-random (or round-robin) order; a (vertex, tree) pair is
-never re-entered, which bounds looping.
+other trees in seeded-random order; a (vertex, tree) pair is never re-entered,
+which bounds looping.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def route(
     src: int,
     dst: int,
     failed=(),
-    policy: str = "random",
     hop_cap: int | None = None,
     seed: int = 0,
 ) -> RouteResult:
@@ -93,9 +92,9 @@ def route(
 
     ``failed`` holds (u, v) tuples in either orientation.  At each vertex the
     current tree's next hop is taken if its edge is alive; otherwise the other
-    trees are tried in seeded-random order (policy "random") or cyclically
-    (policy "round-robin").  The route fails when every tree's next hop is
-    dead, when a (vertex, tree) state repeats, or at the hop cap (default 4n).
+    trees are tried in seeded-random order.  The route fails when every tree's
+    next hop is dead, when a (vertex, tree) state repeats, or at the hop cap
+    (default 4n).
     """
     n = state.n
     k = state.k
@@ -118,17 +117,12 @@ def route(
     while cur != dst:
         if hops >= hop_cap:
             return RouteResult(False, hops, switches, tuple(path))
-        order = [tree] + [t for t in range(k) if t != tree]
-        if policy == "random" and k > 1:
-            rest = order[1:]
-            for i in range(len(rest) - 1, 0, -1):
-                j = below(word, i + 1)
-                rest[i], rest[j] = rest[j], rest[i]
-            order = order[:1] + rest
-        elif policy not in ("random", "round-robin"):
-            raise ValueError(f"unknown policy {policy!r}")
+        rest = [t for t in range(k) if t != tree]
+        for i in range(len(rest) - 1, 0, -1):
+            j = below(word, i + 1)
+            rest[i], rest[j] = rest[j], rest[i]
         moved = False
-        for t in order:
+        for t in [tree] + rest:
             nh = state.next_hop(t, cur, dst)
             if (cur, nh) in dead or (nh, cur) in dead:
                 continue

@@ -16,19 +16,21 @@ is the vectorized engine behind the Monte Carlo estimators.  It runs many
 independent first-visit walks in lockstep under one of two step rules, chosen
 by the graph type: the uniform-neighbour rule of ``aldous_broder`` on a
 ``Graph``, and the traversed-arc rule of ``process_bp_on`` on a fixed
-``DirectedGraph``.  It yields the walks' trees, one row of first-entry edge
+``Orientation``.  It yields the walks' trees, one row of first-entry edge
 ids per walk, a chunk at a time; a walk with no untraversed arc left before
 cover keeps a -1 in its row.  Callers reduce the rows to what they count:
 ``_tree_edge_counts`` per edge, ``_tree_masks`` per walk.  The scalar
 samplers remain for single long walks and for walks on a fresh orientation
 per run.
 
-Every walk reads the graph's CSR.  ``aldous_broder`` steps through the cached
-neighbour lists, keeps each first entry's row position and gathers the edge
-ids from the CSR after the walk; ``process_bp_on`` permutes list rows it
-slices afresh per call.  Both apply ``seeds.below``'s exact rule inline to raw
-words from ``seeds.word_stream``; a word below 2^64 minus the walk's largest
-bound passes for every bound, so only the top few words reach the exact limit.
+Every walk reads the graph's CSR; an orientation's is its base graph's, with
+the rows filtered by the direction masks.  ``aldous_broder`` steps through
+the cached neighbour lists, keeps each first entry's row position and gathers
+the edge ids from the CSR after the walk; ``process_bp_on`` permutes list
+rows it slices afresh per call.  Both apply ``seeds.below``'s exact rule
+inline to raw words from ``seeds.word_stream``; a word below 2^64 minus the
+walk's largest bound passes for every bound, so only the top few words reach
+the exact limit.
 The lockstep engine draws differently, with ``Generator.integers`` on array
 bounds.
 """
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, Graph, SamplingError, _csr_rows
+from .graph import Graph, Orientation, SamplingError, _csr_rows
 from .generators import direct_edges_dp
 from .seeds import WORDS, child_seed, substream, word_stream
 
@@ -217,7 +219,7 @@ _BATCH_BYTES = 16 << 20
 
 
 def _cover_walk_trees(
-    graph: Graph | DirectedGraph, trials: int, rng: np.random.Generator, start: int = 0
+    graph: Graph | Orientation, trials: int, rng: np.random.Generator, start: int = 0
 ):
     """Run many first-visit cover walks in lockstep; yield their trees by chunk.
 
@@ -232,11 +234,11 @@ def _cover_walk_trees(
                        graph, and each row is a uniform spanning tree.  A
                        disconnected graph raises SamplingError before any
                        walk starts.
-      DirectedGraph -- traversed-arc rule of ``process_bp_on``: each old arc
+      Orientation   -- traversed-arc rule of ``process_bp_on``: each old arc
                        out of the current vertex has probability 1/(n-1), the
                        rest splits evenly over new arcs.  A walk whose current
                        vertex has no untraversed arc before cover stops, and
-                       its row keeps a -1.  Edge ids are the arcs' source ids.
+                       its row keeps a -1.  Edge ids are the base graph's.
 
     Walks run in chunks sized from the ``_BATCH_BYTES`` budget.  Per walk a
     chunk holds the ``first`` row (n bytes below 127 edges, 2n below 32767),
@@ -254,19 +256,13 @@ def _cover_walk_trees(
         raise ValueError("trials must be >= 1")
     if not 0 <= start < n:
         raise ValueError("start vertex out of range")
-    oriented = isinstance(graph, DirectedGraph)
+    oriented = isinstance(graph, Orientation)
     indptr, heads, arc_eids = graph._csr
     deg = np.diff(indptr)
     cap = graph.walk_step_cap()
-    if oriented:
-        if (arc_eids < 0).any():
-            raise ValueError("batch walks need arcs tagged with source edge ids")
-        m = 1 + int(arc_eids.max(initial=-1))
-    else:
-        if not graph.is_connected():
-            raise SamplingError("graph is disconnected; walks cannot cover")
-        m = graph.m
-    first_t = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > m)
+    if not oriented and not graph.is_connected():
+        raise SamplingError("graph is disconnected; walks cannot cover")
+    first_t = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > graph.m)
     row = n * np.dtype(first_t).itemsize + _STEP_TEMP_BYTES
     if oriented:
         arcs = heads.size
@@ -341,15 +337,16 @@ def _tree_edge_counts(
 
 
 def _tree_masks(
-    graph: Graph | DirectedGraph, trials: int, rng: np.random.Generator, ids, start: int = 0
+    graph: Graph | Orientation, trials: int, rng: np.random.Generator, ids, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per walk, a bitmask of the listed edge ids (at most 64) in its tree, and
     whether the walk got stuck before cover (only under the oriented rule)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size > 64:
         raise ValueError("can mask at most 64 edges")
-    size = 1 + max(int(graph._csr[2].max(initial=-1)), int(ids.max(initial=-1)))
-    bit = np.zeros(size + 2, dtype=np.uint64)  # -1 and -2 index the two zeros
+    if ids.size and not (0 <= ids.min() and ids.max() < graph.m):
+        raise ValueError(f"edge ids must lie in [0, {graph.m})")
+    bit = np.zeros(graph.m + 2, dtype=np.uint64)  # -1 and -2 index the two zeros
     bit[ids] = np.uint64(1) << np.arange(ids.size, dtype=np.uint64)
     masks, stuck = [], []
     for first in _cover_walk_trees(graph, trials, rng, start):
@@ -393,7 +390,7 @@ class ProcessBResult:
 
 
 def process_bp_on(
-    oriented: DirectedGraph, seed: int, start: int = 0, phases: int = 1
+    oriented: Orientation, seed: int, start: int = 0, phases: int = 1
 ) -> ProcessBResult:
     """Run the oriented-walk process on an existing orientation.
 

@@ -315,19 +315,16 @@ def coupling_distance_estimate(
 ) -> float:
     """Upper bound / estimate of the gap between oriented-walk trees and uniform.
 
-    For n <= 8 the spanning-tree space of K_n is enumerable (n^(n-2) cells), so
-    the total variation distance between the empirical oriented-walk tree
-    distribution and the exact uniform distribution is computed directly, with
-    failed runs counted as their own outcome mass.  The oriented walk never
-    draws a tree with probability above the uniform 1/n^(n-2), so this TV is
-    P(fail): below p = 1 the estimate is the failure fraction of the trials
-    (while no tree's share overshoots 1/n^(n-2)), and it says nothing about
-    how the successful trees are spread.  At p = 1 no walk can strand, since
-    stranding at v needs all n - 1 of v's out-arcs traversed, which visits
-    every vertex, and each step is uniform over the n - 1 arcs; there the TV is
-    sampling noise alone.  Above n = 8, the empirical failure frequency over
-    fresh G(n, p) instances is returned; the two walks can be coupled until a
-    failure, so that frequency bounds the distance.
+    At p = 1 and n <= 8 the spanning-tree space of K_n is enumerable
+    (n^(n-2) cells), so the total variation distance between the empirical
+    oriented-walk tree distribution and the exact uniform distribution is
+    computed directly.  No walk can strand there, since stranding at v needs
+    all n - 1 of v's out-arcs traversed, which visits every vertex, and each
+    step is uniform over the n - 1 arcs; the TV is sampling noise alone.
+    Otherwise the estimate is the failure fraction over fresh G(n, p) hosts:
+    the two walks can be coupled until a failure, so that fraction bounds the
+    distance.  The oriented walk never draws a tree above the uniform
+    1/n^(n-2), so a TV estimate would read this same fraction.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -335,30 +332,15 @@ def coupling_distance_estimate(
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n <= 8:
-        total_trees = n ** (n - 2)
-        if p >= 1.0:
-            host = complete_graph(n)
-            oriented = direct_edges_dp(host, 1.0, child_seed(seed, "orient"))
-            # The mask over all edge ids is the tree's key.
-            masks, stuck = _tree_masks(
-                oriented, trials, substream(seed, "coupling"), np.arange(host.m), start
-            )
-            counts = np.unique(masks[~stuck], return_counts=True)[1].tolist()
-            failures = int(stuck.sum())
-        else:
-            tally: dict[tuple, int] = {}
-            failures = 0
-            for t in range(trials):
-                host = gnp_graph(n, p, child_seed(seed, "host", t))
-                res = process_bp(host, p, child_seed(seed, "trial", t), start)
-                if res.success:
-                    key = tuple(sorted(res.trees[0].edges()))
-                    tally[key] = tally.get(key, 0) + 1
-                else:
-                    failures += 1
-            counts = list(tally.values())
-        return uniform_tv_distance(counts, trials, total_trees, failures)
+    if n <= 8 and p >= 1.0:
+        host = complete_graph(n)
+        oriented = direct_edges_dp(host, 1.0, child_seed(seed, "orient"))
+        # The mask over all edge ids is the tree's key.
+        masks, stuck = _tree_masks(
+            oriented, trials, substream(seed, "coupling"), np.arange(host.m), start
+        )
+        counts = np.unique(masks[~stuck], return_counts=True)[1].tolist()
+        return uniform_tv_distance(counts, trials, n ** (n - 2), int(stuck.sum()))
     failures = 0
     for t in range(trials):
         host = gnp_graph(n, p, child_seed(seed, "host", t))

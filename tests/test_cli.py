@@ -163,6 +163,21 @@ def test_verify_checks(tmp_path, capsys):
     assert run(["verify", "--check", "coupling"]) == 2  # missing --n
 
 
+def test_uniformity_check_tests_the_edge_cap_before_counting_trees(
+    tmp_path, capsys, monkeypatch
+):
+    from treesplice import linalg
+
+    def no_count(graph):
+        raise AssertionError("tree count run on a graph above the edge cap")
+
+    monkeypatch.setattr(linalg, "spanning_tree_count", no_count)
+    gpath = tmp_path / "k7.txt"
+    assert run(["generate", "--kind", "complete", "--n", "7", "--out", str(gpath)]) == 0
+    assert run(["verify", "--check", "uniformity", "--graph", str(gpath)]) == 2
+    assert "enumerable" in capsys.readouterr().err
+
+
 def test_route_sim_csv(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     assert run(["generate", "--kind", "complete", "--n", "24", "--out", str(gpath)]) == 0
@@ -211,6 +226,23 @@ def test_preset_cli_with_config_and_exit_codes(tmp_path):
     assert run(["preset"]) == 2
     # Conflicting names: config says tail-bound.
     assert run(["preset", "stretch-diameter", "--config", str(cfgpath)]) == 2
+
+
+def test_stretch_preset_above_the_diameter_cap_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    from treesplice import experiments, routing
+
+    def no_graph(n):
+        raise AssertionError("K_n built for an n above the diameter cap")
+
+    monkeypatch.setattr(routing, "DIAMETER_MAX_N", 16)
+    monkeypatch.setattr(experiments, "complete_graph", no_graph)
+    cfgpath = tmp_path / "cfg.txt"
+    cfgpath.write_text("preset=stretch-diameter\nn=32\ntrials=1\nsamples=10\n")
+    assert run(["preset", "--config", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n = 16" in err
 
 
 def test_preset_rerun_byte_identical_across_processes(tmp_path):

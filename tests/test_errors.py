@@ -3,7 +3,7 @@
 import pytest
 
 from treesplice.generators import complete_graph, gnp_graph, path_graph
-from treesplice.graph import DirectedGraph, Graph, SamplingError
+from treesplice.graph import Graph, Orientation, SamplingError
 from treesplice.lowerbound import lower_bound_family
 from treesplice.routing import reliability_experiment, stretch_stats
 from treesplice.sampler import process_bp_on, sample_trees
@@ -17,7 +17,7 @@ def test_lower_bound_family_too_tight_is_sampling_error():
 
 
 def test_process_walk_with_no_out_arcs_fails_immediately():
-    oriented = DirectedGraph(3, [1], [2])  # vertex 0 has no way out
+    oriented = Orientation(Graph(3, [(1, 2)]), [True], [False])  # 0 has no way out
     res = process_bp_on(oriented, seed=1, start=0)
     assert not res.success
     assert res.stuck_vertex == 0

@@ -16,7 +16,7 @@ from treesplice.generators import (
     random_regular_graph,
     star_graph,
 )
-from treesplice.graph import Graph, SamplingError, cut_edges
+from treesplice.graph import Graph, Orientation, SamplingError, cut_edges
 
 
 def test_graph_rejects_self_loop_and_duplicates():
@@ -161,6 +161,43 @@ def test_direct_edges_p1_is_both_directions():
     d = direct_edges_dp(h, 1.0, seed=5)
     assert d.n_arcs == 2 * h.m
     assert set(d.out_degrees.tolist()) == {11}
+
+
+@pytest.mark.parametrize("p", [0.3, 0.8])
+def test_orientation_rows_are_the_base_rows_filtered_in_order(p):
+    g = gnp_graph(30, 0.4, seed=3)
+    d = direct_edges_dp(g, p, seed=4)
+    indptr, heads, eids = d._csr
+    rows = [
+        list(zip(heads[lo:hi].tolist(), eids[lo:hi].tolist()))
+        for lo, hi in zip(indptr[:-1], indptr[1:])
+    ]
+    fwd, bwd = d.forward.tolist(), d.backward.tolist()
+    want = [
+        [(w, e) for w, e in g.neighbors(v) if (fwd[e] if w > v else bwd[e])]
+        for v in range(g.n)
+    ]
+    assert rows == want
+    assert d.out_degrees.tolist() == [len(r) for r in want]
+    assert d.n_arcs == sum(fwd) + sum(bwd) == heads.size
+    assert 0 < sum(fwd) < g.m and 0 < sum(bwd) < g.m
+
+
+def test_orientation_at_p1_keeps_every_base_row_whole():
+    g = gnp_graph(25, 0.5, seed=6)
+    d = direct_edges_dp(g, 1.0, seed=7)
+    for got, base in zip(d._csr, g._csr):
+        assert np.array_equal(got, base)
+
+
+def test_orientation_rejects_masks_of_the_wrong_length():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="one entry per edge"):
+        Orientation(g, [True], [True, False])
+    with pytest.raises(ValueError, match="one entry per edge"):
+        Orientation(g, [True, True], [True, False, False])
+    with pytest.raises(ValueError, match="one entry per edge"):
+        Orientation(g, [[True, True]], [[True, False]])
 
 
 def test_hamiltonian_regular_contains_cycle():

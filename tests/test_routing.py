@@ -138,16 +138,6 @@ def test_route_rejects_bad_inputs():
         route(state, 2, 2)
     with pytest.raises(ValueError):
         route(state, 0, 3, hop_cap=0)
-    with pytest.raises(ValueError):
-        route(state, 0, 3, policy="bogus")
-
-
-def test_round_robin_policy_also_delivers():
-    g = complete_graph(16)
-    spl = splice(g, 2, seed=8)
-    state = build_routing(spl.source_trees)
-    r = route(state, 0, 9, policy="round-robin")
-    assert r.delivered
 
 
 def test_route_hop_cap_aborts():

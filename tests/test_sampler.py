@@ -18,7 +18,7 @@ from treesplice.generators import (
     wheel_graph,
 )
 from treesplice import sampler
-from treesplice.graph import DirectedGraph, Graph, SamplingError
+from treesplice.graph import Graph, Orientation, SamplingError
 from treesplice.sampler import (
     SpanningTree,
     _cover_walk_trees,
@@ -106,6 +106,14 @@ def test_k3_tree_frequencies_uniform():
         assert abs(c / trials - 1 / 3) <= 0.01
 
 
+def test_tree_masks_reject_ids_outside_the_edge_range():
+    g = complete_graph(4)
+    for graph in (g, direct_edges_dp(g, 0.5, seed=1)):
+        for ids in ([-1], [0, g.m]):
+            with pytest.raises(ValueError, match="edge ids"):
+                _tree_masks(graph, 10, substream(1, "ids"), ids)
+
+
 def test_edge_inclusion_probability_examples():
     assert edge_inclusion_probability(complete_graph(10), (0, 1), 100_000, seed=3) == pytest.approx(0.2, abs=0.01)
     assert edge_inclusion_probability(cycle_graph(5), 0, 100_000, seed=4) == pytest.approx(0.8, abs=0.01)
@@ -170,7 +178,7 @@ def test_process_bp_failure_reports_stuck_vertex():
 def test_oriented_walks_raise_at_the_orientation_step_cap(monkeypatch):
     # K_6 needs 5 steps to cover, and no vertex runs out of its 5 out-arcs
     # within 3 steps, so a cap of 2 is what stops the walk.
-    monkeypatch.setattr(DirectedGraph, "walk_step_cap", lambda self: 2)
+    monkeypatch.setattr(Orientation, "walk_step_cap", lambda self: 2)
     g = complete_graph(6)
     with pytest.raises(SamplingError, match="without cover"):
         process_bp(g, 1.0, seed=1)
@@ -435,8 +443,9 @@ def _oriented_outcomes(oriented, trials, seed):
         res = process_bp_on(oriented, child_seed(seed, "scalar", t))
         ids = res.trees[0].edge_ids().tolist() if res.success else None
         scalar.append(sum(1 << e for e in ids) if ids is not None else -1)
-    m = int(oriented.source_eids.max()) + 1
-    masks, stuck = _tree_masks(oriented, 10 * trials, substream(seed, "batch"), np.arange(m))
+    masks, stuck = _tree_masks(
+        oriented, 10 * trials, substream(seed, "batch"), np.arange(oriented.m)
+    )
     keys = masks.astype(np.int64)
     keys[stuck] = -1
     return np.array(scalar), keys
@@ -480,13 +489,13 @@ def test_oriented_rule_stuck_rate_matches_scalar_walk():
 
 
 def test_oriented_rule_reports_a_start_without_arcs_as_stuck():
-    oriented = DirectedGraph(3, [1], [2], [0])
+    oriented = Orientation(Graph(3, [(1, 2)]), [True], [False])
     rows = _rows(oriented, 5, substream(1, "sink"))
     assert rows.tolist() == [[-2, -1, -1]] * 5
 
 
 def test_oriented_rule_iteration_cap_raises(monkeypatch):
     oriented = direct_edges_dp(complete_graph(6), 1.0, seed=3)
-    monkeypatch.setattr(DirectedGraph, "walk_step_cap", lambda self: 2)
+    monkeypatch.setattr(Orientation, "walk_step_cap", lambda self: 2)
     with pytest.raises(SamplingError, match="did not cover"):
         _rows(oriented, 10, substream(1, "cap"))

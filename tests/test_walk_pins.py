@@ -1,4 +1,4 @@
-"""Pinned outputs of the scalar walk kernels and of random-policy routing.
+"""Pinned outputs of the scalar walk kernels and of failover routing.
 
 The digests were recorded from the per-step ``below`` draws the kernels used
 before they reduced raw words inline.  Both read the same 64-bit words and
@@ -78,7 +78,7 @@ def test_random_policy_routes_are_pinned():
     h = hashlib.sha256()
     switches = 0
     for s in range(40):
-        r = route(state, s, (s * 13 + 1) % 40, failed=failed, policy="random", seed=s)
+        r = route(state, s, (s * 13 + 1) % 40, failed=failed, seed=s)
         switches += r.switches
         h.update(repr((r.delivered, r.hops, r.switches, r.path)).encode())
     assert switches == 43
