@@ -1,20 +1,33 @@
 """Expansion and cut-ratio analysis.
 
-Exact expansion enumerates every vertex subset (feasible to n = 24) with a
-vectorized subset-DP: subsets containing vertex 0 are scanned once and their
-complements evaluated alongside, which halves the work.  The other vertices
-split into a low part 1..L and a high part L+1..n-1, and the scan runs one
-block of 2^L subsets per high subset h.  Neighbourhood unions, degree sums and
-sizes combine a high-part table entry with a low-part table, a complement reads
-both tables reversed, and inner-edge counts run the DP over the low bits from
-h's own count.  L is the largest with 2^L subsets' temporaries (about 80 bytes
-each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16 and no array holds
-2^(n-1) entries; a graph with n - 1 <= L runs as one block.  Above that scale the
-spectral certificate (edge expansion >= lambda_2 / 2) and four sampled cut
-families stand in for "every cut".  A sampled cut's value is x^T L_w x for its
-indicator x, summed a block of indicator columns X at a time as the column sums
-of (L_w X) * X; the three float64 n-by-block arrays stay within
-``_CUT_BLOCK_BYTES`` (4 MiB) together.  All analyses are read-only.
+Neighbour bitsets come from one packed table, built once per call from
+``Graph._csr``: row v holds v's neighbours in ceil(n / 64) 64-bit words,
+vertex w at bit w % 64 of word w // 64.
+
+Exact expansion enumerates every vertex subset (feasible to n = 24, one word)
+with a vectorized subset-DP: subsets containing vertex 0 are scanned once and
+their complements evaluated alongside, which halves the work.  The other
+vertices split into a low part 1..L and a high part L+1..n-1, and the scan runs
+one block of 2^L subsets per high subset h.  Neighbourhood unions, degree sums
+and sizes combine a high-part table entry with a low-part table, a complement
+reads both tables reversed, and inner-edge counts run the DP over the low bits
+from h's own count.  L is the largest with 2^L subsets' temporaries (about 80
+bytes each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16 and no array holds
+2^(n-1) entries; a graph with n - 1 <= L runs as one block.
+
+Above that scale the spectral certificate (edge expansion >= lambda_2 / 2) and
+four sampled cut families stand in for "every cut".  How a sampled cut is
+counted depends on density.  A graph is dense when ceil(n / 64) <= 2m / n: a
+packed row is then no longer than an average CSR row, and the table's
+8 n ceil(n / 64) bytes stay within the 16 m bytes of the CSR the graph already
+holds.  On a dense unweighted graph |cut(S)| is the sum over u in S of
+popcount(row_u & ~S), and BFS balls grow by OR-ing whole rows; a block of cuts'
+bitsets and per-member words stays within ``_CUT_BLOCK_BYTES`` (4 MiB).
+Weighted and sparse graphs keep x^T L_w x for the indicator x, summed a block
+of indicator columns X at a time as the column sums of (L_w X) * X, with the
+three float64 n-by-block arrays within the same budget, and sparse graphs grow
+balls vertex by vertex.  Both ways give the same values and the same cuts.
+All analyses are read-only.
 """
 
 from __future__ import annotations
@@ -77,12 +90,22 @@ class CutRatios:
         return self.family.shape[0]
 
 
-def _neighbor_bitmasks(graph: Graph) -> np.ndarray:
-    masks = np.zeros(graph.n, dtype=np.uint32)
-    for u, v in graph.iter_edges():
-        masks[u] |= np.uint32(1 << v)
-        masks[v] |= np.uint32(1 << u)
-    return masks
+def _packed_rows(graph: Graph) -> np.ndarray:
+    """Row v: v's neighbours as a bitset of 8 ceil(n / 64) bytes, vertex w at
+    bit w % 8 of byte w // 8; ``.view("<u8")`` reads it as 64-bit words."""
+    n = graph.n
+    width = 8 * -(-n // 64)
+    indptr, nbr, _ = graph._csr
+    rows = np.zeros(n * width, dtype=np.uint8)
+    at = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(indptr)) + (nbr >> 3)
+    np.bitwise_or.at(rows, at, np.left_shift(1, nbr & 7).astype(np.uint8))
+    return rows.reshape(n, width)
+
+
+def _is_dense(graph: Graph) -> bool:
+    """A packed row is no longer than the average CSR row: ceil(n / 64) <= 2m / n.
+    Then the packed table's 8 n ceil(n / 64) bytes stay within the CSR's 16 m."""
+    return -(-graph.n // 64) * graph.n <= 2 * graph.m
 
 
 def _subset_tables(nbr: np.ndarray, deg: np.ndarray, first: int, bits: int):
@@ -116,7 +139,7 @@ def _inner_edges(nbr: np.ndarray, first: int, full: np.ndarray, start) -> np.nda
 def _subset_scan(graph: Graph, kind: str) -> tuple[float, int]:
     """Min ratio and witness bitmask over all proper A with |A| <= n/2."""
     n = graph.n
-    nbr = _neighbor_bitmasks(graph)
+    nbr = _packed_rows(graph).view("<u8")[:, 0].astype(np.uint32)
     deg = graph.degrees.astype(np.int32)
     universe = np.uint32((1 << n) - 1)
 
@@ -196,6 +219,13 @@ def evaluate_subset(graph: Graph, subset, kind: str) -> float:
     return len(out - inside) / len(subset)
 
 
+def _require_connected(graph: Graph, what: str) -> None:
+    if graph.n < 2:
+        raise ValueError("need at least 2 vertices")
+    if not graph.is_connected():
+        raise ValueError(f"{what} needs a connected graph")
+
+
 def spectral_lower_bound(obj) -> float:
     """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
 
@@ -204,10 +234,7 @@ def spectral_lower_bound(obj) -> float:
     Non-convergence at ARPACK's iteration cap (10 n) raises ConvergenceError.
     """
     graph = _as_graph(obj)
-    if graph.n < 2:
-        raise ValueError("need at least 2 vertices")
-    if not graph.is_connected():
-        raise ValueError("spectral bound needs a connected graph")
+    _require_connected(graph, "spectral bound")
     n = graph.n
     lap = laplacian_sparse(graph, obj.weights if isinstance(obj, WeightedGraph) else None)
     if n <= 64:
@@ -260,9 +287,12 @@ def sample_cut_subsets(graph: Graph, samples: int, seed: int) -> list[tuple[str,
     evenly between uniform subsets of doubling sizes, cuts induced by deleting
     one edge of a fresh random spanning tree, and BFS balls of radii 1..3
     around random centers (balls that swallow every vertex are skipped).
+    A graph with fewer than 2 vertices or more than one component raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _require_connected(graph, "cut sampling")
     n = graph.n
     rng = substream(seed, "cut-subsets")
     out: list[tuple[str, np.ndarray]] = []
@@ -290,42 +320,74 @@ def sample_cut_subsets(graph: Graph, samples: int, seed: int) -> list[tuple[str,
         for members in _tree_component_subsets(graph, child_seed(seed, "trees"), quota_tree):
             out.append(("tree-component", members))
 
-    nbrs = graph._neighbor_lists
+    if _is_dense(graph):
+        grow, table = _packed_ball, _packed_rows(graph)
+    else:
+        grow, table = _set_ball, graph._neighbor_lists
     made = 0
     attempt = 0
     # Radii whose balls keep swallowing every vertex get retired so dense
-    # graphs do not burn the attempt budget on hopeless expansions.
-    radius_failures = {1: 0, 2: 0, 3: 0}
-    while made < quota_balls and attempt < 8 * quota_balls + 16:
+    # graphs do not burn the attempt budget on hopeless expansions; the loop
+    # ends once all three are.
+    radius_failures = [0, 0, 0]
+    while (
+        made < quota_balls
+        and attempt < 8 * quota_balls + 16
+        and min(radius_failures) < 3
+    ):
         center = int(rng.integers(0, n))
         radius = attempt % 3 + 1
         attempt += 1
-        if radius_failures[radius] >= 3:
+        if radius_failures[radius - 1] >= 3:
             continue
-        ball = {center}
-        frontier = [center]
-        proper = True
-        for _ in range(radius):
-            nxt = []
-            for v in frontier:
-                for w in nbrs[v]:
-                    if w not in ball:
-                        ball.add(w)
-                        nxt.append(w)
-            if len(ball) >= n:
-                proper = False
-                break
-            frontier = nxt
-        if not proper:
-            radius_failures[radius] += 1
+        ball = grow(table, center, radius)
+        if ball is None:
+            radius_failures[radius - 1] += 1
             continue
-        out.append(("bfs-ball", np.array(sorted(ball), dtype=np.int64)))
+        out.append(("bfs-ball", ball))
         made += 1
     return out
 
 
+def _set_ball(nbrs: list[list[int]], center: int, radius: int) -> np.ndarray | None:
+    """Sorted vertices within ``radius`` of ``center``; None if that is all of them."""
+    n = len(nbrs)
+    ball = {center}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for w in nbrs[v]:
+                if w not in ball:
+                    ball.add(w)
+                    nxt.append(w)
+        if len(ball) >= n:
+            return None
+        frontier = nxt
+    return np.array(sorted(ball), dtype=np.int64)
+
+
+def _packed_ball(rows: np.ndarray, center: int, radius: int) -> np.ndarray | None:
+    """``_set_ball`` over packed rows: each layer ORs in the rows of the last."""
+    n = rows.shape[0]
+    ball = rows[center].copy()
+    ball[center >> 3] |= np.uint8(1 << (center & 7))
+    for _ in range(1, radius):
+        ball |= np.bitwise_or.reduce(rows[_members(ball, n)], axis=0)
+    members = _members(ball, n)
+    return members if members.size < n else None
+
+
+def _members(bits: np.ndarray, n: int) -> np.ndarray:
+    """The vertices set in a packed bitset, ascending."""
+    return np.unpackbits(bits, count=n, bitorder="little").nonzero()[0]
+
+
 def _cut_values(graph: Graph, weights, indptr, members) -> np.ndarray:
-    """x^T L_w x for each CSR vertex set's indicator x, a column block at a time."""
+    """w(cut) for each CSR vertex set: by popcount over packed rows on a dense
+    unweighted graph, else as x^T L_w x for its indicator x."""
+    if weights is None and _is_dense(graph):
+        return _popcount_cut_values(_packed_rows(graph).view("<u8"), indptr, members)
     n = graph.n
     lap = laplacian_sparse(graph, weights)
     cuts = indptr.size - 1
@@ -337,6 +399,35 @@ def _cut_values(graph: Graph, weights, indptr, members) -> np.ndarray:
         cols = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
         x[members[indptr[lo] : indptr[hi]], cols] = 1.0
         out[lo:hi] = ((lap @ x) * x).sum(axis=0)
+    return out
+
+
+def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
+    """|cut(S)| = sum over u in S of popcount(row_u & ~S), a block of sets at a
+    time: each block's bitsets and per-member words fit ``_CUT_BLOCK_BYTES``."""
+    words = rows.shape[1]
+    cuts = indptr.size - 1
+    sizes = np.diff(indptr)
+    # A set costs its bitset's words; a member costs its gathered row and
+    # complement words, their popcounts and about five index entries.
+    spent = np.zeros(cuts + 1, dtype=np.int64)
+    np.cumsum(8 * words + (17 * words + 40) * sizes, out=spent[1:])
+    out = np.empty(cuts)
+    lo = 0
+    while lo < cuts:
+        hi = int(np.searchsorted(spent, spent[lo] + _CUT_BLOCK_BYTES, side="right")) - 1
+        hi = max(hi, lo + 1)
+        which = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        vertex = members[indptr[lo] : indptr[hi]]
+        outside = np.full((hi - lo) * words, ~np.uint64(0))
+        word = which * words + (vertex >> 6)
+        np.bitwise_and.at(outside, word, ~(np.uint64(1) << (vertex & 63).astype(np.uint64)))
+        crossing = rows[vertex]
+        crossing &= outside.reshape(hi - lo, words)[which]
+        out[lo:hi] = np.bincount(
+            which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=hi - lo
+        )
+        lo = hi
     return out
 
 

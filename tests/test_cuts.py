@@ -218,15 +218,148 @@ def _random_subsets(n, count, seed):
 
 
 @pytest.mark.parametrize(
-    "g", [gnp_graph(60, 0.2, seed=21), random_regular_graph(40, 3, seed=5)]
+    "g",
+    [
+        gnp_graph(60, 0.2, seed=21),
+        random_regular_graph(40, 3, seed=5),
+        # Dense graphs at the 64-bit word boundaries, and K_n over three words.
+        gnp_graph(64, 0.3, seed=64),
+        gnp_graph(65, 0.3, seed=65),
+        gnp_graph(127, 0.2, seed=127),
+        complete_graph(129),
+        # One graph on each side of the density rule: ceil(256 / 64) = 4 words
+        # against an average degree of 4 (dense, with equality) and of 3.
+        random_regular_graph(256, 4, seed=7),
+        random_regular_graph(256, 3, seed=7),
+    ],
 )
 def test_cut_values_count_cut_edges_exactly(g, monkeypatch):
-    # 7 indicator columns a block, so blocks split and the last one is short.
+    # 7 indicator columns a Laplacian block; popcount blocks hold a few sets
+    # each.  Either way blocks split and the last one is short.
     monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * 8 * g.n * 7)
     subsets = _random_subsets(g.n, 300, seed=g.m)
     got = _cut_values(g, None, *_csr(subsets))
     want = [len(cut_edges(g, a)) for a in subsets]
     assert got.tolist() == want
+
+
+def test_popcount_cut_values_stay_within_the_block_budget(monkeypatch):
+    g = gnp_graph(640, 0.05, seed=2)
+    assert cuts._is_dense(g)
+    subsets = _random_subsets(g.n, 400, seed=3)
+    indptr, members = _csr(subsets)
+    rows = cuts._packed_rows(g).view("<u8")
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        got = cuts._popcount_cut_values(rows, indptr, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One block would hold ~1.3e5 members' gathered words, about 27 MiB.
+    assert peak < 2 << 20
+    assert got.tolist() == [len(cut_edges(g, a)) for a in subsets]
+
+
+def test_density_rule_splits_the_regular_graphs():
+    assert cuts._is_dense(random_regular_graph(256, 4, seed=7))
+    assert not cuts._is_dense(random_regular_graph(256, 3, seed=7))
+    assert cuts._is_dense(gnp_graph(60, 0.2, seed=21))
+
+
+def test_packed_rows_hold_each_neighbour_once():
+    for g in (gnp_graph(65, 0.3, seed=65), complete_graph(129), cycle_graph(200)):
+        rows = cuts._packed_rows(g)
+        assert rows.shape == (g.n, 8 * -(-g.n // 64))
+        bits = np.unpackbits(rows, axis=1, bitorder="little")[:, : g.n]
+        want = np.zeros((g.n, g.n), dtype=np.uint8)
+        want[g.edge_u, g.edge_v] = want[g.edge_v, g.edge_u] = 1
+        assert np.array_equal(bits, want)
+        words = rows.view("<u8")
+        assert words.shape == (g.n, -(-g.n // 64))
+        assert np.array_equal(np.bitwise_count(words).sum(axis=1), g.degrees)
+
+
+def reference_ball(g, center, radius):
+    """Sorted vertices within ``radius`` of ``center`` by set BFS; None if
+    that is every vertex."""
+    ball = {center}
+    frontier = {center}
+    for _ in range(radius):
+        frontier = {w for v in frontier for w, _ in g.neighbors(v)} - ball
+        ball |= frontier
+    return None if len(ball) == g.n else sorted(ball)
+
+
+@pytest.mark.parametrize(
+    "g", [gnp_graph(150, 0.05, seed=3), random_regular_graph(300, 3, seed=11)]
+)
+def test_balls_match_a_set_bfs(g):
+    assert g.is_connected()
+    rows = cuts._packed_rows(g)
+    for center in range(0, g.n, 7):
+        for radius in (1, 2, 3, 4):
+            want = reference_ball(g, center, radius)
+            for got in (
+                cuts._packed_ball(rows, center, radius),
+                cuts._set_ball(g._neighbor_lists, center, radius),
+            ):
+                assert (got is None) if want is None else got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "g", [gnp_graph(150, 0.05, seed=3), random_regular_graph(300, 3, seed=11)]
+)
+def test_dense_and_sparse_paths_give_the_same_cuts(g, monkeypatch):
+    spl = splice(g, 2, seed=1)
+    dense = cuts._is_dense(g)
+    got = sampled_cut_ratios(g, spl, 300, seed=5)
+    monkeypatch.setattr(cuts, "_is_dense", lambda graph: not dense)
+    other = sampled_cut_ratios(g, spl, 300, seed=5)
+    for name in ("family", "indptr", "members", "base_cut", "derived_cut"):
+        assert np.array_equal(getattr(got, name), getattr(other, name))
+
+
+class _CountingRng:
+    """A generator whose ``integers`` draws (the ball centers) are counted."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.centers = 0
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.centers += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_ball_loop_stops_once_every_radius_is_retired(monkeypatch):
+    # On K_n every ball swallows the graph: each radius fails three times in
+    # the first nine draws, and then no radius is left to try.
+    real = cuts.substream
+    made = []
+
+    def counting(seed, name):
+        made.append(_CountingRng(real(seed, name)))
+        return made[-1]
+
+    monkeypatch.setattr(cuts, "substream", counting)
+    g = complete_graph(12)
+    fams = sample_cut_subsets(g, 60, seed=3)
+    assert [rng.centers for rng in made] == [9]
+    assert "bfs-ball" not in {f for f, _ in fams}
+
+
+def test_sampled_cuts_reject_tiny_or_disconnected_graphs():
+    tiny = Graph(1, [])
+    split = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    for call in (sample_cut_subsets, lambda g, s, seed: sampled_cut_ratios(g, g, s, seed)):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            call(tiny, 10, 0)
+        with pytest.raises(ValueError, match="needs a connected graph"):
+            call(split, 10, 0)
 
 
 def test_cut_values_match_weighted_cut_weight(monkeypatch):
