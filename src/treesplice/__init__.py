@@ -36,7 +36,6 @@ from .sampler import (
     SpanningTree,
     WalkTrace,
     aldous_broder,
-    edge_inclusion_probability,
     process_bp,
     process_bp_on,
     sample_trees,
@@ -49,7 +48,6 @@ from .lowerbound import (
     forced_cut_event,
     forced_cut_probability_bound,
     lower_bound_family,
-    measure_event_rate,
     validate_family,
 )
 from .cuts import (

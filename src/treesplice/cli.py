@@ -167,6 +167,8 @@ def _cmd_verify(args) -> int:
         }
         _emit(args, payload, rows=[payload])
         return EXIT_OK
+    if args.graph is None:
+        raise ValueError(f"--graph is required for the {check} check")
     g = _load_graph(args.graph)
     if check == "uniformity":
         from .linalg import spanning_tree_count
@@ -218,7 +220,7 @@ def _cmd_verify(args) -> int:
 
         rng = substream(args.seed, "cut-choice")
         subset = np.sort(rng.choice(g.n, size=g.n // 2, replace=False)).tolist()
-        rep = chernoff_tail_check(g, subset, args.trials, args.seed)
+        rep = chernoff_tail_check(g, [subset], args.trials, args.seed)
         payload = dict(rep.to_dict(), check=check, seed=args.seed)
         _emit(args, payload, rows=[payload])
         return EXIT_OK if rep.passed else EXIT_FAIL

@@ -231,20 +231,6 @@ def forced_cut_event(family: LowerBoundFamily, i: int, trace: WalkTrace) -> bool
     return True
 
 
-def measure_event_rate(
-    family: LowerBoundFamily, trees_with_traces
-) -> tuple[int, int]:
-    """Count (events, observations) of the forced-cut event across segments."""
-    hits = 0
-    total = 0
-    for _tree, trace in trees_with_traces:
-        for i in range(len(family.paths)):
-            total += 1
-            if forced_cut_event(family, i, trace):
-                hits += 1
-    return hits, total
-
-
 def forced_cut_probability_bound(d: int, ell: int) -> float:
     """The guaranteed per-segment, per-tree event probability."""
     return 1.0 / float((d + 2) ** ((d + 1) * ell - 1))

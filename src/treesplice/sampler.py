@@ -19,9 +19,10 @@ by the graph type: the uniform-neighbour rule of ``aldous_broder`` on a
 ``Orientation``.  It yields the walks' trees, one row of first-entry edge
 ids per walk, a chunk at a time; a walk with no untraversed arc left before
 cover keeps a -1 in its row.  Callers reduce the rows to what they count:
-``_tree_edge_counts`` per edge, ``_tree_masks`` per walk.  The scalar
-samplers remain for single long walks and for walks on a fresh orientation
-per run.
+``_tree_edge_counts`` per edge, ``_tree_sums`` per walk, as the sum of a
+table's rows over the walk's edge ids (``_tree_masks`` is one such table).
+The scalar samplers remain for single long walks and for walks on a fresh
+orientation per run.
 
 Every walk reads the graph's CSR; an orientation's is its base graph's, with
 the rows filtered by the direction masks.  ``aldous_broder`` steps through
@@ -336,6 +337,25 @@ def _tree_edge_counts(
     return counts[2:]
 
 
+def _tree_sums(
+    graph: Graph | Orientation, trials: int, rng: np.random.Generator, table,
+    start: int = 0,
+) -> np.ndarray:
+    """Per walk, the sum of ``table``'s rows over the walk's first-entry edge ids.
+
+    ``table`` has m + 2 rows: row e for edge e, row -2 for the start vertex
+    and row -1 for a vertex the walk never reached.  The result has one row
+    per walk, in ``table``'s dtype, which must hold the sums.
+    """
+    sums = []
+    for first in _cover_walk_trees(graph, trials, rng, start):
+        acc = np.zeros((len(first),) + table.shape[1:], dtype=table.dtype)
+        for col in first.T:
+            acc += table[col]
+        sums.append(acc)
+    return np.concatenate(sums)
+
+
 def _tree_masks(
     graph: Graph | Orientation, trials: int, rng: np.random.Generator, ids, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -346,18 +366,13 @@ def _tree_masks(
         raise ValueError("can mask at most 64 edges")
     if ids.size and not (0 <= ids.min() and ids.max() < graph.m):
         raise ValueError(f"edge ids must lie in [0, {graph.m})")
-    bit = np.zeros(graph.m + 2, dtype=np.uint64)  # -1 and -2 index the two zeros
-    bit[ids] = np.uint64(1) << np.arange(ids.size, dtype=np.uint64)
-    masks, stuck = [], []
-    for first in _cover_walk_trees(graph, trials, rng, start):
-        mask = np.zeros(len(first), dtype=np.uint64)
-        short = np.zeros(len(first), dtype=bool)
-        for col in first.T:
-            mask |= bit[col]
-            short |= col == -1
-        masks.append(mask)
-        stuck.append(short)
-    return np.concatenate(masks), np.concatenate(stuck)
+    # Column 0 holds the edge bits, column 1 counts unreached vertices.  A
+    # walk's first-entry edges are distinct, so the sum of its bits is their OR.
+    table = np.zeros((graph.m + 2, 2), dtype=np.uint64)
+    table[ids, 0] = np.uint64(1) << np.arange(ids.size, dtype=np.uint64)
+    table[-1, 1] = 1
+    sums = _tree_sums(graph, trials, rng, table, start)
+    return sums[:, 0], sums[:, 1] > 0
 
 
 def tree_edge_frequencies(
@@ -366,14 +381,6 @@ def tree_edge_frequencies(
     """Empirical per-edge inclusion frequencies over many sampled trees."""
     rng = substream(seed, "tree-frequencies")
     return _tree_edge_counts(graph, trials, rng, start) / float(trials)
-
-
-def edge_inclusion_probability(
-    graph: Graph, edge, trials: int, seed: int
-) -> float:
-    """Empirical probability that ``edge`` lands in a random spanning tree."""
-    eid = graph.resolve_edge(edge)
-    return float(tree_edge_frequencies(graph, trials, seed)[eid])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Every Monte Carlo report carries its trial count, point estimates, and
 standard errors; assertions compare against estimate +/- 4 standard errors
-with frozen seeds.  On graphs with at most ``ENUMERATION_EDGE_CAP`` edges the
+with frozen seeds.  They reduce lockstep walk trees with ``sampler``'s
+``_tree_edge_counts``, ``_tree_masks`` or ``_tree_sums``; the tail check
+sums a cut-membership table over one tree batch that all its cuts share.
+On graphs with at most ``ENUMERATION_EDGE_CAP`` edges the
 negative-correlation check is exact instead: its joint, all-absent and
 marginal laws are determinants of the integer transfer currents that
 ``linalg`` reads from one adjugate.  ``enumerate_trees`` lists the trees of
@@ -23,7 +26,7 @@ from .graph import Graph, cut_edges
 from .linalg import _bareiss_det, _ground_adjugate, _transfer_current
 from .generators import complete_graph, direct_edges_dp, gnp_graph
 from .sampler import (
-    SpanningTree, _cover_walk_trees, _tree_edge_counts, _tree_masks, process_bp,
+    SpanningTree, _tree_edge_counts, _tree_masks, _tree_sums, process_bp,
 )
 from .seeds import child_seed, substream
 
@@ -210,33 +213,41 @@ def negative_correlation_check(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailCheckReport:
-    subset: tuple[int, ...]
-    cut_size: int
-    p_bar: float
-    lambdas: tuple[float, ...]
-    empirical: tuple[float, ...]
-    bounds: tuple[float, ...]
-    std_errors: tuple[float, ...]
+    """Lower tails of the tree-edge count across several cuts, from one tree batch.
+
+    Per cut i: ``subsets[i]`` (sorted vertices), ``cut_sizes[i]`` and
+    ``p_bar[i]``; row i of the (cuts, 4) arrays ``lambdas``, ``empirical``,
+    ``bounds`` and ``std_errors`` holds its tail at the ``LAMBDA_GRID``
+    points.  ``passed`` asks that every tail lie within 4 standard errors
+    of its bound.  The check holds one integer sum per (tree, cut), the
+    smallest unsigned type that holds n, and one boolean per (tree, cut,
+    grid point) while it counts tails: memory grows as trials x cuts.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    cut_sizes: np.ndarray
+    p_bar: np.ndarray
+    lambdas: np.ndarray
+    empirical: np.ndarray
+    bounds: np.ndarray
+    std_errors: np.ndarray
     trials: int
 
     @property
     def passed(self) -> bool:
-        return all(
-            e <= b + 4.0 * s
-            for e, b, s in zip(self.empirical, self.bounds, self.std_errors)
-        )
+        return bool(np.all(self.empirical <= self.bounds + 4.0 * self.std_errors))
 
     def to_dict(self) -> dict:
         return {
-            "subset": list(self.subset),
-            "cut_size": self.cut_size,
-            "p_bar": self.p_bar,
-            "lambdas": list(self.lambdas),
-            "empirical": list(self.empirical),
-            "bounds": list(self.bounds),
-            "std_errors": list(self.std_errors),
+            "subsets": [list(s) for s in self.subsets],
+            "cut_sizes": self.cut_sizes.tolist(),
+            "p_bar": self.p_bar.tolist(),
+            "lambdas": self.lambdas.tolist(),
+            "empirical": self.empirical.tolist(),
+            "bounds": self.bounds.tolist(),
+            "std_errors": self.std_errors.tolist(),
             "trials": self.trials,
             "passed": self.passed,
         }
@@ -246,46 +257,43 @@ LAMBDA_GRID = (0.25, 0.5, 1.0, 1.5)
 
 
 def chernoff_tail_check(
-    graph: Graph, subset, trials: int, seed: int
+    graph: Graph, subsets, trials: int, seed: int
 ) -> TailCheckReport:
-    """Lower tail of the tree-edge count across a cut versus exp(-l^2/(2 p m)).
+    """Lower tail of the tree-edge count across each cut versus exp(-l^2/(2 p m)).
 
-    The mean inclusion probability over the cut is estimated from the same
-    trials; the tail is evaluated at lambda = {0.25, 0.5, 1, 1.5} * sqrt(p m).
+    One batch of ``trials`` uniform trees serves every cut in ``subsets``.
+    Per cut, the mean inclusion probability over its edges is estimated from
+    the same trees, and the tail is evaluated at
+    lambda = {0.25, 0.5, 1, 1.5} * sqrt(p m).
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable tail estimate")
-    ids = cut_edges(graph, subset)
-    in_cut = np.zeros(graph.m + 2, dtype=bool)  # -1 and -2 index the two False
-    in_cut[ids] = True
-    counts = []
-    for first in _cover_walk_trees(graph, trials, substream(seed, "chernoff-tail")):
-        rows = np.zeros(len(first), dtype=np.int32)
-        for col in first.T:
-            rows += in_cut[col]
-        counts.append(rows)
-    sums = np.concatenate(counts)
-    cut_m = int(ids.size)
-    p_bar = float(sums.sum()) / (trials * cut_m)
-    mean = p_bar * cut_m
-    scale = math.sqrt(max(mean, 1e-12))
-    lambdas, empirical, bounds, ses = [], [], [], []
-    for mult in LAMBDA_GRID:
-        lam = mult * scale
-        tail = float(np.count_nonzero(sums < mean - lam)) / trials
-        bound = math.exp(-(lam**2) / (2.0 * mean))
-        lambdas.append(lam)
-        empirical.append(tail)
-        bounds.append(bound)
-        ses.append(bernoulli_se(tail, trials))
+    subsets = tuple(tuple(sorted(int(v) for v in s)) for s in subsets)
+    cuts = [cut_edges(graph, s) for s in subsets]
+    if not cuts:
+        raise ValueError("need at least one subset")
+    member = np.zeros((graph.m + 2, len(cuts)), dtype=np.min_scalar_type(graph.n))
+    for i, ids in enumerate(cuts):
+        member[ids, i] = 1  # rows -1 and -2 stay zero
+    sums = _tree_sums(graph, trials, substream(seed, "chernoff-tail"), member)
+    cut_sizes = np.array([ids.size for ids in cuts], dtype=np.int64)
+    p_bar = sums.sum(axis=0, dtype=np.int64) / (trials * cut_sizes)
+    mean = p_bar * cut_sizes
+    lambdas = np.sqrt(np.maximum(mean, 1e-12))[:, None] * LAMBDA_GRID
+    tails = np.count_nonzero(sums[:, :, None] < mean[:, None] - lambdas, axis=0) / trials
+    # Python floats and math.exp, so that no bound depends on numpy's SIMD dispatch.
+    bounds = [
+        [math.exp(-(lam**2) / (2.0 * mu)) for lam in row]
+        for mu, row in zip(mean.tolist(), lambdas.tolist())
+    ]
     return TailCheckReport(
-        subset=tuple(int(v) for v in np.atleast_1d(np.asarray(sorted(subset)))),
-        cut_size=cut_m,
+        subsets=subsets,
+        cut_sizes=cut_sizes,
         p_bar=p_bar,
-        lambdas=tuple(lambdas),
-        empirical=tuple(empirical),
-        bounds=tuple(bounds),
-        std_errors=tuple(ses),
+        lambdas=lambdas,
+        empirical=tails,
+        bounds=np.array(bounds),
+        std_errors=np.sqrt(np.maximum(tails * (1.0 - tails), 0.0) / trials),
         trials=trials,
     )
 

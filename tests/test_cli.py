@@ -163,6 +163,28 @@ def test_verify_checks(tmp_path, capsys):
     assert run(["verify", "--check", "coupling"]) == 2  # missing --n
 
 
+@pytest.mark.parametrize(
+    "check", ["uniformity", "resistance", "negative-correlation", "tail-bound", "min-edge-prob"]
+)
+def test_graph_checks_without_graph_are_usage_errors(capsys, check):
+    assert run(["verify", "--check", check]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --graph is required for the {check} check\n"
+
+
+def test_tail_bound_payload_lists_one_entry_per_cut(tmp_path, capsys):
+    gpath = tmp_path / "petersen.txt"
+    assert run(["generate", "--kind", "petersen", "--out", str(gpath)]) == 0
+    argv = ["verify", "--check", "tail-bound", "--graph", str(gpath), "--trials", "10000"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["subsets"]) == len(payload["cut_sizes"]) == len(payload["p_bar"]) == 1
+    assert len(payload["subsets"][0]) == 5
+    for key in ("lambdas", "empirical", "bounds", "std_errors"):
+        assert len(payload[key]) == 1 and len(payload[key][0]) == 4
+    assert payload["passed"] is True and payload["trials"] == 10_000
+
+
 def test_uniformity_check_tests_the_edge_cap_before_counting_trees(
     tmp_path, capsys, monkeypatch
 ):

@@ -6,7 +6,6 @@ from treesplice.lowerbound import (
     forced_cut_event,
     forced_cut_probability_bound,
     lower_bound_family,
-    measure_event_rate,
     validate_family,
 )
 from treesplice.sampler import WalkTrace, aldous_broder
@@ -126,7 +125,10 @@ def test_event_rate_beats_guaranteed_bound_small():
     pairs = []
     for t in range(300):
         pairs.append(aldous_broder(fam.graph, child_seed(17, "t", t), start=start))
-    hits, total = measure_event_rate(fam, pairs)
+    hits = sum(
+        forced_cut_event(fam, i, trace) for _, trace in pairs for i in range(len(fam.paths))
+    )
+    total = len(pairs) * len(fam.paths)
     rate = hits / total
     bound = forced_cut_probability_bound(3, 1)
     se = (rate * (1 - rate) / total) ** 0.5

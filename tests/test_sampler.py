@@ -25,7 +25,6 @@ from treesplice.sampler import (
     _tree_edge_counts,
     _tree_masks,
     aldous_broder,
-    edge_inclusion_probability,
     process_bp,
     process_bp_on,
     sample_trees,
@@ -115,11 +114,13 @@ def test_tree_masks_reject_ids_outside_the_edge_range():
 
 
 def test_edge_inclusion_probability_examples():
-    assert edge_inclusion_probability(complete_graph(10), (0, 1), 100_000, seed=3) == pytest.approx(0.2, abs=0.01)
-    assert edge_inclusion_probability(cycle_graph(5), 0, 100_000, seed=4) == pytest.approx(0.8, abs=0.01)
+    g = complete_graph(10)
+    assert tree_edge_frequencies(g, 100_000, seed=3)[g.resolve_edge((0, 1))] == pytest.approx(0.2, abs=0.01)
+    g = cycle_graph(5)
+    assert tree_edge_frequencies(g, 100_000, seed=4)[g.resolve_edge(0)] == pytest.approx(0.8, abs=0.01)
     # A bridge is in every spanning tree.
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-    assert edge_inclusion_probability(g, (2, 3), 2_000, seed=5) == 1.0
+    assert tree_edge_frequencies(g, 2_000, seed=5)[g.resolve_edge((2, 3))] == 1.0
 
 
 def test_sample_trees_independent_streams_and_order():

@@ -192,18 +192,18 @@ def test_chernoff_tail_small_regular_graph():
     assert g.is_connected()
     pick = substream(1, "cut")
     subset = np.sort(pick.choice(64, size=32, replace=False)).tolist()
-    rep = chernoff_tail_check(g, subset, 50_000, seed=2)
+    rep = chernoff_tail_check(g, [subset], 50_000, seed=2)
     assert rep.passed
-    assert len(rep.lambdas) == 4
-    assert all(b <= 1.0 for b in rep.bounds)
+    assert rep.lambdas.shape == (1, 4)
+    assert (rep.bounds <= 1.0).all()
     assert rep.trials == 50_000
 
 
 def test_chernoff_mean_inclusion_on_k16():
     g = complete_graph(16)
-    rep = chernoff_tail_check(g, list(range(8)), 50_000, seed=3)
-    se = bernoulli_se(rep.p_bar, 50_000 * rep.cut_size)
-    assert abs(rep.p_bar - 2 / 16) <= 4 * se
+    rep = chernoff_tail_check(g, [list(range(8))], 50_000, seed=3)
+    se = bernoulli_se(rep.p_bar[0], 50_000 * rep.cut_sizes[0])
+    assert abs(rep.p_bar[0] - 2 / 16) <= 4 * se
 
 
 def test_chernoff_tail_counts_the_trees_that_the_masks_see():
@@ -212,20 +212,46 @@ def test_chernoff_tail_counts_the_trees_that_the_masks_see():
     g = petersen_graph()
     subset = [0, 1, 2, 3, 4]
     trials = 10_000
-    rep = chernoff_tail_check(g, subset, trials, seed=5)
+    rep = chernoff_tail_check(g, [subset], trials, seed=5)
     ids = cut_edges(g, subset)
     masks, _ = _tree_masks(g, trials, substream(5, "chernoff-tail"), ids)
     sums = np.bitwise_count(masks)
-    assert rep.p_bar == float(sums.sum()) / (trials * ids.size)
-    mean = rep.p_bar * ids.size
-    assert list(rep.empirical) == [
-        float(np.count_nonzero(sums < mean - lam)) / trials for lam in rep.lambdas
+    assert rep.p_bar[0] == float(sums.sum()) / (trials * ids.size)
+    mean = rep.p_bar[0] * ids.size
+    assert list(rep.empirical[0]) == [
+        float(np.count_nonzero(sums < mean - lam)) / trials for lam in rep.lambdas[0]
     ]
+
+
+def test_chernoff_tail_batch_equals_each_cut_alone():
+    # Every cut reads the same trees, so a batched row equals a one-cut call.
+    g = random_regular_graph(40, 3, seed=12)
+    pick = substream(2, "cuts")
+    subsets = [pick.choice(40, size=size, replace=False).tolist() for size in (20, 20, 7, 1)]
+    rep = chernoff_tail_check(g, subsets, 10_000, seed=6)
+    assert len(rep.subsets) == 4 and rep.trials == 10_000
+    assert rep.cut_sizes.shape == rep.p_bar.shape == (4,)
+    for arr in (rep.lambdas, rep.empirical, rep.bounds, rep.std_errors):
+        assert arr.shape == (4, 4)
+    passed = []
+    for i, subset in enumerate(subsets):
+        one = chernoff_tail_check(g, [subset], 10_000, seed=6)
+        assert one.subsets == (tuple(sorted(subset)),) == rep.subsets[i : i + 1]
+        for field in ("cut_sizes", "p_bar", "lambdas", "empirical", "bounds", "std_errors"):
+            assert np.array_equal(getattr(one, field)[0], getattr(rep, field)[i]), field
+        passed.append(one.passed)
+    assert rep.passed == all(passed)
 
 
 def test_chernoff_requires_enough_trials():
     with pytest.raises(ValueError):
-        chernoff_tail_check(complete_graph(8), [0, 1], 100, seed=0)
+        chernoff_tail_check(complete_graph(8), [[0, 1]], 100, seed=0)
+
+
+def test_chernoff_rejects_no_cuts_and_invalid_cuts():
+    for subsets in ([], [[0, 1], []], [[0, 8]], [list(range(8))]):
+        with pytest.raises(ValueError):
+            chernoff_tail_check(complete_graph(8), subsets, 10_000, seed=0)
 
 
 def test_min_edge_probability_regular_graph_bound():
