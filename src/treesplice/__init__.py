@@ -9,7 +9,6 @@ from .graph import (
     cut_edges,
 )
 from .generators import (
-    arc_probability,
     complete_graph,
     cycle_graph,
     direct_edges_dp,

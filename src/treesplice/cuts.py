@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .graph import ConvergenceError, Graph, cut_edges
+from .graph import ConvergenceError, Graph
 from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
@@ -205,18 +205,6 @@ def edge_expansion_exact(graph: Graph) -> ExpansionReport:
 def vertex_expansion_exact(graph: Graph) -> ExpansionReport:
     """min |outside neighbors of A| / |A| over the same range, with a witness."""
     return _scan_report(graph, "vertex")
-
-
-def evaluate_subset(graph: Graph, subset, kind: str) -> float:
-    """Recompute a witness ratio directly (used to confirm reports)."""
-    subset = sorted(subset)
-    if kind == "edge":
-        return len(cut_edges(graph, subset)) / len(subset)
-    inside = set(subset)
-    out: set[int] = set()
-    for v in subset:
-        out.update(w for w, _ in graph.neighbors(v))
-    return len(out - inside) / len(subset)
 
 
 def _require_connected(graph: Graph, what: str) -> None:

@@ -164,13 +164,6 @@ def orientation_probabilities(p: float) -> tuple[float, float, float]:
     return both, single, single
 
 
-def arc_probability(p: float) -> float:
-    """Marginal probability q that a fixed arc is present when H ~ G(n,p)."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    return 1.0 - math.sqrt(1.0 - p)
-
-
 def direct_edges_dp(graph: Graph, p: float, seed: int) -> Orientation:
     """Randomly orient every edge of ``graph``: both ways, forward, or backward.
 

@@ -147,24 +147,3 @@ def sniff_format(text: str) -> str:
     if len(lines) > 1 and len(lines[1].split()) == 3:
         return "weighted"
     return "graph"
-
-
-def roundtrip(path: str):
-    """Parse a file, re-serialize, re-parse; demand a byte-identical fixpoint.
-
-    Returns the parsed object (Graph, SpanningTree, or WeightedGraph).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    kind = sniff_format(text)
-    parse, serialize = {
-        "graph": (parse_graph, serialize_graph),
-        "tree": (parse_tree, serialize_tree),
-        "weighted": (parse_weighted, serialize_weighted),
-    }[kind]
-    obj = parse(text)
-    once = serialize(obj)
-    again = serialize(parse(once))
-    if once != again:
-        raise GraphFormatError("serialization is not a fixpoint", 1)
-    return obj

@@ -32,8 +32,12 @@ rows it slices afresh per call.  Both apply ``seeds.below``'s exact rule
 inline to raw words from ``seeds.word_stream``; a word below 2^64 minus the
 walk's largest bound passes for every bound, so only the top few words reach
 the exact limit.
-The lockstep engine draws differently, with ``Generator.integers`` on array
-bounds.
+The lockstep engine draws differently, with ``Generator.integers``: one
+draw per active walk and step, on array bounds, or on a regular graph of
+degree d on the scalar bound d, which gives the same values.  It holds the
+state of the active walks only (current vertex, vertices left to enter, row
+offset into the flat ``first`` table) and compacts it on the steps where a
+walk finishes or gets stuck.
 """
 
 from __future__ import annotations
@@ -211,8 +215,8 @@ def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:
     ]
 
 
-# Per-walk bytes of the per-step temporaries, as measured by tracemalloc: about
-# 80 under the uniform rule, 150 under the oriented rule.
+# Per-walk bytes of the walk state and per-step temporaries, as measured by
+# tracemalloc: at most 63 under the uniform rule, 140 under the oriented rule.
 _STEP_TEMP_BYTES = 96
 _ORIENTED_TEMP_BYTES = 64
 # Byte budget of one lockstep chunk.
@@ -241,14 +245,22 @@ def _cover_walk_trees(
                        vertex has no untraversed arc before cover stops, and
                        its row keeps a -1.  Edge ids are the base graph's.
 
+    Each step draws once for every walk still active, in walk order.  Under
+    the uniform rule on a regular graph of degree d, row v of the CSR starts
+    at v * d and the draw is ``rng.integers(0, d, size=k)``, which on numpy
+    gives the values of ``rng.integers(0, deg[cur])`` at about half the cost.
+    The current vertex, the count of vertices still to enter and the row
+    offset into the flattened ``first`` are held for the active walks only,
+    and compacted only on a step where some walk covers or gets stuck.
+
     Walks run in chunks sized from the ``_BATCH_BYTES`` budget.  Per walk a
     chunk holds the ``first`` row (n bytes below 127 edges, 2n below 32767),
     under the oriented rule an arc-slot row and a traversed count per vertex
     (s bytes each, s = 1 below 256 out-arcs per vertex), and 96 (oriented:
-    160) bytes of per-step temporaries.  Memory is thus bounded by
-    chunk x (n b + s (arcs + n) + 160) bytes, with b the row's item size; the
-    budget keeps 1e5 uniform walks on up to 70 vertices and 126 edges in one
-    chunk.
+    160) bytes of walk state and per-step temporaries.  Memory is thus
+    bounded by chunk x (n b + s (arcs + n) + 160) bytes, with b the row's
+    item size; the budget keeps 1e5 uniform walks on up to 70 vertices and
+    126 edges in one chunk.
     """
     n = graph.n
     if n < 2:
@@ -272,34 +284,45 @@ def _cover_walk_trees(
         row += _ORIENTED_TEMP_BYTES + (arcs + n) * slot_t.itemsize
     chunk = max(1, _BATCH_BYTES // row)
 
+    # The degree of a regular graph, which the uniform rule draws below; else 0.
+    d = int(deg[0]) if not oriented and (deg == deg[0]).all() else 0
     for done in range(0, trials, chunk):
         w = min(chunk, trials - done)
-        cur = np.full(w, start, dtype=np.int32)
         first = np.full((w, n), -1, dtype=first_t)
         first[:, start] = -2
-        nvis = np.ones(w, dtype=np.int32)
-        act = np.arange(w, dtype=np.int64)
+        flat = first.reshape(-1)
+        # State of the active walks only, in walk order: the current vertex,
+        # the count of vertices not yet entered, and the walk's row offset
+        # into ``flat`` (also its offset into ``d1``).
+        cur = np.full(w, start, dtype=np.int64)
+        left = np.full(w, n - 1, dtype=np.int32)
+        off = np.arange(0, w * n, n, dtype=np.int64)
         if oriented:
             # Per walk and vertex, the first d1 slots of the vertex's arc
-            # range hold its traversed arcs (as local slot indices).
-            perm = np.tile(local, (w, 1))
-            d1 = np.zeros((w, n), dtype=slot_t)
+            # range hold its traversed arcs (as local slot indices); ``poff``
+            # is each active walk's offset into ``perm``.
+            perm = np.tile(local, w)
+            d1 = np.zeros(w * n, dtype=slot_t)
+            poff = np.arange(0, w * arcs, arcs, dtype=np.int64)
         it = 0
-        while act.size:
+        while cur.size:
             it += 1
             if it > cap:
                 raise SamplingError(
                     f"batch walk did not cover within {cap} steps; "
                     "is the graph connected?"
                 )
-            c = cur[act]
             if not oriented:
-                arc = indptr[c] + rng.integers(0, deg[c])
+                if d:
+                    arc = cur * d + rng.integers(0, d, size=cur.size)
+                else:
+                    arc = indptr[cur] + rng.integers(0, deg[cur])
             else:
-                k = d1[act, c].astype(np.int64)
-                span = deg[c] - k
+                k = d1[off + cur].astype(np.int64)
+                span = deg[cur] - k
                 if not span.all():
-                    act = act[span > 0]
+                    keep = span > 0
+                    cur, left, off, poff = cur[keep], left[keep], off[keep], poff[keep]
                     continue
                 # The draw of process_bp_on's step, shifted down by d1 * span:
                 # below 0 picks old slot r // span + d1, else new slot
@@ -307,22 +330,26 @@ def _cover_walk_trees(
                 r = rng.integers(0, span * (n - 1)) - k * span
                 new = r >= 0
                 slot = k + r // np.where(new, n - 1 - k, span)
-                base = indptr[c]
-                j = perm[act, base + slot]
+                base = indptr[cur]
+                at = poff + base
+                j = perm[at + slot]
                 if new.any():
-                    an, bn = act[new], base[new]
-                    perm[an, bn + slot[new]] = perm[an, bn + k[new]]
-                    perm[an, bn + k[new]] = j[new]
-                    d1[an, c[new]] += 1
+                    rn, kn = at[new], k[new]
+                    perm[rn + slot[new]] = perm[rn + kn]
+                    perm[rn + kn] = j[new]
+                    d1[off[new] + cur[new]] += 1
                 arc = base + j
-            nxt = heads[arc]
-            fresh = first[act, nxt] == -1
+            cur = heads[arc].astype(np.int64)
+            pos = off + cur
+            fresh = flat[pos] == -1
             if fresh.any():
-                aw = act[fresh]
-                first[aw, nxt[fresh]] = arc_eids[arc[fresh]]
-                nvis[aw] += 1
-            cur[act] = nxt
-            act = act[nvis[act] < n]
+                flat[pos[fresh]] = arc_eids[arc[fresh]]
+                left -= fresh
+                if not left.all():
+                    keep = left > 0
+                    cur, left, off = cur[keep], left[keep], off[keep]
+                    if oriented:
+                        poff = poff[keep]
         yield first
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SamplingError, cut_edges
+from .graph import Graph, SamplingError
 from .sampler import SpanningTree, process_bp, sample_trees
 from .seeds import child_seed
 
@@ -61,9 +61,6 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def cut_weight(self, subset) -> float:
-        return float(self.weights[cut_edges(self.graph, subset)].sum())
 
 
 def _as_graph(obj) -> Graph:

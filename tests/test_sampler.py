@@ -500,3 +500,101 @@ def test_oriented_rule_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(Orientation, "walk_step_cap", lambda self: 2)
     with pytest.raises(SamplingError, match="did not cover"):
         _rows(oriented, 10, substream(1, "cap"))
+
+
+def test_uniform_rule_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(Graph, "walk_step_cap", lambda self: 2)
+    with pytest.raises(SamplingError, match="did not cover"):
+        _rows(petersen_graph(), 10, substream(1, "cap"))
+
+
+def _reference_chunk(graph, w, rng, start):
+    """The engine's step loop before it compacted its walk state: per step it
+    gathers every active walk's state by index and re-filters the active set.
+    Kept as the reference the compacted loop must reproduce row for row."""
+    n = graph.n
+    oriented = isinstance(graph, Orientation)
+    indptr, heads, arc_eids = graph._csr
+    deg = np.diff(indptr)
+    first_t = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > graph.m)
+    cur = np.full(w, start, dtype=np.int32)
+    first = np.full((w, n), -1, dtype=first_t)
+    first[:, start] = -2
+    nvis = np.ones(w, dtype=np.int32)
+    act = np.arange(w, dtype=np.int64)
+    if oriented:
+        slot_t = np.min_scalar_type(max(int(deg.max()), 1))
+        local = (np.arange(heads.size) - np.repeat(indptr[:-1], deg)).astype(slot_t)
+        perm = np.tile(local, (w, 1))
+        d1 = np.zeros((w, n), dtype=slot_t)
+    while act.size:
+        c = cur[act]
+        if not oriented:
+            arc = indptr[c] + rng.integers(0, deg[c])
+        else:
+            k = d1[act, c].astype(np.int64)
+            span = deg[c] - k
+            if not span.all():
+                act = act[span > 0]
+                continue
+            r = rng.integers(0, span * (n - 1)) - k * span
+            new = r >= 0
+            slot = k + r // np.where(new, n - 1 - k, span)
+            base = indptr[c]
+            j = perm[act, base + slot]
+            if new.any():
+                an, bn = act[new], base[new]
+                perm[an, bn + slot[new]] = perm[an, bn + k[new]]
+                perm[an, bn + k[new]] = j[new]
+                d1[an, c[new]] += 1
+            arc = base + j
+        nxt = heads[arc]
+        fresh = first[act, nxt] == -1
+        if fresh.any():
+            aw = act[fresh]
+            first[aw, nxt[fresh]] = arc_eids[arc[fresh]]
+            nvis[aw] += 1
+        cur[act] = nxt
+        act = act[nvis[act] < n]
+    return first
+
+
+@pytest.mark.parametrize(
+    "graph, start",
+    [
+        (petersen_graph(), 2),
+        (wheel_graph(8), 0),
+        (direct_edges_dp(complete_graph(5), 0.7, seed=4), 1),
+    ],
+    ids=["petersen", "wheel8", "oriented-k5"],
+)
+def test_rows_match_reference_loop_across_chunks(monkeypatch, graph, start):
+    monkeypatch.setattr(sampler, "_BATCH_BYTES", 20_000)
+    trials = 1200
+    chunks = list(_cover_walk_trees(graph, trials, substream(9, "reference"), start))
+    assert len(chunks) >= 5
+    rng = substream(9, "reference")
+    size = len(chunks[0])
+    expected = [
+        _reference_chunk(graph, min(size, trials - done), rng, start)
+        for done in range(0, trials, size)
+    ]
+    assert [c.shape for c in chunks] == [e.shape for e in expected]
+    for got, want in zip(chunks, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 1023])
+def test_scalar_bound_draw_equals_array_bound_draw(d):
+    a, b = substream(11, "draw", d), substream(11, "draw", d)
+    for k in (1, 7, 1000, 3):
+        x = a.integers(0, d, size=k)
+        y = b.integers(0, np.full(k, d))
+        assert np.array_equal(x, y), (
+            "on regular graphs the lockstep walk draws rng.integers(0, d, size=k) "
+            "in place of rng.integers(0, deg[cur]); this numpy gives different "
+            "values, so regular-graph trees would change"
+        )
+    # The two paths also leave the generator in the same state.
+    assert a.integers(0, 1 << 62) == b.integers(0, 1 << 62)

@@ -147,7 +147,7 @@ def test_sparsifier_shape_and_weights():
     assert wg.graph.is_connected()
     # Any cut weight is exactly p*n times the support cut size.
     subset = list(range(40))
-    assert wg.cut_weight(subset) == pytest.approx(
+    assert wg.weights[cut_edges(wg.graph, subset)].sum() == pytest.approx(
         p * n * len(cut_edges(wg.graph, subset))
     )
     total = wg.weights.sum()
