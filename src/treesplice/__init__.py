@@ -56,6 +56,7 @@ from .cuts import (
     sampled_cut_ratios,
     sparsifier_quality,
     spectral_lower_bound,
+    spectral_lower_bounds,
     vertex_expansion_exact,
 )
 from .verify import (

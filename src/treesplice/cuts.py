@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .graph import ConvergenceError, Graph
 from .linalg import laplacian_sparse
@@ -50,6 +51,8 @@ _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their pr
 _SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
 _SCAN_BYTES_PER_SUBSET = 80  # tracemalloc peak of a block, per subset, at n = 24
 _LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2 above the dense-solve size
+_LANCZOS_ITERS = 10  # Lanczos iteration cap, per vertex
+_LANCZOS_CHECK = 10  # Lanczos iterations between convergence tests
 
 
 @dataclass(frozen=True)
@@ -217,35 +220,93 @@ def _require_connected(graph: Graph, what: str) -> None:
 def spectral_lower_bound(obj) -> float:
     """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
 
-    Computed by Lanczos iteration on the Laplacian with the constant vector
-    deflated by a rank-one shift; small instances fall back to a dense solve.
-    Non-convergence at ARPACK's iteration cap (10 n) raises ConvergenceError.
+    A batch of one for ``spectral_lower_bounds``: above 64 vertices plain
+    Lanczos, not ARPACK, with an iteration cap of ``_LANCZOS_ITERS`` per
+    vertex, past which it raises ConvergenceError; at most 64 vertices, a
+    dense solve.
     """
-    graph = _as_graph(obj)
-    _require_connected(graph, "spectral bound")
-    n = graph.n
-    lap = laplacian_sparse(graph, obj.weights if isinstance(obj, WeightedGraph) else None)
+    return float(spectral_lower_bounds([obj])[0])
+
+
+def spectral_lower_bounds(objs) -> np.ndarray:
+    """lambda_2 of each graph, splicer or weighted graph; all share one n.
+
+    Each Laplacian L gets the operator L + shift J / n, with J the all-ones
+    matrix and shift = 2 max degree + 2 > lambda_max(L), so that lambda_2 is
+    its smallest eigenvalue.  Above 64 vertices one plain Lanczos recurrence
+    (no reorthogonalisation: Paige 1980 shows the extreme Ritz values still
+    converge to working accuracy) runs for all graphs in lockstep, from the
+    start vector cos(i + 1), with one block-diagonal sparse product per
+    iteration and alpha, beta kept per graph.  Every ``_LANCZOS_CHECK``
+    iterations, and whenever beta nearly vanishes, each graph's tridiagonal
+    T gives its smallest Ritz value theta with eigenvector s; the graph stops
+    once beta |s_last| <= ``_LANCZOS_TOL`` |theta|, ARPACK's test.  A graph
+    still running after ``_LANCZOS_ITERS`` n iterations raises
+    ConvergenceError.  A graph's value does not depend on its batchmates.
+    At most 64 vertices each takes a dense solve.  ValueError for an empty
+    batch, mixed vertex counts, or a graph that is disconnected or has
+    fewer than 2 vertices.
+    """
+    objs = list(objs)
+    if not objs:
+        raise ValueError("need at least one graph")
+    graphs = [_as_graph(obj) for obj in objs]
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs of one batch must share one vertex count")
+    for g in graphs:
+        _require_connected(g, "spectral bound")
+    laps = [
+        laplacian_sparse(g, obj.weights if isinstance(obj, WeightedGraph) else None)
+        for obj, g in zip(objs, graphs)
+    ]
     if n <= 64:
-        return float(np.linalg.eigvalsh(lap.toarray())[1])
-    shift = 2.0 * float(lap.diagonal().max()) + 2.0
+        return np.array([np.linalg.eigvalsh(lap.toarray())[1] for lap in laps])
+    return _lockstep_lanczos(laps)
 
-    def matvec(x):
-        return lap @ x + shift * x.mean()
 
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    v0 = np.cos(np.arange(n, dtype=np.float64) + 1.0)
-    try:
-        vals = spla.eigsh(
-            op,
-            k=1,
-            which="SA",
-            tol=_LANCZOS_TOL,
-            v0=v0,
-            return_eigenvectors=False,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return float(vals[0])
+def _lockstep_lanczos(laps: list) -> np.ndarray:
+    """Smallest eigenvalue of each L + shift J / n, by ``spectral_lower_bounds``' rule."""
+    n = laps[0].shape[0]
+    cap = int(_LANCZOS_ITERS * n)
+    shift = np.array([2.0 * float(lap.diagonal().max()) + 2.0 for lap in laps])
+    out = np.empty(len(laps))
+    alphas = np.zeros((len(laps), cap))
+    betas = np.zeros((len(laps), cap))
+    live = np.arange(len(laps))
+    block = sp.block_diag(laps, format="csr")
+    q = np.tile(np.cos(np.arange(n, dtype=np.float64) + 1.0), (len(laps), 1))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    prev = np.zeros_like(q)
+    beta = np.zeros(len(laps))
+    for j in range(cap):
+        w = (block @ q.reshape(-1)).reshape(q.shape)
+        w += (shift[live] * q.mean(axis=1))[:, None]
+        w -= beta[:, None] * prev
+        alpha = np.einsum("ij,ij->i", q, w)
+        w -= alpha[:, None] * q
+        beta = np.linalg.norm(w, axis=1)
+        alphas[live, j] = alpha
+        betas[live, j] = beta
+        if (j + 1) % _LANCZOS_CHECK == 0 or (beta <= _LANCZOS_TOL * alpha).any():
+            done = np.zeros(live.size, dtype=bool)
+            for r, g in enumerate(live):
+                theta, s = sla.eigh_tridiagonal(
+                    alphas[g, : j + 1], betas[g, :j], select="i", select_range=(0, 0)
+                )
+                if beta[r] * abs(s[-1, 0]) <= _LANCZOS_TOL * abs(theta[0]):
+                    out[g] = theta[0]
+                    done[r] = True
+            if done.any():
+                keep = ~done
+                live, q, w, beta = live[keep], q[keep], w[keep], beta[keep]
+                if not live.size:
+                    return out
+                block = sp.block_diag([laps[g] for g in live], format="csr")
+        prev, q = q, w / beta[:, None]
+    raise ConvergenceError(
+        f"eigenvalue iteration did not converge within {cap} Lanczos iterations"
+    )
 
 
 def _tree_component_subsets(graph: Graph, seed: int, want: int) -> list[np.ndarray]:

@@ -132,6 +132,18 @@ class Graph:
         return _frozen(indptr, other[order].astype(np.int32), eids[order])
 
     @cached_property
+    def _complete_in_order(self) -> bool:
+        """Whether this is K_n with its edges in ``triu`` order, as
+        ``complete_graph`` lists them: edge (u, v), u < v, then has id
+        u (2n - u - 1) / 2 + v - u - 1, and row v of ``_csr`` reads
+        v+1, ..., n-1, 0, ..., v-1."""
+        n = self.n
+        if self.m != n * (n - 1) // 2:
+            return False
+        codes = self._eu.astype(np.int64) * n + self._ev
+        return bool((codes[1:] > codes[:-1]).all())
+
+    @cached_property
     def _neighbor_lists(self) -> list[list[int]]:
         """Per-vertex neighbour lists in ``_csr`` row order, for scalar loops."""
         indptr, nbr, _ = self._csr

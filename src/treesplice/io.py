@@ -136,14 +136,3 @@ def parse_weighted(text: str) -> WeightedGraph:
         raise GraphFormatError("trailing content after edge list", m + 2)
     return WeightedGraph(Graph(n, edges), np.array(weights))
 
-
-def sniff_format(text: str) -> str:
-    """'tree', 'weighted', or 'graph', from the header and first edge line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphFormatError("empty input", 1)
-    if lines[0].split()[:1] == ["tree"]:
-        return "tree"
-    if len(lines) > 1 and len(lines[1].split()) == 3:
-        return "weighted"
-    return "graph"

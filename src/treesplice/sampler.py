@@ -31,7 +31,11 @@ the edge ids from the CSR after the walk; ``process_bp_on`` permutes list
 rows it slices afresh per call.  Both apply ``seeds.below``'s exact rule
 inline to raw words from ``seeds.word_stream``; a word below 2^64 minus the
 walk's largest bound passes for every bound, so only the top few words reach
-the exact limit.
+the exact limit.  On K_n with its edges in ``triu`` order, as
+``complete_graph`` builds it, row v reads v+1, ..., n-1, 0, ..., v-1, so
+``aldous_broder`` needs no rows: its trace is a cumulative sum mod n of the
+accepted draws, computed a block of words at a time from the same stream,
+with the same rejections, and the tree and trace are those of the step loop.
 The lockstep engine draws differently, with ``Generator.integers``: one
 draw per active walk and step, on array bounds, or on a regular graph of
 degree d on the scalar bound d, which gives the same values.  It holds the
@@ -42,6 +46,7 @@ walk finishes or gets stuck.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +162,11 @@ def aldous_broder(
     """Uniform spanning tree by random walk; keeps each first-entry edge.
 
     Walks until every vertex is visited.  A disconnected graph raises
-    SamplingError before the first step.
+    SamplingError before the first step, and a walk that has not covered
+    within ``graph.walk_step_cap()`` steps raises it too.  On K_n in
+    ``triu`` edge order the walk runs in closed form (``_complete_walk``)
+    on the same draws, with the same tree, trace and dtypes as the loop,
+    and builds no neighbour lists.
     """
     n = graph.n
     if n < 1:
@@ -167,6 +176,8 @@ def aldous_broder(
     if n == 1:
         tree = SpanningTree(0, np.full(1, -1, np.int32), np.full(1, -1, np.int32))
         return tree, WalkTrace(np.zeros(1, np.int32), np.zeros(1, np.int64))
+    if graph._complete_in_order:
+        return _complete_walk(graph, substream(seed, "aldous-broder"), start)
     if not graph.is_connected():
         raise SamplingError("graph is disconnected; the walk cannot cover")
     word = word_stream(substream(seed, "aldous-broder"))
@@ -204,6 +215,52 @@ def aldous_broder(
     parent_edge[start] = -1
     tree = SpanningTree(start, np.array(parent, np.int32), parent_edge)
     return tree, WalkTrace(np.array(trace, np.int32), np.array(first_visit, np.int64))
+
+
+def _complete_walk(
+    graph: Graph, gen: np.random.Generator, start: int
+) -> tuple[SpanningTree, WalkTrace]:
+    """``aldous_broder``'s walk on K_n in ``triu`` edge order, in closed form.
+
+    Row v of the CSR reads v+1, ..., n-1, 0, ..., v-1, so slot j leads to
+    (v + 1 + j) mod n and the trace is a cumulative sum mod n of the draws.
+    The words come in blocks from the same stream; those the scalar rule
+    rejects (w >= 2^64 - 2^64 mod (n-1), none when n-1 is a power of two)
+    are dropped, and the rest give j = w mod (n-1), the scalar walk's slots.
+    """
+    n = graph.n
+    d = n - 1
+    cap = graph.walk_step_cap()
+    limit = WORDS - WORDS % d
+    # cap marks a vertex not yet entered; the walk may take cap - 1 steps.
+    first_visit = np.full(n, cap, dtype=np.int64)
+    first_visit[start] = 0
+    pieces = [np.array([start], dtype=np.int64)]
+    steps, cur = 0, start
+    # The expected cover time is (n-1) H_(n-1) < n (ln n + 1) steps.
+    block = int(n * (math.log(n) + 2))
+    while first_visit.max() == cap:
+        if steps >= cap - 1:
+            raise SamplingError(f"walk did not cover within {cap} steps")
+        w = gen.integers(0, WORDS, size=block, dtype=np.uint64)
+        if limit < WORDS:
+            w = w[w < np.uint64(limit)]
+        w = w[: cap - 1 - steps]
+        pos = np.cumsum((w % np.uint64(d)).astype(np.int64) + 1)
+        pos += cur
+        pos %= n
+        pieces.append(pos)
+        np.minimum.at(first_visit, pos, np.arange(steps + 1, steps + 1 + pos.size))
+        steps += pos.size
+        cur = int(pos[-1])
+    trace = np.concatenate(pieces)[: first_visit.max() + 1]
+    parent = trace[np.maximum(first_visit - 1, 0)]
+    parent[start] = -1
+    lo, hi = np.minimum(parent, np.arange(n)), np.maximum(parent, np.arange(n))
+    parent_edge = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+    parent_edge[start] = -1
+    tree = SpanningTree(start, parent.astype(np.int32), parent_edge.astype(np.int32))
+    return tree, WalkTrace(trace.astype(np.int32), first_visit)
 
 
 def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:

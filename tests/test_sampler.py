@@ -598,3 +598,50 @@ def test_scalar_bound_draw_equals_array_bound_draw(d):
         )
     # The two paths also leave the generator in the same state.
     assert a.integers(0, 1 << 62) == b.integers(0, 1 << 62)
+
+
+def _walk_arrays(graph, seed, start):
+    tree, trace = aldous_broder(graph, seed, start)
+    return tree.root, [tree.parent, tree.parent_edge, trace.vertices, trace.first_visit]
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 65, 129, 200, 1024])
+def test_complete_graph_closed_form_equals_the_loop(monkeypatch, n):
+    # n - 1 = 1, 16, 64, 128 divide 2^64, so no word is rejected there.
+    fast, loop = complete_graph(n), complete_graph(n)
+    monkeypatch.setattr(loop, "_complete_in_order", False)
+    for seed in (1, 2) if n == 1024 else (1, 2, 3):
+        for start in sorted({0, n - 1, n // 2}):
+            root, got = _walk_arrays(fast, seed, start)
+            want_root, want = _walk_arrays(loop, seed, start)
+            assert root == want_root == start
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert "_neighbor_lists" not in fast.__dict__
+    assert "_neighbor_lists" in loop.__dict__
+
+
+def test_complete_graph_out_of_order_takes_the_loop():
+    n = 40
+    edges = np.array(list(complete_graph(n).iter_edges()))
+    shuffled = Graph(n, edges[np.random.default_rng(4).permutation(len(edges))])
+    assert complete_graph(n)._complete_in_order
+    assert not shuffled._complete_in_order
+    assert not Graph(n, edges[:-1])._complete_in_order
+    for seed in range(3):
+        tree, trace = aldous_broder(shuffled, seed, start=7)
+        tree.validate(shuffled)
+        assert trace.vertices[0] == 7 and (trace.first_visit >= 0).all()
+    assert "_neighbor_lists" in shuffled.__dict__
+
+
+def test_complete_graph_closed_form_keeps_the_step_cap(monkeypatch):
+    monkeypatch.setattr(Graph, "walk_step_cap", lambda self: 150)
+    fast, loop = complete_graph(200), complete_graph(200)
+    monkeypatch.setattr(loop, "_complete_in_order", False)
+    messages = []
+    for g in (fast, loop):
+        with pytest.raises(SamplingError) as err:
+            aldous_broder(g, seed=5)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "walk did not cover within 150 steps"
