@@ -16,17 +16,21 @@ bytes each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16 and no array holds
 2^(n-1) entries; a graph with n - 1 <= L runs as one block.
 
 Above that scale the spectral certificate (edge expansion >= lambda_2 / 2) and
-four sampled cut families stand in for "every cut".  How a sampled cut is
-counted depends on density.  A graph is dense when ceil(n / 64) <= 2m / n: a
-packed row is then no longer than an average CSR row, and the table's
-8 n ceil(n / 64) bytes stay within the 16 m bytes of the CSR the graph already
-holds.  On a dense unweighted graph |cut(S)| is the sum over u in S of
-popcount(row_u & ~S), and BFS balls grow by OR-ing whole rows; a block of cuts'
-bitsets and per-member words stays within ``_CUT_BLOCK_BYTES`` (4 MiB).
-Weighted and sparse graphs keep x^T L_w x for the indicator x, summed a block
-of indicator columns X at a time as the column sums of (L_w X) * X, with the
-three float64 n-by-block arrays within the same budget, and sparse graphs grow
-balls vertex by vertex.  Both ways give the same values and the same cuts.
+four sampled cut families stand in for "every cut".  The families are arrays
+from the start: int8 family codes and one CSR ``indptr``/``members`` pair.
+Uniform subsets of each size come from one lockstep Floyd draw over a boolean
+row block, tree cuts are subtree intervals of the DFS order, and BFS balls
+grow a chunk of attempts at a time as boolean sparse products B <- B (A + I),
+with the sequential rule that retires a radius replayed over their sizes.  How a
+sampled cut is counted depends on density.  A graph is dense when
+ceil(n / 64) <= 2m / n: a packed row is then no longer than an average CSR
+row, and the table's 8 n ceil(n / 64) bytes stay within the 16 m bytes of the
+CSR the graph already holds.  On a dense unweighted graph |cut(S)| is the sum
+over u in S of popcount(row_u & ~S); a block of cuts' bitsets and per-member
+words stays within ``_CUT_BLOCK_BYTES`` (4 MiB).  Weighted and sparse graphs
+keep x^T L_w x for the indicator x, summed a block of indicator columns X at a
+time as the column sums of (L_w X) * X, with the three float64 n-by-block
+arrays within the same budget.  Both ways give the same values.
 All analyses are read-only.
 """
 
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .graph import ConvergenceError, Graph
 from .linalg import laplacian_sparse
@@ -53,6 +57,8 @@ _SCAN_BYTES_PER_SUBSET = 80  # tracemalloc peak of a block, per subset, at n = 2
 _LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2 above the dense-solve size
 _LANCZOS_ITERS = 10  # Lanczos iteration cap, per vertex
 _LANCZOS_CHECK = 10  # Lanczos iterations between convergence tests
+_BALL_PROBE = 9     # first chunk of ball attempts: three per radius
+_STEBZ, _STEIN = lapack.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -291,11 +297,9 @@ def _lockstep_lanczos(laps: list) -> np.ndarray:
         if (j + 1) % _LANCZOS_CHECK == 0 or (beta <= _LANCZOS_TOL * alpha).any():
             done = np.zeros(live.size, dtype=bool)
             for r, g in enumerate(live):
-                theta, s = sla.eigh_tridiagonal(
-                    alphas[g, : j + 1], betas[g, :j], select="i", select_range=(0, 0)
-                )
-                if beta[r] * abs(s[-1, 0]) <= _LANCZOS_TOL * abs(theta[0]):
-                    out[g] = theta[0]
+                theta, s_last = _smallest_ritz(alphas[g, : j + 1], betas[g, :j])
+                if beta[r] * abs(s_last) <= _LANCZOS_TOL * abs(theta):
+                    out[g] = theta
                     done[r] = True
             if done.any():
                 keep = ~done
@@ -309,33 +313,39 @@ def _lockstep_lanczos(laps: list) -> np.ndarray:
     )
 
 
-def _tree_component_subsets(graph: Graph, seed: int, want: int) -> list[np.ndarray]:
-    """Cuts induced by deleting one edge of fresh random spanning trees."""
-    out: list[np.ndarray] = []
-    j = 0
-    n = graph.n
-    while len(out) < want:
-        tree, _ = aldous_broder(graph, child_seed(seed, "cut-tree", j))
-        j += 1
-        order, tin, tout = tree.dfs_intervals()
-        for v in range(n):
-            if int(tree.parent[v]) < 0:
-                continue
-            members = order[tin[v] : tout[v]]
-            if 1 <= members.size < n:
-                out.append(members)
-            if len(out) >= want:
-                break
-    return out
+def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """Smallest eigenvalue of the symmetric tridiagonal with diagonal ``alpha``
+    and off-diagonal ``beta``, and the last entry of its unit eigenvector.
+
+    LAPACK's stebz (bisection) and stein (inverse iteration), called as
+    ``scipy.linalg.eigh_tridiagonal(..., select="i", select_range=(0, 0))``
+    calls them, so both values are bit-identical to it, without the wrapper's
+    argument checks.
+    """
+    if alpha.size == 1:
+        return float(alpha[0]), 1.0
+    m, w, iblock, isplit, info = _STEBZ(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vec, info = _STEIN(alpha, beta, w[:m], iblock, isplit)
+    if info:
+        raise ConvergenceError(f"LAPACK tridiagonal eigensolver failed (info={info})")
+    return float(w[0]), float(vec[-1, 0])
 
 
-def sample_cut_subsets(graph: Graph, samples: int, seed: int) -> list[tuple[str, np.ndarray]]:
-    """The four adversarial cut families, as (family, vertex-array) pairs.
+def sample_cut_subsets(
+    graph: Graph, samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four adversarial cut families as arrays ``(family, indptr, members)``:
+    cut i is family ``CutRatios.FAMILIES[family[i]]`` (int8 codes) with vertex
+    set ``members[indptr[i]:indptr[i + 1]]``, ascending but for tree cuts,
+    which keep the DFS order.
 
     All minimum-degree singletons come first; the remaining budget splits
-    evenly between uniform subsets of doubling sizes, cuts induced by deleting
-    one edge of a fresh random spanning tree, and BFS balls of radii 1..3
-    around random centers (balls that swallow every vertex are skipped).
+    evenly between uniform subsets of doubling sizes (``_size_class_subsets``),
+    cuts induced by deleting one edge of a fresh random spanning tree
+    (``_tree_component_subsets``) and BFS balls of radii 1..3 around random
+    centers (``_bfs_balls``; balls that swallow every vertex are skipped).
+    The ball centers are drawn after the size classes, from the same stream.
     A graph with fewer than 2 vertices or more than one component raises
     ValueError.
     """
@@ -344,92 +354,154 @@ def sample_cut_subsets(graph: Graph, samples: int, seed: int) -> list[tuple[str,
     _require_connected(graph, "cut sampling")
     n = graph.n
     rng = substream(seed, "cut-subsets")
-    out: list[tuple[str, np.ndarray]] = []
-
     deg = graph.degrees
-    for v in np.flatnonzero(deg == deg.min())[:samples]:
-        out.append(("min-degree-singleton", np.array([int(v)])))
-
-    remaining = max(samples - len(out), 0)
-    quota_sizes = remaining - 2 * (remaining // 3)
-    quota_tree = remaining // 3
-    quota_balls = remaining // 3
-
-    size_classes = []
-    s = 1
-    while s <= n // 2:
-        size_classes.append(s)
-        s *= 2
-    for i in range(quota_sizes):
-        size = size_classes[i % len(size_classes)]
-        pick = rng.choice(n, size=size, replace=False)
-        out.append(("random-size-class", np.sort(pick)))
-
-    if quota_tree:
-        for members in _tree_component_subsets(graph, child_seed(seed, "trees"), quota_tree):
-            out.append(("tree-component", members))
-
-    if _is_dense(graph):
-        grow, table = _packed_ball, _packed_rows(graph)
-    else:
-        grow, table = _set_ball, graph._neighbor_lists
-    made = 0
-    attempt = 0
-    # Radii whose balls keep swallowing every vertex get retired so dense
-    # graphs do not burn the attempt budget on hopeless expansions; the loop
-    # ends once all three are.
-    radius_failures = [0, 0, 0]
-    while (
-        made < quota_balls
-        and attempt < 8 * quota_balls + 16
-        and min(radius_failures) < 3
-    ):
-        center = int(rng.integers(0, n))
-        radius = attempt % 3 + 1
-        attempt += 1
-        if radius_failures[radius - 1] >= 3:
-            continue
-        ball = grow(table, center, radius)
-        if ball is None:
-            radius_failures[radius - 1] += 1
-            continue
-        out.append(("bfs-ball", ball))
-        made += 1
-    return out
+    singles = np.flatnonzero(deg == deg.min())[:samples]
+    remaining = samples - singles.size
+    quota = remaining // 3
+    sized = _size_class_subsets(rng, n, remaining - 2 * quota)
+    trees = _tree_component_subsets(graph, child_seed(seed, "trees"), quota)
+    balls = _bfs_balls(graph, rng.integers(0, n, size=8 * quota + 16), quota)[:2]
+    families = [(np.ones(singles.size, dtype=np.int64), singles), sized, trees, balls]
+    family = np.repeat(np.arange(len(families), dtype=np.int8), [s.size for s, _ in families])
+    indptr = np.zeros(family.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([s for s, _ in families]), out=indptr[1:])
+    return family, indptr, np.concatenate([m for _, m in families])
 
 
-def _set_ball(nbrs: list[list[int]], center: int, radius: int) -> np.ndarray | None:
-    """Sorted vertices within ``radius`` of ``center``; None if that is all of them."""
-    n = len(nbrs)
-    ball = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in nbrs[v]:
-                if w not in ball:
-                    ball.add(w)
-                    nxt.append(w)
-        if len(ball) >= n:
-            return None
-        frontier = nxt
-    return np.array(sorted(ball), dtype=np.int64)
+def _size_class_subsets(rng, n: int, want: int) -> tuple[np.ndarray, np.ndarray]:
+    """``want`` uniform subsets, set i of size 2^(i mod k) for the k sizes
+    1, 2, 4, ... <= n/2, grouped by size: (sizes, members), sets ascending."""
+    classes = np.array([1 << k for k in range((n // 2).bit_length())], dtype=np.int64)
+    rows = np.array([len(range(c, want, classes.size)) for c in range(classes.size)])
+    members = np.empty(int(rows @ classes), dtype=np.int64)
+    lo = 0
+    for s, r in zip(classes.tolist(), rows.tolist()):
+        _floyd_subsets(rng, n, members[lo : lo + r * s].reshape(r, s))
+        lo += r * s
+    return np.repeat(classes, rows), members
 
 
-def _packed_ball(rows: np.ndarray, center: int, radius: int) -> np.ndarray | None:
-    """``_set_ball`` over packed rows: each layer ORs in the rows of the last."""
-    n = rows.shape[0]
-    ball = rows[center].copy()
-    ball[center >> 3] |= np.uint8(1 << (center & 7))
-    for _ in range(1, radius):
-        ball |= np.bitwise_or.reduce(rows[_members(ball, n)], axis=0)
-    members = _members(ball, n)
-    return members if members.size < n else None
+def _floyd_subsets(rng, n: int, out: np.ndarray) -> None:
+    """Fill each row of ``out`` with a uniform subset of range(n), ascending.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987) runs in lockstep over a
+    block of rows of size s: for j = n - s .. n - 1 every row draws v uniform
+    in [0, j] and takes j if it already holds v, else v, so after s draws each
+    row is a uniform s-subset.  A block is a boolean matrix whose row-major
+    nonzeros are its members in order; the matrix and its members stay within
+    ``_CUT_BLOCK_BYTES``.
+    """
+    rows, s = out.shape
+    block = max(1, _CUT_BLOCK_BYTES // (n + 8 * s))
+    matrix = np.empty(min(block, rows) * n, dtype=bool)
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        picked = matrix[: (hi - lo) * n]
+        picked[:] = False
+        start = np.arange(0, picked.size, n)
+        for j in range(n - s, n):
+            at = start + rng.integers(0, j + 1, size=start.size)
+            picked[np.where(picked[at], start + j, at)] = True
+        np.remainder(np.flatnonzero(picked).reshape(-1, s), n, out=out[lo:hi])
 
 
-def _members(bits: np.ndarray, n: int) -> np.ndarray:
-    """The vertices set in a packed bitset, ascending."""
-    return np.unpackbits(bits, count=n, bitorder="little").nonzero()[0]
+def _tree_component_subsets(
+    graph: Graph, seed: int, want: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts induced by deleting one edge of fresh random spanning trees:
+    (sizes, members).  Tree j's cuts are the subtrees ``order[tin[v]:tout[v]]``
+    (in DFS order) of its non-root vertices v, taken in ascending v and cut
+    from the interval clocks with one ``repeat``; trees are drawn until
+    ``want`` cuts are made."""
+    sizes, members = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    j = made = 0
+    while made < want:
+        tree, _ = aldous_broder(graph, child_seed(seed, "cut-tree", j))
+        j += 1
+        order, tin, tout = tree.dfs_intervals()
+        v = np.flatnonzero(tree.parent >= 0)[: want - made]
+        size = tout[v] - tin[v]
+        first = np.cumsum(size) - size
+        members.append(order[np.arange(size.sum()) + np.repeat(tin[v] - first, size)])
+        sizes.append(size)
+        made += v.size
+    return np.concatenate(sizes), np.concatenate(members)
+
+
+def _bfs_balls(
+    graph: Graph, centers: np.ndarray, want: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Up to ``want`` BFS balls, attempt i of radius i % 3 + 1 around
+    ``centers[i]``: (sizes, members, attempts used), balls ascending.
+
+    The rule is sequential.  A ball that swallows every vertex is a failure;
+    a radius retires after three failures, and its later attempts are
+    skipped, so dense graphs do not spend the attempt budget on balls that
+    fill the graph; attempts stop once ``want`` balls are made, every radius
+    is retired or the centers run out.  Balls are grown a chunk of attempts at a
+    time, each radius's as boolean sparse products B <- B (A + I) from the
+    centers' rows of A + I, and ``_replay_balls`` replays the rule over the
+    ball sizes so far.  Chunks double from ``_BALL_PROBE`` attempts but never
+    exceed what the balls still wanted need, so on a graph whose large balls
+    all fail, a radius is retired before many of them are grown.
+    """
+    n, cap = graph.n, centers.size
+    if not want:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    step = _closed_adjacency(graph)
+    size = np.zeros(cap, dtype=np.int64)  # 0 for attempts not grown
+    ids, grown = [], []
+    lo, chunk, made, fails = 0, _BALL_PROBE, 0, np.zeros(3, dtype=np.int64)
+    while True:
+        live = np.flatnonzero(fails < 3)
+        hi = min(cap, lo + chunk, lo + 3 * -(-(want - made) // live.size))
+        for k in live:
+            at = np.arange(lo + (k - lo) % 3, hi, 3)
+            ball = _grow_balls(step, centers[at], k + 1)
+            size[at] = np.diff(ball.indptr)
+            ids.append(at)
+            grown.append(ball)
+        used, kept, fails = _replay_balls(size[:hi] == n, want)
+        made = kept.size
+        if made >= want or (fails >= 3).all() or hi == cap:
+            break
+        lo, chunk = hi, 2 * chunk
+    ids = np.concatenate(ids)
+    row = np.empty(cap, dtype=np.int64)
+    row[ids] = np.arange(ids.size)
+    balls = sp.vstack(grown, format="csr")[row[kept]]
+    balls.sort_indices()
+    return np.diff(balls.indptr).astype(np.int64), balls.indices.astype(np.int64), used
+
+
+def _closed_adjacency(graph: Graph) -> sp.csr_matrix:
+    """A + I as a boolean CSR matrix: row v holds v and its neighbours."""
+    return (graph._adjacency() + sp.identity(graph.n, format="csr")).astype(bool)
+
+
+def _grow_balls(step: sp.csr_matrix, centers: np.ndarray, radius: int) -> sp.csr_matrix:
+    """Row i holds the vertices within ``radius`` >= 1 of ``centers[i]``, in no
+    set order: the centers' rows of ``step`` = A + I, times it radius - 1 times."""
+    ball = step[centers]
+    for _ in range(radius - 1):
+        ball = ball @ step
+    return ball
+
+
+def _replay_balls(full: np.ndarray, want: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``_bfs_balls``' rule over attempts 0..t-1, where ``full[i]`` says that
+    attempt i's ball swallowed every vertex (read only where i is not skipped):
+    (attempts used, the attempts whose balls are kept, failures per radius)."""
+    t = full.size
+    at = np.arange(t)
+    fails = np.zeros((3, t), dtype=np.int64)
+    fails[at % 3, at] = full
+    np.cumsum(fails, axis=1, out=fails)
+    kept = ~full & (fails[at % 3, at] - full < 3)
+    done = (np.cumsum(kept) >= want) | (fails.min(axis=0) >= 3)
+    if done.any():
+        t = int(done.argmax()) + 1
+    return t, np.flatnonzero(kept[:t]), fails[:, t - 1]
 
 
 def _cut_values(graph: Graph, weights, indptr, members) -> np.ndarray:
@@ -486,11 +558,7 @@ def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> CutRat
     if d_graph.n != graph.n:
         raise ValueError("graph and derived object must share a vertex set")
     weights = derived.weights if isinstance(derived, WeightedGraph) else None
-    subsets = sample_cut_subsets(graph, samples, seed)
-    family = np.array([CutRatios.FAMILIES.index(f) for f, _ in subsets], dtype=np.int8)
-    indptr = np.zeros(len(subsets) + 1, dtype=np.int64)
-    np.cumsum([m.size for _, m in subsets], out=indptr[1:])
-    members = np.concatenate([m for _, m in subsets]).astype(np.int64, copy=False)
+    family, indptr, members = sample_cut_subsets(graph, samples, seed)
     return CutRatios(
         family=family,
         indptr=indptr,

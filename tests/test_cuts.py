@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from treesplice import cuts
 from treesplice.cuts import (
@@ -26,9 +27,9 @@ from treesplice.generators import (
 )
 from treesplice.graph import ConvergenceError, Graph, cut_edges
 from treesplice.linalg import laplacian_sparse
-from treesplice.sampler import process_bp
+from treesplice.sampler import aldous_broder, process_bp
 from treesplice.splice import WeightedGraph, _as_graph, splice, union_trees
-from treesplice.seeds import child_seed
+from treesplice.seeds import child_seed, substream
 
 
 def evaluate_subset(graph, subset, kind: str) -> float:
@@ -191,16 +192,26 @@ def test_mean_expansion_monotone_in_k():
 def test_cut_families_cover_requested_kinds():
     g = gnp_graph(60, 0.2, seed=21)
     assert g.is_connected()
-    fams = sample_cut_subsets(g, 60, seed=2)
-    kinds = {f for f, _ in fams}
+    family, indptr, members = sample_cut_subsets(g, 60, seed=2)
+    assert family.dtype == np.int8 and indptr.size == family.size + 1
+    assert indptr[0] == 0 and indptr[-1] == members.size
+    kinds = {CutRatios.FAMILIES[f] for f in family}
     assert kinds >= {
         "min-degree-singleton",
         "random-size-class",
         "tree-component",
         "bfs-ball",
     }
-    for _, members in fams:
-        assert 1 <= members.size < g.n
+    # Families come in order, and each cut is a proper vertex set: ascending,
+    # but for tree cuts, which keep the DFS order.
+    assert (np.diff(family) >= 0).all()
+    sizes = np.diff(indptr)
+    assert ((1 <= sizes) & (sizes < g.n)).all()
+    for i in range(family.size):
+        cut = members[indptr[i] : indptr[i + 1]]
+        assert np.unique(cut).size == cut.size and 0 <= cut.min() and cut.max() < g.n
+        if CutRatios.FAMILIES[family[i]] != "tree-component":
+            assert (np.diff(cut) > 0).all()
 
 
 def test_sampled_ratios_identity_is_one():
@@ -310,15 +321,15 @@ def reference_ball(g, center, radius):
 )
 def test_balls_match_a_set_bfs(g):
     assert g.is_connected()
-    rows = cuts._packed_rows(g)
-    for center in range(0, g.n, 7):
-        for radius in (1, 2, 3, 4):
-            want = reference_ball(g, center, radius)
-            for got in (
-                cuts._packed_ball(rows, center, radius),
-                cuts._set_ball(g._neighbor_lists, center, radius),
-            ):
-                assert (got is None) if want is None else got.tolist() == want
+    step = cuts._closed_adjacency(g)
+    centers = np.arange(0, g.n, 7)
+    for radius in (1, 2, 3, 4):
+        balls = cuts._grow_balls(step, centers, radius)
+        balls.sort_indices()
+        for i, center in enumerate(centers):
+            want = reference_ball(g, int(center), radius)
+            got = balls.indices[balls.indptr[i] : balls.indptr[i + 1]].tolist()
+            assert got == (list(range(g.n)) if want is None else want)
 
 
 @pytest.mark.parametrize(
@@ -334,36 +345,157 @@ def test_dense_and_sparse_paths_give_the_same_cuts(g, monkeypatch):
         assert np.array_equal(getattr(got, name), getattr(other, name))
 
 
-class _CountingRng:
-    """A generator whose ``integers`` draws (the ball centers) are counted."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.centers = 0
-
-    def choice(self, *args, **kwargs):
-        return self.rng.choice(*args, **kwargs)
-
-    def integers(self, *args, **kwargs):
-        self.centers += 1
-        return self.rng.integers(*args, **kwargs)
-
-
 def test_ball_loop_stops_once_every_radius_is_retired(monkeypatch):
     # On K_n every ball swallows the graph: each radius fails three times in
-    # the first nine draws, and then no radius is left to try.
-    real = cuts.substream
-    made = []
+    # the first nine attempts, and then no radius is left to try.
+    real = cuts._grow_balls
+    grown = []
 
-    def counting(seed, name):
-        made.append(_CountingRng(real(seed, name)))
-        return made[-1]
+    def counting(step, centers, radius):
+        grown.append(centers.size)
+        return real(step, centers, radius)
 
-    monkeypatch.setattr(cuts, "substream", counting)
+    monkeypatch.setattr(cuts, "_grow_balls", counting)
     g = complete_graph(12)
-    fams = sample_cut_subsets(g, 60, seed=3)
-    assert [rng.centers for rng in made] == [9]
-    assert "bfs-ball" not in {f for f, _ in fams}
+    family, _, _ = sample_cut_subsets(g, 60, seed=3)
+    assert sum(grown) == 9
+    assert CutRatios.FAMILIES.index("bfs-ball") not in family
+    # 60 samples leave 16 balls wanted, so 144 centers are drawn.  A first
+    # chunk of 30 attempts is cut to the 18 that 16 balls need; all 18 balls
+    # are grown, and the replay still stops after the ninth attempt and keeps
+    # no ball.
+    monkeypatch.setattr(cuts, "_BALL_PROBE", 30)
+    grown.clear()
+    centers = np.random.default_rng(3).integers(0, g.n, size=8 * 16 + 16)
+    sizes, members, used = cuts._bfs_balls(g, centers, 16)
+    assert used == 9 and sum(grown) == 18
+    assert sizes.size == members.size == 0
+
+
+def test_floyd_subsets_are_uniform():
+    # All 20 three-subsets of six vertices, each within 4 standard errors of
+    # 1/20, from one lockstep draw over 2e4 rows.
+    out = np.empty((20_000, 3), dtype=np.int64)
+    cuts._floyd_subsets(np.random.default_rng(11), 6, out)
+    codes = (np.left_shift(1, out)).sum(axis=1)
+    counts = np.bincount(codes, minlength=64)[np.bitwise_count(np.arange(64)) == 3]
+    p = 1 / 20
+    se = math.sqrt(p * (1 - p) / out.shape[0])
+    assert counts.size == 20
+    assert (np.abs(counts / out.shape[0] - p) <= 4 * se).all()
+
+
+@pytest.mark.parametrize("n, s", [(2, 1), (37, 1), (37, 16), (100, 50), (256, 128)])
+def test_floyd_rows_hold_distinct_ascending_members(n, s, monkeypatch):
+    # A budget of about three rows splits 50 rows into blocks, the last short.
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * (n + 8 * s) + 1)
+    out = np.full((50, s), -1, dtype=np.int64)
+    cuts._floyd_subsets(np.random.default_rng(n + s), n, out)
+    assert (np.diff(out, axis=1) > 0).all()
+    assert out.min() >= 0 and out.max() < n
+
+
+def test_floyd_blocks_stay_within_the_budget(monkeypatch):
+    # 400 rows of 2048 from 4096 vertices: unblocked, the boolean matrix and
+    # its nonzeros would take about 8 MiB.
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    out = np.empty((400, 2048), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        cuts._floyd_subsets(np.random.default_rng(5), 4096, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block's matrix and nonzeros, plus a few row-length index arrays.
+    assert peak < 1.05 * (1 << 20)
+    assert (np.diff(out, axis=1) > 0).all()
+
+
+def reference_tree_cuts(graph, seed, want):
+    """The vertex loop that cut tree components one subtree at a time."""
+    out = []
+    j = 0
+    while len(out) < want:
+        tree, _ = aldous_broder(graph, child_seed(seed, "cut-tree", j))
+        j += 1
+        order, tin, tout = tree.dfs_intervals()
+        for v in range(graph.n):
+            if int(tree.parent[v]) < 0:
+                continue
+            members = order[tin[v] : tout[v]]
+            if 1 <= members.size < graph.n:
+                out.append(members.tolist())
+            if len(out) >= want:
+                break
+    return out
+
+
+def reference_ball_loop(graph, rng, want):
+    """The sequential ball loop: one center drawn per attempt, radius
+    attempt % 3 + 1, a radius retired after three balls that fill the graph."""
+    out, attempt, failures = [], 0, [0, 0, 0]
+    while len(out) < want and attempt < 8 * want + 16 and min(failures) < 3:
+        center = int(rng.integers(0, graph.n))
+        radius = attempt % 3 + 1
+        attempt += 1
+        if failures[radius - 1] >= 3:
+            continue
+        ball = reference_ball(graph, center, radius)
+        if ball is None:
+            failures[radius - 1] += 1
+        else:
+            out.append(ball)
+    return out, failures
+
+
+def family_cuts(family, indptr, members, name):
+    code = CutRatios.FAMILIES.index(name)
+    return [members[indptr[i] : indptr[i + 1]].tolist() for i in np.flatnonzero(family == code)]
+
+
+@pytest.mark.parametrize(
+    "g, samples",
+    [
+        (complete_graph(12), 60),
+        (gnp_graph(60, 0.2, seed=21), 300),
+        (random_regular_graph(300, 3, seed=11), 2000),
+        (cycle_graph(40), 300),
+        (gnp_graph(1000, 10 * math.log(1000) / 1000, seed=7), 10_000),
+    ],
+    ids=["K12", "gnp60", "rr300", "cycle40", "host1000"],
+)
+def test_tree_and_ball_families_match_the_sequential_loops(g, samples):
+    seed = 8
+    family, indptr, members = sample_cut_subsets(g, samples, seed)
+    singles = int((family == 0).sum())
+    quota = (samples - singles) // 3
+    assert family_cuts(family, indptr, members, "tree-component") == reference_tree_cuts(
+        g, child_seed(seed, "trees"), quota
+    )
+    # The ball loop starts from the generator state the size classes leave.
+    rng = substream(seed, "cut-subsets")
+    cuts._size_class_subsets(rng, g.n, samples - singles - 2 * quota)
+    balls, failures = reference_ball_loop(g, rng, quota)
+    assert family_cuts(family, indptr, members, "bfs-ball") == balls
+    if g.n == 1000:
+        # Radii 2 and 3 retire mid-run; radius 1 makes the rest.
+        assert failures[1:] == [3, 3] and len(balls) == quota
+
+
+def test_sampled_cuts_keep_temporaries_within_a_block():
+    # Sparse n = 4096, 1968 cuts in each random family.  Beyond the families
+    # and their concatenation, each the size of the result, the sampler's
+    # working arrays stay within one block.
+    g = random_regular_graph(4096, 3, seed=5)
+    tracemalloc.start()
+    try:
+        family, indptr, members = sample_cut_subsets(g, 10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = family.nbytes + indptr.nbytes + members.nbytes
+    assert result > 6 << 20
+    assert peak < 2 * result + cuts._CUT_BLOCK_BYTES
 
 
 def test_sampled_cuts_reject_tiny_or_disconnected_graphs():
@@ -390,16 +522,17 @@ def test_cut_values_match_weighted_cut_weight(monkeypatch):
 def test_cut_ratios_line_up_with_sampled_subsets():
     g = gnp_graph(60, 0.2, seed=21)
     spl = splice(g, 2, seed=3)
-    subsets = sample_cut_subsets(g, 90, seed=4)
+    family, indptr, members = sample_cut_subsets(g, 90, seed=4)
     ratios = sampled_cut_ratios(g, spl, 90, seed=4)
-    assert len(ratios) == len(subsets) == ratios.indptr.size - 1
+    assert len(ratios) == family.size == ratios.indptr.size - 1
     assert ratios.indptr[-1] == ratios.members.size
-    for i, (family, members) in enumerate(subsets):
-        assert CutRatios.FAMILIES[ratios.family[i]] == family
-        cut = ratios.members[ratios.indptr[i] : ratios.indptr[i + 1]]
-        assert cut.tolist() == members.tolist()
-        assert ratios.base_cut[i] == len(cut_edges(g, members))
-        assert ratios.derived_cut[i] == len(cut_edges(spl.support, members))
+    assert np.array_equal(ratios.family, family)
+    assert np.array_equal(ratios.indptr, indptr)
+    assert np.array_equal(ratios.members, members)
+    for i in range(family.size):
+        cut = members[indptr[i] : indptr[i + 1]]
+        assert ratios.base_cut[i] == len(cut_edges(g, cut))
+        assert ratios.derived_cut[i] == len(cut_edges(spl.support, cut))
 
 
 def test_sparsifier_quality_identity_weights():
@@ -496,6 +629,15 @@ def test_spectral_bounds_reject_empty_or_mixed_batches():
         spectral_lower_bounds([cycle_graph(100), cycle_graph(101)])
     with pytest.raises(ValueError, match="connected"):
         spectral_lower_bounds([cycle_graph(100), Graph(100, [(0, 1)])])
+
+
+def test_smallest_ritz_matches_eigh_tridiagonal():
+    rng = np.random.default_rng(17)
+    for size in range(2, 201):
+        alpha = rng.normal(size=size) * 3.0
+        beta = rng.uniform(1e-3, 2.0, size=size - 1)
+        theta, s = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+        assert cuts._smallest_ritz(alpha, beta) == (theta[0], s[-1, 0])
 
 
 def test_lanczos_iteration_cap_raises(monkeypatch):
