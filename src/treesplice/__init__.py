@@ -41,7 +41,7 @@ from .sampler import (
     tree_edge_frequencies,
 )
 from .seeds import child_seed, substream
-from .splice import Splicer, WeightedGraph, sparsify_gnp, splice, union_trees
+from .splice import Splicer, WeightedGraph, sparsify_gnp, splice, splice_gnp, union_trees
 from .lowerbound import (
     LowerBoundFamily,
     forced_cut_event,

@@ -38,6 +38,7 @@ from .verify import (
     coupling_distance_estimate,
     min_tree_edge_probability,
     negative_correlation_check,
+    uniformity_check,
 )
 
 EXIT_OK = 0
@@ -171,25 +172,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--graph is required for the {check} check")
     g = _load_graph(args.graph)
     if check == "uniformity":
-        from .linalg import spanning_tree_count
-        from .verify import ENUMERATION_EDGE_CAP, enumerate_trees, uniform_tv_distance
-        from .sampler import _tree_masks
-        from .seeds import substream
-
-        if g.m > ENUMERATION_EDGE_CAP or (count := spanning_tree_count(g)) > 4096:
-            raise ValueError("uniformity check needs an enumerable tree space")
-        trees = enumerate_trees(g)
-        masks, _ = _tree_masks(g, args.trials, substream(args.seed, "uniformity"), np.arange(g.m))
-        counts = np.unique(masks, return_counts=True)[1].tolist()
-        tv = uniform_tv_distance(counts, args.trials, count)
-        payload = {
-            "check": check,
-            "trees": count,
-            "enumerated": len(trees),
-            "trials": args.trials,
-            "tv_distance": float(tv),
-            "seed": args.seed,
-        }
+        rep = uniformity_check(g, args.trials, args.seed)
+        payload = {"check": check, **rep, "seed": args.seed}
         _emit(args, payload, rows=[payload])
         return EXIT_OK
     if check == "resistance":
@@ -209,6 +193,8 @@ def _cmd_verify(args) -> int:
     if check == "negative-correlation":
         from .seeds import substream
 
+        if g.m < 2:
+            raise ValueError("the negative-correlation check needs at least 2 edges")
         rng = substream(args.seed, "pair-choice")
         e1, e2 = (int(x) for x in rng.choice(g.m, size=2, replace=False))
         rep = negative_correlation_check(g, [e1, e2], args.trials, args.seed)

@@ -54,7 +54,7 @@ EXACT_SCAN_MAX_N = 24
 _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
 _SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
 _SCAN_BYTES_PER_SUBSET = 80  # tracemalloc peak of a block, per subset, at n = 24
-_LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2 above the dense-solve size
+_LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2, at every n
 _LANCZOS_ITERS = 10  # Lanczos iteration cap, per vertex
 _LANCZOS_CHECK = 10  # Lanczos iterations between convergence tests
 _BALL_PROBE = 9     # first chunk of ball attempts: three per radius
@@ -226,10 +226,9 @@ def _require_connected(graph: Graph, what: str) -> None:
 def spectral_lower_bound(obj) -> float:
     """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
 
-    A batch of one for ``spectral_lower_bounds``: above 64 vertices plain
-    Lanczos, not ARPACK, with an iteration cap of ``_LANCZOS_ITERS`` per
-    vertex, past which it raises ConvergenceError; at most 64 vertices, a
-    dense solve.
+    A batch of one for ``spectral_lower_bounds``: plain Lanczos, not ARPACK,
+    at every n, with an iteration cap of ``_LANCZOS_ITERS`` per vertex, past
+    which it raises ConvergenceError.
     """
     return float(spectral_lower_bounds([obj])[0])
 
@@ -239,9 +238,9 @@ def spectral_lower_bounds(objs) -> np.ndarray:
 
     Each Laplacian L gets the operator L + shift J / n, with J the all-ones
     matrix and shift = 2 max degree + 2 > lambda_max(L), so that lambda_2 is
-    its smallest eigenvalue.  Above 64 vertices one plain Lanczos recurrence
-    (no reorthogonalisation: Paige 1980 shows the extreme Ritz values still
-    converge to working accuracy) runs for all graphs in lockstep, from the
+    its smallest eigenvalue.  One plain Lanczos recurrence, at every n (no
+    reorthogonalisation: Paige 1980 shows the extreme Ritz values still
+    converge to working accuracy), runs for all graphs in lockstep, from the
     start vector cos(i + 1), with one block-diagonal sparse product per
     iteration and alpha, beta kept per graph.  Every ``_LANCZOS_CHECK``
     iterations, and whenever beta nearly vanishes, each graph's tridiagonal
@@ -249,9 +248,8 @@ def spectral_lower_bounds(objs) -> np.ndarray:
     once beta |s_last| <= ``_LANCZOS_TOL`` |theta|, ARPACK's test.  A graph
     still running after ``_LANCZOS_ITERS`` n iterations raises
     ConvergenceError.  A graph's value does not depend on its batchmates.
-    At most 64 vertices each takes a dense solve.  ValueError for an empty
-    batch, mixed vertex counts, or a graph that is disconnected or has
-    fewer than 2 vertices.
+    ValueError for an empty batch, mixed vertex counts, or a graph that is
+    disconnected or has fewer than 2 vertices.
     """
     objs = list(objs)
     if not objs:
@@ -266,8 +264,6 @@ def spectral_lower_bounds(objs) -> np.ndarray:
         laplacian_sparse(g, obj.weights if isinstance(obj, WeightedGraph) else None)
         for obj, g in zip(objs, graphs)
     ]
-    if n <= 64:
-        return np.array([np.linalg.eigvalsh(lap.toarray())[1] for lap in laps])
     return _lockstep_lanczos(laps)
 
 

@@ -26,7 +26,6 @@ from .cuts import (
     vertex_expansion_exact,
 )
 from .generators import complete_graph, gnp_graph, random_regular_graph
-from .graph import SamplingError
 from .lowerbound import (
     forced_cut_probability_bound,
     forced_cut_event,
@@ -37,7 +36,7 @@ from . import routing
 from .routing import reliability_experiment, stretch_stats
 from .sampler import aldous_broder, process_bp
 from .seeds import child_seed, substream
-from .splice import sparsify_gnp, splice, union_trees
+from .splice import sparsify_gnp, splice, splice_gnp
 from .verify import bernoulli_se, chernoff_tail_check, coupling_distance_estimate
 
 
@@ -260,19 +259,14 @@ def _run_random_graph(cfg: ExperimentConfig):
     tv = coupling_distance_estimate(6, 1.0, cfg.samples, child_seed(cfg.seed, "tv"))
     assertions.append(_le("tree distribution TV at n=6, p=1", tv, 0.02))
     rows.append({"kind": "tv", "index": 0, "success": tv})
-    unions = []
-    for s in range(min(20, runs)):
-        host = gnp_graph(n, p, child_seed(cfg.seed, "lam-host", s))
-        res = process_bp(host, p, child_seed(cfg.seed, "lam-walk", s), phases=2)
-        attempts = 0
-        while not res.success and attempts < 16:
-            attempts += 1
-            res = process_bp(
-                host, p, child_seed(cfg.seed, "lam-walk-retry", s, attempts), phases=2
-            )
-        if not res.success:
-            raise SamplingError("two-tree generation kept failing")
-        unions.append(union_trees(list(res.trees)))
+    unions = [
+        splice_gnp(
+            gnp_graph(n, p, child_seed(cfg.seed, "lam-host", s)),
+            p,
+            child_seed(cfg.seed, "lam-walk", s),
+        )
+        for s in range(min(20, runs))
+    ]
     lams = spectral_lower_bounds(unions).tolist()
     for s, lam in enumerate(lams):
         rows.append({"kind": "lambda2", "index": s, "success": lam})

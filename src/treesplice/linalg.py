@@ -87,16 +87,7 @@ def _bareiss_det(mat: list[list[int]], adjugate: bool = False):
 
 def _ground_minor(graph: Graph) -> list[list[int]]:
     """Integer Laplacian with the ground vertex n-1's row and column removed."""
-    n = graph.n
-    minor = [[0] * (n - 1) for _ in range(n - 1)]
-    deg = graph.degrees
-    for v in range(n - 1):
-        minor[v][v] = int(deg[v])
-    for u, v in graph.iter_edges():
-        if u < n - 1 and v < n - 1:
-            minor[u][v] -= 1
-            minor[v][u] -= 1
-    return minor
+    return laplacian_dense(graph, np.int64)[:-1, :-1].tolist()
 
 
 def spanning_tree_count(graph: Graph) -> int:

@@ -459,12 +459,10 @@ def _tree_masks(
     return sums[:, 0], sums[:, 1] > 0
 
 
-def tree_edge_frequencies(
-    graph: Graph, trials: int, seed: int, start: int = 0
-) -> np.ndarray:
+def tree_edge_frequencies(graph: Graph, trials: int, seed: int) -> np.ndarray:
     """Empirical per-edge inclusion frequencies over many sampled trees."""
     rng = substream(seed, "tree-frequencies")
-    return _tree_edge_counts(graph, trials, rng, start) / float(trials)
+    return _tree_edge_counts(graph, trials, rng) / float(trials)
 
 
 @dataclass(frozen=True)
@@ -558,9 +556,7 @@ def process_bp_on(
     return ProcessBResult(True, tuple(trees), steps_taken=steps)
 
 
-def process_bp(
-    graph: Graph, p: float, seed: int, start: int = 0, phases: int = 1
-) -> ProcessBResult:
+def process_bp(graph: Graph, p: float, seed: int, phases: int = 1) -> ProcessBResult:
     """Walk a random orientation of ``graph``; one first-visit tree per phase.
 
     With ``phases=2`` the two trees are cut from one continuous walk.
@@ -569,4 +565,4 @@ def process_bp(
     every outgoing arc at the current vertex has been traversed before cover.
     """
     oriented = direct_edges_dp(graph, p, child_seed(seed, "orient"))
-    return process_bp_on(oriented, seed, start, phases)
+    return process_bp_on(oriented, seed, phases=phases)

@@ -100,23 +100,27 @@ def splice(graph: Graph, k: int, seed: int) -> Splicer:
     return union_trees(sample_trees(graph, k, seed))
 
 
-def sparsify_gnp(graph: Graph, p: float, seed: int) -> WeightedGraph:
-    """Two-tree sparsifier with uniform weight p*n on every support edge.
+def splice_gnp(graph: Graph, p: float, seed: int) -> Splicer:
+    """Union of the two first-visit trees of one oriented walk on ``graph``.
 
-    The two trees come from one continuous oriented-walk sequence; a failed
-    run is retried on a fresh substream, and exhausting the retry cap raises
-    SamplingError (distinguishable from invalid input, which raises
-    ValueError).
+    ``process_bp`` with two phases cuts both trees from one continuous walk
+    on a random orientation calibrated to G(n, p).  A run that strands is
+    retried on a fresh substream, and exhausting ``SPARSIFY_RETRY_CAP``
+    attempts raises SamplingError (distinguishable from invalid input, which
+    raises ValueError).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    n = graph.n
     for attempt in range(SPARSIFY_RETRY_CAP):
         res = process_bp(graph, p, child_seed(seed, "attempt", attempt), phases=2)
         if res.success:
-            spl = union_trees(list(res.trees))
-            weights = np.full(spl.support.m, p * n)
-            return WeightedGraph(spl.support, weights)
+            return union_trees(res.trees)
     raise SamplingError(
-        f"sparsification failed in {SPARSIFY_RETRY_CAP} attempts"
+        f"two-tree splicing failed in {SPARSIFY_RETRY_CAP} attempts"
     )
+
+
+def sparsify_gnp(graph: Graph, p: float, seed: int) -> WeightedGraph:
+    """``splice_gnp``'s support with uniform weight p*n on every edge."""
+    support = splice_gnp(graph, p, seed).support
+    return WeightedGraph(support, np.full(support.m, p * graph.n))

@@ -9,8 +9,9 @@ On graphs with at most ``ENUMERATION_EDGE_CAP`` edges the
 negative-correlation check is exact instead: its joint, all-absent and
 marginal laws are determinants of the integer transfer currents that
 ``linalg`` reads from one adjugate.  ``enumerate_trees`` lists the trees of
-such small graphs, as an independent reference for that oracle and for the
-CLI's uniformity check.
+such small graphs, as an independent reference for that oracle and for
+``uniformity_check``.  ``uniform_tv_distance`` is the one TV of sampled
+trees against the uniform law, for that check and the coupling estimate.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, cut_edges
-from .linalg import _bareiss_det, _ground_adjugate, _transfer_current
+from .graph import Graph, Orientation, cut_edges
+from .linalg import _bareiss_det, _ground_adjugate, _transfer_current, spanning_tree_count
 from .generators import complete_graph, direct_edges_dp, gnp_graph
 from .sampler import (
     SpanningTree, _tree_edge_counts, _tree_masks, _tree_sums, process_bp,
@@ -305,22 +306,37 @@ def min_tree_edge_probability(graph: Graph, trials: int, seed: int) -> float:
 
 
 def uniform_tv_distance(
-    counts, trials: int, total_trees: int, failures: int = 0
+    graph: Graph | Orientation, trials: int, rng: np.random.Generator, total_trees: int
 ) -> float:
     """Total variation between sampled trees and the uniform law on ``total_trees``.
 
-    ``counts`` tallies each distinct tree seen in ``trials`` runs; the
-    ``failures`` runs that gave no tree count as their own outcome mass.
+    The trees are those of ``trials`` lockstep walks on ``graph``, keyed by
+    their masks over all edge ids (at most 64 edges); walks that got stuck
+    before cover count as their own outcome.
     """
+    masks, stuck = _tree_masks(graph, trials, rng, np.arange(graph.m))
+    counts = np.unique(masks[~stuck], return_counts=True)[1].tolist()
     u = 1.0 / total_trees
     seen_mass_gap = sum(abs(c / trials - u) for c in counts)
     unseen = total_trees - len(counts)
-    return 0.5 * (seen_mass_gap + unseen * u + failures / trials)
+    return 0.5 * (seen_mass_gap + unseen * u + int(stuck.sum()) / trials)
 
 
-def coupling_distance_estimate(
-    n: int, p: float, trials: int, seed: int, start: int = 0
-) -> float:
+def uniformity_check(graph: Graph, trials: int, seed: int) -> dict:
+    """TV of ``trials`` sampled trees from the uniform law on an enumerable tree space.
+
+    Needs at most ``ENUMERATION_EDGE_CAP`` edges and at most 4096 trees
+    (else ValueError).  Reports the matrix-tree count ``trees``, the number
+    of trees ``enumerate_trees`` lists, the trial count and ``tv_distance``.
+    """
+    if graph.m > ENUMERATION_EDGE_CAP or (tau := spanning_tree_count(graph)) > 4096:
+        raise ValueError("uniformity check needs an enumerable tree space")
+    enumerated = len(enumerate_trees(graph))
+    tv = uniform_tv_distance(graph, trials, substream(seed, "uniformity"), tau)
+    return {"trees": tau, "enumerated": enumerated, "trials": trials, "tv_distance": tv}
+
+
+def coupling_distance_estimate(n: int, p: float, trials: int, seed: int) -> float:
     """Upper bound / estimate of the gap between oriented-walk trees and uniform.
 
     At p = 1 and n <= 8 the spanning-tree space of K_n is enumerable
@@ -341,17 +357,12 @@ def coupling_distance_estimate(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n <= 8 and p >= 1.0:
-        host = complete_graph(n)
-        oriented = direct_edges_dp(host, 1.0, child_seed(seed, "orient"))
-        # The mask over all edge ids is the tree's key.
-        masks, stuck = _tree_masks(
-            oriented, trials, substream(seed, "coupling"), np.arange(host.m), start
-        )
-        counts = np.unique(masks[~stuck], return_counts=True)[1].tolist()
-        return uniform_tv_distance(counts, trials, n ** (n - 2), int(stuck.sum()))
+        oriented = direct_edges_dp(complete_graph(n), 1.0, child_seed(seed, "orient"))
+        rng = substream(seed, "coupling")
+        return uniform_tv_distance(oriented, trials, rng, n ** (n - 2))
     failures = 0
     for t in range(trials):
         host = gnp_graph(n, p, child_seed(seed, "host", t))
-        res = process_bp(host, p, child_seed(seed, "trial", t), start)
+        res = process_bp(host, p, child_seed(seed, "trial", t))
         failures += not res.success
     return failures / trials

@@ -186,16 +186,25 @@ def test_tail_bound_payload_lists_one_entry_per_cut(tmp_path, capsys):
 def test_uniformity_check_tests_the_edge_cap_before_counting_trees(
     tmp_path, capsys, monkeypatch
 ):
-    from treesplice import linalg
+    from treesplice import verify
 
     def no_count(graph):
         raise AssertionError("tree count run on a graph above the edge cap")
 
-    monkeypatch.setattr(linalg, "spanning_tree_count", no_count)
+    monkeypatch.setattr(verify, "spanning_tree_count", no_count)
     gpath = tmp_path / "k7.txt"
     assert run(["generate", "--kind", "complete", "--n", "7", "--out", str(gpath)]) == 0
     assert run(["verify", "--check", "uniformity", "--graph", str(gpath)]) == 2
     assert "enumerable" in capsys.readouterr().err
+
+
+def test_negative_correlation_check_needs_two_edges(tmp_path, capsys):
+    gpath = tmp_path / "k2.txt"
+    assert run(["generate", "--kind", "complete", "--n", "2", "--out", str(gpath)]) == 0
+    assert run(["verify", "--check", "negative-correlation", "--graph", str(gpath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the negative-correlation check needs at least 2 edges\n"
 
 
 def test_route_sim_csv(tmp_path, capsys):

@@ -22,8 +22,11 @@ from treesplice.generators import (
     cycle_graph,
     gnp_graph,
     path_graph,
+    petersen_graph,
+    prism_graph,
     random_regular_graph,
     star_graph,
+    wheel_graph,
 )
 from treesplice.graph import ConvergenceError, Graph, cut_edges
 from treesplice.linalg import laplacian_sparse
@@ -614,12 +617,40 @@ def test_lockstep_lanczos_matches_arpack_and_dense(batch):
             assert lam == spectral_lower_bound(obj)
 
 
-def test_spectral_bounds_batch_of_one_and_dense_branch():
+def test_spectral_bounds_batch_of_one_and_small_splicers():
     u = splice(complete_graph(300), 2, seed=3)
     assert spectral_lower_bounds([u])[0] == spectral_lower_bound(u)
     small = [splice(complete_graph(40), 2, seed=s) for s in range(3)]
     want = [np.linalg.eigvalsh(_laplacian(x).toarray())[1] for x in small]
-    assert spectral_lower_bounds(small).tolist() == want
+    assert spectral_lower_bounds(small) == pytest.approx(want, rel=1e-9)
+
+
+def _small_spectral_cases():
+    """Paths, complete graphs, stars, cycles and wheels on 2..64 vertices, the
+    Petersen graph, the prism and a G(40, 0.2), each with one of its 2-splicers,
+    and each of those with unit and with random weights in [0.05, 20]."""
+    bases = [petersen_graph(), prism_graph(), gnp_graph(40, 0.2, seed=3)]
+    for n in range(2, 65):
+        bases += [path_graph(n), complete_graph(n), star_graph(n - 1)]
+        bases += [cycle_graph(n)] if n >= 3 else []
+        bases += [wheel_graph(n)] if n >= 4 else []
+    for i, g in enumerate(bases):
+        for h in (g, splice(g, 2, seed=i).support):
+            yield h
+            yield WeightedGraph(h, np.random.default_rng(i).uniform(0.05, 20.0, h.m))
+
+
+def test_lanczos_matches_dense_eigvalsh_at_small_n():
+    # Lanczos is the one lambda_2 path at every n; below 65 vertices dense
+    # eigvalsh is the oracle.
+    by_n = {}
+    for obj in _small_spectral_cases():
+        by_n.setdefault(_as_graph(obj).n, []).append(obj)
+    assert sorted(by_n) == list(range(2, 65))
+    for group in by_n.values():
+        for obj, lam in zip(group, spectral_lower_bounds(group)):
+            dense = np.linalg.eigvalsh(_laplacian(obj).toarray())[1]
+            assert lam == pytest.approx(dense, rel=1e-9)
 
 
 def test_spectral_bounds_reject_empty_or_mixed_batches():

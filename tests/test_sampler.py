@@ -209,8 +209,8 @@ def test_process_bp_rejects_bad_arguments():
     g = complete_graph(6)
     with pytest.raises(ValueError):
         process_bp(g, 0.0, seed=1)
-    with pytest.raises(ValueError):
-        process_bp(g, 0.5, seed=1, start=17)
+    with pytest.raises(ValueError, match="start"):
+        process_bp_on(direct_edges_dp(g, 0.5, seed=1), seed=1, start=17)
     for phases in (0, -1):
         with pytest.raises(ValueError, match="phases"):
             process_bp(g, 0.5, seed=1, phases=phases)
@@ -417,7 +417,7 @@ def test_out_of_range_start_or_no_trials_is_rejected():
         tree_edge_frequencies(g, 0, 1)
     for start in (-1, 5):
         with pytest.raises(ValueError, match="start"):
-            tree_edge_frequencies(g, 1000, 1, start=start)
+            next(_cover_walk_trees(g, 1000, substream(1, "s"), start))
         with pytest.raises(ValueError, match="start"):
             next(_cover_walk_trees(direct_edges_dp(g, 1.0, seed=1), 10, substream(1, "s"), start))
 

@@ -13,6 +13,7 @@ from treesplice.splice import (
     WeightedGraph,
     sparsify_gnp,
     splice,
+    splice_gnp,
     union_trees,
 )
 
@@ -152,6 +153,17 @@ def test_sparsifier_shape_and_weights():
     )
     total = wg.weights.sum()
     assert total <= 2 * (n - 1) * p * n
+
+
+def test_splice_gnp_is_the_sparsifier_support():
+    n = 300
+    p = 12 * math.log(n) / n
+    h = gnp_graph(n, p, seed=5)
+    spl = splice_gnp(h, p, seed=6)
+    spl.validate()
+    assert spl.k == 2
+    assert int(spl.multiplicity.sum()) == 2 * (n - 1)
+    assert spl.support == sparsify_gnp(h, p, seed=6).graph
 
 
 def test_sparsifier_failure_is_sampling_error():
