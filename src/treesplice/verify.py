@@ -146,15 +146,15 @@ def exact_tree_law(
     """
     tau, adj = _ground_adjugate(graph)
     distinct = list(dict.fromkeys(edge_ids))  # a repeated edge is the same event
-    ends = [graph.edge(e) for e in distinct]
-    cur = [[_transfer_current(adj, e, f) for f in ends] for e in ends]
-    k = len(ends)
-    absent = [[tau * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(cur)]
-    marginal = {e: Fraction(cur[j][j], tau) for j, e in enumerate(distinct)}
+    a, b = graph.edge_u[distinct], graph.edge_v[distinct]
+    cur = _transfer_current(adj, (a[:, None], b[:, None]), (a, b))
+    k = len(distinct)
+    absent = tau * np.identity(k, dtype=object) - cur
+    marginal = {e: Fraction(cur[j, j], tau) for j, e in enumerate(distinct)}
     return (
         tau,
-        Fraction(_bareiss_det(cur), tau**k),
-        Fraction(_bareiss_det(absent), tau**k),
+        Fraction(_bareiss_det(cur.tolist()), tau**k),
+        Fraction(_bareiss_det(absent.tolist()), tau**k),
         tuple(marginal[e] for e in edge_ids),
     )
 

@@ -30,8 +30,8 @@ from treesplice.generators import (
 )
 from treesplice.graph import ConvergenceError, Graph, cut_edges
 from treesplice.linalg import laplacian_sparse
-from treesplice.sampler import aldous_broder, process_bp
-from treesplice.splice import WeightedGraph, _as_graph, splice, union_trees
+from treesplice.sampler import aldous_broder
+from treesplice.splice import WeightedGraph, _as_graph, splice, splice_gnp
 from treesplice.seeds import child_seed, substream
 
 
@@ -573,36 +573,29 @@ def _arpack_lambda2(obj) -> float:
     return float(spla.eigsh(op, k=1, which="SA", tol=1e-8, v0=v0, return_eigenvectors=False)[0])
 
 
-def _two_tree_unions(n, p, seed, count):
-    out = []
-    for s in range(count):
-        host = gnp_graph(n, p, child_seed(seed, "host", s))
-        res = process_bp(host, p, child_seed(seed, "walk", s), phases=2)
-        if res.success:
-            out.append(union_trees(list(res.trees)))
-    return out
-
-
 def _weighted(n, p, seed):
     g = gnp_graph(n, p, seed=seed)
     return WeightedGraph(g, np.random.default_rng(seed).uniform(0.5, 3.0, g.m))
 
 
 @pytest.mark.parametrize(
-    "batch",
+    "batch, size",
     [
-        lambda: [splice(complete_graph(128), 2, child_seed(5, "k", s)) for s in range(6)],
-        lambda: [splice(complete_graph(512), 2, child_seed(6, "k", s)) for s in range(3)],
-        lambda: _two_tree_unions(256, 0.25, 7, 6),
-        lambda: [cycle_graph(n) for n in (65, 128, 250, 400)],
-        lambda: [_weighted(200, 0.1, s) for s in (8, 9, 10)],
-        lambda: [WeightedGraph(complete_graph(80), np.full(3160, w)) for w in (1.0, 10.0)],
+        (lambda: [splice(complete_graph(128), 2, child_seed(5, "k", s)) for s in range(6)], 6),
+        (lambda: [splice(complete_graph(512), 2, child_seed(6, "k", s)) for s in range(3)], 3),
+        (lambda: [
+            splice_gnp(gnp_graph(256, 0.25, child_seed(7, "host", s)), 0.25, child_seed(7, "walk", s))
+            for s in range(6)
+        ], 6),
+        (lambda: [cycle_graph(n) for n in (65, 128, 250, 400)], 4),
+        (lambda: [_weighted(200, 0.1, s) for s in (8, 9, 10)], 3),
+        (lambda: [WeightedGraph(complete_graph(80), np.full(3160, w)) for w in (1.0, 10.0)], 2),
     ],
     ids=["K128-splicers", "K512-splicers", "gnp-unions", "cycles", "weighted-gnp", "weighted-K80"],
 )
-def test_lockstep_lanczos_matches_arpack_and_dense(batch):
+def test_lockstep_lanczos_matches_arpack_and_dense(batch, size):
     objs = batch()
-    assert objs
+    assert len(objs) == size
     by_n = {}
     for obj in objs:
         by_n.setdefault(_as_graph(obj).n, []).append(obj)

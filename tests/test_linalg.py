@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -110,11 +111,25 @@ def test_foster_sum_is_n_minus_one():
         assert total == pytest.approx(g.n - 1, rel=1e-10)
 
 
-def test_float_path_matches_cycle_closed_form_above_exact_cap():
-    n = 100  # beyond the exact-arithmetic cutoff
-    g = cycle_graph(n)
-    r = effective_resistance(g, 0)
-    assert abs(r - (n - 1) / n) <= 1e-9 * ((n - 1) / n)
+def test_float_path_matches_cycle_closed_form():
+    n = 100
+    r = effective_resistances(cycle_graph(n))
+    assert np.abs(r - (n - 1) / n).max() <= 1e-9 * ((n - 1) / n)
+
+
+def test_all_edges_of_a_dense_host_in_one_call_are_memory_bounded():
+    g = gnp_graph(400, 0.3, seed=9)
+    assert g.is_connected()
+    tracemalloc.start()
+    try:
+        r = effective_resistances(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One padded 400^2 inverse peaks near 2.6 MiB for all 23,852 edges; a
+    # right-hand side of one column per edge peaked at 292 MiB.
+    assert peak < 8 << 20
+    assert r.sum() == pytest.approx(g.n - 1, rel=1e-10)  # Foster's theorem
 
 
 def test_batched_resistances_match_single():

@@ -17,7 +17,6 @@ from treesplice.generators import (
 )
 from treesplice.graph import Graph, cut_edges
 from treesplice.linalg import (
-    EXACT_RESISTANCE_MAX_N,
     effective_resistance,
     effective_resistance_exact,
     effective_resistances,
@@ -105,26 +104,28 @@ def test_exact_tree_law_matches_enumeration_counts():
 def test_single_resistance_is_bitwise_the_batched_value():
     graphs = dict(CORPUS, petersen=petersen_graph(), rr40=random_regular_graph(40, 3, seed=4))
     for name, g in graphs.items():
-        assert g.n <= EXACT_RESISTANCE_MAX_N and g.is_connected()
         batch = effective_resistances(g)
         for eid in range(g.m):
             assert effective_resistance(g, eid) == batch[eid], (name, eid)
-    g = random_regular_graph(EXACT_RESISTANCE_MAX_N, 3, seed=5)
-    assert g.is_connected()
-    batch = effective_resistances(g)
-    for eid in (0, g.m // 2, g.m - 1):
-        assert effective_resistance(g, eid) == batch[eid]
+    for n in (64, 70):
+        g = random_regular_graph(n, 3, seed=5)
+        assert g.is_connected()
+        batch = effective_resistances(g)
+        for eid in (0, g.m // 2, g.m - 1):
+            assert effective_resistance(g, eid) == batch[eid], (n, eid)
 
 
-def test_float_resistances_match_exact_above_the_cap():
-    n = EXACT_RESISTANCE_MAX_N + 6
-    g = random_regular_graph(n, 3, seed=6)
-    assert g.is_connected()
-    floats = effective_resistances(g)
-    ground_edge = next(e for e in range(g.m) if n - 1 in g.edge(e))
-    for eid in (0, ground_edge, g.m // 2, g.m - 1):
-        exact = effective_resistance_exact(g, *g.edge(eid))
-        assert abs(floats[eid] - exact) <= 1e-9, eid
+def test_float_resistances_match_exact_at_every_n():
+    rr70 = random_regular_graph(70, 3, seed=6)
+    ground_edge = next(e for e in range(rr70.m) if rr70.n - 1 in rr70.edge(e))
+    cases = [(g, range(g.m)) for g in CORPUS.values()]
+    cases += [(complete_graph(2), [0]), (rr70, (0, ground_edge, rr70.m // 2, rr70.m - 1))]
+    for g, eids in cases:
+        assert g.is_connected()
+        floats = effective_resistances(g)
+        for eid in eids:
+            exact = effective_resistance_exact(g, *g.edge(eid))
+            assert abs(floats[eid] - exact) <= 1e-12 * exact, (g.n, eid)
 
 
 def test_exact_oracles_reject_a_graph_without_spanning_tree():
