@@ -5,7 +5,15 @@ Santoro & Khatib 1985): the next hop from v to dst is the child of v whose
 [tin, tout) holds dst, or else v's parent, so routing state is O(k*n).  Under
 edge failures a route follows its current tree until blocked, then retries the
 other trees in seeded-random order; a (vertex, tree) pair is never re-entered,
-which bounds looping.
+which bounds looping.  Routes step only along tree edges, so a reliability
+trial hands ``route`` just the failed edges of the splicer's support.
+
+Support distances for stretch are exact hop counts from one of three paths.
+Up to n = DIAMETER_MAX_N a tree support answers from depth and lowest common
+ancestor (binary lifting, O(n log n) memory), and any other support grows
+every vertex's ball at once as packed bits (an n^2/8-byte table, 2 MiB at
+n = 4096, with its row gathers capped at 4 MiB).  Above the cap, and for
+base distances, BFS runs from the pairs' sources.
 """
 
 from __future__ import annotations
@@ -107,7 +115,8 @@ def route(
     if hop_cap < 1:
         raise ValueError("hop cap must be >= 1")
     dead = frozenset(failed)
-    word = word_stream(substream(seed, "route"), size=16)
+    # Only a shuffle of two or more other trees draws, so only k >= 3 needs words.
+    word = word_stream(substream(seed, "route"), size=16) if k > 2 else None
     cur = src
     tree = 0
     hops = 0
@@ -209,16 +218,15 @@ def reliability_experiment(
         state = build_routing(spl.source_trees)
         f_rng = substream(seed, "failures", t)
         fail_mask = f_rng.random(graph.m) < failure_prob
-        dead_pairs = frozenset(
-            (int(u), int(v))
-            for u, v in zip(graph.edge_u[fail_mask], graph.edge_v[fail_mask])
-        )
+        dead = spl.support_base_eids[fail_mask[spl.support_base_eids]]
+        dead_pairs = frozenset(zip(graph.edge_u[dead].tolist(), graph.edge_v[dead].tolist()))
         p_rng = substream(seed, "pairs", t)
         srcs = p_rng.integers(0, n, size=pairs)
         offs = p_rng.integers(1, n, size=pairs)
         dsts = (srcs + offs) % n
+        # The adjacency is symmetric: strong components are the components.
         labels = csgraph.connected_components(
-            graph._adjacency(~fail_mask), directed=False
+            graph._adjacency(~fail_mask), connection="strong"
         )[1]
         delivered = 0
         hop_total = 0
@@ -282,20 +290,102 @@ def _bfs_pairs(adj: sp.csr_matrix, srcs: np.ndarray, dsts: np.ndarray) -> np.nda
     return out
 
 
+def _tree_pairs(tree: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hop distances srcs[i] -> dsts[i] on a spanning tree, and its diameter.
+
+    The tree is rooted at a vertex farthest from 0, so its diameter is the
+    largest depth.  Pointer jumping builds depth together with the lifting
+    tables ``ups[j][v]``, v's 2^j-th ancestor (the root maps to itself), and
+    d(u, v) = depth[u] + depth[v] - 2 depth[lca(u, v)] for all pairs at once.
+    """
+    adj = tree._adjacency()
+    root = csgraph.breadth_first_order(adj, 0, return_predecessors=False)[-1]
+    up = csgraph.breadth_first_order(adj, root)[1].astype(np.int64)
+    up[root] = root
+    depth = (up != np.arange(tree.n)).astype(np.int64)
+    ups = [up]
+    while (up != root).any():
+        depth = depth + depth[up]
+        up = up[up]
+        ups.append(up)
+    u = np.where(depth[srcs] >= depth[dsts], srcs, dsts)
+    v = srcs + dsts - u
+    rise = depth[u] - depth[v]
+    for j, table in enumerate(ups):
+        u = np.where((rise >> j) & 1, table[u], u)
+    for table in reversed(ups):
+        a, b = table[u], table[v]
+        split = a != b
+        u, v = np.where(split, a, u), np.where(split, b, v)
+    lca = np.where(u == v, u, ups[0][u])
+    return depth[srcs] + depth[dsts] - 2 * depth[lca], int(depth.max())
+
+
+def _ball_pairs(
+    graph: Graph, srcs: np.ndarray, dsts: np.ndarray
+) -> tuple[np.ndarray, int | None]:
+    """Hop distances srcs[i] -> dsts[i] (inf when unreached) and the diameter
+    (None when ``graph`` is disconnected), from bit-parallel all-sources BFS.
+
+    Row v of the ball table is v's ball as ceil(n / 64) uint64 words, vertex w
+    at bit w % 64 of word w // 64, so the table holds n^2/8 bytes.  A step
+    ORs the rows over each closed neighbourhood; a pair's distance is the step
+    at which its bit first appears, and the diameter the step that fills every
+    row.  The rows are gathered in vertex blocks of at most 4 MiB.
+    """
+    n = graph.n
+    words = -(-n // 64)
+    indptr, nbr, _ = graph._csr
+    # Closed neighbourhoods: segment v of the gather lists v, then its neighbours.
+    closed = np.insert(nbr, indptr[:-1], np.arange(n, dtype=nbr.dtype))
+    starts = indptr + np.arange(n + 1)
+    budget = max(1, (4 << 20) // (8 * words))
+    blocks = [0]
+    while blocks[-1] < n:
+        lo = blocks[-1]
+        hi = int(np.searchsorted(starts, starts[lo] + budget, side="right")) - 1
+        blocks.append(min(max(hi, lo + 1), n))
+    ids = np.arange(n)
+    ball = np.zeros((n, words), dtype=np.uint64)
+    ball[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if n % 64:
+        full[-1] = (1 << (n % 64)) - 1
+    word, bit = dsts >> 6, (dsts & 63).astype(np.uint64)
+    dist = np.full(srcs.size, math.inf)
+    grown = np.empty_like(ball)
+    step = 0
+    while True:
+        step += 1
+        for lo, hi in zip(blocks[:-1], blocks[1:]):
+            a, b = starts[lo], starts[hi]
+            grown[lo:hi] = np.bitwise_or.reduceat(ball[closed[a:b]], starts[lo:hi] - a)
+        hit = (grown[srcs, word] >> bit) & np.uint64(1)
+        dist[(hit == 1) & np.isinf(dist)] = step
+        if (grown == full).all():
+            return dist, step
+        if np.array_equal(grown, ball):
+            return dist, None
+        ball, grown = grown, ball
+
+
 def stretch_stats(
     graph: Graph, spliced, pairs: int, seed: int
 ) -> tuple[float, int | None]:
     """Mean distance inflation over sampled pairs, plus the exact support diameter.
 
-    Distances are unweighted BFS hops with no failures, and the support must
-    be a subgraph of the base graph.  A sampled pair that is a base edge is at
+    Distances are unweighted hops with no failures, and the support must be
+    a subgraph of the base graph.  A sampled pair that is a base edge is at
     base distance 1, so base BFS runs only from the sources of the other pairs
-    (on K_n it never runs).  The diameter comes from all-sources BFS on the
-    support up to n = DIAMETER_MAX_N (None above), and the sampled pairs'
-    support distances are read from it; above that cap they come from BFS
-    from the pairs' sources.  A pair connected in the base but not in the support has
-    infinite stretch, so the mean reads inf; pairs disconnected in the base
-    are skipped.
+    (on K_n it never runs).  Up to n = DIAMETER_MAX_N the support's diameter
+    is exact (None when the support is disconnected) and no BFS runs on it:
+    a spanning tree reads the pairs' distances from depth and lowest common
+    ancestor (O(n log n) memory), and any other support grows all n balls at
+    once as packed bits (an n^2/8-byte table, 2 MiB at n = 4096, gathered
+    under 4 MiB at a time).  Above the cap the diameter is None and the
+    pairs' support distances come from BFS from their sources.  A pair
+    connected in the base but not in the support has infinite stretch, so
+    the mean reads inf; pairs disconnected in the base are skipped.
     """
     support = _as_graph(spliced)
     if support.n != graph.n:
@@ -317,15 +407,12 @@ def stretch_stats(
     d_base = np.ones(pairs)
     if far.any():
         d_base[far] = _bfs_pairs(graph._adjacency(), srcs[far], dsts[far])
-    sup_adj = support._adjacency()
-    diameter: int | None = None
-    if n <= DIAMETER_MAX_N:
-        full = csgraph.shortest_path(sup_adj, method="D", unweighted=True)
-        d_sup = full[srcs, dsts]
-        if np.isfinite(full).all():
-            diameter = int(full.max())
+    if n > DIAMETER_MAX_N:
+        d_sup, diameter = _bfs_pairs(support._adjacency(), srcs, dsts), None
+    elif support.m == n - 1 and support.is_connected():
+        d_sup, diameter = _tree_pairs(support, srcs, dsts)
     else:
-        d_sup = _bfs_pairs(sup_adj, srcs, dsts)
+        d_sup, diameter = _ball_pairs(support, srcs, dsts)
     linked = np.isfinite(d_base)
     ratios = d_sup[linked] / d_base[linked]
     mean_stretch = float(np.mean(ratios)) if ratios.size else math.nan

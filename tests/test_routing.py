@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 from treesplice import routing
 from treesplice.generators import (
@@ -16,6 +17,8 @@ from treesplice.generators import (
 )
 from treesplice.graph import Graph
 from treesplice.routing import (
+    ReliabilitySummary,
+    ReliabilityTrial,
     _bfs_pairs,
     build_routing,
     reliability_experiment,
@@ -23,7 +26,7 @@ from treesplice.routing import (
     stretch_stats,
 )
 from treesplice.sampler import sample_trees
-from treesplice.seeds import substream
+from treesplice.seeds import below, child_seed, substream, word_stream
 from treesplice.splice import splice
 
 
@@ -169,6 +172,94 @@ def test_reliability_delivery_below_ceiling_per_trial():
     assert {"seed", "trial", "failure_prob", "delivered_fraction"} <= set(rows[0])
 
 
+def _route_reference(state, src, dst, dead, seed):
+    """``route`` as it stood with an eager route stream: (delivered, hops, switches)."""
+    word = word_stream(substream(seed, "route"), size=16)
+    cur, tree, hops, switches = src, 0, 0, 0
+    visited = {(src, 0)}
+    while cur != dst:
+        if hops >= 4 * state.n:
+            return False, hops, switches
+        rest = [t for t in range(state.k) if t != tree]
+        for i in range(len(rest) - 1, 0, -1):
+            j = below(word, i + 1)
+            rest[i], rest[j] = rest[j], rest[i]
+        for t in [tree] + rest:
+            nh = state.next_hop(t, cur, dst)
+            if (cur, nh) in dead or (nh, cur) in dead or (nh, t) in visited:
+                continue
+            switches += t != tree
+            tree = t
+            visited.add((nh, t))
+            cur = nh
+            hops += 1
+            break
+        else:
+            return False, hops, switches
+    return True, hops, switches
+
+
+def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
+    """The trial loop with every failed base edge, eager route streams and
+    undirected components."""
+    n = graph.n
+    results = []
+    for t in range(trials):
+        state = build_routing(splice(graph, k, child_seed(seed, "splice", t)).source_trees)
+        fail_mask = substream(seed, "failures", t).random(graph.m) < failure_prob
+        dead = frozenset(
+            (int(u), int(v)) for u, v in zip(graph.edge_u[fail_mask], graph.edge_v[fail_mask])
+        )
+        p_rng = substream(seed, "pairs", t)
+        srcs = p_rng.integers(0, n, size=pairs)
+        dsts = (srcs + p_rng.integers(1, n, size=pairs)) % n
+        labels = csgraph.connected_components(graph._adjacency(~fail_mask), directed=False)[1]
+        delivered = hop_total = switch_total = connected = 0
+        for i in range(pairs):
+            s, d = int(srcs[i]), int(dsts[i])
+            connected += labels[s] == labels[d]
+            ok, hops, switches = _route_reference(
+                state, s, d, dead, child_seed(seed, "route", t, i)
+            )
+            if ok:
+                delivered += 1
+                hop_total += hops
+                switch_total += switches
+        results.append(
+            ReliabilityTrial(
+                trial=t,
+                delivered_fraction=delivered / pairs,
+                ceiling_fraction=float(connected) / pairs,
+                mean_hops=hop_total / max(delivered, 1),
+                mean_switches=switch_total / max(delivered, 1),
+            )
+        )
+    return ReliabilitySummary(k, failure_prob, pairs, tuple(results))
+
+
+@pytest.mark.parametrize(
+    "graph", [complete_graph(24), gnp_graph(40, 0.3, seed=28)], ids=["k24", "gnp40"]
+)
+@pytest.mark.parametrize("failure_prob", [0.2, 0.5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reliability_matches_reference_trial_loop(graph, k, failure_prob):
+    assert graph.is_connected()
+    args = (graph, k, failure_prob, 40, 3, 29)
+    assert reliability_experiment(*args) == _reliability_reference(*args)
+
+
+def test_three_tree_route_is_pinned():
+    # k = 3 is the smallest k whose failover shuffles, so the only one that
+    # reads the route stream.
+    g = complete_graph(24)
+    state = build_routing(splice(g, 3, seed=30).source_trees)
+    failed = [(u, v) for u, v in g.iter_edges() if (u + 2 * v) % 3 == 0]
+    r = route(state, 0, 4, failed=failed, seed=32)
+    assert (r.delivered, r.hops, r.switches) == (True, 9, 4)
+    assert r.path == (0, 20, 13, 12, 22, 23, 1, 18, 23, 4)
+    assert not route(state, 0, 4, failed=failed, seed=31).delivered
+
+
 def test_stretch_identity_is_exactly_one():
     g = gnp_graph(40, 0.3, seed=12)
     assert g.is_connected()
@@ -258,7 +349,25 @@ def test_stretch_reference_above_diameter_cap(monkeypatch):
         assert stretch_stats(base, support, 500, 5) == (mean, None)
 
 
-def test_stretch_on_complete_graph_runs_one_bfs(monkeypatch):
+@pytest.mark.parametrize(
+    "base, support",
+    [
+        (path_graph(50), path_graph(50)),
+        (complete_graph(50), path_graph(50)),
+        (complete_graph(12), star_graph(11)),
+        (complete_graph(2), path_graph(2)),
+    ],
+    ids=["path", "path-in-k50", "star", "n2"],
+)
+def test_stretch_reference_on_deep_and_shallow_trees(base, support):
+    # A path rooted at one end has depth n - 1, six lifting levels deep.
+    for seed, pairs in ((0, 1), (1, 300)):
+        assert stretch_stats(base, support, pairs, seed) == _stretch_reference(
+            base, support, pairs, seed
+        )
+
+
+def test_stretch_on_complete_graph_runs_no_bfs(monkeypatch):
     calls = []
     real = routing.csgraph.shortest_path
 
@@ -268,8 +377,34 @@ def test_stretch_on_complete_graph_runs_one_bfs(monkeypatch):
 
     monkeypatch.setattr(routing.csgraph, "shortest_path", counted)
     g = complete_graph(64)
-    stretch_stats(g, splice(g, 2, seed=25), pairs=2000, seed=26)
-    assert calls == [None]
+    for k in (1, 2):
+        stretch_stats(g, splice(g, k, seed=25), pairs=2000, seed=26)
+    assert calls == []
+
+
+def test_ball_growth_matches_all_sources_bfs_across_gather_blocks():
+    g = gnp_graph(600, 0.5, seed=27)
+    rows = g.n + 2 * g.m
+    assert rows * 8 * -(-g.n // 64) > 2 * (4 << 20)  # at least 3 gather blocks
+    full = routing.csgraph.shortest_path(g._adjacency(), method="D", unweighted=True)
+    srcs, dsts = np.nonzero(~np.eye(g.n, dtype=bool))
+    dist, diameter = routing._ball_pairs(g, srcs, dsts)
+    assert np.array_equal(dist, full[srcs, dsts])
+    assert diameter == full.max() == 2
+
+
+def test_stretch_on_dense_support_is_memory_bounded():
+    g = gnp_graph(1024, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        assert stretch_stats(g, g, 2000, 1) == (1.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 20.2 MiB with blocked ball growth, most of it base BFS; all-sources
+    # BFS on the support peaked at 22.1 MiB, and unblocked growth gathers
+    # about 78 MiB of rows.
+    assert peak < 22 << 20
 
 
 def test_disconnected_support_has_infinite_stretch():
