@@ -1,8 +1,8 @@
 """Expansion and cut-ratio analysis.
 
-Neighbour bitsets come from one packed table, built once per call from
-``Graph._csr``: row v holds v's neighbours in ceil(n / 64) 64-bit words,
-vertex w at bit w % 64 of word w // 64.
+Neighbour bitsets come from ``graph._packed_rows``, the one packed
+neighbour table, built once per call: row v holds v's neighbours in
+ceil(n / 64) 64-bit words, vertex w at bit w % 64 of word w // 64.
 
 Exact expansion enumerates every vertex subset (feasible to n = 24, one word)
 with a vectorized subset-DP: subsets containing vertex 0 are scanned once and
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .graph import ConvergenceError, Graph
+from .graph import ConvergenceError, Graph, _packed_rows
 from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
@@ -97,18 +97,6 @@ class CutRatios:
 
     def __len__(self) -> int:
         return self.family.shape[0]
-
-
-def _packed_rows(graph: Graph) -> np.ndarray:
-    """Row v: v's neighbours as a bitset of 8 ceil(n / 64) bytes, vertex w at
-    bit w % 8 of byte w // 8; ``.view("<u8")`` reads it as 64-bit words."""
-    n = graph.n
-    width = 8 * -(-n // 64)
-    indptr, nbr, _ = graph._csr
-    rows = np.zeros(n * width, dtype=np.uint8)
-    at = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(indptr)) + (nbr >> 3)
-    np.bitwise_or.at(rows, at, np.left_shift(1, nbr & 7).astype(np.uint8))
-    return rows.reshape(n, width)
 
 
 def _is_dense(graph: Graph) -> bool:

@@ -14,6 +14,10 @@ lists, which scalar per-step loops index several times faster than numpy
 arrays; ``Graph._neighbor_lists`` caches the neighbour column so, and walks
 read edge ids back from ``eid`` by row position.  ``Graph._adjacency`` wraps
 the arrays as a scipy matrix for csgraph searches, less failed edges.
+``_packed_rows`` builds the one packed neighbour table, fresh per call
+(n^2/8 bytes): row v is v's neighbours as ceil(n / 64) 64-bit words, vertex
+w at bit w % 64 of word w // 64.  The subset scan and cut counting in
+``cuts`` and the stretch distances in ``routing`` read it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,18 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _csr_rows(indptr: np.ndarray, col: np.ndarray) -> list[list[int]]:
     """One CSR column as fresh per-row Python lists."""
     return [col[indptr[v] : indptr[v + 1]].tolist() for v in range(indptr.size - 1)]
+
+
+def _packed_rows(graph: Graph) -> np.ndarray:
+    """Row v: v's neighbours as a bitset of 8 ceil(n / 64) bytes, vertex w at
+    bit w % 8 of byte w // 8; ``.view("<u8")`` reads it as 64-bit words."""
+    n = graph.n
+    width = 8 * -(-n // 64)
+    indptr, nbr, _ = graph._csr
+    rows = np.zeros(n * width, dtype=np.uint8)
+    at = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(indptr)) + (nbr >> 3)
+    np.bitwise_or.at(rows, at, np.left_shift(1, nbr & 7).astype(np.uint8))
+    return rows.reshape(n, width)
 
 
 class GraphFormatError(ValueError):

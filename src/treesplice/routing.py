@@ -8,12 +8,15 @@ other trees in seeded-random order; a (vertex, tree) pair is never re-entered,
 which bounds looping.  Routes step only along tree edges, so a reliability
 trial hands ``route`` just the failed edges of the splicer's support.
 
-Support distances for stretch are exact hop counts from one of three paths.
-Up to n = DIAMETER_MAX_N a tree support answers from depth and lowest common
-ancestor (binary lifting, O(n log n) memory), and any other support grows
-every vertex's ball at once as packed bits (an n^2/8-byte table, 2 MiB at
-n = 4096, with its row gathers capped at 4 MiB).  Above the cap, and for
-base distances, BFS runs from the pairs' sources.
+Stretch distances are exact hop counts from one of two paths, for
+n <= DIAMETER_MAX_N (above it ``stretch_stats`` raises).  A tree support
+answers from depth and lowest common ancestor (binary lifting, O(n log n)
+memory).  Any other support, and a base that is not complete, grows every
+vertex's ball at once as packed bits, starting from the packed neighbour
+table of ``graph._packed_rows`` (an n^2/8-byte table, 2 MiB at n = 4096,
+with its row gathers capped at 4 MiB); that costs O(diameter (n + 2m)
+ceil(n / 64)) word operations, so long-diameter graphs are slow: a cycle of
+4000 vertices as base and support takes about 24 s on one Xeon core.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .graph import Graph
+from .graph import Graph, _packed_rows
 from .seeds import below, child_seed, substream, word_stream
 from .splice import _as_graph, splice
 
@@ -190,6 +192,13 @@ class ReliabilitySummary:
         ]
 
 
+def _random_pairs(rng, n: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` (src, dst) draws: a uniform source, then a uniform other vertex."""
+    srcs = rng.integers(0, n, size=pairs)
+    offs = rng.integers(1, n, size=pairs)
+    return srcs, (srcs + offs) % n
+
+
 def reliability_experiment(
     graph: Graph,
     k: int,
@@ -220,10 +229,7 @@ def reliability_experiment(
         fail_mask = f_rng.random(graph.m) < failure_prob
         dead = spl.support_base_eids[fail_mask[spl.support_base_eids]]
         dead_pairs = frozenset(zip(graph.edge_u[dead].tolist(), graph.edge_v[dead].tolist()))
-        p_rng = substream(seed, "pairs", t)
-        srcs = p_rng.integers(0, n, size=pairs)
-        offs = p_rng.integers(1, n, size=pairs)
-        dsts = (srcs + offs) % n
+        srcs, dsts = _random_pairs(substream(seed, "pairs", t), n, pairs)
         # The adjacency is symmetric: strong components are the components.
         labels = csgraph.connected_components(
             graph._adjacency(~fail_mask), connection="strong"
@@ -263,31 +269,9 @@ def reliability_experiment(
 DIAMETER_MAX_N = 4096
 
 
-def _edge_codes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """One integer per vertex pair, ``lo * n + hi`` (lo < hi)."""
-    return lo.astype(np.int64) * n + hi
-
-
-def _bfs_pairs(adj: sp.csr_matrix, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
-    """BFS hop distance from srcs[i] to dsts[i], one BFS per distinct source.
-
-    The sources run in blocks whose float64 distance rows fit in 4 MiB, and
-    only each pair's entry is kept, so memory does not grow with the number
-    of sources.
-    """
-    uniq, row = np.unique(srcs, return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    ranked = row[order]
-    block = max(1, (4 << 20) // (8 * adj.shape[0]))
-    out = np.empty(srcs.size)
-    for lo in range(0, uniq.size, block):
-        dist = csgraph.shortest_path(
-            adj, method="D", unweighted=True, indices=uniq[lo : lo + block]
-        )
-        a, b = np.searchsorted(ranked, [lo, lo + block])
-        sel = order[a:b]
-        out[sel] = dist[row[sel] - lo, dsts[sel]]
-    return out
+def _bits(rows: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Whether bit w[i] of packed row u[i] is set, for uint64 word rows."""
+    return ((rows[u, w >> 6] >> (w & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
 
 
 def _tree_pairs(tree: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -322,19 +306,20 @@ def _tree_pairs(tree: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nda
 
 
 def _ball_pairs(
-    graph: Graph, srcs: np.ndarray, dsts: np.ndarray
+    graph: Graph, ball: np.ndarray, srcs: np.ndarray, dsts: np.ndarray
 ) -> tuple[np.ndarray, int | None]:
     """Hop distances srcs[i] -> dsts[i] (inf when unreached) and the diameter
     (None when ``graph`` is disconnected), from bit-parallel all-sources BFS.
 
-    Row v of the ball table is v's ball as ceil(n / 64) uint64 words, vertex w
-    at bit w % 64 of word w // 64, so the table holds n^2/8 bytes.  A step
-    ORs the rows over each closed neighbourhood; a pair's distance is the step
-    at which its bit first appears, and the diameter the step that fills every
-    row.  The rows are gathered in vertex blocks of at most 4 MiB.
+    ``ball`` is ``graph``'s packed neighbour table read as uint64 words (row v
+    holds vertex w at bit w % 64 of word w // 64, n^2/8 bytes); with the
+    diagonal set it is the table of radius-1 balls, and it is grown in place.
+    A step ORs the rows over each closed neighbourhood; a pair's distance is
+    the step at which its bit first appears, and the diameter the step that
+    fills every row.  The rows are gathered in vertex blocks of at most 4 MiB.
     """
     n = graph.n
-    words = -(-n // 64)
+    words = ball.shape[1]
     indptr, nbr, _ = graph._csr
     # Closed neighbourhoods: segment v of the gather lists v, then its neighbours.
     closed = np.insert(nbr, indptr[:-1], np.arange(n, dtype=nbr.dtype))
@@ -346,27 +331,24 @@ def _ball_pairs(
         hi = int(np.searchsorted(starts, starts[lo] + budget, side="right")) - 1
         blocks.append(min(max(hi, lo + 1), n))
     ids = np.arange(n)
-    ball = np.zeros((n, words), dtype=np.uint64)
-    ball[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    ball[ids, ids >> 6] |= np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
     full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if n % 64:
         full[-1] = (1 << (n % 64)) - 1
-    word, bit = dsts >> 6, (dsts & 63).astype(np.uint64)
     dist = np.full(srcs.size, math.inf)
     grown = np.empty_like(ball)
-    step = 0
+    step = 1
     while True:
-        step += 1
+        dist[_bits(ball, srcs, dsts) & np.isinf(dist)] = step
+        if (ball == full).all():
+            return dist, step
         for lo, hi in zip(blocks[:-1], blocks[1:]):
             a, b = starts[lo], starts[hi]
             grown[lo:hi] = np.bitwise_or.reduceat(ball[closed[a:b]], starts[lo:hi] - a)
-        hit = (grown[srcs, word] >> bit) & np.uint64(1)
-        dist[(hit == 1) & np.isinf(dist)] = step
-        if (grown == full).all():
-            return dist, step
         if np.array_equal(grown, ball):
             return dist, None
         ball, grown = grown, ball
+        step += 1
 
 
 def stretch_stats(
@@ -375,17 +357,20 @@ def stretch_stats(
     """Mean distance inflation over sampled pairs, plus the exact support diameter.
 
     Distances are unweighted hops with no failures, and the support must be
-    a subgraph of the base graph.  A sampled pair that is a base edge is at
-    base distance 1, so base BFS runs only from the sources of the other pairs
-    (on K_n it never runs).  Up to n = DIAMETER_MAX_N the support's diameter
-    is exact (None when the support is disconnected) and no BFS runs on it:
-    a spanning tree reads the pairs' distances from depth and lowest common
-    ancestor (O(n log n) memory), and any other support grows all n balls at
-    once as packed bits (an n^2/8-byte table, 2 MiB at n = 4096, gathered
-    under 4 MiB at a time).  Above the cap the diameter is None and the
-    pairs' support distances come from BFS from their sources.  A pair
-    connected in the base but not in the support has infinite stretch, so
-    the mean reads inf; pairs disconnected in the base are skipped.
+    a subgraph of the base graph.  n may be at most DIAMETER_MAX_N (else
+    ValueError).  Every distance is exact and comes from one of two paths.
+    A spanning-tree support reads the pairs' distances from depth and lowest
+    common ancestor (O(n log n) memory).  Any other support, and the base
+    for sampled pairs that are not base edges, grows all n balls at once as
+    packed bits from the radius-1 balls of ``_packed_rows``: an n^2/8-byte
+    table (2 MiB at n = 4096, gathered under 4 MiB at a time) and
+    O(diameter (n + 2m) ceil(n / 64)) word operations, so long-diameter
+    graphs are slow (a cycle of 4000 vertices as base and support takes
+    about 24 s on one Xeon core).  A base with n(n-1)/2 edges builds
+    nothing: every pair is an edge and every support a subgraph.  The
+    diameter is None when the support is disconnected.  A pair connected in
+    the base but not in the support has infinite stretch, so the mean reads
+    inf; pairs disconnected in the base are skipped.
     """
     support = _as_graph(spliced)
     if support.n != graph.n:
@@ -395,24 +380,22 @@ def stretch_stats(
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    base_codes = _edge_codes(graph.edge_u, graph.edge_v, n)
-    if not np.isin(_edge_codes(support.edge_u, support.edge_v, n), base_codes).all():
-        raise ValueError("support is not a subgraph of the base graph")
-    rng = substream(seed, "stretch-pairs")
-    srcs = rng.integers(0, n, size=pairs)
-    offs = rng.integers(1, n, size=pairs)
-    dsts = (srcs + offs) % n
-    pair_codes = _edge_codes(np.minimum(srcs, dsts), np.maximum(srcs, dsts), n)
-    far = ~np.isin(pair_codes, base_codes)
-    d_base = np.ones(pairs)
-    if far.any():
-        d_base[far] = _bfs_pairs(graph._adjacency(), srcs[far], dsts[far])
     if n > DIAMETER_MAX_N:
-        d_sup, diameter = _bfs_pairs(support._adjacency(), srcs, dsts), None
-    elif support.m == n - 1 and support.is_connected():
+        raise ValueError(f"stretch_stats measures exact distances up to n = {DIAMETER_MAX_N}")
+    srcs, dsts = _random_pairs(substream(seed, "stretch-pairs"), n, pairs)
+    d_base = np.ones(pairs)
+    if graph.m < n * (n - 1) // 2:
+        rows = _packed_rows(graph).view("<u8")
+        if not _bits(rows, support.edge_u, support.edge_v).all():
+            raise ValueError("support is not a subgraph of the base graph")
+        far = ~_bits(rows, srcs, dsts)
+        if far.any():
+            d_base[far] = _ball_pairs(graph, rows, srcs[far], dsts[far])[0]
+    if support.m == n - 1 and support.is_connected():
         d_sup, diameter = _tree_pairs(support, srcs, dsts)
     else:
-        d_sup, diameter = _ball_pairs(support, srcs, dsts)
+        rows = _packed_rows(support).view("<u8")
+        d_sup, diameter = _ball_pairs(support, rows, srcs, dsts)
     linked = np.isfinite(d_base)
     ratios = d_sup[linked] / d_base[linked]
     mean_stretch = float(np.mean(ratios)) if ratios.size else math.nan

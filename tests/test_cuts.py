@@ -28,7 +28,7 @@ from treesplice.generators import (
     star_graph,
     wheel_graph,
 )
-from treesplice.graph import ConvergenceError, Graph, cut_edges
+from treesplice.graph import ConvergenceError, Graph, _packed_rows, cut_edges
 from treesplice.linalg import laplacian_sparse
 from treesplice.sampler import aldous_broder
 from treesplice.splice import WeightedGraph, _as_graph, splice, splice_gnp
@@ -276,7 +276,7 @@ def test_popcount_cut_values_stay_within_the_block_budget(monkeypatch):
     assert cuts._is_dense(g)
     subsets = _random_subsets(g.n, 400, seed=3)
     indptr, members = _csr(subsets)
-    rows = cuts._packed_rows(g).view("<u8")
+    rows = _packed_rows(g).view("<u8")
     monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
@@ -293,19 +293,6 @@ def test_density_rule_splits_the_regular_graphs():
     assert cuts._is_dense(random_regular_graph(256, 4, seed=7))
     assert not cuts._is_dense(random_regular_graph(256, 3, seed=7))
     assert cuts._is_dense(gnp_graph(60, 0.2, seed=21))
-
-
-def test_packed_rows_hold_each_neighbour_once():
-    for g in (gnp_graph(65, 0.3, seed=65), complete_graph(129), cycle_graph(200)):
-        rows = cuts._packed_rows(g)
-        assert rows.shape == (g.n, 8 * -(-g.n // 64))
-        bits = np.unpackbits(rows, axis=1, bitorder="little")[:, : g.n]
-        want = np.zeros((g.n, g.n), dtype=np.uint8)
-        want[g.edge_u, g.edge_v] = want[g.edge_v, g.edge_u] = 1
-        assert np.array_equal(bits, want)
-        words = rows.view("<u8")
-        assert words.shape == (g.n, -(-g.n // 64))
-        assert np.array_equal(np.bitwise_count(words).sum(axis=1), g.degrees)
 
 
 def reference_ball(g, center, radius):

@@ -74,3 +74,7 @@ def test_stretch_rejects_tiny_graphs_and_foreign_support():
             stretch_stats(Graph(n, []), Graph(n, []), pairs=5, seed=0)
     with pytest.raises(ValueError, match="not a subgraph"):
         stretch_stats(path_graph(5), complete_graph(5), pairs=50, seed=0)
+    # A foreign edge whose bit lies in the second word of its row.
+    edges = list(path_graph(100).iter_edges())
+    with pytest.raises(ValueError, match="not a subgraph"):
+        stretch_stats(Graph(100, edges), Graph(100, edges[1:] + [(3, 90)]), 50, 0)

@@ -15,7 +15,7 @@ from treesplice.generators import (
     random_regular_graph,
     star_graph,
 )
-from treesplice.graph import Graph, Orientation, SamplingError, cut_edges
+from treesplice.graph import Graph, Orientation, SamplingError, _packed_rows, cut_edges
 
 
 def test_graph_rejects_self_loop_and_duplicates():
@@ -284,3 +284,16 @@ def test_isolated_vertex_walks_fail():
     g = Graph(3, [(0, 1)])
     with pytest.raises(SamplingError):
         aldous_broder(g, seed=1)
+
+
+def test_packed_rows_hold_each_neighbour_once():
+    for g in (gnp_graph(65, 0.3, seed=65), complete_graph(129), cycle_graph(200)):
+        rows = _packed_rows(g)
+        assert rows.shape == (g.n, 8 * -(-g.n // 64))
+        bits = np.unpackbits(rows, axis=1, bitorder="little")[:, : g.n]
+        want = np.zeros((g.n, g.n), dtype=np.uint8)
+        want[g.edge_u, g.edge_v] = want[g.edge_v, g.edge_u] = 1
+        assert np.array_equal(bits, want)
+        words = rows.view("<u8")
+        assert words.shape == (g.n, -(-g.n // 64))
+        assert np.array_equal(np.bitwise_count(words).sum(axis=1), g.degrees)

@@ -15,11 +15,10 @@ from treesplice.generators import (
     random_regular_graph,
     star_graph,
 )
-from treesplice.graph import Graph
+from treesplice.graph import Graph, _packed_rows
 from treesplice.routing import (
     ReliabilitySummary,
     ReliabilityTrial,
-    _bfs_pairs,
     build_routing,
     reliability_experiment,
     route,
@@ -339,14 +338,12 @@ def test_stretch_reference_on_disconnected_base():
             assert got[1] is None
 
 
-def test_stretch_reference_above_diameter_cap(monkeypatch):
+def test_stretch_above_diameter_cap_is_refused(monkeypatch):
     g = gnp_graph(60, 0.1, seed=3)
-    two = _two_components()
-    cases = [(g, splice(g, 2, seed=24).support), (two, two)]
-    expected = [_stretch_reference(b, s, 500, 5)[0] for b, s in cases]
     monkeypatch.setattr(routing, "DIAMETER_MAX_N", 12)
-    for (base, support), mean in zip(cases, expected):
-        assert stretch_stats(base, support, 500, 5) == (mean, None)
+    for base, support in ((g, g), (complete_graph(13), path_graph(13))):
+        with pytest.raises(ValueError, match="up to n = 12"):
+            stretch_stats(base, support, 500, 5)
 
 
 @pytest.mark.parametrize(
@@ -386,11 +383,14 @@ def test_ball_growth_matches_all_sources_bfs_across_gather_blocks():
     g = gnp_graph(600, 0.5, seed=27)
     rows = g.n + 2 * g.m
     assert rows * 8 * -(-g.n // 64) > 2 * (4 << 20)  # at least 3 gather blocks
-    full = routing.csgraph.shortest_path(g._adjacency(), method="D", unweighted=True)
-    srcs, dsts = np.nonzero(~np.eye(g.n, dtype=bool))
-    dist, diameter = routing._ball_pairs(g, srcs, dsts)
-    assert np.array_equal(dist, full[srcs, dsts])
-    assert diameter == full.max() == 2
+    # cycle(130): bits span three words; two components: unreached pairs read inf.
+    for g, diameter in ((g, 2), (cycle_graph(130), 65), (_two_components(), None)):
+        full = csgraph.shortest_path(g._adjacency(), method="D", unweighted=True)
+        srcs, dsts = np.nonzero(~np.eye(g.n, dtype=bool))
+        dist, got = routing._ball_pairs(g, _packed_rows(g).view("<u8"), srcs, dsts)
+        assert np.array_equal(dist, full[srcs, dsts])
+        assert got == diameter
+        assert diameter is None or full.max() == diameter
 
 
 def test_stretch_on_dense_support_is_memory_bounded():
@@ -407,23 +407,21 @@ def test_stretch_on_dense_support_is_memory_bounded():
     assert peak < 22 << 20
 
 
+def test_stretch_on_complete_base_builds_no_base_table():
+    g = complete_graph(2048)
+    two = splice(g, 2, seed=33)
+    tracemalloc.start()
+    try:
+        stretch_stats(g, two, 2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 4 MiB; sorting every base edge code for the subgraph check
+    # peaked at 36 MiB.
+    assert peak < 8 << 20
+
+
 def test_disconnected_support_has_infinite_stretch():
     mean, dia = stretch_stats(complete_graph(6), Graph(6, [(0, 1)]), pairs=50, seed=0)
     assert mean == math.inf
     assert dia is None
-
-
-def test_pair_bfs_runs_sources_in_memory_bounded_blocks():
-    n = 6000
-    g = cycle_graph(n)
-    tracemalloc.start()
-    try:
-        assert stretch_stats(g, g, 1500, 0) == (1.0, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20  # a dense row per distinct source peaked at 61 MiB
-    rng = np.random.default_rng(7)
-    srcs, dsts = rng.integers(0, n, size=(2, 1500))
-    gap = np.abs(srcs - dsts)
-    assert np.array_equal(_bfs_pairs(g._adjacency(), srcs, dsts), np.minimum(gap, n - gap))
