@@ -26,11 +26,12 @@ sampled cut is counted depends on density.  A graph is dense when
 ceil(n / 64) <= 2m / n: a packed row is then no longer than an average CSR
 row, and the table's 8 n ceil(n / 64) bytes stay within the 16 m bytes of the
 CSR the graph already holds.  On a dense unweighted graph |cut(S)| is the sum
-over u in S of popcount(row_u & ~S); a block of cuts' bitsets and per-member
-words stays within ``_CUT_BLOCK_BYTES`` (4 MiB).  Weighted and sparse graphs
-keep x^T L_w x for the indicator x, summed a block of indicator columns X at a
-time as the column sums of (L_w X) * X, with the three float64 n-by-block
-arrays within the same budget.  Both ways give the same values.
+over u in S of popcount(row_u & ~S), or over V∖S for |S| > n/2; a block of
+cuts' bitsets and per-member words stays within ``_CUT_BLOCK_BYTES`` (4 MiB).
+Weighted and sparse graphs keep x^T L_w x for the indicator x, summed a block
+of indicator columns X at a time as the column sums of (L_w X) * X, with the
+three float64 n-by-block arrays within the same budget.  Both ways give the
+same values.
 All analyses are read-only.
 """
 
@@ -509,14 +510,18 @@ def _cut_values(graph: Graph, weights, indptr, members) -> np.ndarray:
 
 def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
     """|cut(S)| = sum over u in S of popcount(row_u & ~S), a block of sets at a
-    time: each block's bitsets and per-member words fit ``_CUT_BLOCK_BYTES``."""
-    words = rows.shape[1]
+    time: each block's bitsets and per-member words fit ``_CUT_BLOCK_BYTES``.
+    A set above n/2 is counted as V∖S, since |cut(S)| = |cut(V∖S)|."""
+    n, words = rows.shape
     cuts = indptr.size - 1
     sizes = np.diff(indptr)
-    # A set costs its bitset's words; a member costs its gathered row and
-    # complement words, their popcounts and about five index entries.
+    flip = sizes > n // 2
+    # A set costs its bitset's words, flipped also 2 bytes a vertex to unpack;
+    # a counted member its gathered row and complement words, their popcounts
+    # and about five index entries.
     spent = np.zeros(cuts + 1, dtype=np.int64)
-    np.cumsum(8 * words + (17 * words + 40) * sizes, out=spent[1:])
+    counted = np.where(flip, n - sizes, sizes)
+    np.cumsum(8 * words + 128 * words * flip + (17 * words + 40) * counted, out=spent[1:])
     out = np.empty(cuts)
     lo = 0
     while lo < cuts:
@@ -524,11 +529,20 @@ def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
         hi = max(hi, lo + 1)
         which = np.repeat(np.arange(hi - lo), sizes[lo:hi])
         vertex = members[indptr[lo] : indptr[hi]]
-        outside = np.full((hi - lo) * words, ~np.uint64(0))
+        outside = np.full((hi - lo, words), ~np.uint64(0))
         word = which * words + (vertex >> 6)
-        np.bitwise_and.at(outside, word, ~(np.uint64(1) << (vertex & 63).astype(np.uint64)))
+        bit = np.uint64(1) << (vertex & 63).astype(np.uint64)
+        np.bitwise_and.at(outside.reshape(-1), word, ~bit)
+        # A flipped set's members are the bits of V∖S, and its mask is S.
+        big = np.flatnonzero(flip[lo:hi])
+        bits = np.unpackbits(outside[big].view(np.uint8), axis=1, count=n, bitorder="little")
+        rest, vert = np.nonzero(bits)
+        keep = ~flip[lo:hi][which]
+        which = np.concatenate([which[keep], big[rest]])
+        vertex = np.concatenate([vertex[keep], vert])
+        outside[big] = ~outside[big]
         crossing = rows[vertex]
-        crossing &= outside.reshape(hi - lo, words)[which]
+        crossing &= outside[which]
         out[lo:hi] = np.bincount(
             which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=hi - lo
         )

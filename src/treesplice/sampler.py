@@ -25,17 +25,14 @@ The scalar samplers remain for single long walks and for walks on a fresh
 orientation per run.
 
 Every walk reads the graph's CSR; an orientation's is its base graph's, with
-the rows filtered by the direction masks.  ``aldous_broder`` steps through
-the cached neighbour lists, keeps each first entry's row position and gathers
-the edge ids from the CSR after the walk; ``process_bp_on`` permutes list
-rows it slices afresh per call.  Both apply ``seeds.below``'s exact rule
-inline to raw words from ``seeds.word_stream``; a word below 2^64 minus the
-walk's largest bound passes for every bound, so only the top few words reach
-the exact limit.  On K_n with its edges in ``triu`` order, as
-``complete_graph`` builds it, row v reads v+1, ..., n-1, 0, ..., v-1, so
-``aldous_broder`` needs no rows: its trace is a cumulative sum mod n of the
-accepted draws, computed a block of words at a time from the same stream,
-with the same rejections, and the tree and trace are those of the step loop.
+the rows filtered by the direction masks.  ``aldous_broder`` takes a block of
+words at a time and makes the block's moves at once, through the cached
+neighbour lists or, on K_n in ``triu`` order, as a cumulative sum mod n; it
+keeps first visits in numpy and reads each first-entry edge from its row
+slot, so its tree and trace are those of a step loop on the same words.
+``process_bp_on`` permutes list rows it slices afresh per call.  Both apply
+``seeds.below``'s exact rule inline to raw 64-bit words; a word below 2^64
+minus the walk's largest bound passes for every bound.
 The lockstep engine draws differently, with ``Generator.integers``: one
 draw per active walk and step, on array bounds, or on a regular graph of
 degree d on the scalar bound d, which gives the same values.  It holds the
@@ -163,104 +160,108 @@ def aldous_broder(
 
     Walks until every vertex is visited.  A disconnected graph raises
     SamplingError before the first step, and a walk that has not covered
-    within ``graph.walk_step_cap()`` steps raises it too.  On K_n in
-    ``triu`` edge order the walk runs in closed form (``_complete_walk``)
-    on the same draws, with the same tree, trace and dtypes as the loop,
-    and builds no neighbour lists.
+    within ``graph.walk_step_cap()`` steps raises it too.  Steps come a block
+    at a time, in closed form on K_n in ``triu`` edge order, else from the
+    neighbour lists; first visits are kept in numpy after each block, and
+    the trace is cut at the last first visit.
     """
     n = graph.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     if not 0 <= start < n:
         raise ValueError("start vertex out of range")
-    if n == 1:
-        tree = SpanningTree(0, np.full(1, -1, np.int32), np.full(1, -1, np.int32))
-        return tree, WalkTrace(np.zeros(1, np.int32), np.zeros(1, np.int64))
-    if graph._complete_in_order:
-        return _complete_walk(graph, substream(seed, "aldous-broder"), start)
-    if not graph.is_connected():
+    complete = graph._complete_in_order
+    if not complete and not graph.is_connected():
         raise SamplingError("graph is disconnected; the walk cannot cover")
-    word = word_stream(substream(seed, "aldous-broder"))
-    safe = WORDS - int(graph.degrees.max())
-    nbrs = graph._neighbor_lists
-    # slot[v]: position, in its parent's row, of the edge that first entered v.
-    parent, slot, first_visit = [-1] * n, [-1] * n, [-1] * n
-    first_visit[start] = 0
-    trace = [start]
-    append = trace.append
-    unvisited = n - 1
+    gen = substream(seed, "aldous-broder")
     cap = graph.walk_step_cap()
-    cur = start
-    for step in range(1, cap):
-        lst = nbrs[cur]
-        d = len(lst)
-        w = word()
-        while w >= safe and w >= WORDS - WORDS % d:
-            w = word()
-        j = w % d
-        nxt = lst[j]
-        append(nxt)
-        if first_visit[nxt] < 0:
-            first_visit[nxt] = step
-            parent[nxt] = cur
-            slot[nxt] = j
-            unvisited -= 1
-            if not unvisited:
-                break
-        cur = nxt
-    else:
-        raise SamplingError(f"walk did not cover within {cap} steps")
-    indptr, _, eid = graph._csr
-    parent_edge = eid[indptr[parent] + slot]
-    parent_edge[start] = -1
-    tree = SpanningTree(start, np.array(parent, np.int32), parent_edge)
-    return tree, WalkTrace(np.array(trace, np.int32), np.array(first_visit, np.int64))
-
-
-def _complete_walk(
-    graph: Graph, gen: np.random.Generator, start: int
-) -> tuple[SpanningTree, WalkTrace]:
-    """``aldous_broder``'s walk on K_n in ``triu`` edge order, in closed form.
-
-    Row v of the CSR reads v+1, ..., n-1, 0, ..., v-1, so slot j leads to
-    (v + 1 + j) mod n and the trace is a cumulative sum mod n of the draws.
-    The words come in blocks from the same stream; those the scalar rule
-    rejects (w >= 2^64 - 2^64 mod (n-1), none when n-1 is a power of two)
-    are dropped, and the rest give j = w mod (n-1), the scalar walk's slots.
-    """
-    n = graph.n
-    d = n - 1
-    cap = graph.walk_step_cap()
-    limit = WORDS - WORDS % d
+    draws: list[np.ndarray] = []
+    blocks = (_complete_steps(gen, n, start) if complete
+              else _neighbour_steps(graph, gen, start, draws))
     # cap marks a vertex not yet entered; the walk may take cap - 1 steps.
     first_visit = np.full(n, cap, dtype=np.int64)
     first_visit[start] = 0
     pieces = [np.array([start], dtype=np.int64)]
-    steps, cur = 0, start
-    # The expected cover time is (n-1) H_(n-1) < n (ln n + 1) steps.
-    block = int(n * (math.log(n) + 2))
+    steps = 0
     while first_visit.max() == cap:
-        if steps >= cap - 1:
+        if steps == cap - 1:
             raise SamplingError(f"walk did not cover within {cap} steps")
-        w = gen.integers(0, WORDS, size=block, dtype=np.uint64)
-        if limit < WORDS:
-            w = w[w < np.uint64(limit)]
-        w = w[: cap - 1 - steps]
-        pos = np.cumsum((w % np.uint64(d)).astype(np.int64) + 1)
-        pos += cur
-        pos %= n
+        pos = next(blocks)[: cap - 1 - steps]
         pieces.append(pos)
         np.minimum.at(first_visit, pos, np.arange(steps + 1, steps + 1 + pos.size))
         steps += pos.size
-        cur = int(pos[-1])
     trace = np.concatenate(pieces)[: first_visit.max() + 1]
-    parent = trace[np.maximum(first_visit - 1, 0)]
-    parent[start] = -1
-    lo, hi = np.minimum(parent, np.arange(n)), np.maximum(parent, np.arange(n))
-    parent_edge = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
-    parent_edge[start] = -1
-    tree = SpanningTree(start, parent.astype(np.int32), parent_edge.astype(np.int32))
+    # The step before each first visit (0 at the start) and its vertex.
+    entry = np.maximum(first_visit - 1, 0)
+    parent = trace[entry]
+    if complete:
+        # Edge (u, v), u < v, has id u (2n - u - 1) / 2 + v - u - 1.
+        lo, hi = np.minimum(parent, np.arange(n)), np.maximum(parent, np.arange(n))
+        parent_edge = (lo * (2 * n - lo - 1) // 2 + hi - lo - 1).astype(np.int32)
+    else:
+        # v's first-entry edge sits at slot draw mod d(parent) of its row.
+        indptr, _, eid = graph._csr
+        slot = np.concatenate(draws)[entry] % graph.degrees.astype(np.uint64)[parent]
+        parent_edge = eid[indptr[parent] + slot.astype(np.int64)]
+    parent[start] = parent_edge[start] = -1
+    tree = SpanningTree(start, parent.astype(np.int32), parent_edge)
     return tree, WalkTrace(trace.astype(np.int32), first_visit)
+
+
+def _complete_steps(gen: np.random.Generator, n: int, start: int):
+    """``aldous_broder``'s steps on K_n in ``triu`` edge order, in closed form.
+
+    Row v of the CSR reads v+1, ..., n-1, 0, ..., v-1, so slot j leads to
+    (v + 1 + j) mod n and the trace is a cumulative sum mod n of the slots.
+    Words the exact rule rejects (w >= 2^64 - 2^64 mod (n-1), none when n-1
+    is a power of two) are dropped, and the rest give j = w mod (n-1).
+    """
+    d = n - 1
+    limit = WORDS - WORDS % d
+    # The expected cover time is (n-1) H_(n-1) < n (ln n + 1) steps.
+    block = int(n * (math.log(n) + 2))
+    cur = start
+    while True:
+        w = gen.integers(0, WORDS, size=block, dtype=np.uint64)
+        if limit < WORDS:
+            w = w[w < np.uint64(limit)]
+        pos = np.cumsum((w % np.uint64(d)).astype(np.int64) + 1)
+        pos += cur
+        pos %= n
+        cur = int(pos[-1])
+        yield pos
+
+
+_WALK_BLOCK = 4096  # words per block of the walk on a general graph
+
+
+def _neighbour_steps(graph: Graph, gen: np.random.Generator, start: int, draws: list):
+    """``aldous_broder``'s steps on any graph, ``_WALK_BLOCK`` words at a time.
+
+    Word w moves to slot w mod d(cur) of the current neighbour list, one
+    comprehension a block, with w reduced mod the lcm of the degrees when it
+    is below 2^64.  A word at or above 2^64 minus the largest degree splits
+    the block and is dropped if the exact rule rejects it at the vertex it
+    is read at (w >= 2^64 - 2^64 mod d(cur)).  Used words go to ``draws``.
+    """
+    nbrs = graph._neighbor_lists
+    deg = graph.degrees.tolist()
+    safe = np.uint64(WORDS - max(deg))
+    lcm = math.lcm(*set(deg))
+    cur = start
+    while True:
+        raw = gen.integers(0, WORDS, size=_WALK_BLOCK, dtype=np.uint64)
+        words = raw % np.uint64(lcm) if lcm < WORDS else raw
+        xs = words.tolist()
+        pos, lo, dropped = [], 0, []
+        for t in np.flatnonzero(raw >= safe).tolist() + [_WALK_BLOCK]:
+            pos += [cur := nbrs[cur][x % deg[cur]] for x in xs[lo:t]]
+            lo = t
+            if t < _WALK_BLOCK and int(raw[t]) >= WORDS - WORDS % deg[cur]:
+                dropped.append(t)
+                lo += 1
+        draws.append(np.delete(words, dropped))
+        yield np.array(pos, dtype=np.int64)
 
 
 def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:

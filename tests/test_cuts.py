@@ -289,6 +289,22 @@ def test_popcount_cut_values_stay_within_the_block_budget(monkeypatch):
     assert got.tolist() == [len(cut_edges(g, a)) for a in subsets]
 
 
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 24])
+def test_popcount_counts_large_sets_by_their_complement(monkeypatch, budget):
+    # n = 130 leaves padding bits in each row's last word.  Sets run from one
+    # vertex to n - 1, both sides of n/2, in unsorted order;
+    # a small budget puts flipped and unflipped sets in separate blocks.
+    g = gnp_graph(130, 0.3, seed=8)
+    n = g.n
+    rng = np.random.default_rng(9)
+    sizes = [1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1]
+    sizes += rng.integers(1, n, size=120).tolist()
+    subsets = [rng.permutation(n)[:k] for k in sizes]
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", budget)
+    got = cuts._popcount_cut_values(_packed_rows(g).view("<u8"), *_csr(subsets))
+    assert got.tolist() == [len(cut_edges(g, a)) for a in subsets]
+
+
 def test_density_rule_splits_the_regular_graphs():
     assert cuts._is_dense(random_regular_graph(256, 4, seed=7))
     assert not cuts._is_dense(random_regular_graph(256, 3, seed=7))

@@ -15,6 +15,7 @@ from treesplice.generators import (
     gnp_graph,
     path_graph,
     petersen_graph,
+    random_regular_graph,
     wheel_graph,
 )
 from treesplice import sampler
@@ -30,7 +31,8 @@ from treesplice.sampler import (
     sample_trees,
     tree_edge_frequencies,
 )
-from treesplice.seeds import child_seed, substream
+from treesplice.lowerbound import lower_bound_family
+from treesplice.seeds import WORDS, child_seed, substream, word_stream
 
 
 def test_tree_invariants_on_random_graphs():
@@ -93,6 +95,16 @@ def test_start_vertex_is_root_and_respected():
     assert trace.vertices[0] == 4
     with pytest.raises(ValueError):
         aldous_broder(g, seed=2, start=6)
+
+
+def test_single_vertex_walk_takes_no_step():
+    tree, trace = aldous_broder(Graph(1, []), seed=2)
+    assert tree.root == 0 and trace.steps == 0
+    for a, dtype in [(tree.parent, np.int32), (tree.parent_edge, np.int32),
+                     (trace.vertices, np.int32), (trace.first_visit, np.int64)]:
+        assert a.dtype == dtype
+    assert tree.parent.tolist() == tree.parent_edge.tolist() == [-1]
+    assert trace.vertices.tolist() == trace.first_visit.tolist() == [0]
 
 
 def test_k3_tree_frequencies_uniform():
@@ -287,23 +299,118 @@ class _WordList:
         return np.array(out, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("kernel", ["aldous-broder", "walk"])
+def _reference_walk(graph, seed, start=0):
+    """Aldous-Broder one step at a time: per step one word from the walk's
+    substream, the exact rejection rule inline, first visits as it goes.
+    Kept as the reference the block walk must reproduce byte for byte."""
+    n = graph.n
+    word = word_stream(sampler.substream(seed, "aldous-broder"))
+    safe = WORDS - int(graph.degrees.max())
+    nbrs = graph._neighbor_lists
+    # slot[v]: position, in its parent's row, of the edge that first entered v.
+    parent, slot, first_visit = [-1] * n, [-1] * n, [-1] * n
+    first_visit[start] = 0
+    trace = [start]
+    unvisited = n - 1
+    cap = graph.walk_step_cap()
+    cur = start
+    for step in range(1, cap):
+        lst = nbrs[cur]
+        d = len(lst)
+        w = word()
+        while w >= safe and w >= WORDS - WORDS % d:
+            w = word()
+        j = w % d
+        nxt = lst[j]
+        trace.append(nxt)
+        if first_visit[nxt] < 0:
+            first_visit[nxt] = step
+            parent[nxt] = cur
+            slot[nxt] = j
+            unvisited -= 1
+            if not unvisited:
+                break
+        cur = nxt
+    else:
+        raise SamplingError(f"walk did not cover within {cap} steps")
+    indptr, _, eid = graph._csr
+    parent_edge = eid[indptr[parent] + slot]
+    parent_edge[start] = -1
+    return start, [
+        np.array(parent, np.int32),
+        parent_edge,
+        np.array(trace, np.int32),
+        np.array(first_visit, np.int64),
+    ]
+
+
+def _walk_arrays(graph, seed, start):
+    tree, trace = aldous_broder(graph, seed, start)
+    return tree.root, [tree.parent, tree.parent_edge, trace.vertices, trace.first_visit]
+
+
+def _assert_same_walk(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1], strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_TOP = WORDS - 1
+# Where the top word goes into each walk's words: all of them are read
+# before cover.  Petersen rejects it at every vertex (3 does not divide
+# 2^64), the 4-regular graph accepts it everywhere, and the lower-bound
+# family, with degrees 3, 4 and 5, rejects it at some vertices only.
+_MIXED = lower_bound_family(300, 3, 2, 1)
+_TOP_WORD_WALKS = {
+    "petersen": (petersen_graph(), 0, [3, 4, 15]),
+    "4-regular": (random_regular_graph(64, 4, seed=1), 0, [99, 100, 180]),
+    "mixed-degree": (_MIXED.graph, _MIXED.start_vertex(), list(range(3, 700, 7))),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel", ["aldous-broder", "walk", "petersen", "4-regular", "mixed-degree"]
+)
 def test_kernels_reject_the_top_word_inline(monkeypatch, kernel):
     # Neither 3 (K_4's degree) nor a multiple of 5 (n - 1 on 6 vertices)
     # divides 2^64, so the word 2^64 - 1 is rejected and the walk must be
-    # the one its remaining words give.
-    words = substream(3, kernel).integers(0, 1 << 64, size=50_000, dtype=np.uint64)
+    # the one its remaining words give.  On the other graphs the block walk
+    # must match the step loop on the same words, top words included.
+    name = kernel if kernel == "walk" else "aldous-broder"
+    words = substream(3, name).integers(0, 1 << 64, size=50_000, dtype=np.uint64)
     words = words.tolist()
 
+    def feed(head):
+        monkeypatch.setattr(sampler, "substream", lambda seed, name: _WordList(head))
+
     def run(head):
-        monkeypatch.setattr(sampler, "substream", lambda seed, name: _WordList(head + words))
+        feed(head + words)
         if kernel == "walk":
             res = process_bp_on(direct_edges_dp(complete_graph(6), 1.0, seed=2), 3, phases=2)
             return [t.parent_edge.tolist() for t in res.trees], res.steps_taken
         tree, trace = aldous_broder(complete_graph(4), 3)
         return tree.parent_edge.tolist(), trace.vertices.tolist()
 
-    assert run([(1 << 64) - 1]) == run([])
+    if kernel in ("aldous-broder", "walk"):
+        assert run([_TOP]) == run([])
+        return
+    graph, start, at = _TOP_WORD_WALKS[kernel]
+    topped = list(words)
+    for i in at:
+        topped[i] = _TOP
+    feed(topped)
+    got = _walk_arrays(graph, 3, start)
+    feed(topped)
+    want = _reference_walk(graph, 3, start)
+    _assert_same_walk(got, want)
+    assert len(want[1][2]) - 1 > max(at)
+    feed([w for w in topped if w != _TOP])
+    plain = _walk_arrays(graph, 3, start)
+    # Every top word was dropped on Petersen and kept on the 4-regular graph.
+    if kernel == "petersen":
+        _assert_same_walk(got, plain)
+    elif kernel == "4-regular":
+        assert got[1][2].tobytes() != plain[1][2].tobytes()
 
 
 def _disjoint_cycles(n: int) -> Graph:
@@ -600,9 +707,41 @@ def test_scalar_bound_draw_equals_array_bound_draw(d):
     assert a.integers(0, 1 << 62) == b.integers(0, 1 << 62)
 
 
-def _walk_arrays(graph, seed, start):
-    tree, trace = aldous_broder(graph, seed, start)
-    return tree.root, [tree.parent, tree.parent_edge, trace.vertices, trace.first_visit]
+_FAMILY = lower_bound_family(300, 3, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "graph, start, reduced",
+    [
+        (_FAMILY.graph, _FAMILY.start_vertex(), True),
+        (random_regular_graph(60, 3, seed=2), 0, True),
+        # The walk reduces its words mod the lcm of the distinct degrees
+        # when that is below 2^64, as for degrees 10-31, and keeps them raw
+        # otherwise, as for degrees 44-81.
+        (gnp_graph(200, 0.1, seed=4), 0, True),
+        (gnp_graph(200, 0.3, seed=4), 0, False),
+        (path_graph(9), 4, True),
+        (petersen_graph(), 0, True),
+    ],
+    ids=["lower-bound", "3-regular", "gnp-reduced", "gnp-raw", "path", "petersen"],
+)
+def test_block_walk_equals_the_step_loop(graph, start, reduced):
+    assert (math.lcm(*set(graph.degrees.tolist())) < WORDS) == reduced
+    for seed in range(4):
+        _assert_same_walk(_walk_arrays(graph, seed, start), _reference_walk(graph, seed, start))
+
+
+def test_block_walk_keeps_the_exact_step_cap(monkeypatch):
+    graph = gnp_graph(80, 0.1, seed=3)
+    _, want = _reference_walk(graph, 4)
+    steps = len(want[2]) - 1
+    monkeypatch.setattr(Graph, "walk_step_cap", lambda self: steps + 1)
+    _assert_same_walk(_walk_arrays(graph, 4, 0), (0, want))
+    monkeypatch.setattr(Graph, "walk_step_cap", lambda self: steps)
+    for walk in (_walk_arrays, _reference_walk):
+        with pytest.raises(SamplingError) as err:
+            walk(graph, 4, 0)
+        assert str(err.value) == f"walk did not cover within {steps} steps"
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 65, 129, 200, 1024])
@@ -612,11 +751,9 @@ def test_complete_graph_closed_form_equals_the_loop(monkeypatch, n):
     monkeypatch.setattr(loop, "_complete_in_order", False)
     for seed in (1, 2) if n == 1024 else (1, 2, 3):
         for start in sorted({0, n - 1, n // 2}):
-            root, got = _walk_arrays(fast, seed, start)
-            want_root, want = _walk_arrays(loop, seed, start)
-            assert root == want_root == start
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            want = _reference_walk(loop, seed, start)
+            _assert_same_walk(_walk_arrays(fast, seed, start), want)
+            _assert_same_walk(_walk_arrays(loop, seed, start), want)
     assert "_neighbor_lists" not in fast.__dict__
     assert "_neighbor_lists" in loop.__dict__
 
