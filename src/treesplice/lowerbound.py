@@ -73,59 +73,28 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
     if ell < 1:
         raise ValueError("need ell >= 1")
     base = hamiltonian_regular_graph(n, d, child_seed(seed, "expander"))
-    nbrs = base._neighbor_lists
-
-    n_segments = n // ell
-    closures: list[set[int]] = []
-    segments: list[tuple[int, ...]] = []
-    for i in range(n_segments):
-        seg = tuple(range(i * ell, (i + 1) * ell))
-        segments.append(seg)
-        cl = set(seg)
-        for v in seg:
-            cl.update(nbrs[v])
-        closures.append(cl)
-
-    chosen: list[int] = []
-    used: set[int] = set()
-    for i in range(n_segments):
-        if closures[i] & used:
-            continue
-        # Segments spanning the removed cycle edge do not exist (the path is
-        # the cycle minus (n-1, 0)), and the last segment may be short; both
-        # are handled by the consecutive-range construction above.  A segment
-        # whose neighborhood is too small to ring is skipped.
-        ring = _neighborhood(base, segments[i])
-        if ell >= 2 and len(ring) < 3:
-            continue
-        chosen.append(i)
-        used |= closures[i]
-    if not chosen:
-        raise SamplingError("greedy selection kept no segment; parameters too tight")
-
-    extra: set[tuple[int, int]] = set()
     existing = {(int(u), int(v)) for u, v in base.iter_edges()}
-
-    def add_edge(u: int, v: int) -> None:
-        e = (min(u, v), max(u, v))
-        if e not in existing:
-            extra.add(e)
-            existing.add(e)
-
     paths: list[tuple[int, ...]] = []
     rings: list[tuple[int, ...]] = []
-    for i in chosen:
-        seg = segments[i]
+    used: set[int] = set()
+    for i in range(n // ell):
+        seg = tuple(range(i * ell, (i + 1) * ell))
         ring = tuple(_neighborhood(base, seg))
-        if ell >= 3:
-            add_edge(seg[0], seg[-1])
-        if len(ring) >= 3:
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                add_edge(a, b)
-        elif len(ring) == 2:
-            add_edge(ring[0], ring[1])
+        closure = set(seg) | set(ring)
+        # A segment whose neighborhood is too small to ring is skipped.
+        if closure & used or (ell >= 2 and len(ring) < 3):
+            continue
+        used |= closure
         paths.append(seg)
         rings.append(ring)
+        if ell >= 3:
+            existing.add((seg[0], seg[-1]))
+        if len(ring) >= 3:
+            existing.update((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
+        elif len(ring) == 2:
+            existing.add(ring)
+    if not paths:
+        raise SamplingError("greedy selection kept no segment; parameters too tight")
 
     graph = Graph(n, sorted(existing))
     return LowerBoundFamily(

@@ -5,13 +5,15 @@ standard errors; assertions compare against estimate +/- 4 standard errors
 with frozen seeds.  They reduce lockstep walk trees with ``sampler``'s
 ``_tree_edge_counts``, ``_tree_masks`` or ``_tree_sums``; the tail check
 sums a cut-membership table over one tree batch that all its cuts share.
-On graphs with at most ``ENUMERATION_EDGE_CAP`` edges the
+On graphs with at most ``EXACT_LAW_MAX_N`` vertices the
 negative-correlation check is exact instead: its joint, all-absent and
 marginal laws are determinants of the integer transfer currents that
 ``linalg`` reads from one adjugate.  ``enumerate_trees`` lists the trees of
-such small graphs, as an independent reference for that oracle and for
-``uniformity_check``.  ``uniform_tv_distance`` is the one TV of sampled
-trees against the uniform law, for that check and the coupling estimate.
+graphs with at most ``ENUMERATION_EDGE_CAP`` edges as one edge-id array,
+by a combinatorial scan that is an independent reference for that oracle
+and for ``uniformity_check``.  ``uniform_tv_distance`` is the one TV of
+sampled trees against the uniform law, for that check and the coupling
+estimate.
 """
 
 from __future__ import annotations
@@ -19,77 +21,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .graph import Graph, Orientation, cut_edges
 from .linalg import _bareiss_det, _ground_adjugate, _transfer_current, spanning_tree_count
 from .generators import complete_graph, direct_edges_dp, gnp_graph
-from .sampler import (
-    SpanningTree, _tree_edge_counts, _tree_masks, _tree_sums, process_bp,
-)
+from .sampler import _tree_edge_counts, _tree_masks, _tree_sums, process_bp
 from .seeds import child_seed, substream
 
 ENUMERATION_EDGE_CAP = 20
+EXACT_LAW_MAX_N = 64
 
 
 def bernoulli_se(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
-def enumerate_trees(graph: Graph) -> list[SpanningTree]:
-    """All spanning trees, each exactly once, for graphs with at most 20 edges.
+def enumerate_trees(graph: Graph) -> np.ndarray:
+    """Every spanning tree once, as a (tau, n-1) int64 array of ascending edge ids.
 
-    Scans every (n-1)-subset of the edges and keeps the acyclic connected
-    ones; the count always matches the matrix-tree determinant.
+    Rows come in the lexicographic order of ``itertools.combinations``.  All
+    (n-1)-edge subsets form one int8 table, and quick-find runs on every row
+    in lockstep, one edge column at a time: an edge whose two ends already
+    share a label closes a cycle and drops its row, so the n-1 acyclic edges
+    of a surviving row span the graph.  No linear algebra is involved.  Raises
+    ValueError above ``ENUMERATION_EDGE_CAP`` edges; at the cap, the 184,756
+    subsets of W_11 (m = 20, n = 11) trace a peak of about 10 MiB.  A graph
+    with one vertex has one empty tree, one with none has no tree.
     """
-    m = graph.m
-    n = graph.n
+    m, n = graph.m, graph.n
     if m > ENUMERATION_EDGE_CAP:
         raise ValueError(f"enumeration is capped at {ENUMERATION_EDGE_CAP} edges")
     if n < 1:
-        return []
-    eu = graph.edge_u.tolist()
-    ev = graph.edge_v.tolist()
-    out: list[SpanningTree] = []
-    for subset in combinations(range(m), n - 1):
-        parent_uf = list(range(n))
-
-        def find(x: int) -> int:
-            while parent_uf[x] != x:
-                parent_uf[x] = parent_uf[parent_uf[x]]
-                x = parent_uf[x]
-            return x
-
-        acyclic = True
-        for e in subset:
-            ra, rb = find(eu[e]), find(ev[e])
-            if ra == rb:
-                acyclic = False
-                break
-            parent_uf[ra] = rb
-        if not acyclic:
-            continue
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in subset:
-            adj[eu[e]].append((ev[e], e))
-            adj[ev[e]].append((eu[e], e))
-        parent = np.full(n, -1, dtype=np.int32)
-        parent_edge = np.full(n, -1, dtype=np.int32)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w, e in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    parent_edge[w] = e
-                    stack.append(w)
-        out.append(SpanningTree(0, parent, parent_edge))
-    return out
+        return np.empty((0, 0), dtype=np.int64)
+    rows = math.comb(m, n - 1)
+    subsets = chain.from_iterable(combinations(range(m), n - 1))
+    sub = np.fromiter(subsets, dtype=np.int8, count=rows * (n - 1)).reshape(rows, n - 1)
+    label = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (rows, 1))
+    for j in range(n - 1):
+        e = sub[:, j]
+        a = np.take_along_axis(label, graph.edge_u[e][:, None], axis=1)
+        b = np.take_along_axis(label, graph.edge_v[e][:, None], axis=1)
+        keep = (a != b)[:, 0]
+        sub, label, a, b = sub[keep], label[keep], a[keep], b[keep]
+        np.copyto(label, b, where=label == a)
+    return sub.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -165,16 +143,17 @@ def negative_correlation_check(
     """Joint tree-membership of distinct edges versus the product of marginals.
 
     Exact (``exact_tree_law``, ``trials`` = the tree count) on graphs with at
-    most ``ENUMERATION_EDGE_CAP`` edges; otherwise Monte Carlo with a
-    4-standard-error margin.  Checks the complementary (all-absent) events
-    too.
+    most ``EXACT_LAW_MAX_N`` vertices, where the integer adjugate takes at
+    most about a quarter second (G(64, 1/2) on one Xeon core); otherwise
+    Monte Carlo with a 4-standard-error margin.  Checks the complementary
+    (all-absent) events too.
     """
     ids = [graph.resolve_edge(e) for e in edges]
     if not 1 <= len(ids) <= 4:
         raise ValueError("between 1 and 4 edges required")
     if len(set(ids)) < len(ids):
         raise ValueError(f"edges must be distinct, got ids {ids}")
-    if graph.m <= ENUMERATION_EDGE_CAP:
+    if graph.n <= EXACT_LAW_MAX_N:
         tau, joint, joint_c, marg = exact_tree_law(graph, ids)
         return CorrelationReport(
             edge_ids=tuple(ids),
@@ -327,7 +306,9 @@ def uniformity_check(graph: Graph, trials: int, seed: int) -> dict:
 
     Needs at most ``ENUMERATION_EDGE_CAP`` edges and at most 4096 trees
     (else ValueError).  Reports the matrix-tree count ``trees``, the number
-    of trees ``enumerate_trees`` lists, the trial count and ``tv_distance``.
+    of rows of ``enumerate_trees`` (``enumerated``, which equals ``trees``
+    while the scan and the determinant agree), the trial count and
+    ``tv_distance``.
     """
     if graph.m > ENUMERATION_EDGE_CAP or (tau := spanning_tree_count(graph)) > 4096:
         raise ValueError("uniformity check needs an enumerable tree space")

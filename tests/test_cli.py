@@ -144,7 +144,7 @@ def test_verify_checks(tmp_path, capsys):
     assert run(["generate", "--kind", "complete", "--n", "4", "--out", str(gpath)]) == 0
     assert run(["verify", "--check", "uniformity", "--graph", str(gpath), "--trials", "40000"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["trees"] == 16
+    assert payload["enumerated"] == payload["trees"] == 16
     assert payload["tv_distance"] < 0.05
     assert run(["verify", "--check", "uniformity", "--graph", str(gpath), "--trials", "0"]) == 2
     assert "trials must be >= 1" in capsys.readouterr().err

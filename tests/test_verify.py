@@ -49,14 +49,34 @@ CORPUS = {
 }
 
 
+ENUMERATION_CASES = dict(
+    CORPUS,
+    K1=Graph(1, []),
+    disconnected=Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    K6=complete_graph(6),
+    W11=wheel_graph(11),  # m = 20, the cap
+)
+
+
+def _contains(trees: np.ndarray, m: int) -> np.ndarray:
+    """One row per tree: which of the m edges it holds."""
+    contains = np.zeros((len(trees), m), dtype=bool)
+    contains[np.arange(len(trees))[:, None], trees] = True
+    return contains
+
+
 def test_enumeration_matches_matrix_tree_everywhere():
-    for name, g in CORPUS.items():
+    # n-1 distinct edges that connect the graph form a spanning tree, so
+    # unique rows numbering tau are exactly the spanning trees.
+    for name, g in ENUMERATION_CASES.items():
         trees = enumerate_trees(g)
-        assert len(trees) == spanning_tree_count(g), name
-        as_sets = {frozenset(t.edge_ids().tolist()) for t in trees}
-        assert len(as_sets) == len(trees), f"{name}: duplicate tree emitted"
-        for t in trees[:10]:
-            t.validate(g)
+        assert trees.dtype == np.int64, name
+        assert trees.shape == (spanning_tree_count(g), g.n - 1), name
+        assert (np.diff(trees, axis=1) > 0).all(), name
+        for row in trees.tolist():
+            assert Graph(g.n, [g.edge(e) for e in row]).is_connected(), (name, row)
+        rows = [tuple(r) for r in trees.tolist()]
+        assert rows == sorted(set(rows)), name
 
 
 def test_enumeration_matches_on_random_graphs():
@@ -75,21 +95,17 @@ def test_enumeration_cap():
 def test_exact_marginals_match_effective_resistance():
     for name, g in CORPUS.items():
         trees = enumerate_trees(g)
-        total = len(trees)
+        marginals = _contains(trees, g.m).mean(axis=0)
         for eid in range(g.m):
-            marginal = sum(eid in set(t.edge_ids().tolist()) for t in trees) / total
-            assert marginal == pytest.approx(
+            assert marginals[eid] == pytest.approx(
                 effective_resistance(g, eid), abs=1e-9
             ), f"{name} edge {eid}"
 
 
 def test_exact_tree_law_matches_enumeration_counts():
     for name, g in CORPUS.items():
-        trees = enumerate_trees(g)
-        total = len(trees)
-        contains = np.zeros((total, g.m), dtype=bool)
-        for t_i, tree in enumerate(trees):
-            contains[t_i, tree.edge_ids()] = True
+        contains = _contains(enumerate_trees(g), g.m)
+        total = len(contains)
         for k in range(1, 5):
             # With replacement: a repeated edge must count as one event.
             for ids in itertools.combinations_with_replacement(range(g.m), k):
@@ -160,16 +176,38 @@ def test_negative_correlation_single_edge_degenerate():
 
 
 def test_negative_correlation_monte_carlo_on_larger_graph():
-    g = random_regular_graph(30, 3, seed=3)
-    rep = negative_correlation_check(g, [0, 10], 200_000, seed=5)
+    g = random_regular_graph(70, 3, seed=3)  # above EXACT_LAW_MAX_N
+    rep = negative_correlation_check(g, [0, 10], 100_000, seed=5)
     assert not rep.exact
-    assert rep.trials == 200_000
+    assert rep.trials == 100_000
     assert rep.inclusion_ok and rep.exclusion_ok
     assert rep.margin > 0
 
 
+def test_negative_correlation_is_exact_up_to_64_vertices():
+    g = random_regular_graph(64, 3, seed=3)
+    assert g.m > 20
+    rep = negative_correlation_check(g, [0, 10], 1000, seed=5)
+    assert rep.exact and rep.trials == spanning_tree_count(g)
+    assert rep.inclusion_ok and rep.exclusion_ok
+
+
+def test_sampled_tree_masks_match_the_exact_law_beyond_the_enumeration_cap():
+    g = random_regular_graph(30, 3, seed=3)
+    assert g.m > 20 and g.is_connected()
+    ids = [0, 10, 20, 30]
+    _, joint, absent, marg = exact_tree_law(g, ids)
+    trials = 100_000
+    masks, _ = _tree_masks(g, trials, substream(7, "exact-law"), ids)
+    sampled = [np.count_nonzero(masks == 15), np.count_nonzero(masks == 0)]
+    sampled += [np.count_nonzero(masks & (1 << j)) for j in range(len(ids))]
+    for count, exact in zip(sampled, [joint, absent, *marg]):
+        p = float(exact)
+        assert abs(count / trials - p) <= 4 * bernoulli_se(p, trials), (count, exact)
+
+
 @pytest.mark.parametrize(
-    "graph", [complete_graph(4), random_regular_graph(30, 3, seed=3)], ids=["exact", "mc"]
+    "graph", [complete_graph(4), random_regular_graph(70, 3, seed=3)], ids=["exact", "mc"]
 )
 def test_negative_correlation_rejects_a_repeated_edge(graph):
     # A repeated edge would count twice in the product of marginals, and the
