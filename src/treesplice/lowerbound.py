@@ -81,18 +81,16 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
         seg = tuple(range(i * ell, (i + 1) * ell))
         ring = tuple(_neighborhood(base, seg))
         closure = set(seg) | set(ring)
-        # A segment whose neighborhood is too small to ring is skipped.
-        if closure & used or (ell >= 2 and len(ring) < 3):
+        # A segment whose neighborhood is too small to ring is skipped; with
+        # d >= 3 on a simple graph that happens only for ell >= 2.
+        if closure & used or len(ring) < 3:
             continue
         used |= closure
         paths.append(seg)
         rings.append(ring)
         if ell >= 3:
             existing.add((seg[0], seg[-1]))
-        if len(ring) >= 3:
-            existing.update((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
-        elif len(ring) == 2:
-            existing.add(ring)
+        existing.update((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
     if not paths:
         raise SamplingError("greedy selection kept no segment; parameters too tight")
 

@@ -417,7 +417,8 @@ def _tree_edge_counts(
     """Per edge, how many of ``trials`` sampled trees contain it."""
     counts = np.zeros(graph.m + 2, dtype=np.int64)
     for first in _cover_walk_trees(graph, trials, rng, start):
-        counts += np.bincount(first.ravel() + 2, minlength=graph.m + 2)
+        for col in first.T:
+            counts += np.bincount(col + 2, minlength=graph.m + 2)
     return counts[2:]
 
 

@@ -143,10 +143,11 @@ def negative_correlation_check(
     """Joint tree-membership of distinct edges versus the product of marginals.
 
     Exact (``exact_tree_law``, ``trials`` = the tree count) on graphs with at
-    most ``EXACT_LAW_MAX_N`` vertices, where the integer adjugate takes at
-    most about a quarter second (G(64, 1/2) on one Xeon core); otherwise
-    Monte Carlo with a 4-standard-error margin.  Checks the complementary
-    (all-absent) events too.
+    most ``EXACT_LAW_MAX_N`` vertices; for four edges at n = 64 that took
+    0.05 s on a 3-regular graph, 0.11-0.13 s on G(64, p) for p = 1/2, 3/4
+    and 9/10, and 0.14 s on K_64 (one Xeon core).  Otherwise Monte Carlo
+    with a 4-standard-error margin.  Checks the complementary (all-absent)
+    events too.
     """
     ids = [graph.resolve_edge(e) for e in edges]
     if not 1 <= len(ids) <= 4:

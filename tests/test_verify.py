@@ -177,9 +177,9 @@ def test_negative_correlation_single_edge_degenerate():
 
 def test_negative_correlation_monte_carlo_on_larger_graph():
     g = random_regular_graph(70, 3, seed=3)  # above EXACT_LAW_MAX_N
-    rep = negative_correlation_check(g, [0, 10], 100_000, seed=5)
+    rep = negative_correlation_check(g, [0, 10], 200_000, seed=5)
     assert not rep.exact
-    assert rep.trials == 100_000
+    assert rep.trials == 200_000
     assert rep.inclusion_ok and rep.exclusion_ok
     assert rep.margin > 0
 
