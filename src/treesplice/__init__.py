@@ -44,7 +44,7 @@ from .seeds import child_seed, substream
 from .splice import Splicer, WeightedGraph, sparsify_gnp, splice, splice_gnp, union_trees
 from .lowerbound import (
     LowerBoundFamily,
-    forced_cut_event,
+    forced_cut_events,
     forced_cut_probability_bound,
     lower_bound_family,
     validate_family,

@@ -27,8 +27,8 @@ from .cuts import (
 )
 from .generators import complete_graph, gnp_graph, random_regular_graph
 from .lowerbound import (
+    forced_cut_events,
     forced_cut_probability_bound,
-    forced_cut_event,
     lower_bound_family,
     validate_family,
 )
@@ -164,9 +164,7 @@ def _run_lower_bound(cfg: ExperimentConfig):
         _tree, trace = aldous_broder(
             fam.graph, child_seed(cfg.seed, "tree", t), start=start
         )
-        tree_hits = sum(
-            forced_cut_event(fam, i, trace) for i in range(paths)
-        )
+        tree_hits = int(forced_cut_events(fam, trace).sum())
         hits += tree_hits
         total += paths
         rows.append({"tree": t, "events": tree_hits, "paths": paths})

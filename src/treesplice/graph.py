@@ -39,8 +39,9 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _csr_rows(indptr: np.ndarray, col: np.ndarray) -> list[list[int]]:
-    """One CSR column as fresh per-row Python lists."""
-    return [col[indptr[v] : indptr[v + 1]].tolist() for v in range(indptr.size - 1)]
+    """One CSR column as fresh per-row Python lists, sliced from one list."""
+    items, bounds = col.tolist(), indptr.tolist()
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _packed_rows(graph: Graph) -> np.ndarray:
@@ -142,7 +143,10 @@ class Graph:
         ends = np.concatenate([self._eu, self._ev])
         other = np.concatenate([self._ev, self._eu])
         eids = np.tile(np.arange(self.m, dtype=np.int32), 2)
-        order = np.argsort(ends, kind="stable")
+        # Stable, so equal keys keep edge order; numpy radix-sorts keys of
+        # 16 bits or fewer, which the narrowest type holding n - 1 gives up
+        # to n = 65536.
+        order = np.argsort(ends.astype(np.min_scalar_type(self.n - 1)), kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
         return _frozen(indptr, other[order].astype(np.int32), eids[order])
@@ -176,12 +180,6 @@ class Graph:
         adj = sp.csr_matrix((keep[eid].astype(float), nbr, indptr), shape=shape, copy=True)
         adj.eliminate_zeros()
         return adj
-
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """List of (neighbor, edge id) pairs for v."""
-        indptr, nbr, eid = self._csr
-        lo, hi = indptr[v], indptr[v + 1]
-        return list(zip(nbr[lo:hi].tolist(), eid[lo:hi].tolist()))
 
     @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:

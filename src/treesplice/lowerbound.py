@@ -6,12 +6,17 @@ segments, and greedily keeps a set of segments whose closed neighborhoods are
 pairwise disjoint.  Each kept segment gets its endpoints joined and its
 neighborhood wired into a cycle, so a random-walk tree sampler that happens to
 sweep the neighborhood ring and then the segment leaves only a single tree
-edge crossing the segment's cut.
+edge crossing the segment's cut.  ``forced_cut_events`` reads that event for
+every segment of one walk trace in one numpy pass, from per-vertex tables
+the family builds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .graph import Graph, SamplingError
 from .generators import hamiltonian_regular_graph
@@ -46,6 +51,28 @@ class LowerBoundFamily:
             if v not in blocked:
                 return v
         raise SamplingError("no vertex outside all closures")
+
+    @cached_property
+    def _event_tables(self) -> tuple[np.ndarray, ...]:
+        """``forced_cut_events``' tables: per segment, its ring then its path
+        in window order, padded with the ring's first vertex, and the ring
+        sizes; per vertex, its tag 2 i (on segment i's ring) or 2 i + 1 (on
+        its path), -1 outside every closure, and its position along that
+        ring or path."""
+        c = np.array([len(r) for r in self.ring_cycles], dtype=np.int64)
+        rows, lead = np.arange(c.size), np.cumsum(c) - c
+        ring = np.concatenate(self.ring_cycles).astype(np.int64)
+        seg = np.array(self.paths, dtype=np.int64)
+        owner = np.repeat(rows, c)
+        at = np.arange(ring.size) - lead[owner]
+        members = np.repeat(ring[lead, None], c.max() + self.ell, axis=1)
+        members[owner, at] = ring
+        members[rows[:, None], c[:, None] + np.arange(self.ell)] = seg
+        tag = np.full(self.n, -1, dtype=np.int64)
+        pos = np.zeros(self.n, dtype=np.int64)
+        tag[ring], pos[ring] = 2 * owner, at
+        tag[seg], pos[seg] = 2 * rows[:, None] + 1, np.arange(self.ell)
+        return members, c, tag, pos
 
 
 def _neighborhood(base: Graph, vertices: tuple[int, ...]) -> list[int]:
@@ -154,48 +181,38 @@ def validate_family(family: LowerBoundFamily) -> None:
             raise ValueError("endpoint edge missing")
 
 
-def forced_cut_event(family: LowerBoundFamily, i: int, trace: WalkTrace) -> bool:
-    """Did the walk sweep segment i's ring then its path on first contact?
+def forced_cut_events(family: LowerBoundFamily, trace: WalkTrace) -> np.ndarray:
+    """Per segment, did the walk sweep its ring then its path on first contact?
 
-    The event asks that at the first visit to the ring-or-segment vertex set,
-    the walk traverses the whole ring cycle without exits or repeats, then
-    enters the segment and covers it the same way.  When it happens, the
-    sampled tree crosses the segment's cut on exactly one edge.
+    Segment i's event asks that from the first visit to any vertex of its
+    ring or path, the next c + ell trace vertices (c and ell the ring's and
+    the path's sizes) are the whole ring, each step to a neighbour on the
+    ring cycle, then the whole path, each step to a neighbour on the segment
+    cycle (path edges plus the endpoint edge); a window that runs past the
+    trace end fails.  When the event happens, the sampled tree crosses the
+    segment's cut on exactly one edge.  One numpy pass reads every segment:
+    c distinct vertices, each adjacent to the last on a c-cycle, walk the
+    cycle one way round, so every step moves +1, or every step -1, mod c.
     """
-    seg = family.paths[i]
-    ring = family.ring_cycles[i]
-    fv = trace.first_visit
-    members = list(seg) + list(ring)
-    t0 = min(int(fv[v]) for v in members)
+    members, c, tag, pos = family._event_tables
+    ell = family.ell
     verts = trace.vertices
-    c = len(ring)
-    m = c + len(seg)
-    if t0 + m > len(verts):
-        return False
-    window = verts[t0 : t0 + m].tolist()
-    ring_part = window[:c]
-    seg_part = window[c:]
-    ring_set = set(ring)
-    if set(ring_part) != ring_set or len(set(ring_part)) != c:
-        return False
-    if c >= 3:
-        # Consecutive ring vertices must be joined by ring-cycle edges.
-        pos = {v: j for j, v in enumerate(ring)}
-        for a, b in zip(ring_part, ring_part[1:]):
-            if (pos[a] - pos[b]) % c not in (1, c - 1):
-                return False
-    if set(seg_part) != set(seg) or len(set(seg_part)) != len(seg):
-        return False
-    # Consecutive segment vertices must move along the segment cycle
-    # (path edges plus the endpoint edge).
-    if len(seg) >= 2:
-        spos = {v: j for j, v in enumerate(seg)}
-        L = len(seg)
-        for a, b in zip(seg_part, seg_part[1:]):
-            diff = abs(spos[a] - spos[b])
-            if diff != 1 and not (L >= 3 and diff == L - 1):
-                return False
-    return True
+    t0 = trace.first_visit[members].min(1)
+    j = np.arange(members.shape[1])
+    # Slots past the trace end read its last vertex again, and no sweep
+    # holds a vertex twice running (c >= 3), so such windows fail.
+    window = verts[np.minimum(t0[:, None] + j, verts.size - 1)]
+    c = c[:, None]
+    # Slot j holds a ring vertex of the row's segment below c, a path vertex
+    # of it from c to c + ell - 1, and anything after.
+    want = 2 * np.arange(len(members))[:, None] + (j >= c)
+    ok = ((tag[window] == want) | (j >= c + ell)).all(1)
+    step = np.diff(pos[window], axis=1)
+    j = j[1:]
+    for part, size in ((j < c, c), ((j > c) & (j < c + ell), ell)):
+        step_mod = step % size
+        ok &= ((step_mod == 1) | ~part).all(1) | ((step_mod == size - 1) | ~part).all(1)
+    return ok
 
 
 def forced_cut_probability_bound(d: int, ell: int) -> float:

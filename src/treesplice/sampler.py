@@ -37,8 +37,10 @@ The lockstep engine draws differently, with ``Generator.integers``: one
 draw per active walk and step, on array bounds, or on a regular graph of
 degree d on the scalar bound d, which gives the same values.  It holds the
 state of the active walks only (current vertex, vertices left to enter, row
-offset into the flat ``first`` table) and compacts it on the steps where a
-walk finishes or gets stuck.
+offset into the flat ``first`` table).  A step writes the first-entry edges
+and counts down vertices left at the indices of the walks that entered a
+new vertex only, and compacts the state only when one of those finishes or
+some walk gets stuck.
 """
 
 from __future__ import annotations
@@ -89,15 +91,6 @@ class SpanningTree:
             if p >= 0:
                 out.append((min(p, v), max(p, v)))
         return out
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            p = int(self.parent[v])
-            if p >= 0:
-                adj[v].append(p)
-                adj[p].append(v)
-        return adj
 
     def dfs_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """DFS preorder ``order`` from the root with entry/exit clocks ``tin``/``tout``.
@@ -260,7 +253,7 @@ def _neighbour_steps(graph: Graph, gen: np.random.Generator, start: int, draws: 
             if t < _WALK_BLOCK and int(raw[t]) >= WORDS - WORDS % deg[cur]:
                 dropped.append(t)
                 lo += 1
-        draws.append(np.delete(words, dropped))
+        draws.append(np.delete(words, dropped) if dropped else words)
         yield np.array(pos, dtype=np.int64)
 
 
@@ -274,7 +267,7 @@ def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:
 
 
 # Per-walk bytes of the walk state and per-step temporaries, as measured by
-# tracemalloc: at most 63 under the uniform rule, 140 under the oriented rule.
+# tracemalloc: at most 69 under the uniform rule, 143 under the oriented rule.
 _STEP_TEMP_BYTES = 96
 _ORIENTED_TEMP_BYTES = 64
 # Byte budget of one lockstep chunk.
@@ -308,8 +301,10 @@ def _cover_walk_trees(
     at v * d and the draw is ``rng.integers(0, d, size=k)``, which on numpy
     gives the values of ``rng.integers(0, deg[cur])`` at about half the cost.
     The current vertex, the count of vertices still to enter and the row
-    offset into the flattened ``first`` are held for the active walks only,
-    and compacted only on a step where some walk covers or gets stuck.
+    offset into the flattened ``first`` are held for the active walks only.
+    A step touches ``first`` and the counts at the walks that entered a new
+    vertex, by index, and compacts the state only on a step where some walk
+    covers or gets stuck.
 
     Walks run in chunks sized from the ``_BATCH_BYTES`` budget.  Per walk a
     chunk holds the ``first`` row (n bytes below 127 edges, 2n below 32767),
@@ -329,6 +324,7 @@ def _cover_walk_trees(
         raise ValueError("start vertex out of range")
     oriented = isinstance(graph, Orientation)
     indptr, heads, arc_eids = graph._csr
+    heads = heads.astype(np.int64)
     deg = np.diff(indptr)
     cap = graph.walk_step_cap()
     if not oriented and not graph.is_connected():
@@ -397,13 +393,13 @@ def _cover_walk_trees(
                     perm[rn + kn] = j[new]
                     d1[off[new] + cur[new]] += 1
                 arc = base + j
-            cur = heads[arc].astype(np.int64)
+            cur = heads[arc]
             pos = off + cur
-            fresh = flat[pos] == -1
-            if fresh.any():
-                flat[pos[fresh]] = arc_eids[arc[fresh]]
-                left -= fresh
-                if not left.all():
+            idx = np.flatnonzero(flat[pos] == -1)
+            if idx.size:
+                flat[pos[idx]] = arc_eids[arc[idx]]
+                left[idx] -= 1
+                if not left[idx].all():
                     keep = left > 0
                     cur, left, off = cur[keep], left[keep], off[keep]
                     if oriented:

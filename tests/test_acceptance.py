@@ -36,7 +36,7 @@ from treesplice.generators import (
 from treesplice.graph import Graph
 from treesplice.linalg import effective_resistance, spanning_tree_count
 from treesplice.lowerbound import (
-    forced_cut_event,
+    forced_cut_events,
     forced_cut_probability_bound,
     lower_bound_family,
     validate_family,
@@ -283,7 +283,7 @@ def test_c09_lower_bound_machinery():
     total = 0
     for t in range(trees):
         _, trace = aldous_broder(fam.graph, child_seed(109, "tree", t), start=start)
-        hits += sum(forced_cut_event(fam, i, trace) for i in range(paths))
+        hits += int(forced_cut_events(fam, trace).sum())
         total += paths
     rate = hits / total
     bound = forced_cut_probability_bound(d, 1)

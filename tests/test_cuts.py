@@ -43,7 +43,7 @@ def evaluate_subset(graph, subset, kind: str) -> float:
     inside = set(subset)
     out: set[int] = set()
     for v in subset:
-        out.update(w for w, _ in graph.neighbors(v))
+        out.update(graph._neighbor_lists[v])
     return len(out - inside) / len(subset)
 
 
@@ -317,7 +317,7 @@ def reference_ball(g, center, radius):
     ball = {center}
     frontier = {center}
     for _ in range(radius):
-        frontier = {w for v in frontier for w, _ in g.neighbors(v)} - ball
+        frontier = {w for v in frontier for w in g._neighbor_lists[v]} - ball
         ball |= frontier
     return None if len(ball) == g.n else sorted(ball)
 

@@ -18,6 +18,13 @@ from treesplice.generators import (
 from treesplice.graph import Graph, Orientation, SamplingError, _packed_rows, cut_edges
 
 
+def neighbors(g, v):
+    """(neighbour, edge id) pairs of v, in ``_csr`` row order."""
+    indptr, nbr, eid = g._csr
+    lo, hi = indptr[v], indptr[v + 1]
+    return list(zip(nbr[lo:hi].tolist(), eid[lo:hi].tolist()))
+
+
 def test_graph_rejects_self_loop_and_duplicates():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(3, [(0, 0)])
@@ -30,11 +37,11 @@ def test_graph_rejects_self_loop_and_duplicates():
 def test_adjacency_is_symmetric_and_degree_consistent():
     g = gnp_graph(40, 0.2, seed=11)
     for v in range(g.n):
-        assert len(g.neighbors(v)) == g.degree(v)
-        for w, eid in g.neighbors(v):
+        assert len(neighbors(g, v)) == g.degree(v)
+        for w, eid in neighbors(g, v):
             assert (min(v, w), max(v, w)) == g.edge(eid)
-            assert (v, eid) in [(x, e) for x, e in g.neighbors(w)] or any(
-                x == v and e == eid for x, e in g.neighbors(w)
+            assert (v, eid) in [(x, e) for x, e in neighbors(g, w)] or any(
+                x == v and e == eid for x, e in neighbors(g, w)
             )
 
 
@@ -171,7 +178,7 @@ def test_orientation_rows_are_the_base_rows_filtered_in_order(p):
     ]
     fwd, bwd = d.forward.tolist(), d.backward.tolist()
     want = [
-        [(w, e) for w, e in g.neighbors(v) if (fwd[e] if w > v else bwd[e])]
+        [(w, e) for w, e in neighbors(g, v) if (fwd[e] if w > v else bwd[e])]
         for v in range(g.n)
     ]
     assert rows == want
@@ -297,3 +304,20 @@ def test_packed_rows_hold_each_neighbour_once():
         words = rows.view("<u8")
         assert words.shape == (g.n, -(-g.n // 64))
         assert np.array_equal(np.bitwise_count(words).sum(axis=1), g.degrees)
+
+
+@pytest.mark.parametrize("n", [256, 257, 65536, 65537])
+def test_csr_rows_equal_the_int32_stable_argsort(n):
+    # A path through the vertices in random order, its edges listed in
+    # random order, so that equal keys meet in an order a sort could lose.
+    # n - 1 takes 8 bits at 256, 16 bits at 257 and 65536, 32 bits at 65537.
+    rng = np.random.default_rng(n)
+    walk = rng.permutation(n)
+    g = Graph(n, np.column_stack([walk[:-1], walk[1:]])[rng.permutation(n - 1)])
+    ends = np.concatenate([g.edge_u, g.edge_v]).astype(np.int32)
+    order = np.argsort(ends, kind="stable")
+    indptr, nbr, eid = g._csr
+    assert np.array_equal(indptr[1:], np.cumsum(np.bincount(ends, minlength=n)))
+    assert np.array_equal(nbr, np.concatenate([g.edge_v, g.edge_u])[order])
+    assert np.array_equal(eid, np.tile(np.arange(g.m, dtype=np.int32), 2)[order])
+    assert (nbr.dtype, eid.dtype) == (np.int32, np.int32)

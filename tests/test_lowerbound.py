@@ -3,7 +3,7 @@ import pytest
 
 from treesplice.graph import cut_edges
 from treesplice.lowerbound import (
-    forced_cut_event,
+    forced_cut_events,
     forced_cut_probability_bound,
     lower_bound_family,
     validate_family,
@@ -13,11 +13,57 @@ from treesplice.seeds import child_seed
 
 
 def _trace_from_sequence(n, seq):
-    fv = np.full(n, -1, dtype=np.int64)
+    """A trace of ``seq``; a vertex it never visits reads a first visit just
+    past its end."""
+    fv = np.full(n, len(seq), dtype=np.int64)
     for i, v in enumerate(seq):
-        if fv[v] < 0:
-            fv[v] = i
+        fv[v] = min(fv[v], i)
     return WalkTrace(np.array(seq, dtype=np.int32), fv)
+
+
+def forced_cut_event(family, i, trace):
+    """The per-segment loop that ``forced_cut_events`` replaces, kept as its
+    reference: the window's first c vertices must be the whole ring, each
+    joined to the last by a ring-cycle edge, and the rest the whole path,
+    each joined to the last along the segment cycle."""
+    seg = family.paths[i]
+    ring = family.ring_cycles[i]
+    fv = trace.first_visit
+    t0 = min(int(fv[v]) for v in list(seg) + list(ring))
+    verts = trace.vertices
+    c = len(ring)
+    m = c + len(seg)
+    if t0 + m > len(verts):
+        return False
+    window = verts[t0 : t0 + m].tolist()
+    ring_part = window[:c]
+    seg_part = window[c:]
+    if set(ring_part) != set(ring) or len(set(ring_part)) != c:
+        return False
+    if c >= 3:
+        pos = {v: j for j, v in enumerate(ring)}
+        for a, b in zip(ring_part, ring_part[1:]):
+            if (pos[a] - pos[b]) % c not in (1, c - 1):
+                return False
+    if set(seg_part) != set(seg) or len(set(seg_part)) != len(seg):
+        return False
+    if len(seg) >= 2:
+        spos = {v: j for j, v in enumerate(seg)}
+        L = len(seg)
+        for a, b in zip(seg_part, seg_part[1:]):
+            diff = abs(spos[a] - spos[b])
+            if diff != 1 and not (L >= 3 and diff == L - 1):
+                return False
+    return True
+
+
+def _assert_events_match(fam, trace):
+    """``forced_cut_events`` equals the reference segment by segment; returns it."""
+    got = forced_cut_events(fam, trace)
+    want = [forced_cut_event(fam, i, trace) for i in range(len(fam.paths))]
+    assert got.dtype == bool
+    assert got.tolist() == want
+    return got
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -88,13 +134,56 @@ def test_event_detected_on_crafted_trace():
     path.reverse()
     seq = path + [ring[1], ring[2], v]
     trace = _trace_from_sequence(fam.n, seq)
-    assert forced_cut_event(fam, i, trace)
+    assert _assert_events_match(fam, trace)[i]
     # Breaking the sweep (revisiting a ring vertex) kills the event.
     bad = path + [ring[1], ring[0], ring[1], v]
-    assert not forced_cut_event(fam, i, _trace_from_sequence(fam.n, bad))
+    assert not _assert_events_match(fam, _trace_from_sequence(fam.n, bad))[i]
     # Entering the segment before finishing the ring kills it too.
     bad2 = path + [v, ring[1], ring[2]]
-    assert not forced_cut_event(fam, i, _trace_from_sequence(fam.n, bad2))
+    assert not _assert_events_match(fam, _trace_from_sequence(fam.n, bad2))[i]
+    # So does a window that runs past the trace end.
+    cut = path + [ring[1], ring[2]]
+    assert not _assert_events_match(fam, _trace_from_sequence(fam.n, cut))[i]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_events_equal_the_scalar_check_on_real_traces(ell):
+    fam = lower_bound_family(300, 3, ell, seed=30 + ell)
+    start = fam.start_vertex()
+    hits = 0
+    for t in range(40):
+        _, trace = aldous_broder(fam.graph, child_seed(23, "t", t), start=start)
+        hits += int(_assert_events_match(fam, trace).sum())
+    if ell == 1:
+        assert hits > 0
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_events_equal_the_scalar_check_on_crafted_sweeps(ell):
+    # Sweeps of the first segments' rings and paths, either way round and
+    # from any rotation, then ways to break them.  The event reads only the
+    # window's order, so the vertices need not be adjacent in the graph.
+    fam = lower_bound_family(300, 3, ell, seed=40 + ell)
+    start = fam.start_vertex()
+    for i in range(3):
+        ring, seg = list(fam.ring_cycles[i]), list(fam.paths[i])
+        rings = [ring, ring[::-1], ring[1:] + ring[:1], ring[-1:] + ring[:-1]]
+        segs = [seg, seg[::-1], seg[1:] + seg[:1]]
+        cases = [(r + s, True) for r in rings for s in segs] + [
+            (ring[:2] + ring[:1] + ring[2:] + seg, False),  # a ring vertex twice
+            # Two ring vertices swapped: on a 3-ring, the other way round.
+            (ring[:1] + ring[2:3] + ring[1:2] + ring[3:] + seg, len(ring) == 3),
+            (ring[:1] + seg + ring[1:], False),  # the path before the ring is done
+            # The ring again, or the first path vertex twice, after the first
+            # path vertex: past the window when ell = 1.
+            (ring + seg[:1] + ring[:1] + seg[1:], ell == 1),
+            (ring + seg[:1] + seg, ell == 1),
+            (ring + seg[:-1], False),  # a window cut off by the trace end
+            (ring[:-1], False),  # the same, inside the ring
+        ]
+        for seq, fires in cases:
+            got = _assert_events_match(fam, _trace_from_sequence(fam.n, [start] + seq))
+            assert got[i] == fires, (i, seq)
 
 
 def test_event_forces_single_cut_edge():
@@ -104,8 +193,9 @@ def test_event_forces_single_cut_edge():
     checked = 0
     for t in range(400):
         tree, trace = aldous_broder(fam.graph, child_seed(99, "t", t), start=start)
+        events = forced_cut_events(fam, trace)
         for i in range(len(fam.paths)):
-            if forced_cut_event(fam, i, trace):
+            if events[i]:
                 seg = list(fam.paths[i])
                 tree_cut = [
                     e
@@ -125,9 +215,7 @@ def test_event_rate_beats_guaranteed_bound_small():
     pairs = []
     for t in range(300):
         pairs.append(aldous_broder(fam.graph, child_seed(17, "t", t), start=start))
-    hits = sum(
-        forced_cut_event(fam, i, trace) for _, trace in pairs for i in range(len(fam.paths))
-    )
+    hits = sum(int(forced_cut_events(fam, trace).sum()) for _, trace in pairs)
     total = len(pairs) * len(fam.paths)
     rate = hits / total
     bound = forced_cut_probability_bound(3, 1)

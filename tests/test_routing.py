@@ -48,6 +48,16 @@ def test_star_tree_next_hop_is_center():
                 assert state.next_hop(0, leaf, dst) == 0
 
 
+def _tree_adjacency(tree) -> list[list[int]]:
+    """Per vertex, its neighbours in the tree."""
+    adj: list[list[int]] = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            adj[v].append(p)
+            adj[p].append(v)
+    return adj
+
+
 def _bfs_rows(adj: list[list[int]]) -> list[list[int]]:
     """All-pairs hop distances by plain BFS; -1 marks an unreachable vertex."""
     dist = []
@@ -72,7 +82,7 @@ def test_next_hop_is_a_tree_neighbour_one_step_closer():
         state = build_routing(trees)
         assert (state.k, state.n) == (k, g.n)
         for t, tree in enumerate(trees):
-            adj = tree.adjacency()
+            adj = _tree_adjacency(tree)
             dist = _bfs_rows(adj)
             for dst in range(g.n):
                 for v in range(g.n):
@@ -86,7 +96,7 @@ def test_route_without_failures_hits_tree_distance():
     g = complete_graph(20)
     trees = sample_trees(g, 1, seed=4)
     state = build_routing(trees)
-    dist = _bfs_rows(trees[0].adjacency())
+    dist = _bfs_rows(_tree_adjacency(trees[0]))
     for src, dst in ((0, 19), (3, 7), (11, 2)):
         r = route(state, src, dst)
         assert r.delivered
