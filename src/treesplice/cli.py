@@ -20,7 +20,12 @@ import sys
 import numpy as np
 
 from . import generators, io as gio
-from .cuts import edge_expansion_exact, spectral_lower_bound, vertex_expansion_exact
+from .cuts import (
+    EXACT_SCAN_MAX_N,
+    edge_expansion_exact,
+    spectral_lower_bound,
+    vertex_expansion_exact,
+)
 from .experiments import (
     ExperimentConfig,
     PRESETS,
@@ -132,6 +137,9 @@ def _cmd_sparsify(args) -> int:
 def _cmd_expansion(args) -> int:
     g = _load_graph(args.graph)
     if args.method == "exact":
+        if g.n > EXACT_SCAN_MAX_N:
+            raise ValueError(f"exact expansion is capped at n = {EXACT_SCAN_MAX_N}; "
+                             "use --method spectral for an edge-expansion bound at this scale")
         rep = (edge_expansion_exact if args.kind == "edge" else vertex_expansion_exact)(g)
         payload = rep.to_dict()
         payload["seed"] = args.seed

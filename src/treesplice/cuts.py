@@ -8,12 +8,17 @@ Exact expansion enumerates every vertex subset (feasible to n = 24, one word)
 with a vectorized subset-DP: subsets containing vertex 0 are scanned once and
 their complements evaluated alongside, which halves the work.  The other
 vertices split into a low part 1..L and a high part L+1..n-1, and the scan runs
-one block of 2^L subsets per high subset h.  Neighbourhood unions, degree sums
-and sizes combine a high-part table entry with a low-part table, a complement
-reads both tables reversed, and inner-edge counts run the DP over the low bits
-from h's own count.  L is the largest with 2^L subsets' temporaries (about 80
-bytes each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16 and no array holds
-2^(n-1) entries; a graph with n - 1 <= L runs as one block.
+one block of 2^L subsets per high subset h, blocks grouped by |h|.  No float
+is formed per subset: a side of size s with count c gets the integer key
+2c (lcm(1..n/2) / s), whose order is the order of c / s, and the scan keeps
+the first minimum by (key, subset index), so the witness is the one a scan in
+index order finds.  An edge count is a low-part cut table plus h's cut minus
+twice the edges between them, an outer sum of small subset-sum tables; a vertex
+count is |N[S]| - |S| for the closed neighbourhood N[S], one OR of a low-part
+and a high-part table entry.  L is the largest with 2^L subsets' temporaries
+(about 54 bytes each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16, a scan
+at n = 24 peaks near 2.3 MiB (edge) and 3.4 MiB (vertex) under tracemalloc, and
+no array holds 2^(n-1) entries; a graph with n - 1 <= L runs as one block.
 
 Above that scale the spectral certificate (edge expansion >= lambda_2 / 2) and
 four sampled cut families stand in for "every cut".  The families are arrays
@@ -54,7 +59,7 @@ from .splice import WeightedGraph, _as_graph
 EXACT_SCAN_MAX_N = 24
 _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
 _SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
-_SCAN_BYTES_PER_SUBSET = 80  # tracemalloc peak of a block, per subset, at n = 24
+_SCAN_BYTES_PER_SUBSET = 54  # tracemalloc peak of a scan, per subset, at n = 24
 _LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2, at every n
 _LANCZOS_ITERS = 10  # Lanczos iteration cap, per vertex
 _LANCZOS_CHECK = 10  # Lanczos iterations between convergence tests
@@ -106,78 +111,143 @@ def _is_dense(graph: Graph) -> bool:
     return -(-graph.n // 64) * graph.n <= 2 * graph.m
 
 
-def _subset_tables(nbr: np.ndarray, deg: np.ndarray, first: int, bits: int):
-    """Full mask, neighbourhood union and degree sum of every subset s of the
-    vertices first..first+bits-1, where vertex first+b is bit b of s."""
-    size = 1 << bits
-    full = np.arange(size, dtype=np.uint32) << np.uint32(first)
-    gamma = np.zeros(size, dtype=np.uint32)
-    degsum = np.zeros(size, dtype=np.int32)
+def _closed_table(nbr: np.ndarray, first: int, bits: int) -> np.ndarray:
+    """Bitmask of N[S], S with its neighbours, for every subset S of the
+    vertices first..first+bits-1, where vertex first+b is bit b of the index."""
+    closed = np.zeros(1 << bits, dtype=np.uint32)
     # Entries with low bit b derive from s ^ (1 << b), whose low bit is higher:
     # bits run high to low.
     for b in reversed(range(bits)):
         step = 1 << (b + 1)
-        gamma[1 << b :: step] = gamma[::step] | nbr[first + b]
-        degsum[1 << b :: step] = degsum[::step] + deg[first + b]
-    return full, gamma, degsum
+        closed[1 << b :: step] = closed[::step] | nbr[first + b] | np.uint32(1 << (first + b))
+    return closed
 
 
-def _inner_edges(nbr: np.ndarray, first: int, full: np.ndarray, start) -> np.ndarray:
-    """Edges inside each subset, by the same DP: ``full`` holds each subset's
-    mask together with vertices fixed outside the table, whose own inner
-    edges are ``start``."""
-    inner = np.empty(full.shape[0], dtype=np.int32)
-    inner[0] = start
-    for b in reversed(range(full.shape[0].bit_length() - 1)):
+def _cut_table(nbr: np.ndarray, deg: np.ndarray, first: int, bits: int) -> np.ndarray:
+    """|cut(S)| for every subset S, indexed and built as in ``_closed_table``:
+    adding v to S adds deg(v) - 2 |N(v) & S|."""
+    cut = np.zeros(1 << bits, dtype=np.int64)
+    for b in reversed(range(bits)):
         step = 1 << (b + 1)
-        inner[1 << b :: step] = inner[::step] + np.bitwise_count(nbr[first + b] & full[::step])
-    return inner
+        inside = np.arange(0, 1 << bits, step, dtype=np.uint32) << np.uint32(first)
+        gain = deg[first + b] - 2 * np.bitwise_count(nbr[first + b] & inside).astype(np.int64)
+        cut[1 << b :: step] = cut[::step] + gain
+    return cut
+
+
+def _subset_sums(weights: np.ndarray) -> np.ndarray:
+    """Row i, entry s: the sum of weights[i, b] over the bits b of s."""
+    bits = weights.shape[1]
+    return weights @ (np.arange(1 << bits)[:, None] >> np.arange(bits) & 1).T
+
+
+def _u32(a) -> np.ndarray:
+    """int64 values as uint32, modulo 2^32: sums of them wrap back exactly."""
+    return (np.asarray(a, dtype=np.int64) % (1 << 32)).astype(np.uint32)
+
+
+def _ratio_keys(n: int):
+    """L and, for |A| = 0..n, the int64 (multiplier, offset) of A's key and of
+    its complement's: a side of size s with count c gets the key 2c (L / s),
+    L = lcm(1..n/2).  Equal ratios get equal keys, key order is ratio order,
+    and a key is at most 2L (n - 1) + 1 < 2^21 up to n = 24.  A complement's
+    key is raised by 1, so it is odd and loses a tie against A's even key.  A
+    side whose size is outside [1, n/2] has multiplier 0 and offset -1, which
+    wraps to the uint32 maximum."""
+    half_l = math.lcm(*range(1, n // 2 + 1))
+    sides = []
+    for side, tie in ((np.arange(n + 1), 0), (n - np.arange(n + 1), 1)):
+        ok = (side >= 1) & (side <= n // 2)
+        sides.append((np.where(ok, 2 * half_l // np.maximum(side, 1), 0), np.where(ok, tie, -1)))
+    return half_l, sides
 
 
 def _subset_scan(graph: Graph, kind: str) -> tuple[float, int]:
     """Min ratio and witness bitmask over all proper A with |A| <= n/2."""
     n = graph.n
     nbr = _packed_rows(graph).view("<u8")[:, 0].astype(np.uint32)
-    deg = graph.degrees.astype(np.int32)
-    universe = np.uint32((1 << n) - 1)
+    universe = (1 << n) - 1
 
     # t indexes subsets of {1..n-1}; vertex i is bit i-1 of t, so A = (t << 1) | 1.
-    # t = (h << low) | lo: block h scans every lo, so blocks visit t in order.
+    # t = (h << low) | lo: block h scans every lo.
     low = min(n - 1, (_SCAN_BLOCK_BYTES // _SCAN_BYTES_PER_SUBSET).bit_length() - 1)
-    full_lo, gamma_lo, deg_lo = _subset_tables(nbr, deg, 1, low)
-    full_hi, gamma_hi, deg_hi = _subset_tables(nbr, deg, low + 1, n - 1 - low)
-    inner_hi = _inner_edges(nbr, low + 1, full_hi, 0)
-    size_lo = np.bitwise_count(full_lo).astype(np.int32) + 1
-    size_hi = np.bitwise_count(full_hi).astype(np.int32)
+    high = n - 1 - low
+    hs = np.arange(1 << high, dtype=np.uint32) << np.uint32(low + 1)  # block h's vertices
+    size_lo = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)) + np.uint8(1)  # |{0} u lo|
+    size_hi = np.bitwise_count(hs)
 
-    # Each side keeps its first minimum (strict <); A wins ties at the end.
-    best_a = best_c = math.inf
-    mask_a = mask_c = 0
-    for h in range(full_hi.shape[0]):
-        full = full_lo | full_hi[h]
-        a_mask = full | np.uint32(1)
-        sizes = size_lo + size_hi[h]
-        if kind == "edge":
-            inner = _inner_edges(nbr, 1, full, inner_hi[h]) + np.bitwise_count(nbr[0] & full)
-            num_a = (deg_lo + (deg_hi[h] + deg[0]) - 2 * inner).astype(np.float64)
-            num_c = num_a                        # |cut(A)| = |cut(complement)|
-        else:
-            gamma_a = gamma_lo | (gamma_hi[h] | nbr[0])
-            num_a = np.bitwise_count(gamma_a & ~a_mask & universe).astype(np.float64)
-            gamma_c = gamma_lo[::-1] | gamma_hi[-1 - h]   # complement (~h, ~lo) lacks vertex 0
-            num_c = np.bitwise_count(gamma_c & a_mask).astype(np.float64)
+    half_l, ((mult_a, off_a), (mult_c, off_c)) = _ratio_keys(n)
+    key = np.empty(1 << low, dtype=np.uint32)
+    best = (1 << 32, 0)  # (key, t): the first minimum in t order
+    if kind == "edge":
+        # |cut(A)| = |cut(lo)| + |cut({0} u h)| - 2 e(lo, {0} u h), and
+        # e(lo, X) sums popcount(nbr[v] & X) over v in lo: a sum of three
+        # subset-sum tables over the bottom, middle and top bits of lo, added as
+        # one outer sum into a row and one into the block, whose rows are long
+        # enough to vectorize.  Both sides share the count, so one key per
+        # subset takes the side that is in range.
+        deg = graph.degrees
+        cut_lo = _u32(_cut_table(nbr, deg, 1, low))
+        cut_x = _cut_table(nbr, deg, low + 1, high) + deg[0]
+        cut_x -= 2 * np.bitwise_count(nbr[0] & hs).astype(np.int64)
+        x_hi = (hs | np.uint32(1))[:, None]  # {0} u h
+        weights = -2 * np.bitwise_count(nbr[1 : low + 1] & x_hi).astype(np.int64)
+        top = low // 4  # bits of lo in the top part and in the middle part
+        bottom = low - 2 * top
+        part_bottom = _u32(cut_x[:, None] + _subset_sums(weights[:, :bottom]))
+        part_mid = _u32(_subset_sums(weights[:, bottom : low - top]))
+        part_top = _u32(_subset_sums(weights[:, low - top :]))
+        row = np.empty(1 << (low - top), dtype=np.uint32)
+        mult = _u32(np.where(mult_a > 0, mult_a, mult_c))
+        off = _u32(np.where(mult_a > 0, off_a, off_c))
+        for s_h in range(high + 1):
+            g_mult = np.take(mult[s_h:], size_lo)
+            g_off = cut_lo * g_mult + np.take(off[s_h:], size_lo)
+            for h in np.flatnonzero(size_hi == s_h).tolist():
+                np.add.outer(part_mid[h], part_bottom[h], out=row.reshape(-1, 1 << bottom))
+                np.add.outer(part_top[h], row, out=key.reshape(-1, row.size))
+                key *= g_mult
+                key += g_off
+                i = int(key.argmin())
+                best = min(best, (int(key[i]), (h << low) | i))
+    else:
+        # |outside neighbours of S| = |N[S]| - |S|: one OR of a low-part and a
+        # high-part table entry per side.  The complement (~h, ~lo) lacks
+        # vertex 0 and reads both tables reversed.
+        closed_a = _closed_table(nbr, 1, low)
+        closed_c = closed_a[::-1].copy()
+        closed_a |= np.uint32(1)
+        closed_hi = _closed_table(nbr, low + 1, high)
+        add_a = closed_hi | nbr[0]
+        add_c = closed_hi[::-1]
+        sizes = np.arange(n + 1)
+        q_a = _u32(off_a - sizes * mult_a)
+        q_c = _u32(off_c - (n - sizes) * mult_c)
+        mult_a, mult_c = _u32(mult_a), _u32(mult_c)
+        key_c = np.empty_like(key)
+        closed = np.empty_like(key)
+        count = np.empty(key.shape, dtype=np.uint8)
+        for s_h in range(high + 1):
+            g_mult_a, g_q_a = np.take(mult_a[s_h:], size_lo), np.take(q_a[s_h:], size_lo)
+            g_mult_c, g_q_c = np.take(mult_c[s_h:], size_lo), np.take(q_c[s_h:], size_lo)
+            for h in np.flatnonzero(size_hi == s_h).tolist():
+                np.bitwise_or(closed_a, add_a[h], out=closed)
+                np.multiply(np.bitwise_count(closed, out=count), g_mult_a, out=key)
+                key += g_q_a
+                np.bitwise_or(closed_c, add_c[h], out=closed)
+                np.multiply(np.bitwise_count(closed, out=count), g_mult_c, out=key_c)
+                key_c += g_q_c
+                np.minimum(key, key_c, out=key)
+                i = int(key.argmin())
+                best = min(best, (int(key[i]), (h << low) | i))
 
-        ratios = np.where(sizes <= n // 2, num_a / sizes, np.inf)
-        i = int(np.argmin(ratios))
-        if ratios[i] < best_a:
-            best_a, mask_a = float(ratios[i]), int(a_mask[i])
-        csizes = n - sizes
-        ok_c = (csizes >= 1) & (csizes <= n // 2)
-        ratios = np.where(ok_c, num_c / np.maximum(csizes, 1), np.inf)
-        i = int(np.argmin(ratios))
-        if ratios[i] < best_c:
-            best_c, mask_c = float(ratios[i]), int(universe ^ a_mask[i])
-    return (best_a, mask_a) if best_a <= best_c else (best_c, mask_c)
+    best_key, t = best
+    mask = (t << 1) | 1
+    if best_key & 1:
+        mask ^= universe
+    size = mask.bit_count()
+    count = best_key // 2 * size // half_l
+    return count / size, mask
 
 
 def _scan_report(graph: Graph, kind: str) -> ExpansionReport:

@@ -183,10 +183,7 @@ class Graph:
 
     @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(u), int(v)): i
-            for i, (u, v) in enumerate(zip(self._eu, self._ev))
-        }
+        return dict(zip(zip(self._eu.tolist(), self._ev.tolist()), range(self.m)))
 
     def edge_id(self, u: int, v: int) -> int | None:
         if u > v:

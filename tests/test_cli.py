@@ -75,6 +75,18 @@ def test_expansion_spectral_rejects_vertex_kind(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_expansion_exact_above_its_cap_points_to_spectral(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    assert run(["generate", "--kind", "cycle", "--n", "25", "--out", str(gpath)]) == 0
+    capsys.readouterr()
+    assert run(["expansion", "--graph", str(gpath), "--method", "exact"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: exact expansion is capped at n = 24")
+    assert "--method spectral" in err
+    assert err.count("\n") == 1
+
+
 def test_lanczos_non_convergence_is_a_one_line_failure(tmp_path, capsys, monkeypatch):
     from treesplice import cuts
 

@@ -89,11 +89,17 @@ def connected_gnp(n, p, seed):
         seed += 1000
 
 
+def cube_graph() -> Graph:
+    return Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+
+
 @pytest.mark.parametrize("kind", ["edge", "vertex"])
 def test_scan_matches_brute_force_on_random_graphs(kind, monkeypatch):
     graphs = [gnp_graph(10, 0.4, seed=900 + s) for s in range(6)]
     graphs = [g for g in graphs if g.is_connected()]
     small = [connected_gnp(n, p, seed=n) for n, p in ((12, 0.3), (13, 0.5), (14, 0.25))]
+    # Symmetric graphs tie many cuts at the minimum, across many blocks.
+    ties = [cycle_graph(12), path_graph(11), star_graph(9), petersen_graph(), cube_graph()]
 
     def check(g):
         rep = (edge_expansion_exact if kind == "edge" else vertex_expansion_exact)(g)
@@ -103,11 +109,36 @@ def test_scan_matches_brute_force_on_random_graphs(kind, monkeypatch):
         assert evaluate_subset(g, rep.witness, kind) == rep.value
         assert 1 <= len(rep.witness) <= g.n // 2
 
-    for g in graphs:
+    for g in graphs + ties:
         check(g)
     small_blocks(monkeypatch, 2)
-    for g in graphs[:2] + small:
+    for g in graphs[:2] + small + ties:
         check(g)
+
+
+def test_ratio_keys_order_like_float_ratios():
+    """Over every (count, size) pair a side can form, key order is the order
+    of the float ratio count / size, equalities included; A's keys are even,
+    its complement's odd, and a side out of range gets no key."""
+    for n in range(2, cuts.EXACT_SCAN_MAX_N + 1):
+        _, sides = cuts._ratio_keys(n)
+        keys, ratios = [], []
+        for parity, (mult, off) in enumerate(sides):
+            for size_a in range(n + 1):
+                size = n - size_a if parity else size_a
+                if not 1 <= size <= n // 2:
+                    assert (mult[size_a], off[size_a]) == (0, -1)
+                    continue
+                count = np.arange(size * (n - size) + 1)  # a cut has at most this many edges
+                key = count * mult[size_a] + off[size_a]
+                assert (key % 2 == parity).all() and key.max() < 1 << 21
+                keys.append(key // 2)
+                ratios.append(count / size)
+        keys, ratios = np.concatenate(keys), np.concatenate(ratios)
+        order = np.argsort(ratios, kind="stable")
+        step = np.diff(keys[order])
+        assert (step >= 0).all()
+        assert ((step == 0) == (np.diff(ratios[order]) == 0)).all()
 
 
 def test_blocked_scan_matches_one_block(monkeypatch):
@@ -131,7 +162,7 @@ def test_scan_at_its_cap_is_memory_bounded(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 << 20      # a block of 2^16 subsets peaks near 5 MiB
+    assert peak < 6 << 20       # a block of 2^16 subsets peaks near 3.4 MiB
     assert evaluate_subset(g, rep.witness, kind) == rep.value
     assert 1 <= len(rep.witness) <= g.n // 2
 
