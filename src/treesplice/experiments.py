@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .cuts import (
+    EXACT_SCAN_MAX_N,
     sampled_cut_ratios,
     spectral_lower_bounds,
     sparsifier_quality,
@@ -184,6 +185,11 @@ def _run_lower_bound(cfg: ExperimentConfig):
 
 def _run_complete_graph(cfg: ExperimentConfig):
     n, k, seeds = cfg.n, cfg.k, cfg.trials
+    if n > EXACT_SCAN_MAX_N:
+        raise ValueError(
+            f"thm-complete-graph scans every cut exactly, so its n is capped at "
+            f"{EXACT_SCAN_MAX_N} (got n = {n})"
+        )
     rows = []
     good = 0
     kn = complete_graph(n)

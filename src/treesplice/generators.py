@@ -2,7 +2,10 @@
 
 All generators are pure functions of (arguments, seed): the same seed gives a
 bit-identical graph.  Randomized generators draw from a named substream so
-different generators never share a stream.
+different generators never share a stream.  The regular generators hold
+edge sets as codes lo * n + hi (lo < hi), so one sort finds a repeated edge
+and one ``np.isin`` a colliding one; ``hamiltonian_regular_graph`` lists its
+edges in code order.
 """
 
 from __future__ import annotations
@@ -116,14 +119,6 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     )
 
 
-def random_perfect_matching(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniform perfect matching on 0..n-1 (n even): shuffle and pair up."""
-    if n % 2:
-        raise ValueError("perfect matching needs an even vertex count")
-    perm = rng.permutation(n)
-    return [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(n // 2)]
-
-
 def hamiltonian_regular_graph(n: int, d: int, seed: int) -> Graph:
     """d-regular graph containing the cycle 0-1-...-(n-1)-0.
 
@@ -138,20 +133,21 @@ def hamiltonian_regular_graph(n: int, d: int, seed: int) -> Graph:
     if d > 2 and n % 2:
         raise ValueError("n must be even to add perfect matchings")
     rng = substream(seed, "hamiltonian-regular")
-    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    u = np.arange(n - 1, dtype=np.int64)
+    codes = np.sort(np.append(u * (n + 1) + 1, n - 1))  # (u, u + 1) and (0, n - 1)
     for _ in range(d - 2):
         for attempt in range(_MATCHING_RETRY_CAP):
-            cand = {
-                (min(u, v), max(u, v)) for u, v in random_perfect_matching(n, rng)
-            }
-            if len(cand) == n // 2 and not (cand & edges):
-                edges |= cand
+            perm = rng.permutation(n)
+            a, b = perm[0::2], perm[1::2]
+            cand = np.minimum(a, b) * n + np.maximum(a, b)
+            if not np.isin(cand, codes).any():
+                codes = np.union1d(codes, cand)
                 break
         else:
             raise SamplingError(
                 f"no collision-free matching in {_MATCHING_RETRY_CAP} attempts"
             )
-    return Graph(n, sorted(edges))
+    return Graph(n, np.column_stack(np.divmod(codes, n)))
 
 
 def orientation_probabilities(p: float) -> tuple[float, float, float]:
@@ -159,8 +155,10 @@ def orientation_probabilities(p: float) -> tuple[float, float, float]:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     s = math.sqrt(1.0 - p)
-    both = (2.0 - p - 2.0 * s) / p
-    single = (p + s - 1.0) / p
+    # (2 - p - 2s) / p and (p + s - 1) / p, rewritten with p = (1 - s)(1 + s)
+    # so that no difference cancels as p -> 0.
+    both = p / (1.0 + s) ** 2
+    single = s / (1.0 + s)
     return both, single, single
 
 

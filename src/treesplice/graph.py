@@ -181,14 +181,12 @@ class Graph:
         adj.eliminate_zeros()
         return adj
 
-    @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        return dict(zip(zip(self._eu.tolist(), self._ev.tolist()), range(self.m)))
-
     def edge_id(self, u: int, v: int) -> int | None:
+        """Id of the edge joining u and v, or None; one scan of the edge arrays."""
         if u > v:
             u, v = v, u
-        return self._edge_index.get((u, v))
+        hit = np.flatnonzero((self._eu == u) & (self._ev == v))
+        return int(hit[0]) if hit.size else None
 
     def resolve_edge(self, edge) -> int:
         """Id of an edge given by id or (u, v) pair; ValueError if it names none."""

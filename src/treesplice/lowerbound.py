@@ -9,6 +9,11 @@ sweep the neighborhood ring and then the segment leaves only a single tree
 edge crossing the segment's cut.  ``forced_cut_events`` reads that event for
 every segment of one walk trace in one numpy pass, from per-vertex tables
 the family builds once.
+
+Edge sets are sorted codes lo * n + hi throughout: the augmented graph is
+the union of the base's codes with those of every ring cycle and every
+segment closed into a cycle, and ``validate_family`` checks each containment
+with one ``np.isin``.
 """
 
 from __future__ import annotations
@@ -39,18 +44,12 @@ class LowerBoundFamily:
     def n(self) -> int:
         return self.graph.n
 
-    def closure(self, i: int) -> set[int]:
-        return set(self.paths[i]) | set(self.ring_cycles[i])
-
     def start_vertex(self) -> int:
-        """A vertex outside every selected segment's closure."""
-        blocked = set()
-        for i in range(len(self.paths)):
-            blocked |= self.closure(i)
-        for v in range(self.n):
-            if v not in blocked:
-                return v
-        raise SamplingError("no vertex outside all closures")
+        """The first vertex outside every selected segment's closure."""
+        free = np.flatnonzero(self._event_tables[2] < 0)
+        if free.size == 0:
+            raise SamplingError("no vertex outside all closures")
+        return int(free[0])
 
     @cached_property
     def _event_tables(self) -> tuple[np.ndarray, ...]:
@@ -84,6 +83,19 @@ def _neighborhood(base: Graph, vertices: tuple[int, ...]) -> list[int]:
     return sorted(out - inside)
 
 
+def _edge_codes(graph: Graph) -> np.ndarray:
+    """The graph's edges as codes lo * n + hi, in edge-id order."""
+    return graph.edge_u.astype(np.int64) * graph.n + graph.edge_v
+
+
+def _cycle_codes(n: int, cycles) -> np.ndarray:
+    """Codes lo * n + hi of every cycle's edges: each vertex with the next,
+    the last with the first."""
+    a = np.concatenate(cycles, dtype=np.int64)
+    b = np.concatenate([cyc[1:] + cyc[:1] for cyc in cycles], dtype=np.int64)
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
 def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
     """Build the family on an n-vertex d-regular expander; segments of ell vertices.
 
@@ -100,7 +112,6 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
     if ell < 1:
         raise ValueError("need ell >= 1")
     base = hamiltonian_regular_graph(n, d, child_seed(seed, "expander"))
-    existing = {(int(u), int(v)) for u, v in base.iter_edges()}
     paths: list[tuple[int, ...]] = []
     rings: list[tuple[int, ...]] = []
     used: set[int] = set()
@@ -115,15 +126,15 @@ def lower_bound_family(n: int, d: int, ell: int, seed: int) -> LowerBoundFamily:
         used |= closure
         paths.append(seg)
         rings.append(ring)
-        if ell >= 3:
-            existing.add((seg[0], seg[-1]))
-        existing.update((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
     if not paths:
         raise SamplingError("greedy selection kept no segment; parameters too tight")
 
-    graph = Graph(n, sorted(existing))
+    # Closing a path into a cycle adds its endpoint edge; its other edges,
+    # and the whole cycle when ell = 2, are base edges already.
+    cycles = rings + paths if ell >= 2 else rings
+    codes = np.union1d(_edge_codes(base), _cycle_codes(n, cycles))
     return LowerBoundFamily(
-        graph=graph,
+        graph=Graph(n, np.column_stack(np.divmod(codes, n))),
         base=base,
         paths=tuple(paths),
         ring_cycles=tuple(rings),
@@ -136,19 +147,18 @@ def validate_family(family: LowerBoundFamily) -> None:
     """Check the structural invariants; raises ValueError on any violation."""
     g = family.graph
     base = family.base
-    d, ell = family.d, family.ell
-    if g.n != base.n:
+    n, d, ell = g.n, family.d, family.ell
+    if n != base.n:
         raise ValueError("graph and base vertex counts differ")
     if int(g.degrees.max()) > d + 2:
         raise ValueError(
             f"max degree {int(g.degrees.max())} exceeds d + 2 = {d + 2}"
         )
-    base_edges = {(int(u), int(v)) for u, v in base.iter_edges()}
-    graph_edges = {(int(u), int(v)) for u, v in g.iter_edges()}
-    if not base_edges <= graph_edges:
+    codes = _edge_codes(g)
+    if not np.isin(_edge_codes(base), codes).all():
         raise ValueError("base edges missing from the augmented graph")
 
-    floor_bound = g.n // (d * d * ell * ell)
+    floor_bound = n // (d * d * ell * ell)
     if len(family.paths) < max(floor_bound, 1):
         raise ValueError(
             f"only {len(family.paths)} segments kept; expected at least {floor_bound}"
@@ -159,26 +169,22 @@ def validate_family(family: LowerBoundFamily) -> None:
         if len(seg) != ell:
             raise ValueError(f"segment {i} has {len(seg)} vertices, expected {ell}")
         ring = family.ring_cycles[i]
+        if len(ring) < 3:
+            raise ValueError(f"segment {i} ring has {len(ring)} vertices, need at least 3")
         cl = set(seg) | set(ring)
         if seen & cl:
             raise ValueError(f"segment {i} interacts with an earlier segment")
         seen |= cl
         if set(ring) != set(_neighborhood(base, seg)):
             raise ValueError(f"segment {i} ring is not its base neighborhood")
-        # Ring cycle edges must exist in the augmented graph.
-        if len(ring) >= 3:
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                if not g.has_edge(a, b):
-                    raise ValueError(f"ring edge ({a}, {b}) missing")
-        elif len(ring) == 2:
-            if not g.has_edge(ring[0], ring[1]):
-                raise ValueError("two-vertex ring edge missing")
-        # Segment cycle: consecutive path edges, closed by the endpoint edge.
-        for a, b in zip(seg, seg[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"path edge ({a}, {b}) missing")
-        if ell >= 3 and not g.has_edge(seg[0], seg[-1]):
-            raise ValueError("endpoint edge missing")
+
+    # Ring cycles, and segment cycles: consecutive path edges, closed by the
+    # endpoint edge when ell >= 3.
+    want = _cycle_codes(n, family.ring_cycles + (family.paths if ell >= 2 else ()))
+    missing = np.flatnonzero(~np.isin(want, codes))
+    if missing.size:
+        u, v = divmod(int(want[missing[0]]), n)
+        raise ValueError(f"ring, path or endpoint edge ({u}, {v}) missing")
 
 
 def forced_cut_events(family: LowerBoundFamily, trace: WalkTrace) -> np.ndarray:

@@ -137,6 +137,8 @@ class SpanningTree:
                 seen_root += 1
                 continue
             eid = int(self.parent_edge[v])
+            if not 0 <= eid < graph.m:
+                raise ValueError(f"parent edge of {v} is not an edge id")
             a, b = graph.edge(eid)
             if {a, b} != {p, v}:
                 raise ValueError(f"parent edge of {v} does not join it to {p}")

@@ -286,6 +286,23 @@ def test_stretch_preset_above_the_diameter_cap_is_a_usage_error(
     assert err.count("\n") == 1 and "n = 16" in err
 
 
+def test_complete_graph_preset_above_the_scan_cap_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    from treesplice import experiments
+
+    def no_graph(n):
+        raise AssertionError("K_n built for an n above the scan cap")
+
+    monkeypatch.setattr(experiments, "complete_graph", no_graph)
+    cfgpath = tmp_path / "cfg.txt"
+    cfgpath.write_text("preset=thm-complete-graph\nn=30\n")
+    assert run(["preset", "--config", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "thm-complete-graph" in err and "n is capped at 24" in err
+
+
 def test_preset_rerun_byte_identical_across_processes(tmp_path):
     import subprocess
     import sys

@@ -145,6 +145,24 @@ def test_orientation_probabilities_exact_values():
         orientation_probabilities(0.0)
 
 
+@pytest.mark.parametrize("p", [1e-12, 1e-8, 1e-4, 0.069, 0.5, 0.75, 1.0])
+def test_orientation_probabilities_are_accurate_at_every_p(p):
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        P = Decimal(p)
+        s = (1 - P).sqrt()
+        want_both = float((2 - P - 2 * s) / P)
+        want_single = float((P + s - 1) / P)
+        want_arc = float(1 - s)
+    both, fwd, bwd = orientation_probabilities(p)
+    assert fwd == bwd
+    assert both == pytest.approx(want_both, rel=1e-14, abs=0)
+    assert fwd == pytest.approx(want_single, rel=1e-14, abs=0)
+    assert p * (both + fwd) == pytest.approx(want_arc, rel=1e-14, abs=0)
+
+
 def test_direct_edges_marginal_arc_frequency():
     # Arc frequency over G(n,p) orientations should match 1 - sqrt(1-p).
     n, p = 40, 0.6

@@ -1,7 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from treesplice.graph import cut_edges
+from treesplice.graph import Graph, cut_edges
 from treesplice.lowerbound import (
     forced_cut_events,
     forced_cut_probability_bound,
@@ -10,6 +13,11 @@ from treesplice.lowerbound import (
 )
 from treesplice.sampler import WalkTrace, aldous_broder
 from treesplice.seeds import child_seed
+
+
+def _closure(family, i):
+    """Segment i's closed neighbourhood: its path and its ring."""
+    return set(family.paths[i]) | set(family.ring_cycles[i])
 
 
 def _trace_from_sequence(n, seq):
@@ -84,7 +92,7 @@ def test_family_closures_disjoint():
     fam = lower_bound_family(400, 3, 1, seed=3)
     seen = set()
     for i in range(len(fam.paths)):
-        cl = fam.closure(i)
+        cl = _closure(fam, i)
         assert not (cl & seen)
         seen |= cl
 
@@ -93,7 +101,59 @@ def test_family_start_vertex_outside_closures():
     fam = lower_bound_family(400, 3, 1, seed=4)
     start = fam.start_vertex()
     for i in range(len(fam.paths)):
-        assert start not in fam.closure(i)
+        assert start not in _closure(fam, i)
+
+
+def _edited(graph, add=(), drop=()):
+    """``graph`` less the pairs in ``drop`` (each one of its edges), plus ``add``."""
+    gone = {(min(e), max(e)) for e in drop}
+    edges = [e for e in graph.iter_edges() if e not in gone]
+    assert len(edges) == graph.m - len(gone)
+    return Graph(graph.n, edges + list(add))
+
+
+def _broken_families():
+    """(family, message) pairs, each breaking one invariant of a family that
+    ``test_family_structural_invariants`` checks is valid."""
+    fam = lower_bound_family(600, 3, 1, seed=21)
+    g, base, paths, rings = fam.graph, fam.base, fam.paths, fam.ring_cycles
+    start = fam.start_vertex()
+    hub = int(g.degrees.argmax())
+    far = next(w for w in range(fam.n) if w != hub and not g.has_edge(hub, w))
+    ring = rings[0]
+    ring_edge = next(
+        (a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not base.has_edge(a, b)
+    )
+    yield replace(fam, base=Graph(fam.n + 1, list(base.iter_edges()))), "vertex counts differ"
+    yield replace(fam, graph=_edited(g, add=[(hub, far)])), "exceeds d + 2"
+    yield replace(fam, graph=_edited(g, drop=[(0, 1)])), "base edges missing"
+    yield replace(fam, paths=paths[:1], ring_cycles=rings[:1]), "segments kept"
+    yield replace(fam, paths=((paths[0][0], start),) + paths[1:]), "segment 0 has 2 vertices"
+    yield replace(fam, paths=paths[:1] + paths), "segment 1 interacts"
+    yield replace(fam, ring_cycles=(ring[:-1] + (start,),) + rings[1:]), "segment 0 ring is not"
+    yield replace(fam, ring_cycles=(ring[:2],) + rings[1:]), "ring has 2 vertices"
+    yield replace(fam, graph=_edited(g, drop=[ring_edge])), f"edge {ring_edge} missing"
+
+    # A path edge is a base edge, and dropping it from both graphs leaves
+    # the segment's base neighbourhood as it was.
+    fam = lower_bound_family(600, 3, 2, seed=22)
+    pair = fam.paths[0]
+    yield replace(
+        fam, graph=_edited(fam.graph, drop=[pair]), base=_edited(fam.base, drop=[pair])
+    ), f"edge {pair} missing"
+
+    fam = lower_bound_family(600, 3, 3, seed=23)
+    seg = next(s for s in fam.paths if not fam.base.has_edge(s[0], s[-1]))
+    ends = (seg[0], seg[-1])
+    yield replace(fam, graph=_edited(fam.graph, drop=[ends])), f"edge {ends} missing"
+
+
+def test_validate_family_rejects_each_broken_invariant():
+    cases = list(_broken_families())
+    assert len(cases) == 11
+    for fam, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_family(fam)
 
 
 def test_family_rejects_bad_parameters():
@@ -115,7 +175,7 @@ def test_event_detected_on_crafted_trace():
     # BFS path from start to ring[0] avoiding the closure until arrival.
     from collections import deque
 
-    closure = fam.closure(i)
+    closure = _closure(fam, i)
     prev = {start: None}
     dq = deque([start])
     while dq:

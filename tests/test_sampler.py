@@ -55,6 +55,31 @@ def test_tree_invariants_on_random_graphs():
             assert g.has_edge(int(a), int(b))
 
 
+@pytest.mark.parametrize(
+    "root, parent, parent_edge, n, message",
+    [
+        (0, [-1, 0, 1, 2], [-1, 0, 1, 2], 5, "vertex count mismatch"),
+        (4, [-1, 0, 1, 2], [-1, 0, 1, 2], 4, "root out of range"),
+        (1, [-1, 0, 1, 2], [-1, 0, 1, 2], 4, "root must have no parent"),
+        (0, [-1, 0, 1, 2], [-1, 1, 1, 2], 4, "parent edge of 1 does not join it to 0"),
+        (0, [-1, 0, 1, 2], [-1, 0, 3, 2], 4, "parent edge of 2 is not an edge id"),
+        # Edge -1 would read the last edge, which does join 0 and 1 here.
+        (0, [-1, 0], [-1, -1], 2, "parent edge of 1 is not an edge id"),
+        (0, [-1, -1, 1, 2], [-1, -1, 1, 2], 4, "exactly one root expected"),
+        (0, [-1, 2, 1, 2], [-1, 1, 1, 2], 4, "contains a cycle"),
+    ],
+    ids=[
+        "vertex-count", "root-range", "root-parent", "parent-edge", "edge-range",
+        "edge-minus-one", "two-roots", "cycle",
+    ],
+)
+def test_tree_validate_rejects_each_broken_invariant(root, parent, parent_edge, n, message):
+    # Edge i of path_graph(n) joins i and i + 1.
+    tree = SpanningTree(root, np.array(parent), np.array(parent_edge))
+    with pytest.raises(ValueError, match=message):
+        tree.validate(path_graph(n))
+
+
 def test_walking_a_tree_returns_it():
     g = path_graph(8)
     tree, _ = aldous_broder(g, seed=9)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ def test_union_matches_plain_python_union(graph):
     assert spl.support_base_eids.tolist() == eids
     if graph.m < 3 * (graph.n - 1):
         assert spl.multiplicity.max() > 1  # the three trees share edges
+
+
+def test_splicer_validate_rejects_each_broken_invariant():
+    spl = splice(complete_graph(6), 2, seed=4)
+    spl.validate()
+    single = splice(path_graph(4), 1, seed=4)
+    single.validate()
+    triangle = Graph(4, [(0, 1), (1, 2), (0, 2)])  # vertex 3 left out
+    cases = [
+        (replace(spl, multiplicity=spl.multiplicity + 1), "multiplicities sum to"),
+        (
+            replace(spl, support=complete_graph(6), multiplicity=np.repeat([1, 0], [10, 5])),
+            "support larger",
+        ),
+        (replace(single, support=triangle), "must be connected"),
+        (replace(spl, support_base_eids=spl.support_base_eids[1:]), "outside the support"),
+    ]
+    for broken, message in cases:
+        with pytest.raises(ValueError, match=message):
+            broken.validate()
 
 
 def test_union_edge_disjoint_trees():

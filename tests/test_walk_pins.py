@@ -1,16 +1,26 @@
-"""Pinned outputs of the scalar walk kernels and of failover routing.
+"""Pinned outputs of the scalar walk kernels, of failover routing and of the
+lower-bound construction.
 
-The digests were recorded from the per-step ``below`` draws the kernels used
-before they reduced raw words inline.  Both read the same 64-bit words and
-apply the same exact rejection, so every tree, trace, step count and route
-must stay byte-identical; a change here changes the sampled streams.
+The walk digests were recorded from the per-step ``below`` draws the kernels
+used before they reduced raw words inline.  Both read the same 64-bit words
+and apply the same exact rejection, so every tree, trace, step count and
+route must stay byte-identical; a change here changes the sampled streams.
+The construction digests were recorded from the vertex-pair set
+implementation that sorted edge codes replaced: the same draws must give
+the same graphs, segments and rings.
 """
 
 import hashlib
 
 import pytest
 
-from treesplice.generators import complete_graph, direct_edges_dp, gnp_graph, random_regular_graph
+from treesplice.generators import (
+    complete_graph,
+    direct_edges_dp,
+    gnp_graph,
+    hamiltonian_regular_graph,
+    random_regular_graph,
+)
 from treesplice.lowerbound import lower_bound_family
 from treesplice.routing import build_routing, route
 from treesplice.sampler import aldous_broder, process_bp_on
@@ -24,6 +34,46 @@ def _walk_digest(graph, seeds, start=0) -> str:
         for a in (tree.parent, tree.parent_edge, trace.vertices, trace.first_visit):
             h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _graph_digest(graph) -> str:
+    h = hashlib.sha256()
+    h.update(repr(graph.n).encode())
+    h.update(graph.edge_u.astype("<i4").tobytes())
+    h.update(graph.edge_v.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, d, seed, digest",
+    [
+        (3000, 3, 7, "6c4cbe28acd224ce155b35f1812b9c5b0f41ab04fcee6e12c7718283bc27ac79"),
+        # 17 matchings drawn for the 3 kept.
+        (3000, 5, 2, "7648a174833092996fb527d8a364b83715ede3c8836f3cc9c9703d01fc2798e3"),
+        # 20 matchings drawn for the 3 kept.
+        (200, 5, 3, "3c1bb0bdca8813c19dfe2ab5cd05fdbdc2b34ef0014c1e5f048438ac92b29370"),
+    ],
+)
+def test_hamiltonian_regular_graphs_are_pinned(n, d, seed, digest):
+    assert _graph_digest(hamiltonian_regular_graph(n, d, seed)) == digest
+
+
+@pytest.mark.parametrize(
+    "ell, seed, segments, start, digest",
+    [
+        (1, 7, 599, 110, "31ac07154d412b7cbc7f747b5673265214543434af06d23cf89824695fbde250"),
+        (2, 7, 332, 27, "9777fb614d5c0e61dd166006e6b486cb344482d20e67284bcab6971f3af72e62"),
+        (3, 5, 214, 4, "17a1b03bd0e1fd903df54e84a21222afa867cc9431aa1b9e2ce0592bedd417ff"),
+    ],
+)
+def test_lower_bound_families_are_pinned(ell, seed, segments, start, digest):
+    fam = lower_bound_family(3000, 3, ell, seed)
+    h = hashlib.sha256()
+    for g in (fam.graph, fam.base):
+        h.update(_graph_digest(g).encode())
+    h.update(repr((fam.paths, fam.ring_cycles, fam.start_vertex())).encode())
+    assert (len(fam.paths), fam.start_vertex()) == (segments, start)
+    assert h.hexdigest() == digest
 
 
 def test_aldous_broder_walks_are_pinned():
