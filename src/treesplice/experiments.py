@@ -34,7 +34,7 @@ from .lowerbound import (
     validate_family,
 )
 from . import routing
-from .routing import reliability_experiment, stretch_stats
+from .routing import _reliability_trials, stretch_stats
 from .sampler import aldous_broder, process_bp
 from .seeds import child_seed, substream
 from .splice import sparsify_gnp, splice, splice_gnp
@@ -367,8 +367,7 @@ def _run_routing(cfg: ExperimentConfig):
     k = cfg.k
     g = complete_graph(cfg.n)
     args = (cfg.failure_prob, cfg.samples, cfg.trials, child_seed(cfg.seed, "routes"))
-    base = reliability_experiment(g, 1, *args)
-    multi = reliability_experiment(g, k, *args)
+    base, multi = _reliability_trials(g, (1, k), *args)
     ceiling_ok = all(
         t.delivered_fraction <= t.ceiling_fraction + 1e-12 for t in multi.trials
     ) and all(

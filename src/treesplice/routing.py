@@ -5,8 +5,12 @@ Santoro & Khatib 1985): the next hop from v to dst is the child of v whose
 [tin, tout) holds dst, or else v's parent, so routing state is O(k*n).  Under
 edge failures a route follows its current tree until blocked, then retries the
 other trees in seeded-random order; a (vertex, tree) pair is never re-entered,
-which bounds looping.  Routes step only along tree edges, so a reliability
-trial hands ``route`` just the failed edges of the splicer's support.
+which bounds looping.  Routes step only along tree edges, so failures reach
+the router as per-tree dead-edge flags: ``up_dead[t][v]`` says that v's edge
+to its parent in tree t has failed.  A public ``route`` call builds them from
+its failed pairs (O(k*n) lists); a reliability trial builds them once from
+its failure mask and shares them, with its pairs and its base-graph ceiling,
+across every k it compares.
 
 Stretch distances are exact hop counts from one of two paths, for
 n <= DIAMETER_MAX_N (above it ``stretch_stats`` raises).  A tree support
@@ -22,6 +26,7 @@ ceil(n / 64)) word operations, so long-diameter graphs are slow: a cycle of
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -29,8 +34,9 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph, _packed_rows
+from .sampler import sample_trees
 from .seeds import below, child_seed, substream, word_stream
-from .splice import _as_graph, splice
+from .splice import _as_graph
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,17 @@ def route(
 ) -> RouteResult:
     """Route src -> dst over the trees, skipping failed base edges.
 
-    ``failed`` holds (u, v) tuples in either orientation.  At each vertex the
-    current tree's next hop is taken if its edge is alive; otherwise the other
-    trees are tried in seeded-random order.  The route fails when every tree's
-    next hop is dead, when a (vertex, tree) state repeats, or at the hop cap
-    (default 4n).
+    ``failed`` holds (u, v) pairs in either orientation, as tuples, lists or
+    array rows; an entry that is not a pair of vertices raises ValueError.
+    Each call turns them into per-tree dead-edge flags, O(k*n) lists, then
+    runs the failover kernel: at each vertex the current tree's next hop is
+    taken if its edge is alive; otherwise the other trees are tried in
+    seeded-random order, drawn from ``seed``'s route stream; at k <= 2 there
+    is nothing to shuffle and no stream is derived.  The route fails when
+    every tree's next hop is dead, when a (vertex, tree) state repeats, or at
+    the hop cap (default 4n).
     """
     n = state.n
-    k = state.k
     if src == dst:
         raise ValueError("src and dst must differ")
     if not (0 <= src < n and 0 <= dst < n):
@@ -116,39 +125,77 @@ def route(
         hop_cap = 4 * n
     if hop_cap < 1:
         raise ValueError("hop cap must be >= 1")
-    dead = frozenset(failed)
+    up_dead = [[False] * n for _ in state.parent]
+    for entry in failed:
+        try:
+            u, v = map(operator.index, entry)
+        except (TypeError, ValueError):
+            raise ValueError(f"failed edge {entry!r} is not a (u, v) pair") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"failed edge {entry!r} has a vertex out of range")
+        for par, dead in zip(state.parent, up_dead):
+            if par[u] == v:
+                dead[u] = True
+            elif par[v] == u:
+                dead[v] = True
     # Only a shuffle of two or more other trees draws, so only k >= 3 needs words.
-    word = word_stream(substream(seed, "route"), size=16) if k > 2 else None
-    cur = src
-    tree = 0
-    hops = 0
-    switches = 0
+    word = word_stream(substream(seed, "route"), size=16) if state.k > 2 else None
+    return _route(state, up_dead, src, dst, hop_cap, word)
+
+
+def _route(state: RoutingState, up_dead, src: int, dst: int, hop_cap: int, word) -> RouteResult:
+    """The failover kernel behind ``route``, on per-tree dead-edge flags.
+
+    It routes over the first k = len(up_dead) trees of ``state``.
+    ``up_dead[t][v]`` says that v's edge to its parent in tree t has failed,
+    so the edge to a next hop is dead when the flag of its lower end is set.
+    The next hop is ``RoutingState.next_hop``, inlined, and ``seen[t]`` holds
+    the vertices entered on tree t.  ``word`` feeds the shuffle of the other
+    trees at every hop; it is None when k <= 2, where at most one other tree
+    leaves nothing to shuffle.
+    """
+    parent, tin, tout, children = state.parent, state.tin, state.tout, state.children
+    k = len(up_dead)
+    clocks = [tin[t][dst] for t in range(k)]
+    others = [[u for u in range(k) if u != t] for t in range(k)]
+    orders = [(t, *others[t]) for t in range(k)]
+    seen = [set() for _ in range(k)]
+    seen[0].add(src)
+    cur, tree, hops, switches = src, 0, 0, 0
     path = [src]
-    visited_states = {(src, 0)}
     while cur != dst:
         if hops >= hop_cap:
             return RouteResult(False, hops, switches, tuple(path))
-        rest = [t for t in range(k) if t != tree]
-        for i in range(len(rest) - 1, 0, -1):
-            j = below(word, i + 1)
-            rest[i], rest[j] = rest[j], rest[i]
-        moved = False
-        for t in [tree] + rest:
-            nh = state.next_hop(t, cur, dst)
-            if (cur, nh) in dead or (nh, cur) in dead:
+        if word is None:
+            order = orders[tree]
+        else:
+            rest = others[tree][:]
+            for i in range(len(rest) - 1, 0, -1):
+                j = below(word, i + 1)
+                rest[i], rest[j] = rest[j], rest[i]
+            order = (tree, *rest)
+        for t in order:
+            ti = tin[t]
+            clock = clocks[t]
+            if ti[cur] < clock < tout[t][cur]:
+                kids = children[t][cur]
+                nh = kids[bisect_right(kids, clock, key=ti.__getitem__) - 1]
+                if up_dead[t][nh]:
+                    continue
+            else:
+                nh = parent[t][cur]
+                if up_dead[t][cur]:
+                    continue
+            if nh in seen[t]:
                 continue
-            if (nh, t) in visited_states:
-                continue
-            if t != tree:
-                switches += 1
-                tree = t
-            visited_states.add((nh, t))
+            seen[t].add(nh)
+            switches += t != tree
+            tree = t
             cur = nh
             path.append(nh)
             hops += 1
-            moved = True
             break
-        if not moved:
+        else:
             return RouteResult(False, hops, switches, tuple(path))
     return RouteResult(True, hops, switches, tuple(path))
 
@@ -212,7 +259,22 @@ def reliability_experiment(
     Also reports the per-trial ceiling (fraction of sampled pairs still
     connected in the surviving base graph); delivery can never exceed it.
     Failure draws and pair choices depend only on (seed, trial), so runs with
-    different k are paired.
+    different k are paired.  A trial turns its failures into per-tree
+    dead-edge flags once, O(k*n) lists, and every route reads them; a route
+    derives its own seed and stream only at k >= 3, where failover shuffles.
+    """
+    return _reliability_trials(graph, (k,), failure_prob, pairs, trials, seed)[0]
+
+
+def _reliability_trials(
+    graph: Graph, ks, failure_prob: float, pairs: int, trials: int, seed: int
+) -> tuple[ReliabilitySummary, ...]:
+    """``reliability_experiment`` for every k in ``ks`` from one trial loop.
+
+    Each trial draws its failures and pairs and computes the base-graph
+    ceiling once for all k.  ``splice`` unions ``sample_trees``, whose tree i
+    depends only on (seed, i), so each k routes over the first k trees of one
+    draw of max(ks) trees and reads their flags.
     """
     if not 0.0 <= failure_prob <= 1.0:
         raise ValueError("failure_prob must lie in [0, 1]")
@@ -221,48 +283,48 @@ def reliability_experiment(
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    results = []
+    results = [[] for _ in ks]
     for t in range(trials):
-        spl = splice(graph, k, child_seed(seed, "splice", t))
-        state = build_routing(spl.source_trees)
+        trees = sample_trees(graph, max(ks), child_seed(seed, "splice", t))
+        state = build_routing(trees)
         f_rng = substream(seed, "failures", t)
-        fail_mask = f_rng.random(graph.m) < failure_prob
-        dead = spl.support_base_eids[fail_mask[spl.support_base_eids]]
-        dead_pairs = frozenset(zip(graph.edge_u[dead].tolist(), graph.edge_v[dead].tolist()))
+        # A root's parent edge id -1 reads the appended alive entry.
+        dead = np.append(f_rng.random(graph.m) < failure_prob, False)
+        up_dead = [dead[tree.parent_edge].tolist() for tree in trees]
         srcs, dsts = _random_pairs(substream(seed, "pairs", t), n, pairs)
         # The adjacency is symmetric: strong components are the components.
         labels = csgraph.connected_components(
-            graph._adjacency(~fail_mask), connection="strong"
+            graph._adjacency(~dead[:-1]), connection="strong"
         )[1]
-        delivered = 0
-        hop_total = 0
-        switch_total = 0
-        connected = 0
-        for i in range(pairs):
-            s, d = int(srcs[i]), int(dsts[i])
-            connected += labels[s] == labels[d]
-            r = route(
-                state,
-                s,
-                d,
-                failed=dead_pairs,
-                seed=child_seed(seed, "route", t, i),
+        ceiling = float(np.count_nonzero(labels[srcs] == labels[dsts])) / pairs
+        pair_list = list(zip(srcs.tolist(), dsts.tolist()))
+        for k, out in zip(ks, results):
+            flags = up_dead[:k]
+            delivered = hop_total = switch_total = 0
+            for i, (s, d) in enumerate(pair_list):
+                # Only a shuffle of two or more other trees draws.
+                word = None
+                if k > 2:
+                    word = word_stream(
+                        substream(child_seed(seed, "route", t, i), "route"), size=16
+                    )
+                r = _route(state, flags, s, d, 4 * n, word)
+                if r.delivered:
+                    delivered += 1
+                    hop_total += r.hops
+                    switch_total += r.switches
+            out.append(
+                ReliabilityTrial(
+                    trial=t,
+                    delivered_fraction=delivered / pairs,
+                    ceiling_fraction=ceiling,
+                    mean_hops=hop_total / max(delivered, 1),
+                    mean_switches=switch_total / max(delivered, 1),
+                )
             )
-            if r.delivered:
-                delivered += 1
-                hop_total += r.hops
-                switch_total += r.switches
-        results.append(
-            ReliabilityTrial(
-                trial=t,
-                delivered_fraction=delivered / pairs,
-                ceiling_fraction=float(connected) / pairs,
-                mean_hops=hop_total / max(delivered, 1),
-                mean_switches=switch_total / max(delivered, 1),
-            )
-        )
-    return ReliabilitySummary(
-        k=k, failure_prob=failure_prob, pairs=pairs, trials=tuple(results)
+    return tuple(
+        ReliabilitySummary(k=k, failure_prob=failure_prob, pairs=pairs, trials=tuple(out))
+        for k, out in zip(ks, results)
     )
 
 

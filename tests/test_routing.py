@@ -125,10 +125,32 @@ def test_route_fails_over_to_second_tree():
 
 def test_failed_edges_block_in_either_orientation_and_container():
     state = build_routing(sample_trees(path_graph(4), 1, seed=1))
-    for failed in ({(3, 2)}, [(3, 2)], frozenset({(2, 3)}), ((2, 3),)):
+    for failed in (
+        {(3, 2)},
+        [(3, 2)],
+        frozenset({(2, 3)}),
+        ((2, 3),),
+        [[2, 3]],
+        [[3, 2]],
+        np.array([[2, 3]]),
+        np.array([[3, 2]], dtype=np.int32),
+        [np.array([3, 2])],
+        [(np.int64(2), 3)],
+    ):
         r = route(state, 0, 3, failed=failed)
         assert not r.delivered and r.path == (0, 1, 2), failed
     assert route(state, 0, 3, failed={(1, 3)}).delivered
+    assert route(state, 0, 3, failed=np.array([[1, 3]])).delivered
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(1,), (1, 2, 3), 2, 1.5, "ab", (1.0, 2.0), (None, 2), (0, 4), (-1, 0), np.array([1, 2, 3])],
+)
+def test_malformed_failed_edge_raises_value_error(entry):
+    state = build_routing(sample_trees(path_graph(4), 1, seed=1))
+    with pytest.raises(ValueError, match="failed edge"):
+        route(state, 0, 3, failed=[(0, 1), entry])
 
 
 def test_route_blocked_at_source_fails_isolated():
@@ -249,12 +271,83 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
 @pytest.mark.parametrize(
     "graph", [complete_graph(24), gnp_graph(40, 0.3, seed=28)], ids=["k24", "gnp40"]
 )
-@pytest.mark.parametrize("failure_prob", [0.2, 0.5])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("failure_prob", [0.0, 0.2, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_reliability_matches_reference_trial_loop(graph, k, failure_prob):
     assert graph.is_connected()
     args = (graph, k, failure_prob, 40, 3, 29)
     assert reliability_experiment(*args) == _reliability_reference(*args)
+
+
+@pytest.mark.parametrize(
+    "graph", [complete_graph(24), gnp_graph(40, 0.3, seed=28)], ids=["k24", "gnp40"]
+)
+@pytest.mark.parametrize("failure_prob", [0.2, 0.5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_route_matches_reference_on_every_pair(graph, k, failure_prob):
+    n = graph.n
+    state = build_routing(splice(graph, k, seed=40 + k).source_trees)
+    fail_mask = substream(41, "failures", k).random(graph.m) < failure_prob
+    dead = {
+        (int(u), int(v)) for u, v in zip(graph.edge_u[fail_mask], graph.edge_v[fail_mask])
+    }
+    longest = None
+    for s in range(n):
+        for d in range(n):
+            if s == d:
+                continue
+            r = route(state, s, d, failed=dead, seed=s * n + d)
+            ref = _route_reference(state, s, d, dead, s * n + d)
+            assert (r.delivered, r.hops, r.switches) == ref, (s, d)
+            assert len(r.path) == r.hops + 1 and r.path[0] == s
+            assert r.path[-1] == d or not r.delivered
+            if r.delivered and (longest is None or r.hops > longest[2].hops):
+                longest = (s, d, r)
+    s, d, full = longest
+    assert full.hops >= 2
+    capped = route(state, s, d, failed=dead, hop_cap=full.hops - 1, seed=s * n + d)
+    assert not capped.delivered
+    assert capped.hops == full.hops - 1
+    assert capped.path == full.path[:-1]
+
+
+@pytest.mark.parametrize("ks", [(1, 2), (1, 3)])
+def test_shared_trial_loop_matches_separate_calls(ks):
+    g = gnp_graph(40, 0.3, seed=28)
+    args = (0.3, 30, 4, 33)
+    shared = routing._reliability_trials(g, ks, *args)
+    assert len(shared) == len(ks)
+    for k, summary in zip(ks, shared):
+        alone = reliability_experiment(g, k, *args)
+        for name in ("k", "failure_prob", "pairs", "trials"):
+            assert getattr(summary, name) == getattr(alone, name), name
+    # A shared trial routes every k over the same failures, pairs and ceiling.
+    for a, b in zip(shared[0].trials, shared[1].trials):
+        assert a.ceiling_fraction == b.ceiling_fraction
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_route_seeds_are_derived_only_when_failover_shuffles(monkeypatch, k):
+    derived = []
+
+    def counting(fn, kind):
+        def wrapped(seed, *path):
+            if path and path[0] == "route":
+                derived.append(kind)
+            return fn(seed, *path)
+
+        return wrapped
+
+    monkeypatch.setattr(routing, "child_seed", counting(routing.child_seed, "seed"))
+    monkeypatch.setattr(routing, "substream", counting(routing.substream, "stream"))
+    pairs, trials = 25, 3
+    reliability_experiment(complete_graph(20), k, 0.2, pairs, trials, seed=34)
+    per_pair = 1 if k == 3 else 0
+    assert derived.count("seed") == derived.count("stream") == per_pair * pairs * trials
+    derived.clear()
+    state = build_routing(splice(complete_graph(20), k, seed=35).source_trees)
+    route(state, 0, 7, failed=[(0, 1)], seed=36)
+    assert derived == ["stream"] * per_pair
 
 
 def test_three_tree_route_is_pinned():
