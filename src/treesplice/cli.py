@@ -14,7 +14,6 @@ failures prints one line to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,7 +28,6 @@ from .cuts import (
 from .experiments import (
     ExperimentConfig,
     PRESETS,
-    _plain,
     rows_csv,
     run_preset,
     summary_json,
@@ -68,7 +66,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
     if args.format == "csv" and rows is not None:
         _write(args.out, rows_csv(rows))
     else:
-        _write(args.out, json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n")
+        _write(args.out, summary_json(payload))
 
 
 def _cmd_generate(args) -> int:
@@ -103,7 +101,7 @@ def _cmd_generate(args) -> int:
                 "segments": [list(p) for p in fam.paths],
                 "rings": [list(r) for r in fam.ring_cycles],
             }
-            _write(args.meta_out, json.dumps(meta, sort_keys=True, indent=2) + "\n")
+            _write(args.meta_out, summary_json(meta))
         return EXIT_OK
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {kind}")
@@ -233,8 +231,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_route_sim(args) -> int:
     g = _load_graph(args.graph)
-    summary = reliability_experiment(
-        g, args.k, args.failure_prob, args.pairs, args.trials, args.seed
+    (summary,) = reliability_experiment(
+        g, (args.k,), args.failure_prob, args.pairs, args.trials, args.seed
     )
     rows = summary.csv_rows(args.seed)
     payload = {

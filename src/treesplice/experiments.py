@@ -34,7 +34,7 @@ from .lowerbound import (
     validate_family,
 )
 from . import routing
-from .routing import _reliability_trials, stretch_stats
+from .routing import reliability_experiment, stretch_stats
 from .sampler import aldous_broder, process_bp
 from .seeds import child_seed, substream
 from .splice import sparsify_gnp, splice, splice_gnp
@@ -132,6 +132,14 @@ def _le(name, value, bound, se=None) -> Assertion:
     return Assertion(name, bool(value <= bound), float(value), float(bound), "<=", se)
 
 
+def _regular_host(n: int, d: int, seed: int, *path):
+    """A random d-regular host, redrawn once under "graph-retry" if disconnected."""
+    g = random_regular_graph(n, d, child_seed(seed, "graph", *path))
+    if not g.is_connected():
+        g = random_regular_graph(n, d, child_seed(seed, "graph-retry", *path))
+    return g
+
+
 def _run_bounded_degree(cfg: ExperimentConfig):
     n, d = cfg.n, cfg.d
     alpha = 81.0
@@ -139,9 +147,7 @@ def _run_bounded_degree(cfg: ExperimentConfig):
     rows = []
     worst = math.inf
     for s in range(cfg.trials):
-        g = random_regular_graph(n, d, child_seed(cfg.seed, "graph", s))
-        if not g.is_connected():
-            g = random_regular_graph(n, d, child_seed(cfg.seed, "graph-retry", s))
+        g = _regular_host(n, d, cfg.seed, s)
         u = splice(g, cfg.k, child_seed(cfg.seed, "splice", s))
         ratios = sampled_cut_ratios(g, u, cfg.samples, child_seed(cfg.seed, "cuts", s))
         m = float(ratios.ratio.min())
@@ -307,9 +313,7 @@ def _run_sparsifier(cfg: ExperimentConfig):
 
 def _run_tail_bound(cfg: ExperimentConfig):
     n, d, trials = cfg.n, cfg.d, cfg.trials
-    g = random_regular_graph(n, d, child_seed(cfg.seed, "graph"))
-    if not g.is_connected():
-        g = random_regular_graph(n, d, child_seed(cfg.seed, "graph-retry"))
+    g = _regular_host(n, d, cfg.seed)
     pick = substream(cfg.seed, "cuts")
     subsets = [pick.choice(n, size=n // 2, replace=False) for _ in range(cfg.samples)]
     rep = chernoff_tail_check(g, subsets, trials, child_seed(cfg.seed, "tail", 0))
@@ -367,7 +371,7 @@ def _run_routing(cfg: ExperimentConfig):
     k = cfg.k
     g = complete_graph(cfg.n)
     args = (cfg.failure_prob, cfg.samples, cfg.trials, child_seed(cfg.seed, "routes"))
-    base, multi = _reliability_trials(g, (1, k), *args)
+    base, multi = reliability_experiment(g, (1, k), *args)
     ceiling_ok = all(
         t.delivered_fraction <= t.ceiling_fraction + 1e-12 for t in multi.trials
     ) and all(

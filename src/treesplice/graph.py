@@ -74,20 +74,31 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical method stopped at its iteration cap."""
 
 
-def _as_edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+def _vertex_pairs(n: int, pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two int64 endpoint columns of ``pairs``, rows of two vertex ids in
+    0..n-1.  Anything else raises ValueError naming the pairs by ``what``:
+    rows that are not two integers, or an endpoint out of range."""
+    malformed = f"{what}s must be pairs of vertex ids"
+    try:
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    except ValueError:  # ragged rows
+        raise ValueError(malformed) from None
     if arr.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("edges must be pairs of vertex ids")
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError(malformed)
     arr = arr.astype(np.int64, copy=False)
     if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("edge endpoint out of range")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
+        raise ValueError(f"{what} endpoint out of range")
+    return arr[:, 0], arr[:, 1]
+
+
+def _as_edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    u, v = _vertex_pairs(n, edges, "edge")
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
     if (lo == hi).any():
-        v = int(lo[(lo == hi).argmax()])
-        raise ValueError(f"self-loop at vertex {v}")
+        raise ValueError(f"self-loop at vertex {int(lo[(lo == hi).argmax()])}")
     codes = lo * n + hi
     order = np.sort(codes)
     dup = np.flatnonzero(order[1:] == order[:-1])

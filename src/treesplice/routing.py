@@ -2,14 +2,16 @@
 
 Each spanning tree routes by its DFS entry/exit clocks (interval routing,
 Santoro & Khatib 1985): the next hop from v to dst is the child of v whose
-[tin, tout) holds dst, or else v's parent, so routing state is O(k*n).  Under
-edge failures a route follows its current tree until blocked, then retries the
-other trees in seeded-random order; a (vertex, tree) pair is never re-entered,
-which bounds looping.  Routes step only along tree edges, so failures reach
-the router as per-tree dead-edge flags: ``up_dead[t][v]`` says that v's edge
-to its parent in tree t has failed.  A public ``route`` call builds them from
-its failed pairs (O(k*n) lists); a reliability trial builds them once from
-its failure mask and shares them, with its pairs and its base-graph ceiling,
+[tin, tout) holds dst, or else v's parent, so routing state is O(k*n).
+Failures have one format, failed base edges as (u, v) pairs, and live in the
+routing state: routes step only along tree edges, so ``build_routing`` turns
+the pairs into per-tree dead-edge flags once per state (O(k*n) lists), where
+``up_dead[t][v]`` says that v's edge to its parent in tree t has failed.
+``route`` is the one failover kernel: it follows its current tree until
+blocked, then retries the other trees in seeded-random order; a (vertex,
+tree) pair is never re-entered, which bounds looping.
+``reliability_experiment`` is the one trial loop: a trial builds one state
+from its failed edges and shares it, with its pairs and base-graph ceiling,
 across every k it compares.
 
 Stretch distances are exact hop counts from one of two paths, for
@@ -26,14 +28,13 @@ ceil(n / 64)) word operations, so long-diameter graphs are slow: a cycle of
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .graph import Graph, _packed_rows
+from .graph import Graph, _packed_rows, _vertex_pairs
 from .sampler import sample_trees
 from .seeds import below, child_seed, substream, word_stream
 from .splice import _as_graph
@@ -41,13 +42,16 @@ from .splice import _as_graph
 
 @dataclass(frozen=True)
 class RoutingState:
-    """Per tree t: ``parent[t]``, the DFS clocks ``tin[t]``/``tout[t]`` and,
-    for each vertex, its children in preorder (``children[t][v]``, by rising tin)."""
+    """Per tree t: ``parent[t]``, the DFS clocks ``tin[t]``/``tout[t]``, for
+    each vertex its children in preorder (``children[t][v]``, by rising tin),
+    and the failure flags: ``up_dead[t][v]`` says that v's edge to its parent
+    in tree t has failed."""
 
     parent: tuple[list[int], ...]
     tin: tuple[list[int], ...]
     tout: tuple[list[int], ...]
     children: tuple[list[list[int]], ...]
+    up_dead: tuple[list[bool], ...]
 
     @property
     def k(self) -> int:
@@ -75,8 +79,15 @@ class RouteResult:
     path: tuple[int, ...]
 
 
-def build_routing(trees) -> RoutingState:
-    """Interval routing state: DFS clocks and preorder children of each tree."""
+def build_routing(trees, failed=()) -> RoutingState:
+    """Interval routing state: DFS clocks, preorder children and failure flags
+    of each tree.
+
+    ``failed`` holds the failed base edges as (u, v) pairs, in either
+    orientation and possibly repeated, as tuples, lists or array rows; pairs
+    that are not two integer vertex ids raise ValueError.  A pair is a tree
+    edge when one end is the other's parent, which flags that end.
+    """
     trees = tuple(trees)
     if not trees:
         raise ValueError("need at least one tree")
@@ -84,37 +95,34 @@ def build_routing(trees) -> RoutingState:
     for t in trees:
         if t.n != n:
             raise ValueError("trees span different vertex sets")
+    u, v = _vertex_pairs(n, failed, "failed edge")
     per_tree = []
     for tree in trees:
         order, tin, tout = tree.dfs_intervals()
-        parent = tree.parent.tolist()
+        par = tree.parent
+        parent = par.tolist()
         kids: list[list[int]] = [[] for _ in range(n)]
-        for v in order.tolist()[1:]:
-            kids[parent[v]].append(v)
-        per_tree.append((parent, tin.tolist(), tout.tolist(), kids))
-    parent, tin, tout, children = zip(*per_tree)
-    return RoutingState(parent, tin, tout, children)
+        for w in order.tolist()[1:]:
+            kids[parent[w]].append(w)
+        dead = np.zeros(n, dtype=bool)
+        dead[u[par[u] == v]] = dead[v[par[v] == u]] = True
+        per_tree.append((parent, tin.tolist(), tout.tolist(), kids, dead.tolist()))
+    return RoutingState(*zip(*per_tree))
 
 
 def route(
-    state: RoutingState,
-    src: int,
-    dst: int,
-    failed=(),
-    hop_cap: int | None = None,
-    seed: int = 0,
+    state: RoutingState, src: int, dst: int, hop_cap: int | None = None, seed: int = 0
 ) -> RouteResult:
-    """Route src -> dst over the trees, skipping failed base edges.
+    """Route src -> dst over the trees, skipping the state's failed edges.
 
-    ``failed`` holds (u, v) pairs in either orientation, as tuples, lists or
-    array rows; an entry that is not a pair of vertices raises ValueError.
-    Each call turns them into per-tree dead-edge flags, O(k*n) lists, then
-    runs the failover kernel: at each vertex the current tree's next hop is
-    taken if its edge is alive; otherwise the other trees are tried in
-    seeded-random order, drawn from ``seed``'s route stream; at k <= 2 there
-    is nothing to shuffle and no stream is derived.  The route fails when
-    every tree's next hop is dead, when a (vertex, tree) state repeats, or at
-    the hop cap (default 4n).
+    At each vertex the current tree's next hop (``RoutingState.next_hop``,
+    inlined) is taken if its edge is alive, that is, if the flag of the
+    edge's lower end is clear.  Otherwise the other trees are tried in
+    seeded-random order, drawn at every hop from ``seed``'s route stream; at
+    k <= 2 there is nothing to shuffle and no stream is derived.  ``seen[t]``
+    holds the vertices entered on tree t.  The route fails when every tree's
+    next hop is dead, when a (vertex, tree) state repeats, or at the hop cap
+    (default 4n).
     """
     n = state.n
     if src == dst:
@@ -125,37 +133,12 @@ def route(
         hop_cap = 4 * n
     if hop_cap < 1:
         raise ValueError("hop cap must be >= 1")
-    up_dead = [[False] * n for _ in state.parent]
-    for entry in failed:
-        try:
-            u, v = map(operator.index, entry)
-        except (TypeError, ValueError):
-            raise ValueError(f"failed edge {entry!r} is not a (u, v) pair") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"failed edge {entry!r} has a vertex out of range")
-        for par, dead in zip(state.parent, up_dead):
-            if par[u] == v:
-                dead[u] = True
-            elif par[v] == u:
-                dead[v] = True
+    parent, tin, tout, children, up_dead = (
+        state.parent, state.tin, state.tout, state.children, state.up_dead
+    )
+    k = state.k
     # Only a shuffle of two or more other trees draws, so only k >= 3 needs words.
-    word = word_stream(substream(seed, "route"), size=16) if state.k > 2 else None
-    return _route(state, up_dead, src, dst, hop_cap, word)
-
-
-def _route(state: RoutingState, up_dead, src: int, dst: int, hop_cap: int, word) -> RouteResult:
-    """The failover kernel behind ``route``, on per-tree dead-edge flags.
-
-    It routes over the first k = len(up_dead) trees of ``state``.
-    ``up_dead[t][v]`` says that v's edge to its parent in tree t has failed,
-    so the edge to a next hop is dead when the flag of its lower end is set.
-    The next hop is ``RoutingState.next_hop``, inlined, and ``seen[t]`` holds
-    the vertices entered on tree t.  ``word`` feeds the shuffle of the other
-    trees at every hop; it is None when k <= 2, where at most one other tree
-    leaves nothing to shuffle.
-    """
-    parent, tin, tout, children = state.parent, state.tin, state.tout, state.children
-    k = len(up_dead)
+    word = word_stream(substream(seed, "route"), size=16) if k > 2 else None
     clocks = [tin[t][dst] for t in range(k)]
     others = [[u for u in range(k) if u != t] for t in range(k)]
     orders = [(t, *others[t]) for t in range(k)]
@@ -247,68 +230,49 @@ def _random_pairs(rng, n: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reliability_experiment(
-    graph: Graph,
-    k: int,
-    failure_prob: float,
-    pairs: int,
-    trials: int,
-    seed: int,
-) -> ReliabilitySummary:
-    """Per trial: fail base edges independently, route random pairs over a splicer.
+    graph: Graph, ks, failure_prob: float, pairs: int, trials: int, seed: int
+) -> tuple[ReliabilitySummary, ...]:
+    """Per trial: fail base edges independently, route random pairs over a
+    splicer of each k in ``ks``; one summary per k.
 
     Also reports the per-trial ceiling (fraction of sampled pairs still
     connected in the surviving base graph); delivery can never exceed it.
-    Failure draws and pair choices depend only on (seed, trial), so runs with
-    different k are paired.  A trial turns its failures into per-tree
-    dead-edge flags once, O(k*n) lists, and every route reads them; a route
-    derives its own seed and stream only at k >= 3, where failover shuffles.
-    """
-    return _reliability_trials(graph, (k,), failure_prob, pairs, trials, seed)[0]
-
-
-def _reliability_trials(
-    graph: Graph, ks, failure_prob: float, pairs: int, trials: int, seed: int
-) -> tuple[ReliabilitySummary, ...]:
-    """``reliability_experiment`` for every k in ``ks`` from one trial loop.
-
-    Each trial draws its failures and pairs and computes the base-graph
-    ceiling once for all k.  ``splice`` unions ``sample_trees``, whose tree i
-    depends only on (seed, i), so each k routes over the first k trees of one
-    draw of max(ks) trees and reads their flags.
+    Failure draws and pair choices depend only on (seed, trial), so the k
+    are paired: each trial draws them and computes the ceiling once for
+    every k.  ``splice`` unions ``sample_trees``, whose tree i depends only
+    on (seed, i), so each k routes over the first k trees of one draw of
+    max(ks) trees, that is, over a prefix of one routing state.  A route
+    derives its own seed only at k >= 3, where failover shuffles.
     """
     if not 0.0 <= failure_prob <= 1.0:
         raise ValueError("failure_prob must lie in [0, 1]")
     if pairs < 1 or trials < 1:
         raise ValueError("pairs and trials must be >= 1")
+    if min(ks) < 1:
+        raise ValueError("k must be >= 1")
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     results = [[] for _ in ks]
     for t in range(trials):
         trees = sample_trees(graph, max(ks), child_seed(seed, "splice", t))
-        state = build_routing(trees)
-        f_rng = substream(seed, "failures", t)
-        # A root's parent edge id -1 reads the appended alive entry.
-        dead = np.append(f_rng.random(graph.m) < failure_prob, False)
-        up_dead = [dead[tree.parent_edge].tolist() for tree in trees]
+        dead = substream(seed, "failures", t).random(graph.m) < failure_prob
+        ids = np.flatnonzero(dead)
+        failed = np.column_stack((graph.edge_u[ids], graph.edge_v[ids]))
         srcs, dsts = _random_pairs(substream(seed, "pairs", t), n, pairs)
         # The adjacency is symmetric: strong components are the components.
         labels = csgraph.connected_components(
-            graph._adjacency(~dead[:-1]), connection="strong"
+            graph._adjacency(~dead), connection="strong"
         )[1]
         ceiling = float(np.count_nonzero(labels[srcs] == labels[dsts])) / pairs
         pair_list = list(zip(srcs.tolist(), dsts.tolist()))
+        full = build_routing(trees, failed)
         for k, out in zip(ks, results):
-            flags = up_dead[:k]
+            # The first k trees' state is the first k entries of each field.
+            state = RoutingState(*(getattr(full, f.name)[:k] for f in fields(full)))
             delivered = hop_total = switch_total = 0
             for i, (s, d) in enumerate(pair_list):
-                # Only a shuffle of two or more other trees draws.
-                word = None
-                if k > 2:
-                    word = word_stream(
-                        substream(child_seed(seed, "route", t, i), "route"), size=16
-                    )
-                r = _route(state, flags, s, d, 4 * n, word)
+                r = route(state, s, d, seed=child_seed(seed, "route", t, i) if k > 2 else 0)
                 if r.delivered:
                     delivered += 1
                     hop_total += r.hops

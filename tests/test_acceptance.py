@@ -321,8 +321,7 @@ def test_c10_stretch_claims():
 def test_c11_routing_reliability():
     budget = Budget("11 routing reliability", 180)
     g = complete_graph(256)
-    base = reliability_experiment(g, 1, 0.05, pairs=200, trials=50, seed=111)
-    multi = reliability_experiment(g, 2, 0.05, pairs=200, trials=50, seed=111)
+    base, multi = reliability_experiment(g, (1, 2), 0.05, pairs=200, trials=50, seed=111)
     gain = multi.delivered_fraction - base.delivered_fraction
     ceiling_ok = all(
         t.delivered_fraction <= t.ceiling_fraction + 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -235,6 +236,21 @@ def test_route_sim_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("seed,trial,failure_prob")
     assert "np.float64" not in out
+    # k = 3 is the smallest k whose failover reads the route stream.
+    pinned = {
+        ("1", "json"): "70c6c59a85cab8e5e3e9ff0e072564838afbc9f1aa137df3c67a112aaafdfba9",
+        ("1", "csv"): "b27bf21bbe1d10d0b0baa5cbb562345a421a65708aa6801e97086ad42f796721",
+        ("3", "json"): "175e9595e9f67db520fed013c7cf1d568fb1723b56f910da047632ece6e1f259",
+        ("3", "csv"): "e43daccfc6bfa921388f027490d46d47e314907e2a48519f4f8479a2c50cbe1c",
+    }
+    for (k, fmt), digest in pinned.items():
+        argv = [
+            "route-sim", "--graph", str(gpath), "--k", k,
+            "--failure-prob", "0.1", "--pairs", "20", "--trials", "2", "--format", fmt,
+        ]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (k, fmt)
 
 
 def test_commands_without_reports_reject_format(tmp_path, capsys):

@@ -54,12 +54,14 @@ def test_coupling_estimate_validates_arguments():
 def test_reliability_validates_arguments():
     g = complete_graph(8)
     with pytest.raises(ValueError):
-        reliability_experiment(g, 1, 1.5, pairs=5, trials=2, seed=0)
+        reliability_experiment(g, (1,), 1.5, pairs=5, trials=2, seed=0)
     with pytest.raises(ValueError):
-        reliability_experiment(g, 1, 0.1, pairs=0, trials=2, seed=0)
+        reliability_experiment(g, (1,), 0.1, pairs=0, trials=2, seed=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        reliability_experiment(g, (0, 2), 0.1, pairs=5, trials=2, seed=0)
     for n in (0, 1):
         with pytest.raises(ValueError, match="need at least 2 vertices"):
-            reliability_experiment(Graph(n, []), 1, 0.1, pairs=5, trials=2, seed=0)
+            reliability_experiment(Graph(n, []), (1,), 0.1, pairs=5, trials=2, seed=0)
 
 
 def test_stretch_validates_pairs():

@@ -32,6 +32,9 @@ def test_graph_rejects_self_loop_and_duplicates():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="range"):
         Graph(3, [(0, 5)])
+    for edges in ([(0, 1.5), (1, 2)], [(0, None)]):
+        with pytest.raises(ValueError, match="edges must be pairs of vertex ids"):
+            Graph(3, edges)
 
 
 def test_adjacency_is_symmetric_and_degree_consistent():

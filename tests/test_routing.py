@@ -108,14 +108,14 @@ def test_route_without_failures_hits_tree_distance():
 def test_route_fails_over_to_second_tree():
     g = complete_graph(32)
     spl = splice(g, 2, seed=5)
-    state = build_routing(spl.source_trees)
     # Kill tree 0 while leaving tree 1 intact (shared edges stay alive).
     dead = frozenset(
         set(spl.source_trees[0].edges()) - set(spl.source_trees[1].edges())
     )
+    state = build_routing(spl.source_trees, dead)
     hits = 0
     for dst in range(1, 12):
-        r = route(state, 0, dst, failed=dead, seed=dst)
+        r = route(state, 0, dst, seed=dst)
         assert r.delivered
         for a, b in zip(r.path[:-1], r.path[1:]):
             assert (min(a, b), max(a, b)) not in dead
@@ -124,7 +124,7 @@ def test_route_fails_over_to_second_tree():
 
 
 def test_failed_edges_block_in_either_orientation_and_container():
-    state = build_routing(sample_trees(path_graph(4), 1, seed=1))
+    trees = sample_trees(path_graph(4), 1, seed=1)
     for failed in (
         {(3, 2)},
         [(3, 2)],
@@ -136,11 +136,12 @@ def test_failed_edges_block_in_either_orientation_and_container():
         np.array([[3, 2]], dtype=np.int32),
         [np.array([3, 2])],
         [(np.int64(2), 3)],
+        [(2, 3), (3, 2), (2, 3)],
     ):
-        r = route(state, 0, 3, failed=failed)
+        r = route(build_routing(trees, failed), 0, 3)
         assert not r.delivered and r.path == (0, 1, 2), failed
-    assert route(state, 0, 3, failed={(1, 3)}).delivered
-    assert route(state, 0, 3, failed=np.array([[1, 3]])).delivered
+    assert route(build_routing(trees, {(1, 3)}), 0, 3).delivered
+    assert route(build_routing(trees, np.array([[1, 3]])), 0, 3).delivered
 
 
 @pytest.mark.parametrize(
@@ -148,19 +149,32 @@ def test_failed_edges_block_in_either_orientation_and_container():
     [(1,), (1, 2, 3), 2, 1.5, "ab", (1.0, 2.0), (None, 2), (0, 4), (-1, 0), np.array([1, 2, 3])],
 )
 def test_malformed_failed_edge_raises_value_error(entry):
-    state = build_routing(sample_trees(path_graph(4), 1, seed=1))
+    trees = sample_trees(path_graph(4), 1, seed=1)
     with pytest.raises(ValueError, match="failed edge"):
-        route(state, 0, 3, failed=[(0, 1), entry])
+        build_routing(trees, [(0, 1), entry])
+
+
+@pytest.mark.parametrize(
+    "graph", [complete_graph(24), gnp_graph(40, 0.3, seed=28)], ids=["k24", "gnp40"]
+)
+def test_failed_pairs_flag_the_tree_edges_of_failed_edge_ids(graph):
+    trees = sample_trees(graph, 3, seed=38)
+    for failure_prob in (0.0, 0.3, 1.0):
+        mask = substream(39, "failures").random(graph.m) < failure_prob
+        failed = np.column_stack((graph.edge_u[mask], graph.edge_v[mask]))
+        # A root's parent edge id -1 reads the appended alive entry.
+        want = tuple(np.append(mask, False)[tree.parent_edge].tolist() for tree in trees)
+        for pairs in (failed, failed[:, ::-1], np.concatenate([failed, failed[::-1, ::-1]])):
+            assert build_routing(trees, pairs).up_dead == want
 
 
 def test_route_blocked_at_source_fails_isolated():
     g = complete_graph(8)
     spl = splice(g, 2, seed=6)
-    state = build_routing(spl.source_trees)
     dead = frozenset(
         (min(0, w), max(0, w)) for w in range(1, 8)
     )  # every edge at vertex 0
-    r = route(state, 0, 5, failed=dead, seed=1)
+    r = route(build_routing(spl.source_trees, dead), 0, 5, seed=1)
     assert not r.delivered
     assert r.hops == 0
 
@@ -186,16 +200,16 @@ def test_route_hop_cap_aborts():
 
 def test_reliability_extremes():
     g = complete_graph(24)
-    s0 = reliability_experiment(g, 2, 0.0, pairs=30, trials=3, seed=9)
+    (s0,) = reliability_experiment(g, (2,), 0.0, pairs=30, trials=3, seed=9)
     assert s0.delivered_fraction == 1.0
-    s1 = reliability_experiment(g, 2, 1.0, pairs=30, trials=3, seed=10)
+    (s1,) = reliability_experiment(g, (2,), 1.0, pairs=30, trials=3, seed=10)
     assert s1.delivered_fraction == 0.0
     assert s1.ceiling_fraction == 0.0
 
 
 def test_reliability_delivery_below_ceiling_per_trial():
     g = complete_graph(48)
-    summary = reliability_experiment(g, 2, 0.2, pairs=60, trials=8, seed=11)
+    (summary,) = reliability_experiment(g, (2,), 0.2, pairs=60, trials=8, seed=11)
     for t in summary.trials:
         assert t.delivered_fraction <= t.ceiling_fraction + 1e-12
     rows = summary.csv_rows(seed=11)
@@ -275,8 +289,10 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_reliability_matches_reference_trial_loop(graph, k, failure_prob):
     assert graph.is_connected()
-    args = (graph, k, failure_prob, 40, 3, 29)
-    assert reliability_experiment(*args) == _reliability_reference(*args)
+    args = (failure_prob, 40, 3, 29)
+    assert reliability_experiment(graph, (k,), *args) == (
+        _reliability_reference(graph, k, *args),
+    )
 
 
 @pytest.mark.parametrize(
@@ -286,17 +302,17 @@ def test_reliability_matches_reference_trial_loop(graph, k, failure_prob):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_route_matches_reference_on_every_pair(graph, k, failure_prob):
     n = graph.n
-    state = build_routing(splice(graph, k, seed=40 + k).source_trees)
     fail_mask = substream(41, "failures", k).random(graph.m) < failure_prob
     dead = {
         (int(u), int(v)) for u, v in zip(graph.edge_u[fail_mask], graph.edge_v[fail_mask])
     }
+    state = build_routing(splice(graph, k, seed=40 + k).source_trees, dead)
     longest = None
     for s in range(n):
         for d in range(n):
             if s == d:
                 continue
-            r = route(state, s, d, failed=dead, seed=s * n + d)
+            r = route(state, s, d, seed=s * n + d)
             ref = _route_reference(state, s, d, dead, s * n + d)
             assert (r.delivered, r.hops, r.switches) == ref, (s, d)
             assert len(r.path) == r.hops + 1 and r.path[0] == s
@@ -305,7 +321,7 @@ def test_route_matches_reference_on_every_pair(graph, k, failure_prob):
                 longest = (s, d, r)
     s, d, full = longest
     assert full.hops >= 2
-    capped = route(state, s, d, failed=dead, hop_cap=full.hops - 1, seed=s * n + d)
+    capped = route(state, s, d, hop_cap=full.hops - 1, seed=s * n + d)
     assert not capped.delivered
     assert capped.hops == full.hops - 1
     assert capped.path == full.path[:-1]
@@ -315,15 +331,39 @@ def test_route_matches_reference_on_every_pair(graph, k, failure_prob):
 def test_shared_trial_loop_matches_separate_calls(ks):
     g = gnp_graph(40, 0.3, seed=28)
     args = (0.3, 30, 4, 33)
-    shared = routing._reliability_trials(g, ks, *args)
+    shared = reliability_experiment(g, ks, *args)
     assert len(shared) == len(ks)
     for k, summary in zip(ks, shared):
-        alone = reliability_experiment(g, k, *args)
+        (alone,) = reliability_experiment(g, (k,), *args)
         for name in ("k", "failure_prob", "pairs", "trials"):
             assert getattr(summary, name) == getattr(alone, name), name
     # A shared trial routes every k over the same failures, pairs and ceiling.
     for a, b in zip(shared[0].trials, shared[1].trials):
         assert a.ceiling_fraction == b.ceiling_fraction
+
+
+def test_reliability_routes_through_the_public_kernel(monkeypatch):
+    routes, states = [], []
+    real_route, real_build = routing.route, routing.build_routing
+
+    def counted_route(state, *args, **kwargs):
+        # Each k routes over a prefix of the trial's one built state.
+        built = states[-1]
+        for name in ("parent", "tin", "tout", "children", "up_dead"):
+            assert getattr(state, name) == getattr(built, name)[: state.k], name
+        routes.append(state.k)
+        return real_route(state, *args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        states.append(real_build(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(routing, "route", counted_route)
+    monkeypatch.setattr(routing, "build_routing", counted_build)
+    ks, pairs, trials = (1, 3), 15, 2
+    reliability_experiment(gnp_graph(30, 0.3, seed=28), ks, 0.2, pairs, trials, seed=37)
+    assert [s.k for s in states] == [max(ks)] * trials
+    assert routes == [k for _ in range(trials) for k in ks for _ in range(pairs)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -341,12 +381,12 @@ def test_route_seeds_are_derived_only_when_failover_shuffles(monkeypatch, k):
     monkeypatch.setattr(routing, "child_seed", counting(routing.child_seed, "seed"))
     monkeypatch.setattr(routing, "substream", counting(routing.substream, "stream"))
     pairs, trials = 25, 3
-    reliability_experiment(complete_graph(20), k, 0.2, pairs, trials, seed=34)
+    reliability_experiment(complete_graph(20), (k,), 0.2, pairs, trials, seed=34)
     per_pair = 1 if k == 3 else 0
     assert derived.count("seed") == derived.count("stream") == per_pair * pairs * trials
     derived.clear()
-    state = build_routing(splice(complete_graph(20), k, seed=35).source_trees)
-    route(state, 0, 7, failed=[(0, 1)], seed=36)
+    state = build_routing(splice(complete_graph(20), k, seed=35).source_trees, [(0, 1)])
+    route(state, 0, 7, seed=36)
     assert derived == ["stream"] * per_pair
 
 
@@ -354,12 +394,12 @@ def test_three_tree_route_is_pinned():
     # k = 3 is the smallest k whose failover shuffles, so the only one that
     # reads the route stream.
     g = complete_graph(24)
-    state = build_routing(splice(g, 3, seed=30).source_trees)
     failed = [(u, v) for u, v in g.iter_edges() if (u + 2 * v) % 3 == 0]
-    r = route(state, 0, 4, failed=failed, seed=32)
+    state = build_routing(splice(g, 3, seed=30).source_trees, failed)
+    r = route(state, 0, 4, seed=32)
     assert (r.delivered, r.hops, r.switches) == (True, 9, 4)
     assert r.path == (0, 20, 13, 12, 22, 23, 1, 18, 23, 4)
-    assert not route(state, 0, 4, failed=failed, seed=31).delivered
+    assert not route(state, 0, 4, seed=31).delivered
 
 
 def test_stretch_identity_is_exactly_one():

@@ -123,12 +123,12 @@ def test_process_bp_on_walks_are_pinned(n, p, graph_seed, phases, outcomes, dige
 
 def test_random_policy_routes_are_pinned():
     g = complete_graph(40)
-    state = build_routing(splice(g, 4, seed=9).source_trees)
     failed = [(u, v) for u, v in g.iter_edges() if (u * 7 + v * 3) % 5 == 0]
+    state = build_routing(splice(g, 4, seed=9).source_trees, failed)
     h = hashlib.sha256()
     switches = 0
     for s in range(40):
-        r = route(state, s, (s * 13 + 1) % 40, failed=failed, seed=s)
+        r = route(state, s, (s * 13 + 1) % 40, seed=s)
         switches += r.switches
         h.update(repr((r.delivered, r.hops, r.switches, r.path)).encode())
     assert switches == 43
