@@ -198,9 +198,8 @@ def _run_complete_graph(cfg: ExperimentConfig):
         )
     rows = []
     good = 0
-    kn = complete_graph(n)
     for s in range(seeds):
-        u = splice(kn, k, child_seed(cfg.seed, "splice", s))
+        u = splice(n, k, child_seed(cfg.seed, "splice", s))
         rep = vertex_expansion_exact(u.support)
         ok = rep.value >= 0.5
         good += ok
@@ -226,10 +225,9 @@ def _run_complete_graph(cfg: ExperimentConfig):
     means = []
     lam_min = math.inf
     for size in ladder:
-        kn = complete_graph(size)
         vals = spectral_lower_bounds(
             [
-                splice(kn, k, child_seed(cfg.seed, "spectral", size, s))
+                splice(size, k, child_seed(cfg.seed, "spectral", size, s))
                 for s in range(cfg.samples)
             ]
         ).tolist()

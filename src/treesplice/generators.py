@@ -5,7 +5,10 @@ bit-identical graph.  Randomized generators draw from a named substream so
 different generators never share a stream.  The regular generators hold
 edge sets as codes lo * n + hi (lo < hi), so one sort finds a repeated edge
 and one ``np.isin`` a colliding one; ``hamiltonian_regular_graph`` lists its
-edges in code order.
+edges in code order.  ``gnp_graph`` draws one double per pair in ``triu``
+order, ``_GNP_CHUNK`` (2^20) at a time, and decodes only the kept pair
+indices, so beyond the graph it holds O(chunk) memory, not O(n^2); Philox
+gives the same doubles at any chunk size, so the graph does not depend on it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .seeds import substream
 
 _REGULAR_RETRY_CAP = 1000
 _MATCHING_RETRY_CAP = 1000
+_GNP_CHUNK = 1 << 20  # G(n, p) pair draws at a time: 8 MiB of doubles
 
 
 def complete_graph(n: int) -> Graph:
@@ -74,20 +78,26 @@ def petersen_graph() -> Graph:
 
 
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
-    """G(n, p): each pair kept independently with probability p."""
+    """G(n, p): each pair kept independently with probability p, edges in
+    ``triu`` order."""
     if n < 1:
         raise ValueError("gnp needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    iu, iv = np.triu_indices(n, k=1)
+    pairs = n * (n - 1) // 2
+    kept = [np.empty(0, dtype=np.int64)]
     if p >= 1.0:
-        keep = np.ones(iu.shape, dtype=bool)
-    elif p <= 0.0:
-        keep = np.zeros(iu.shape, dtype=bool)
-    else:
+        kept.append(np.arange(pairs))
+    elif p > 0.0:
         rng = substream(seed, "gnp")
-        keep = rng.random(iu.shape[0]) < p
-    return Graph(n, np.column_stack([iu[keep], iv[keep]]))
+        for lo in range(0, pairs, _GNP_CHUNK):
+            kept.append(np.flatnonzero(rng.random(min(_GNP_CHUNK, pairs - lo)) < p) + lo)
+    pair = np.concatenate(kept)
+    # Row u of the triu order starts at pair u (2n - u - 1) / 2.
+    u = np.arange(n, dtype=np.int64)
+    starts = u * (2 * n - u - 1) // 2
+    row = np.searchsorted(starts, pair, side="right") - 1
+    return Graph(n, np.column_stack([row, pair - starts[row] + row + 1]))
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:

@@ -56,6 +56,12 @@ def _packed_rows(graph: Graph) -> np.ndarray:
     return rows.reshape(n, width)
 
 
+def _cover_step_cap(n: int, ratio: float = 1.0) -> int:
+    """64 n ln(n) * ratio, the cover-walk cap on n >= 2 vertices with
+    max / min degree ``ratio``; K_n's by default."""
+    return int(math.ceil(64 * n * math.log(max(n, 2)) * ratio))
+
+
 class GraphFormatError(ValueError):
     """Malformed graph input (bad line, self-loop, duplicate edge, ...)."""
 
@@ -237,8 +243,7 @@ class Graph:
         dmin = int(deg.min())
         if dmin == 0:
             return 64 * self.n
-        ratio = int(deg.max()) / dmin
-        return int(math.ceil(64 * self.n * math.log(max(self.n, 2)) * ratio))
+        return _cover_step_cap(self.n, int(deg.max()) / dmin)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -24,12 +24,15 @@ table's rows over the walk's edge ids (``_tree_masks`` is one such table).
 The scalar samplers remain for single long walks and for walks on a fresh
 orientation per run.
 
-Every walk reads the graph's CSR; an orientation's is its base graph's, with
-the rows filtered by the direction masks.  ``aldous_broder`` takes a block of
-words at a time and makes the block's moves at once, through the cached
-neighbour lists or, on K_n in ``triu`` order, as a cumulative sum mod n; it
-keeps first visits in numpy and reads each first-entry edge from its row
-slot, so its tree and trace are those of a step loop on the same words.
+Every walk but K_n's reads the graph's CSR; an orientation's is its base
+graph's, with the rows filtered by the direction masks.  ``aldous_broder``
+takes a block of words at a time and makes the block's moves at once,
+through the cached neighbour lists or, on K_n in ``triu`` order, as a
+cumulative sum mod n; it keeps first visits in numpy and reads each
+first-entry edge from its row slot, or on K_n from the ``triu`` formula, so
+its tree and trace are those of a step loop on the same words.  The K_n walk
+needs only n: ``aldous_broder``, ``sample_trees`` and ``splice`` take an int
+n for K_n, and K_n's trees then cost O(n) memory, not its n(n-1)/2 edges.
 ``process_bp_on`` permutes list rows it slices afresh per call.  Both apply
 ``seeds.below``'s exact rule inline to raw 64-bit words; a word below 2^64
 minus the walk's largest bound passes for every bound.
@@ -46,11 +49,12 @@ some walk gets stuck.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Orientation, SamplingError, _csr_rows
+from .graph import Graph, Orientation, SamplingError, _cover_step_cap, _csr_rows
 from .generators import direct_edges_dp
 from .seeds import WORDS, child_seed, substream, word_stream
 
@@ -149,27 +153,31 @@ class SpanningTree:
 
 
 def aldous_broder(
-    graph: Graph, seed: int, start: int = 0
+    graph: Graph | int, seed: int, start: int = 0
 ) -> tuple[SpanningTree, WalkTrace]:
     """Uniform spanning tree by random walk; keeps each first-entry edge.
 
     Walks until every vertex is visited.  A disconnected graph raises
     SamplingError before the first step, and a walk that has not covered
-    within ``graph.walk_step_cap()`` steps raises it too.  Steps come a block
-    at a time, in closed form on K_n in ``triu`` edge order, else from the
-    neighbour lists; first visits are kept in numpy after each block, and
-    the trace is cut at the last first visit.
+    within ``graph.walk_step_cap()`` steps raises it too.  An int n stands
+    for K_n in ``complete_graph``'s edge order, which is then never built.
+    Steps come a block at a time, in closed form from n alone on K_n in
+    ``triu`` edge order, else from the neighbour lists; first visits are
+    kept in numpy after each block, and the trace is cut at the last first
+    visit.
     """
-    n = graph.n
+    if isinstance(graph, Graph):
+        n, complete, cap = graph.n, graph._complete_in_order, graph.walk_step_cap()
+    else:
+        n = operator.index(graph)
+        complete, cap = True, _cover_step_cap(n)
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     if not 0 <= start < n:
         raise ValueError("start vertex out of range")
-    complete = graph._complete_in_order
     if not complete and not graph.is_connected():
         raise SamplingError("graph is disconnected; the walk cannot cover")
     gen = substream(seed, "aldous-broder")
-    cap = graph.walk_step_cap()
     draws: list[np.ndarray] = []
     blocks = (_complete_steps(gen, n, start) if complete
               else _neighbour_steps(graph, gen, start, draws))
@@ -259,8 +267,9 @@ def _neighbour_steps(graph: Graph, gen: np.random.Generator, start: int, draws: 
         yield np.array(pos, dtype=np.int64)
 
 
-def sample_trees(graph: Graph, k: int, seed: int) -> list[SpanningTree]:
-    """k independent uniform spanning trees from per-tree substreams."""
+def sample_trees(graph: Graph | int, k: int, seed: int) -> list[SpanningTree]:
+    """k independent uniform spanning trees from per-tree substreams; an int
+    n stands for K_n, as in ``aldous_broder``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return [

@@ -95,8 +95,9 @@ def union_trees(trees: list[SpanningTree] | tuple[SpanningTree, ...]) -> Splicer
     )
 
 
-def splice(graph: Graph, k: int, seed: int) -> Splicer:
-    """Union of k independent uniform spanning trees of ``graph``."""
+def splice(graph: Graph | int, k: int, seed: int) -> Splicer:
+    """Union of k independent uniform spanning trees of ``graph``; an int n
+    stands for K_n in ``complete_graph``'s edge order, which is not built."""
     return union_trees(sample_trees(graph, k, seed))
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesplice import generators
 from treesplice.generators import (
     complete_graph,
     cycle_graph,
@@ -16,6 +18,7 @@ from treesplice.generators import (
     star_graph,
 )
 from treesplice.graph import Graph, Orientation, SamplingError, _packed_rows, cut_edges
+from treesplice.seeds import substream
 
 
 def neighbors(g, v):
@@ -230,6 +233,50 @@ def test_hamiltonian_regular_contains_cycle():
     assert set(g.degrees.tolist()) == {3}
     for i in range(50):
         assert g.has_edge(i, (i + 1) % 50)
+
+
+def _gnp_all_pairs(n, p, seed):
+    """G(n, p) as built before the chunked draws: every pair of
+    ``triu_indices`` and one double per pair, all at once."""
+    iu, iv = np.triu_indices(n, k=1)
+    if p >= 1.0:
+        keep = np.ones(iu.shape, dtype=bool)
+    elif p <= 0.0:
+        keep = np.zeros(iu.shape, dtype=bool)
+    else:
+        keep = substream(seed, "gnp").random(iu.shape[0]) < p
+    return Graph(n, np.column_stack([iu[keep], iv[keep]]))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 3001])
+def test_gnp_equals_the_all_pairs_construction(n, p):
+    # n = 3001 has 4.5M pairs, so its draws span five chunks of 2^20.
+    for seed in (1,) if n > 1000 else (1, 2, 2**64 - 1):
+        assert gnp_graph(n, p, seed) == _gnp_all_pairs(n, p, seed)
+
+
+def test_gnp_chunk_seams(monkeypatch):
+    # An odd chunk puts seams everywhere in a row; 45 vertices have 990
+    # pairs, one chunk, and 46 have 1035, two.
+    monkeypatch.setattr(generators, "_GNP_CHUNK", 1001)
+    for n in (2, 45, 46, 64, 1000):
+        for p in (0.05, 0.5, 1.0):
+            for seed in (1, 7):
+                assert gnp_graph(n, p, seed) == _gnp_all_pairs(n, p, seed)
+
+
+def test_gnp_draws_are_memory_bounded():
+    n = 4096
+    tracemalloc.start()
+    try:
+        g = gnp_graph(n, 10 * math.log(n) / n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One chunk of 2^20 doubles is 8 MiB; all pairs at once traced 200 MiB.
+    assert peak < 24 << 20
+    assert 0.9 < g.m / (10 * math.log(n) * (n - 1) / 2) < 1.1
 
 
 def test_star_graph_shape():

@@ -807,3 +807,23 @@ def test_complete_graph_closed_form_keeps_the_step_cap(monkeypatch):
             aldous_broder(g, seed=5)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == "walk did not cover within 150 steps"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 129, 1024])
+def test_complete_walk_from_n_equals_the_graph_walk(n):
+    kn = complete_graph(n) if n > 1 else Graph(1, [])
+    if n > 1:
+        assert sampler._cover_step_cap(n) == kn.walk_step_cap()
+    for seed in (1, 2, 3):
+        for start in sorted({0, n - 1, n // 2, n // 3}):
+            want = _walk_arrays(kn, seed, start)
+            _assert_same_walk(_walk_arrays(n, seed, start), want)
+            _assert_same_walk(_walk_arrays(np.int64(n), seed, start), want)
+
+
+def test_complete_walk_from_n_checks_its_input():
+    for n, start in ((0, 0), (5, 5), (5, -1)):
+        with pytest.raises(ValueError):
+            aldous_broder(n, 1, start)
+    with pytest.raises(TypeError):
+        aldous_broder(5.0, 1)

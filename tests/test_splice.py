@@ -1,11 +1,13 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesplice.cuts import spectral_lower_bounds
 from treesplice.generators import complete_graph, gnp_graph, path_graph, random_regular_graph
 from treesplice.graph import Graph, SamplingError, cut_edges
 from treesplice.sampler import sample_trees
@@ -115,6 +117,44 @@ def test_splice_of_tree_is_that_tree():
         spl = splice(g, k, seed=3)
         assert sorted(spl.support.iter_edges()) == sorted(g.iter_edges())
         assert set(spl.multiplicity.tolist()) == {k}
+
+
+def _assert_same(got, want):
+    """Equal field by field, arrays in dtype and bytes, down to the trees."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    elif is_dataclass(want):
+        for f in fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 129, 1024])
+def test_splice_of_n_equals_splice_of_complete_graph(n):
+    kn = complete_graph(n)
+    for k in (1, 2, 3):
+        for seed in (1, 7, 2**64 - 1):
+            _assert_same(sample_trees(n, k, seed), sample_trees(kn, k, seed))
+            _assert_same(splice(n, k, seed), splice(kn, k, seed))
+
+
+def test_splices_of_k_n_by_n_are_memory_bounded():
+    splice(8, 2, seed=0)
+    tracemalloc.start()
+    try:
+        lams = spectral_lower_bounds([splice(1024, 2, seed=s) for s in range(12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Building complete_graph(1024) alone traced over 32 MiB.
+    assert peak < 12 << 20
+    assert (lams > 0.15).all()
 
 
 def test_splice_support_bounds_and_connectivity():

@@ -325,16 +325,19 @@ def test_coupling_estimate_p1_collapses():
 
 def test_coupling_estimate_below_p1_equals_failure_fraction():
     # Below p = 1 the estimate is the share of trials whose walk strands;
-    # replay the per-trial seeds.
-    n, p, trials, seed = 4, 0.6, 2000, 3
-    failures = sum(
-        not process_bp(
-            gnp_graph(n, p, child_seed(seed, "host", t)), p, child_seed(seed, "trial", t)
-        ).success
-        for t in range(trials)
-    )
-    assert 0 < failures < trials
-    assert coupling_distance_estimate(n, p, trials, seed) == failures / trials
+    # replay the per-trial seeds.  At n <= 8 this is the branch beside p = 1's
+    # exact TV.  The pins were read when gnp_graph drew all pairs at once, so
+    # they also hold the chunked generator's hosts fixed.
+    p = 0.6
+    for n, trials, seed, pinned in ((4, 2000, 3, 0.857), (6, 400, 11, 0.8675)):
+        hosts = (gnp_graph(n, p, child_seed(seed, "host", t)) for t in range(trials))
+        failures = sum(
+            not process_bp(host, p, child_seed(seed, "trial", t)).success
+            for t, host in enumerate(hosts)
+        )
+        assert 0 < failures < trials
+        est = coupling_distance_estimate(n, p, trials, seed)
+        assert est == failures / trials == pinned
 
 
 def test_coupling_estimate_failure_rate_regime():
