@@ -19,7 +19,6 @@ from .generators import (
     petersen_graph,
     prism_graph,
     random_regular_graph,
-    star_graph,
     wheel_graph,
 )
 from .linalg import (

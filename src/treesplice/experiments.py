@@ -61,19 +61,6 @@ class ExperimentConfig:
     out_json: str | None = None
     out_csv: str | None = None
 
-    def to_text(self) -> str:
-        """Canonical flat key=value form; round-trips bit-faithfully."""
-        lines = []
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is None:
-                continue
-            if isinstance(val, float):
-                lines.append(f"{f.name}={val!r}")
-            else:
-                lines.append(f"{f.name}={val}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
@@ -91,12 +78,13 @@ class ExperimentConfig:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            if key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(val)
-            else:
-                values[key] = val
+            kind = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: bad {kind.__name__} value {val!r} for {key}"
+                ) from None
         if "preset" not in values:
             raise ValueError("config must name a preset")
         return cls(**values)
@@ -339,21 +327,19 @@ def _run_stretch(cfg: ExperimentConfig):
     big_stretches = []
     small_stretches = []
     dia_max = 0
-    kn = complete_graph(n)
-    ks = complete_graph(small)
     for s in range(cfg.trials):
-        one = splice(kn, 1, child_seed(cfg.seed, "one-tree", n, s))
-        ms, _ = stretch_stats(kn, one, pairs, child_seed(cfg.seed, "pairs", n, s))
+        one = splice(n, 1, child_seed(cfg.seed, "one-tree", n, s))
+        ms, _ = stretch_stats(n, one, pairs, child_seed(cfg.seed, "pairs", n, s))
         big_stretches.append(ms)
         rows.append({"kind": "single-tree-stretch", "n": n, "seed_index": s, "value": ms})
-        one_s = splice(ks, 1, child_seed(cfg.seed, "one-tree", small, s))
-        ms_s, _ = stretch_stats(ks, one_s, pairs, child_seed(cfg.seed, "pairs", small, s))
+        one_s = splice(small, 1, child_seed(cfg.seed, "one-tree", small, s))
+        ms_s, _ = stretch_stats(small, one_s, pairs, child_seed(cfg.seed, "pairs", small, s))
         small_stretches.append(ms_s)
         rows.append(
             {"kind": "single-tree-stretch", "n": small, "seed_index": s, "value": ms_s}
         )
-        two = splice(kn, 2, child_seed(cfg.seed, "two-tree", s))
-        _, dia = stretch_stats(kn, two, pairs, child_seed(cfg.seed, "dia-pairs", s))
+        two = splice(n, 2, child_seed(cfg.seed, "two-tree", s))
+        _, dia = stretch_stats(n, two, pairs, child_seed(cfg.seed, "dia-pairs", s))
         dia_max = max(dia_max, int(dia))
         rows.append({"kind": "two-splicer-diameter", "n": n, "seed_index": s, "value": dia})
     ratio = float(np.mean(big_stretches)) / float(np.mean(small_stretches))

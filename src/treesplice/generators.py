@@ -47,13 +47,6 @@ def path_graph(n: int) -> Graph:
     return Graph(n, np.column_stack([u, u + 1]))
 
 
-def star_graph(leaves: int) -> Graph:
-    """Hub vertex 0 joined to ``leaves`` leaves."""
-    if leaves < 1:
-        raise ValueError("star needs at least one leaf")
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 def wheel_graph(n: int) -> Graph:
     """Hub vertex 0 plus an (n-1)-cycle on the rim; n vertices total."""
     if n < 4:

@@ -152,9 +152,6 @@ class Graph:
         deg.setflags(write=False)
         return deg
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ends = np.concatenate([self._eu, self._ev])
@@ -216,9 +213,6 @@ class Graph:
         if not 0 <= eid < self.m:
             raise ValueError("edge id out of range")
         return eid
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_id(u, v) is not None
 
     def is_connected(self) -> bool:
         return self._connected

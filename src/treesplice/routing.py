@@ -28,6 +28,7 @@ ceil(n / 64)) word operations, so long-diameter graphs are slow: a cycle of
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
@@ -378,7 +379,7 @@ def _ball_pairs(
 
 
 def stretch_stats(
-    graph: Graph, spliced, pairs: int, seed: int
+    graph: Graph | int, spliced, pairs: int, seed: int
 ) -> tuple[float, int | None]:
     """Mean distance inflation over sampled pairs, plus the exact support diameter.
 
@@ -393,24 +394,25 @@ def stretch_stats(
     O(diameter (n + 2m) ceil(n / 64)) word operations, so long-diameter
     graphs are slow (a cycle of 4000 vertices as base and support takes
     about 24 s on one Xeon core).  A base with n(n-1)/2 edges builds
-    nothing: every pair is an edge and every support a subgraph.  The
-    diameter is None when the support is disconnected.  A pair connected in
-    the base but not in the support has infinite stretch, so the mean reads
-    inf; pairs disconnected in the base are skipped.
+    nothing: every pair is an edge and every support a subgraph; an int n
+    stands for that K_n, as in ``splice``.  The diameter is None when the
+    support is disconnected.  A pair connected in the base but not in the
+    support has infinite stretch, so the mean reads inf; pairs disconnected
+    in the base are skipped.
     """
     support = _as_graph(spliced)
-    if support.n != graph.n:
+    n = graph.n if isinstance(graph, Graph) else operator.index(graph)
+    if support.n != n:
         raise ValueError("vertex sets differ")
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if n > DIAMETER_MAX_N:
         raise ValueError(f"stretch_stats measures exact distances up to n = {DIAMETER_MAX_N}")
     srcs, dsts = _random_pairs(substream(seed, "stretch-pairs"), n, pairs)
     d_base = np.ones(pairs)
-    if graph.m < n * (n - 1) // 2:
+    if isinstance(graph, Graph) and graph.m < n * (n - 1) // 2:
         rows = _packed_rows(graph).view("<u8")
         if not _bits(rows, support.edge_u, support.edge_v).all():
             raise ValueError("support is not a subgraph of the base graph")

@@ -285,13 +285,12 @@ _ORIENTED_TEMP_BYTES = 64
 _BATCH_BYTES = 16 << 20
 
 
-def _cover_walk_trees(
-    graph: Graph | Orientation, trials: int, rng: np.random.Generator, start: int = 0
-):
-    """Run many first-visit cover walks in lockstep; yield their trees by chunk.
+def _cover_walk_trees(graph: Graph | Orientation, trials: int, rng: np.random.Generator):
+    """Run many first-visit cover walks from vertex 0 in lockstep; yield their
+    trees by chunk.
 
     Each chunk is an array ``first`` of shape (walks, n): ``first[w, v]`` is
-    the id of the edge by which walk w first entered v, -2 at ``start`` and -1
+    the id of the edge by which walk w first entered v, -2 at vertex 0 and -1
     where the walk never arrived.  Its dtype is the smallest signed integer
     that holds m + 1, so a table of m + 2 entries indexed by ``first`` reads
     its last two entries at -1 and -2.
@@ -331,8 +330,6 @@ def _cover_walk_trees(
         raise ValueError("batch walks need n >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 <= start < n:
-        raise ValueError("start vertex out of range")
     oriented = isinstance(graph, Orientation)
     indptr, heads, arc_eids = graph._csr
     heads = heads.astype(np.int64)
@@ -354,12 +351,12 @@ def _cover_walk_trees(
     for done in range(0, trials, chunk):
         w = min(chunk, trials - done)
         first = np.full((w, n), -1, dtype=first_t)
-        first[:, start] = -2
+        first[:, 0] = -2
         flat = first.reshape(-1)
         # State of the active walks only, in walk order: the current vertex,
         # the count of vertices not yet entered, and the walk's row offset
         # into ``flat`` (also its offset into ``d1``).
-        cur = np.full(w, start, dtype=np.int64)
+        cur = np.zeros(w, dtype=np.int64)
         left = np.full(w, n - 1, dtype=np.int32)
         off = np.arange(0, w * n, n, dtype=np.int64)
         if oriented:
@@ -418,29 +415,26 @@ def _cover_walk_trees(
         yield first
 
 
-def _tree_edge_counts(
-    graph: Graph, trials: int, rng: np.random.Generator, start: int = 0
-) -> np.ndarray:
+def _tree_edge_counts(graph: Graph, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Per edge, how many of ``trials`` sampled trees contain it."""
     counts = np.zeros(graph.m + 2, dtype=np.int64)
-    for first in _cover_walk_trees(graph, trials, rng, start):
+    for first in _cover_walk_trees(graph, trials, rng):
         for col in first.T:
             counts += np.bincount(col + 2, minlength=graph.m + 2)
     return counts[2:]
 
 
 def _tree_sums(
-    graph: Graph | Orientation, trials: int, rng: np.random.Generator, table,
-    start: int = 0,
+    graph: Graph | Orientation, trials: int, rng: np.random.Generator, table
 ) -> np.ndarray:
     """Per walk, the sum of ``table``'s rows over the walk's first-entry edge ids.
 
-    ``table`` has m + 2 rows: row e for edge e, row -2 for the start vertex
+    ``table`` has m + 2 rows: row e for edge e, row -2 for the start vertex 0
     and row -1 for a vertex the walk never reached.  The result has one row
     per walk, in ``table``'s dtype, which must hold the sums.
     """
     sums = []
-    for first in _cover_walk_trees(graph, trials, rng, start):
+    for first in _cover_walk_trees(graph, trials, rng):
         acc = np.zeros((len(first),) + table.shape[1:], dtype=table.dtype)
         for col in first.T:
             acc += table[col]
@@ -449,7 +443,7 @@ def _tree_sums(
 
 
 def _tree_masks(
-    graph: Graph | Orientation, trials: int, rng: np.random.Generator, ids, start: int = 0
+    graph: Graph | Orientation, trials: int, rng: np.random.Generator, ids
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per walk, a bitmask of the listed edge ids (at most 64) in its tree, and
     whether the walk got stuck before cover (only under the oriented rule)."""
@@ -463,7 +457,7 @@ def _tree_masks(
     table = np.zeros((graph.m + 2, 2), dtype=np.uint64)
     table[ids, 0] = np.uint64(1) << np.arange(ids.size, dtype=np.uint64)
     table[-1, 1] = 1
-    sums = _tree_sums(graph, trials, rng, table, start)
+    sums = _tree_sums(graph, trials, rng, table)
     return sums[:, 0], sums[:, 1] > 0
 
 
@@ -486,10 +480,8 @@ class ProcessBResult:
     steps_taken: int = 0
 
 
-def process_bp_on(
-    oriented: Orientation, seed: int, start: int = 0, phases: int = 1
-) -> ProcessBResult:
-    """Run the oriented-walk process on an existing orientation.
+def process_bp_on(oriented: Orientation, seed: int, phases: int = 1) -> ProcessBResult:
+    """Run the oriented-walk process on an existing orientation, from vertex 0.
 
     Per vertex the out-arc list is kept partitioned: the first d1 slots hold
     previously traversed arcs.  A step draws one integer below
@@ -504,8 +496,6 @@ def process_bp_on(
     n = oriented.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if not 0 <= start < n:
-        raise ValueError("start vertex out of range")
     if phases < 1:
         raise ValueError("phases must be >= 1")
     indptr, heads, eids = oriented._csr
@@ -514,7 +504,7 @@ def process_bp_on(
     word = word_stream(substream(seed, "walk"))
     safe = WORDS - int(oriented.out_degrees.max(initial=0)) * (n - 1)
     cap = phases * oriented.walk_step_cap()
-    cur = start
+    cur = 0
     steps = 0
     trees = []
     for _ in range(phases):

@@ -108,10 +108,13 @@ def splice_gnp(graph: Graph, p: float, seed: int) -> Splicer:
     on a random orientation calibrated to G(n, p).  A run that strands is
     retried on a fresh substream, and exhausting ``SPARSIFY_RETRY_CAP``
     attempts raises SamplingError (distinguishable from invalid input, which
-    raises ValueError).
+    raises ValueError).  A disconnected graph raises SamplingError before
+    the first attempt, as no walk on it can cover.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
+    if not graph.is_connected():
+        raise SamplingError("graph is disconnected; the walk cannot cover")
     for attempt in range(SPARSIFY_RETRY_CAP):
         res = process_bp(graph, p, child_seed(seed, "attempt", attempt), phases=2)
         if res.success:

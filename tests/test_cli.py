@@ -5,8 +5,9 @@ import time
 import pytest
 
 from treesplice.cli import main
+from treesplice.generators import complete_graph
 from treesplice.graph import Graph
-from treesplice.io import parse_graph, parse_tree, parse_weighted, serialize_graph
+from treesplice.io import parse_graph, serialize_graph
 
 
 def run(argv):
@@ -29,8 +30,11 @@ def test_generate_and_sample_roundtrip(tmp_path):
         )
         == 0
     )
-    tree = parse_tree(tpath.read_text())
-    assert tree.n == 10
+    # A tree file is "tree n root" and its edge rows, read here as a graph.
+    header, *rows = tpath.read_text().splitlines()
+    assert header == "tree 10 0"
+    tree = parse_graph("\n".join([f"10 {len(rows)}", *rows]))
+    assert tree.n == 10 and tree.m == 9 and tree.is_connected()
     trace_ids = [int(x) for x in trpath.read_text().split()]
     assert trace_ids[0] == 0
     assert set(trace_ids) == set(range(10))
@@ -108,9 +112,27 @@ def test_sparsify_cli(tmp_path):
     wpath = tmp_path / "w.txt"
     assert run(["generate", "--kind", "gnp", "--n", "150", "--p", "0.5", "--seed", "2", "--out", str(gpath)]) == 0
     assert run(["sparsify", "--graph", str(gpath), "--p", "0.5", "--seed", "3", "--out", str(wpath)]) == 0
-    wg = parse_weighted(wpath.read_text())
-    assert wg.graph.m <= 2 * 149
-    assert wg.weights[0] == 0.5 * 150
+    # A weighted file is a graph file with a weight ending each edge row.
+    header, *rows = wpath.read_text().splitlines()
+    support = parse_graph("\n".join([header, *(r.rsplit(" ", 1)[0] for r in rows)]))
+    weights = [float(r.split()[2]) for r in rows]
+    assert support.m <= 2 * 149
+    assert weights[0] == 0.5 * 150
+
+
+def test_sparsify_disconnected_graph_fails_fast(tmp_path, capsys):
+    # Two disjoint copies of K_300: no oriented walk can cover, so sparsify
+    # fails before its first attempt rather than after every retry.
+    edges = list(complete_graph(300).iter_edges())
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(Graph(600, edges + [(u + 300, v + 300) for u, v in edges])))
+    t0 = time.perf_counter()
+    status = run(["sparsify", "--graph", str(gpath), "--p", "1", "--seed", "1", "--out", "-"])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert status == 1
+    assert "disconnected" in err and err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
@@ -283,6 +305,17 @@ def test_preset_cli_with_config_and_exit_codes(tmp_path):
     assert run(["preset"]) == 2
     # Conflicting names: config says tail-bound.
     assert run(["preset", "stretch-diameter", "--config", str(cfgpath)]) == 2
+
+
+def test_config_bad_value_names_its_line(tmp_path, capsys):
+    cfgpath = tmp_path / "cfg.txt"
+    for text, want in (
+        ("preset=thm-tail-bound\nseed=1\nn=abc\n", "line 3: bad int value 'abc' for n"),
+        ("preset=thm-random-graph\np=1e\n", "line 2: bad float value '1e' for p"),
+    ):
+        cfgpath.write_text(text)
+        assert run(["preset", "--config", str(cfgpath)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_stretch_preset_above_the_diameter_cap_is_a_usage_error(

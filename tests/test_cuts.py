@@ -25,7 +25,6 @@ from treesplice.generators import (
     petersen_graph,
     prism_graph,
     random_regular_graph,
-    star_graph,
     wheel_graph,
 )
 from treesplice.graph import ConvergenceError, Graph, _packed_rows, cut_edges
@@ -50,7 +49,7 @@ def evaluate_subset(graph, subset, kind: str) -> float:
 def test_edge_expansion_known_values():
     assert edge_expansion_exact(complete_graph(4)).value == 2.0
     assert edge_expansion_exact(cycle_graph(6)).value == pytest.approx(2 / 3)
-    assert edge_expansion_exact(star_graph(4)).value == 1.0
+    assert edge_expansion_exact(Graph(5, [(0, i) for i in range(1, 5)])).value == 1.0
 
 
 def test_vertex_expansion_known_values():
@@ -99,7 +98,8 @@ def test_scan_matches_brute_force_on_random_graphs(kind, monkeypatch):
     graphs = [g for g in graphs if g.is_connected()]
     small = [connected_gnp(n, p, seed=n) for n, p in ((12, 0.3), (13, 0.5), (14, 0.25))]
     # Symmetric graphs tie many cuts at the minimum, across many blocks.
-    ties = [cycle_graph(12), path_graph(11), star_graph(9), petersen_graph(), cube_graph()]
+    star = Graph(10, [(0, i) for i in range(1, 10)])
+    ties = [cycle_graph(12), path_graph(11), star, petersen_graph(), cube_graph()]
 
     def check(g):
         rep = (edge_expansion_exact if kind == "edge" else vertex_expansion_exact)(g)
@@ -658,7 +658,7 @@ def _small_spectral_cases():
     and each of those with unit and with random weights in [0.05, 20]."""
     bases = [petersen_graph(), prism_graph(), gnp_graph(40, 0.2, seed=3)]
     for n in range(2, 65):
-        bases += [path_graph(n), complete_graph(n), star_graph(n - 1)]
+        bases += [path_graph(n), complete_graph(n), Graph(n, [(0, i) for i in range(1, n)])]
         bases += [cycle_graph(n)] if n >= 3 else []
         bases += [wheel_graph(n)] if n >= 4 else []
     for i, g in enumerate(bases):

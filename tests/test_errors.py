@@ -18,7 +18,7 @@ def test_lower_bound_family_too_tight_is_sampling_error():
 
 def test_process_walk_with_no_out_arcs_fails_immediately():
     oriented = Orientation(Graph(3, [(1, 2)]), [True], [False])  # 0 has no way out
-    res = process_bp_on(oriented, seed=1, start=0)
+    res = process_bp_on(oriented, seed=1)
     assert not res.success
     assert res.stuck_vertex == 0
     assert res.steps_taken == 0

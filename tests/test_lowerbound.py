@@ -119,10 +119,10 @@ def _broken_families():
     g, base, paths, rings = fam.graph, fam.base, fam.paths, fam.ring_cycles
     start = fam.start_vertex()
     hub = int(g.degrees.argmax())
-    far = next(w for w in range(fam.n) if w != hub and not g.has_edge(hub, w))
+    far = next(w for w in range(fam.n) if w != hub and g.edge_id(hub, w) is None)
     ring = rings[0]
     ring_edge = next(
-        (a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if not base.has_edge(a, b)
+        (a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if base.edge_id(a, b) is None
     )
     yield replace(fam, base=Graph(fam.n + 1, list(base.iter_edges()))), "vertex counts differ"
     yield replace(fam, graph=_edited(g, add=[(hub, far)])), "exceeds d + 2"
@@ -143,7 +143,7 @@ def _broken_families():
     ), f"edge {pair} missing"
 
     fam = lower_bound_family(600, 3, 3, seed=23)
-    seg = next(s for s in fam.paths if not fam.base.has_edge(s[0], s[-1]))
+    seg = next(s for s in fam.paths if fam.base.edge_id(s[0], s[-1]) is None)
     ends = (seg[0], seg[-1])
     yield replace(fam, graph=_edited(fam.graph, drop=[ends])), f"edge {ends} missing"
 

@@ -13,7 +13,6 @@ from treesplice.generators import (
     gnp_graph,
     path_graph,
     random_regular_graph,
-    star_graph,
 )
 from treesplice.graph import Graph, _packed_rows
 from treesplice.routing import (
@@ -40,7 +39,7 @@ def test_path_tree_next_hops():
 
 
 def test_star_tree_next_hop_is_center():
-    g = star_graph(5)
+    g = Graph(6, [(0, i) for i in range(1, 6)])
     state = build_routing(sample_trees(g, 1, seed=2))
     for dst in range(1, 6):
         for leaf in range(1, 6):
@@ -423,6 +422,19 @@ def test_stretch_requires_matching_vertex_sets():
         stretch_stats(complete_graph(10), complete_graph(12), pairs=5, seed=0)
 
 
+def test_stretch_of_n_equals_stretch_of_complete_graph():
+    for n in (2, 3, 17, 64, 300):
+        kn = complete_graph(n)
+        for k in (1, 2):
+            for seed in range(3):
+                spl = splice(n, k, seed=seed)
+                want = stretch_stats(kn, spl, 500, seed)
+                assert stretch_stats(n, spl, 500, seed) == want
+                assert stretch_stats(np.int64(n), spl, 500, seed) == want
+    with pytest.raises(ValueError, match="vertex sets differ"):
+        stretch_stats(12, complete_graph(10), pairs=5, seed=0)
+
+
 def _graph_adjacency(g: Graph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.iter_edges():
@@ -494,7 +506,7 @@ def test_stretch_above_diameter_cap_is_refused(monkeypatch):
     [
         (path_graph(50), path_graph(50)),
         (complete_graph(50), path_graph(50)),
-        (complete_graph(12), star_graph(11)),
+        (complete_graph(12), Graph(12, [(0, i) for i in range(1, 12)])),
         (complete_graph(2), path_graph(2)),
     ],
     ids=["path", "path-in-k50", "star", "n2"],
