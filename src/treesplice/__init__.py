@@ -22,7 +22,6 @@ from .generators import (
     wheel_graph,
 )
 from .linalg import (
-    effective_resistance,
     effective_resistance_exact,
     effective_resistances,
     laplacian_dense,
@@ -40,7 +39,7 @@ from .sampler import (
     tree_edge_frequencies,
 )
 from .seeds import child_seed, substream
-from .splice import Splicer, WeightedGraph, sparsify_gnp, splice, splice_gnp, union_trees
+from .splice import WeightedGraph, sparsify_gnp, splice, splice_gnp, union_trees
 from .lowerbound import (
     LowerBoundFamily,
     forced_cut_events,

@@ -120,8 +120,7 @@ def _cmd_sample_tree(args) -> int:
 
 def _cmd_splice(args) -> int:
     g = _load_graph(args.graph)
-    spl = splice(g, args.k, args.seed)
-    _write(args.out, gio.serialize_graph(spl.support))
+    _write(args.out, gio.serialize_graph(splice(g, args.k, args.seed)))
     return EXIT_OK
 
 

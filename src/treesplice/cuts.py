@@ -37,7 +37,9 @@ Weighted and sparse graphs keep x^T L_w x for the indicator x, summed a block
 of indicator columns X at a time as the column sums of (L_w X) * X, with the
 three float64 n-by-block arrays within the same budget.  Both ways give the
 same values.
-All analyses are read-only.
+Every analysis takes a ``Graph``, and a splicer from ``splice`` is one; the
+spectral bound and cut ratios also take a ``WeightedGraph``.  All analyses
+are read-only.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .graph import ConvergenceError, Graph, _packed_rows
 from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
-from .splice import WeightedGraph, _as_graph
+from .splice import WeightedGraph
 
 EXACT_SCAN_MAX_N = 24
 _CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
@@ -282,6 +284,13 @@ def _require_connected(graph: Graph, what: str) -> None:
         raise ValueError(f"{what} needs a connected graph")
 
 
+def _graph_and_weights(obj) -> tuple[Graph, np.ndarray | None]:
+    """A ``WeightedGraph``'s graph and weights, or a plain graph and None."""
+    if isinstance(obj, WeightedGraph):
+        return obj.graph, obj.weights
+    return obj, None
+
+
 def spectral_lower_bound(obj) -> float:
     """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
 
@@ -293,7 +302,7 @@ def spectral_lower_bound(obj) -> float:
 
 
 def spectral_lower_bounds(objs) -> np.ndarray:
-    """lambda_2 of each graph, splicer or weighted graph; all share one n.
+    """lambda_2 of each graph or weighted graph; all share one n.
 
     Each Laplacian L gets the operator L + shift J / n, with J the all-ones
     matrix and shift = 2 max degree + 2 > lambda_max(L), so that lambda_2 is
@@ -313,16 +322,13 @@ def spectral_lower_bounds(objs) -> np.ndarray:
     objs = list(objs)
     if not objs:
         raise ValueError("need at least one graph")
-    graphs = [_as_graph(obj) for obj in objs]
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
+    weighted = [_graph_and_weights(obj) for obj in objs]
+    n = weighted[0][0].n
+    if any(g.n != n for g, _ in weighted):
         raise ValueError("graphs of one batch must share one vertex count")
-    for g in graphs:
+    for g, _ in weighted:
         _require_connected(g, "spectral bound")
-    laps = [
-        laplacian_sparse(g, obj.weights if isinstance(obj, WeightedGraph) else None)
-        for obj, g in zip(objs, graphs)
-    ]
+    laps = [laplacian_sparse(g, w) for g, w in weighted]
     return _lockstep_lanczos(laps)
 
 
@@ -622,10 +628,9 @@ def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
 
 def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> CutRatios:
     """Cut sizes of ``derived`` against ``graph`` over the sampled families."""
-    d_graph = _as_graph(derived)
+    d_graph, weights = _graph_and_weights(derived)
     if d_graph.n != graph.n:
         raise ValueError("graph and derived object must share a vertex set")
-    weights = derived.weights if isinstance(derived, WeightedGraph) else None
     family, indptr, members = sample_cut_subsets(graph, samples, seed)
     return CutRatios(
         family=family,

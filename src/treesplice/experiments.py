@@ -187,8 +187,7 @@ def _run_complete_graph(cfg: ExperimentConfig):
     rows = []
     good = 0
     for s in range(seeds):
-        u = splice(n, k, child_seed(cfg.seed, "splice", s))
-        rep = vertex_expansion_exact(u.support)
+        rep = vertex_expansion_exact(splice(n, k, child_seed(cfg.seed, "splice", s)))
         ok = rep.value >= 0.5
         good += ok
         rows.append(

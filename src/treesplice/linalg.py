@@ -129,17 +129,6 @@ def effective_resistance_exact(graph: Graph, u: int, v: int) -> Fraction:
     return Fraction(_transfer_current(adj, (u, v), (u, v)), tau)
 
 
-def effective_resistance(graph: Graph, edge) -> float:
-    """Effective resistance across an edge, all edges unit resistors.
-
-    Accepts an edge id or an (u, v) pair; requires a connected graph.  Equals
-    the potential difference across the endpoints under a unit current.  It
-    inverts the whole reduced Laplacian, so ask ``effective_resistances`` for
-    many edges at once.
-    """
-    return float(effective_resistances(graph, [graph.resolve_edge(edge)])[0])
-
-
 def effective_resistances(graph: Graph, edge_ids=None) -> np.ndarray:
     """Effective resistance of each listed edge (all edges when None).
 

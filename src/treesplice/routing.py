@@ -14,15 +14,17 @@ tree) pair is never re-entered, which bounds looping.
 from its failed edges and shares it, with its pairs and base-graph ceiling,
 across every k it compares.
 
-Stretch distances are exact hop counts from one of two paths, for
-n <= DIAMETER_MAX_N (above it ``stretch_stats`` raises).  A tree support
-answers from depth and lowest common ancestor (binary lifting, O(n log n)
-memory).  Any other support, and a base that is not complete, grows every
-vertex's ball at once as packed bits, starting from the packed neighbour
-table of ``graph._packed_rows`` (an n^2/8-byte table, 2 MiB at n = 4096,
-with its row gathers capped at 4 MiB); that costs O(diameter (n + 2m)
-ceil(n / 64)) word operations, so long-diameter graphs are slow: a cycle of
-4000 vertices as base and support takes about 24 s on one Xeon core.
+Stretch compares hop distances in a support ``Graph``, such as a splicer
+from ``splice``, with those in its base graph.  Distances are exact and come
+from one of two paths, for n <= DIAMETER_MAX_N (above it ``stretch_stats``
+raises).  A tree support answers from depth and lowest common ancestor
+(binary lifting, O(n log n) memory).  Any other support, and a base that is
+not complete, grows every vertex's ball at once as packed bits, starting
+from the packed neighbour table of ``graph._packed_rows`` (an n^2/8-byte
+table, 2 MiB at n = 4096, with its row gathers capped at 4 MiB); that costs
+O(diameter (n + 2m) ceil(n / 64)) word operations, so long-diameter graphs
+are slow: a cycle of 4000 vertices as base and support takes about 24 s on
+one Xeon core.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import scipy.sparse.csgraph as csgraph
 from .graph import Graph, _packed_rows, _vertex_pairs
 from .sampler import sample_trees
 from .seeds import below, child_seed, substream, word_stream
-from .splice import _as_graph
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,7 @@ def _ball_pairs(
 
 
 def stretch_stats(
-    graph: Graph | int, spliced, pairs: int, seed: int
+    graph: Graph | int, support: Graph, pairs: int, seed: int
 ) -> tuple[float, int | None]:
     """Mean distance inflation over sampled pairs, plus the exact support diameter.
 
@@ -400,7 +401,6 @@ def stretch_stats(
     support has infinite stretch, so the mean reads inf; pairs disconnected
     in the base are skipped.
     """
-    support = _as_graph(spliced)
     n = graph.n if isinstance(graph, Graph) else operator.index(graph)
     if support.n != n:
         raise ValueError("vertex sets differ")

@@ -83,11 +83,6 @@ class SpanningTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def edge_ids(self) -> np.ndarray:
-        """Base-graph edge ids of the n-1 tree edges, ascending."""
-        ids = self.parent_edge[self.parent_edge >= 0]
-        return np.sort(ids)
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):

@@ -1,4 +1,9 @@
-"""Unions of spanning trees and the uniform-weight cut sparsifier."""
+"""Unions of spanning trees (splicers) and the uniform-weight cut sparsifier.
+
+A splicer is its support: the ``Graph`` that holds, once each and in
+ascending base-edge-id order, every base edge that some tree holds.  How
+many trees hold an edge is one ``np.bincount`` over their ``parent_edge``.
+"""
 
 from __future__ import annotations
 
@@ -11,35 +16,6 @@ from .sampler import SpanningTree, process_bp, sample_trees
 from .seeds import child_seed
 
 SPARSIFY_RETRY_CAP = 16
-
-
-@dataclass(frozen=True)
-class Splicer:
-    """Union of k spanning trees: deduplicated support plus per-edge multiplicity."""
-
-    support: Graph
-    multiplicity: np.ndarray
-    k: int
-    source_trees: tuple[SpanningTree, ...]
-    support_base_eids: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.support.n
-
-    def validate(self) -> None:
-        total = int(self.multiplicity.sum())
-        expect = self.k * (self.n - 1)
-        if total != expect:
-            raise ValueError(f"multiplicities sum to {total}, expected {expect}")
-        if self.support.m > expect:
-            raise ValueError("support larger than the union can be")
-        if not self.support.is_connected():
-            raise ValueError("support must be connected")
-        known = set(self.support_base_eids.tolist())
-        for tree in self.source_trees:
-            if not set(tree.edge_ids().tolist()) <= known:
-                raise ValueError("a source tree has edges outside the support")
 
 
 @dataclass(frozen=True)
@@ -63,17 +39,8 @@ class WeightedGraph:
         return self.graph.n
 
 
-def _as_graph(obj) -> Graph:
-    """The graph under a ``Splicer`` (its support) or a ``WeightedGraph``."""
-    if isinstance(obj, Splicer):
-        return obj.support
-    if isinstance(obj, WeightedGraph):
-        return obj.graph
-    return obj
-
-
-def union_trees(trees: list[SpanningTree] | tuple[SpanningTree, ...]) -> Splicer:
-    """Union the trees' edge sets, counting how many trees contain each edge."""
+def union_trees(trees: list[SpanningTree] | tuple[SpanningTree, ...]) -> Graph:
+    """The splicer: every base edge some tree holds, once, in base-edge-id order."""
     if not trees:
         raise ValueError("need at least one tree")
     n = trees[0].n
@@ -84,24 +51,17 @@ def union_trees(trees: list[SpanningTree] | tuple[SpanningTree, ...]) -> Splicer
     keep = parent >= 0
     edge = np.concatenate([t.parent_edge for t in trees])[keep]
     child = np.tile(np.arange(n), len(trees))[keep]
-    eids, first, mult = np.unique(edge, return_index=True, return_counts=True)
-    support = Graph(n, np.column_stack([parent[keep][first], child[first]]))
-    return Splicer(
-        support=support,
-        multiplicity=mult.astype(np.int32),
-        k=len(trees),
-        source_trees=tuple(trees),
-        support_base_eids=eids.astype(np.int64),
-    )
+    _, first = np.unique(edge, return_index=True)
+    return Graph(n, np.column_stack([parent[keep][first], child[first]]))
 
 
-def splice(graph: Graph | int, k: int, seed: int) -> Splicer:
+def splice(graph: Graph | int, k: int, seed: int) -> Graph:
     """Union of k independent uniform spanning trees of ``graph``; an int n
     stands for K_n in ``complete_graph``'s edge order, which is not built."""
     return union_trees(sample_trees(graph, k, seed))
 
 
-def splice_gnp(graph: Graph, p: float, seed: int) -> Splicer:
+def splice_gnp(graph: Graph, p: float, seed: int) -> Graph:
     """Union of the two first-visit trees of one oriented walk on ``graph``.
 
     ``process_bp`` with two phases cuts both trees from one continuous walk
@@ -125,6 +85,6 @@ def splice_gnp(graph: Graph, p: float, seed: int) -> Splicer:
 
 
 def sparsify_gnp(graph: Graph, p: float, seed: int) -> WeightedGraph:
-    """``splice_gnp``'s support with uniform weight p*n on every edge."""
-    support = splice_gnp(graph, p, seed).support
+    """``splice_gnp``'s splicer with uniform weight p*n on every edge."""
+    support = splice_gnp(graph, p, seed)
     return WeightedGraph(support, np.full(support.m, p * graph.n))

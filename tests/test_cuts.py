@@ -9,6 +9,7 @@ from treesplice import cuts
 from treesplice.cuts import (
     CutRatios,
     _cut_values,
+    _graph_and_weights,
     edge_expansion_exact,
     sample_cut_subsets,
     sampled_cut_ratios,
@@ -30,7 +31,7 @@ from treesplice.generators import (
 from treesplice.graph import ConvergenceError, Graph, _packed_rows, cut_edges
 from treesplice.linalg import laplacian_sparse
 from treesplice.sampler import aldous_broder
-from treesplice.splice import WeightedGraph, _as_graph, splice, splice_gnp
+from treesplice.splice import WeightedGraph, splice, splice_gnp
 from treesplice.seeds import child_seed, substream
 
 
@@ -206,7 +207,7 @@ def test_splicer_expansion_bounded_by_base():
     assert g.is_connected()
     spl = splice(g, 2, seed=4)
     assert (
-        edge_expansion_exact(spl.support).value
+        edge_expansion_exact(spl).value
         <= edge_expansion_exact(g).value + 1e-12
     )
 
@@ -216,7 +217,7 @@ def test_mean_expansion_monotone_in_k():
     means = []
     for k in (1, 2, 3, 4):
         vals = [
-            edge_expansion_exact(splice(g, k, child_seed(7, "k", k, s)).support).value
+            edge_expansion_exact(splice(g, k, child_seed(7, "k", k, s))).value
             for s in range(50)
         ]
         means.append(np.mean(vals))
@@ -569,7 +570,7 @@ def test_cut_ratios_line_up_with_sampled_subsets():
     for i in range(family.size):
         cut = members[indptr[i] : indptr[i + 1]]
         assert ratios.base_cut[i] == len(cut_edges(g, cut))
-        assert ratios.derived_cut[i] == len(cut_edges(spl.support, cut))
+        assert ratios.derived_cut[i] == len(cut_edges(spl, cut))
 
 
 def test_sparsifier_quality_identity_weights():
@@ -589,8 +590,7 @@ def test_report_serialization():
 
 
 def _laplacian(obj):
-    weights = obj.weights if isinstance(obj, WeightedGraph) else None
-    return laplacian_sparse(_as_graph(obj), weights)
+    return laplacian_sparse(*_graph_and_weights(obj))
 
 
 def _arpack_lambda2(obj) -> float:
@@ -632,7 +632,7 @@ def test_lockstep_lanczos_matches_arpack_and_dense(batch, size):
     assert len(objs) == size
     by_n = {}
     for obj in objs:
-        by_n.setdefault(_as_graph(obj).n, []).append(obj)
+        by_n.setdefault(obj.n, []).append(obj)
     for group in by_n.values():
         got = spectral_lower_bounds(group)
         assert got.shape == (len(group),)
@@ -662,7 +662,7 @@ def _small_spectral_cases():
         bases += [cycle_graph(n)] if n >= 3 else []
         bases += [wheel_graph(n)] if n >= 4 else []
     for i, g in enumerate(bases):
-        for h in (g, splice(g, 2, seed=i).support):
+        for h in (g, splice(g, 2, seed=i)):
             yield h
             yield WeightedGraph(h, np.random.default_rng(i).uniform(0.05, 20.0, h.m))
 
@@ -672,7 +672,7 @@ def test_lanczos_matches_dense_eigvalsh_at_small_n():
     # eigvalsh is the oracle.
     by_n = {}
     for obj in _small_spectral_cases():
-        by_n.setdefault(_as_graph(obj).n, []).append(obj)
+        by_n.setdefault(obj.n, []).append(obj)
     assert sorted(by_n) == list(range(2, 65))
     for group in by_n.values():
         for obj, lam in zip(group, spectral_lower_bounds(group)):

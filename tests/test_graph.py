@@ -14,6 +14,7 @@ from treesplice.generators import (
     gnp_graph,
     hamiltonian_regular_graph,
     orientation_probabilities,
+    path_graph,
     random_regular_graph,
 )
 from treesplice.graph import Graph, Orientation, SamplingError, _packed_rows, cut_edges
@@ -119,6 +120,18 @@ def test_cut_edges_examples():
         cut_edges(k4, [0, 1, 2, 3])
 
 
+def test_resolve_edge_reads_ids_and_pairs():
+    k4 = complete_graph(4)
+    assert k4.resolve_edge(2) == 2
+    assert k4.resolve_edge((0, 1)) == k4.resolve_edge([1, 0]) == k4.edge_id(0, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        k4.resolve_edge(6)
+    with pytest.raises(ValueError, match="not an edge"):
+        k4.resolve_edge((0, 9))
+    with pytest.raises(ValueError, match="not an edge"):
+        path_graph(4).resolve_edge((0, 2))
+
+
 def test_cut_edges_complement_symmetric():
     g = gnp_graph(24, 0.3, seed=5)
     subset = [0, 3, 7, 9]
@@ -132,7 +145,7 @@ def test_tree_cut_at_least_one():
 
     g = complete_graph(12)
     tree = sample_trees(g, 1, seed=3)[0]
-    support = union_trees([tree]).support
+    support = union_trees([tree])
     for subset in ([0], [1, 5], list(range(6))):
         assert len(cut_edges(support, subset)) >= 1
 

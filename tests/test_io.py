@@ -59,30 +59,11 @@ def test_weighted_roundtrips_17_digits_bit_exact():
     assert np.array_equal([float(r.split()[2]) for r in rows], weights)
 
 
-def sniff_format(text: str) -> str:
-    """'tree', 'weighted', or 'graph', from the header and first edge line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphFormatError("empty input", 1)
-    if lines[0].split()[:1] == ["tree"]:
-        return "tree"
-    if len(lines) > 1 and len(lines[1].split()) == 3:
-        return "weighted"
-    return "graph"
-
-
-def test_sniff_format():
-    assert sniff_format("tree 3 0\n0 1\n1 2\n") == "tree"
-    assert sniff_format("3 2\n0 1 1.5\n1 2 2.0\n") == "weighted"
-    assert sniff_format("3 2\n0 1\n1 2\n") == "graph"
-
-
 def roundtrip(path: str):
     """Parse a graph file, re-serialize, re-parse; demand a byte-identical
     fixpoint.  Graphs are the one format that is read back."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    assert sniff_format(text) == "graph"
     obj = parse_graph(text)
     once = serialize_graph(obj)
     assert serialize_graph(parse_graph(once)) == once

@@ -16,7 +16,6 @@ from treesplice.generators import (
 from treesplice.graph import Graph
 from treesplice.linalg import (
     _bareiss_det,
-    effective_resistance,
     effective_resistance_exact,
     effective_resistances,
     laplacian_dense,
@@ -79,7 +78,8 @@ def test_resistance_complete_graph_edges():
     for n in (4, 10, 16):
         g = complete_graph(n)
         assert effective_resistance_exact(g, 0, 1) == Fraction(2, n)
-    assert effective_resistance(complete_graph(10), (0, 1)) == pytest.approx(0.2, abs=1e-12)
+    k10 = complete_graph(10)
+    assert effective_resistances(k10, [k10.edge_id(0, 1)])[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_resistance_cycle_series_parallel():
@@ -90,25 +90,22 @@ def test_resistance_cycle_series_parallel():
 
 
 def test_resistance_bridge_is_one():
-    g = path_graph(6)
-    for eid in range(g.m):
-        assert effective_resistance(g, eid) == pytest.approx(1.0, abs=1e-12)
+    assert effective_resistances(path_graph(6)) == pytest.approx(np.ones(5), abs=1e-12)
 
 
 def test_resistance_requires_connected_and_edge():
     g = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        effective_resistance(g, 0)
-    with pytest.raises(ValueError):
-        effective_resistance(complete_graph(4), (0, 9))
+    with pytest.raises(ValueError, match="connected"):
+        effective_resistances(g, [0])
+    with pytest.raises(ValueError, match="edge ids"):
+        effective_resistances(complete_graph(4), [9])
 
 
 def test_foster_sum_is_n_minus_one():
     for g in (complete_graph(9), petersen_graph(), gnp_graph(30, 0.3, seed=8)):
         if not g.is_connected():
             continue
-        total = sum(effective_resistance(g, eid) for eid in range(g.m))
-        assert total == pytest.approx(g.n - 1, rel=1e-10)
+        assert effective_resistances(g).sum() == pytest.approx(g.n - 1, rel=1e-10)
 
 
 def test_float_path_matches_cycle_closed_form():
@@ -137,7 +134,7 @@ def test_batched_resistances_match_single():
     assert g.is_connected()
     batch = effective_resistances(g)
     for eid in (0, 7, g.m - 1):
-        assert batch[eid] == pytest.approx(effective_resistance(g, eid), rel=1e-9)
+        assert batch[eid] == pytest.approx(effective_resistances(g, [eid])[0], rel=1e-9)
     assert batch.sum() == pytest.approx(g.n - 1, rel=1e-9)
 
 
@@ -163,8 +160,6 @@ def test_batched_resistances_reject_bad_edge_ids():
     for bad in ([-1], [5], [0, 7]):
         with pytest.raises(ValueError, match="edge ids"):
             effective_resistances(g, bad)
-    with pytest.raises(ValueError):
-        effective_resistance(g, 5)
     with pytest.raises(ValueError):
         effective_resistance_exact(g, -1, 0)  # would read the ground row
 

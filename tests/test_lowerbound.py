@@ -260,7 +260,7 @@ def test_event_forces_single_cut_edge():
                 tree_cut = [
                     e
                     for e in cut_edges(fam.graph, seg)
-                    if e in set(tree.edge_ids().tolist())
+                    if e in set(tree.parent_edge.tolist())
                 ]
                 assert len(tree_cut) == 1
                 checked += 1

@@ -106,12 +106,10 @@ def test_route_without_failures_hits_tree_distance():
 
 def test_route_fails_over_to_second_tree():
     g = complete_graph(32)
-    spl = splice(g, 2, seed=5)
+    trees = sample_trees(g, 2, seed=5)
     # Kill tree 0 while leaving tree 1 intact (shared edges stay alive).
-    dead = frozenset(
-        set(spl.source_trees[0].edges()) - set(spl.source_trees[1].edges())
-    )
-    state = build_routing(spl.source_trees, dead)
+    dead = frozenset(set(trees[0].edges()) - set(trees[1].edges()))
+    state = build_routing(trees, dead)
     hits = 0
     for dst in range(1, 12):
         r = route(state, 0, dst, seed=dst)
@@ -169,11 +167,10 @@ def test_failed_pairs_flag_the_tree_edges_of_failed_edge_ids(graph):
 
 def test_route_blocked_at_source_fails_isolated():
     g = complete_graph(8)
-    spl = splice(g, 2, seed=6)
     dead = frozenset(
         (min(0, w), max(0, w)) for w in range(1, 8)
     )  # every edge at vertex 0
-    r = route(build_routing(spl.source_trees, dead), 0, 5, seed=1)
+    r = route(build_routing(sample_trees(g, 2, seed=6), dead), 0, 5, seed=1)
     assert not r.delivered
     assert r.hops == 0
 
@@ -249,7 +246,7 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
     n = graph.n
     results = []
     for t in range(trials):
-        state = build_routing(splice(graph, k, child_seed(seed, "splice", t)).source_trees)
+        state = build_routing(sample_trees(graph, k, child_seed(seed, "splice", t)))
         fail_mask = substream(seed, "failures", t).random(graph.m) < failure_prob
         dead = frozenset(
             (int(u), int(v)) for u, v in zip(graph.edge_u[fail_mask], graph.edge_v[fail_mask])
@@ -305,7 +302,7 @@ def test_route_matches_reference_on_every_pair(graph, k, failure_prob):
     dead = {
         (int(u), int(v)) for u, v in zip(graph.edge_u[fail_mask], graph.edge_v[fail_mask])
     }
-    state = build_routing(splice(graph, k, seed=40 + k).source_trees, dead)
+    state = build_routing(sample_trees(graph, k, seed=40 + k), dead)
     longest = None
     for s in range(n):
         for d in range(n):
@@ -384,7 +381,7 @@ def test_route_seeds_are_derived_only_when_failover_shuffles(monkeypatch, k):
     per_pair = 1 if k == 3 else 0
     assert derived.count("seed") == derived.count("stream") == per_pair * pairs * trials
     derived.clear()
-    state = build_routing(splice(complete_graph(20), k, seed=35).source_trees, [(0, 1)])
+    state = build_routing(sample_trees(complete_graph(20), k, seed=35), [(0, 1)])
     route(state, 0, 7, seed=36)
     assert derived == ["stream"] * per_pair
 
@@ -394,7 +391,7 @@ def test_three_tree_route_is_pinned():
     # reads the route stream.
     g = complete_graph(24)
     failed = [(u, v) for u, v in g.iter_edges() if (u + 2 * v) % 3 == 0]
-    state = build_routing(splice(g, 3, seed=30).source_trees, failed)
+    state = build_routing(sample_trees(g, 3, seed=30), failed)
     r = route(state, 0, 4, seed=32)
     assert (r.delivered, r.hops, r.switches) == (True, 9, 4)
     assert r.path == (0, 20, 13, 12, 22, 23, 1, 18, 23, 4)
@@ -479,7 +476,7 @@ def test_stretch_matches_plain_bfs_reference(base, k):
     spl = splice(base, k, seed=21 + k)
     for seed, pairs in ((0, 1), (1, 7), (2, 600)):
         got = stretch_stats(base, spl, pairs, seed)
-        assert got == _stretch_reference(base, spl.support, pairs, seed)
+        assert got == _stretch_reference(base, spl, pairs, seed)
 
 
 def test_stretch_reference_on_disconnected_base():

@@ -478,8 +478,8 @@ def test_exchangeable_tree_indices_chi_square():
     first, second = [], []
     for s in range(3000):
         a, b = sample_trees(g, 2, seed=s)
-        first.append(tuple(a.edge_ids()))
-        second.append(tuple(b.edge_ids()))
+        first.append(tuple(np.sort(a.parent_edge[a.parent >= 0])))
+        second.append(tuple(np.sort(b.parent_edge[b.parent >= 0])))
     cells = sorted(set(first) | set(second))
     idx = {c: i for i, c in enumerate(cells)}
     table = np.zeros((2, len(cells)))
@@ -566,8 +566,8 @@ def _oriented_outcomes(oriented, trials, seed):
     scalar = []
     for t in range(trials):
         res = process_bp_on(oriented, child_seed(seed, "scalar", t))
-        ids = res.trees[0].edge_ids().tolist() if res.success else None
-        scalar.append(sum(1 << e for e in ids) if ids is not None else -1)
+        ids = res.trees[0].parent_edge.tolist() if res.success else None
+        scalar.append(sum(1 << e for e in ids if e >= 0) if ids is not None else -1)
     masks, stuck = _tree_masks(
         oriented, 10 * trials, substream(seed, "batch"), np.arange(oriented.m)
     )

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -25,19 +25,17 @@ def test_union_single_tree_is_identity():
     g = complete_graph(10)
     tree = sample_trees(g, 1, seed=1)[0]
     spl = union_trees([tree])
-    spl.validate()
-    assert spl.support.m == g.n - 1
-    assert set(spl.multiplicity.tolist()) == {1}
-    assert sorted(spl.support.iter_edges()) == sorted(tree.edges())
+    assert spl.m == g.n - 1
+    assert sorted(spl.iter_edges()) == sorted(tree.edges())
 
 
 def test_union_identical_trees_doubles_multiplicity():
     g = complete_graph(3)
     tree = sample_trees(g, 1, seed=2)[0]
     spl = union_trees([tree, tree])
-    assert spl.support.m == 2
-    assert set(spl.multiplicity.tolist()) == {2}
-    assert int(spl.multiplicity.sum()) == 2 * (g.n - 1)
+    # A tree counted twice adds no edge: the support is that tree, once.
+    assert spl.m == 2
+    assert spl == union_trees([tree])
 
 
 @pytest.mark.parametrize(
@@ -52,33 +50,9 @@ def test_union_matches_plain_python_union(graph):
                 counts[e] = counts.get(e, 0) + 1
                 ends[e] = (min(p, v), max(p, v))
     eids = sorted(counts)
-    spl = union_trees(trees)
-    assert spl.support == Graph(graph.n, [ends[e] for e in eids])
-    assert spl.multiplicity.dtype == np.int32 and spl.support_base_eids.dtype == np.int64
-    assert spl.multiplicity.tolist() == [counts[e] for e in eids]
-    assert spl.support_base_eids.tolist() == eids
+    assert union_trees(trees) == Graph(graph.n, [ends[e] for e in eids])
     if graph.m < 3 * (graph.n - 1):
-        assert spl.multiplicity.max() > 1  # the three trees share edges
-
-
-def test_splicer_validate_rejects_each_broken_invariant():
-    spl = splice(complete_graph(6), 2, seed=4)
-    spl.validate()
-    single = splice(path_graph(4), 1, seed=4)
-    single.validate()
-    triangle = Graph(4, [(0, 1), (1, 2), (0, 2)])  # vertex 3 left out
-    cases = [
-        (replace(spl, multiplicity=spl.multiplicity + 1), "multiplicities sum to"),
-        (
-            replace(spl, support=complete_graph(6), multiplicity=np.repeat([1, 0], [10, 5])),
-            "support larger",
-        ),
-        (replace(single, support=triangle), "must be connected"),
-        (replace(spl, support_base_eids=spl.support_base_eids[1:]), "outside the support"),
-    ]
-    for broken, message in cases:
-        with pytest.raises(ValueError, match=message):
-            broken.validate()
+        assert max(counts.values()) > 1  # the three trees share edges
 
 
 def test_union_edge_disjoint_trees():
@@ -99,9 +73,7 @@ def test_union_edge_disjoint_trees():
     path_tree = tree_from_parents([-1, 0, 1, 2, 3])      # 01 12 23 34
     zigzag_tree = tree_from_parents([-1, 4, 0, 1, 2])    # 02 24 41 13
     assert set(path_tree.edges()).isdisjoint(zigzag_tree.edges())
-    spl = union_trees([path_tree, zigzag_tree])
-    assert spl.support.m == 2 * (k5.n - 1)
-    assert set(spl.multiplicity.tolist()) == {1}
+    assert union_trees([path_tree, zigzag_tree]).m == 2 * (k5.n - 1)
 
 
 def test_union_rejects_mismatched_sizes():
@@ -114,9 +86,7 @@ def test_union_rejects_mismatched_sizes():
 def test_splice_of_tree_is_that_tree():
     g = path_graph(9)
     for k in (1, 2, 4):
-        spl = splice(g, k, seed=3)
-        assert sorted(spl.support.iter_edges()) == sorted(g.iter_edges())
-        assert set(spl.multiplicity.tolist()) == {k}
+        assert splice(g, k, seed=3) == g
 
 
 def _assert_same(got, want):
@@ -159,14 +129,13 @@ def test_splices_of_k_n_by_n_are_memory_bounded():
 
 def test_splice_support_bounds_and_connectivity():
     g = complete_graph(128)
+    base = set(g.iter_edges())
     for s in range(5):
         spl = splice(g, 2, seed=s)
-        spl.validate()
-        assert g.n <= spl.support.m <= 2 * (g.n - 1)
-        assert spl.support.is_connected()
+        assert g.n <= spl.m <= 2 * (g.n - 1)
+        assert spl.is_connected()
         # Support is a subgraph of the base graph.
-        base = set(g.iter_edges())
-        assert all(e in base for e in spl.support.iter_edges())
+        assert all(e in base for e in spl.iter_edges())
 
 
 def test_splice_max_degree_logarithmic():
@@ -175,7 +144,7 @@ def test_splice_max_degree_logarithmic():
     cap = 6 * math.log(n)
     for s in range(50):
         spl = splice(g, 2, seed=100 + s)
-        assert spl.support.degrees.max() <= cap
+        assert spl.degrees.max() <= cap
 
 
 @settings(max_examples=10, deadline=None)
@@ -183,11 +152,11 @@ def test_splice_max_degree_logarithmic():
 def test_multiplicity_accounting(seed, k):
     g = complete_graph(12)
     spl = splice(g, k, seed=seed)
-    assert int(spl.multiplicity.sum()) == k * (g.n - 1)
-    assert all(1 <= m <= k for m in spl.multiplicity.tolist())
-    for tree in spl.source_trees:
-        tree_eids = set(tree.edge_ids().tolist())
-        assert tree_eids <= set(spl.support_base_eids.tolist())
+    # k trees of n - 1 edges each, every base edge counted once however many trees hold it.
+    assert g.n - 1 <= spl.m <= k * (g.n - 1)
+    edges = set(spl.iter_edges())
+    for tree in sample_trees(g, k, seed=seed):
+        assert set(tree.edges()) <= edges
 
 
 def test_weighted_graph_validates_positivity():
@@ -221,10 +190,8 @@ def test_splice_gnp_is_the_sparsifier_support():
     p = 12 * math.log(n) / n
     h = gnp_graph(n, p, seed=5)
     spl = splice_gnp(h, p, seed=6)
-    spl.validate()
-    assert spl.k == 2
-    assert int(spl.multiplicity.sum()) == 2 * (n - 1)
-    assert spl.support == sparsify_gnp(h, p, seed=6).graph
+    assert n <= spl.m <= 2 * (n - 1) and spl.is_connected()
+    assert spl == sparsify_gnp(h, p, seed=6).graph
 
 
 def test_sparsifier_failure_is_sampling_error():
@@ -244,9 +211,7 @@ def test_splicer_cut_dominates_each_tree_cut():
     g = complete_graph(24)
     spl = splice(g, 3, seed=9)
     for subset in ([0], [1, 2, 3], list(range(12))):
-        union_cut = len(cut_edges(spl.support, subset))
-        for tree in spl.source_trees:
-            from treesplice.splice import union_trees as _ut
-
-            tree_cut = len(cut_edges(_ut([tree]).support, subset))
+        union_cut = len(cut_edges(spl, subset))
+        for tree in sample_trees(g, 3, seed=9):
+            tree_cut = len(cut_edges(union_trees([tree]), subset))
             assert union_cut >= tree_cut >= 1

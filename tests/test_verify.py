@@ -17,7 +17,6 @@ from treesplice.generators import (
 )
 from treesplice.graph import Graph, cut_edges
 from treesplice.linalg import (
-    effective_resistance,
     effective_resistance_exact,
     effective_resistances,
     spanning_tree_count,
@@ -96,10 +95,7 @@ def test_exact_marginals_match_effective_resistance():
     for name, g in CORPUS.items():
         trees = enumerate_trees(g)
         marginals = _contains(trees, g.m).mean(axis=0)
-        for eid in range(g.m):
-            assert marginals[eid] == pytest.approx(
-                effective_resistance(g, eid), abs=1e-9
-            ), f"{name} edge {eid}"
+        assert marginals == pytest.approx(effective_resistances(g), abs=1e-9), name
 
 
 def test_exact_tree_law_matches_enumeration_counts():
@@ -122,13 +118,13 @@ def test_single_resistance_is_bitwise_the_batched_value():
     for name, g in graphs.items():
         batch = effective_resistances(g)
         for eid in range(g.m):
-            assert effective_resistance(g, eid) == batch[eid], (name, eid)
+            assert effective_resistances(g, [eid])[0] == batch[eid], (name, eid)
     for n in (64, 70):
         g = random_regular_graph(n, 3, seed=5)
         assert g.is_connected()
         batch = effective_resistances(g)
         for eid in (0, g.m // 2, g.m - 1):
-            assert effective_resistance(g, eid) == batch[eid], (n, eid)
+            assert effective_resistances(g, [eid])[0] == batch[eid], (n, eid)
 
 
 def test_float_resistances_match_exact_at_every_n():

@@ -23,8 +23,7 @@ from treesplice.generators import (
 )
 from treesplice.lowerbound import lower_bound_family
 from treesplice.routing import build_routing, route
-from treesplice.sampler import aldous_broder, process_bp_on
-from treesplice.splice import splice
+from treesplice.sampler import aldous_broder, process_bp_on, sample_trees
 
 
 def _walk_digest(graph, seeds, start=0) -> str:
@@ -124,7 +123,7 @@ def test_process_bp_on_walks_are_pinned(n, p, graph_seed, phases, outcomes, dige
 def test_random_policy_routes_are_pinned():
     g = complete_graph(40)
     failed = [(u, v) for u, v in g.iter_edges() if (u * 7 + v * 3) % 5 == 0]
-    state = build_routing(splice(g, 4, seed=9).source_trees, failed)
+    state = build_routing(sample_trees(g, 4, seed=9), failed)
     h = hashlib.sha256()
     switches = 0
     for s in range(40):
