@@ -53,7 +53,6 @@ from .cuts import (
     edge_expansion_exact,
     sampled_cut_ratios,
     sparsifier_quality,
-    spectral_lower_bound,
     spectral_lower_bounds,
     vertex_expansion_exact,
 )

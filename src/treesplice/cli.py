@@ -22,7 +22,7 @@ from . import generators, io as gio
 from .cuts import (
     EXACT_SCAN_MAX_N,
     edge_expansion_exact,
-    spectral_lower_bound,
+    spectral_lower_bounds,
     vertex_expansion_exact,
 )
 from .experiments import (
@@ -144,7 +144,7 @@ def _cmd_expansion(args) -> int:
         if args.kind != "edge":
             raise ValueError("the spectral certificate bounds edge expansion only; "
                              "use --method exact for --kind vertex")
-        lam = spectral_lower_bound(g)
+        lam = float(spectral_lower_bounds([g])[0])
         payload = {
             "kind": "edge",
             "method": "spectral-bound",

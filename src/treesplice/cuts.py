@@ -74,14 +74,13 @@ class ExpansionReport:
     kind: str            # "edge" or "vertex"
     value: float
     witness: tuple[int, ...]
-    method: str          # "exact", "spectral-bound", or "sampled"
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "value": self.value,
             "witness": sorted(self.witness),
-            "method": self.method,
+            "method": "exact",
         }
 
 
@@ -256,7 +255,7 @@ def _scan_report(graph: Graph, kind: str) -> ExpansionReport:
     if graph.n > EXACT_SCAN_MAX_N:
         raise ValueError(
             f"exhaustive scan is capped at n = {EXACT_SCAN_MAX_N}; "
-            "use spectral_lower_bound or sampled_cut_ratios at this scale"
+            "use spectral_lower_bounds or sampled_cut_ratios at this scale"
         )
     if graph.n < 2:
         raise ValueError("expansion needs at least 2 vertices")
@@ -264,7 +263,7 @@ def _scan_report(graph: Graph, kind: str) -> ExpansionReport:
         raise ValueError("expansion of a disconnected graph is 0; expected connected input")
     value, mask = _subset_scan(graph, kind)
     witness = tuple(i for i in range(graph.n) if mask >> i & 1)
-    return ExpansionReport(kind=kind, value=value, witness=witness, method="exact")
+    return ExpansionReport(kind=kind, value=value, witness=witness)
 
 
 def edge_expansion_exact(graph: Graph) -> ExpansionReport:
@@ -291,18 +290,9 @@ def _graph_and_weights(obj) -> tuple[Graph, np.ndarray | None]:
     return obj, None
 
 
-def spectral_lower_bound(obj) -> float:
-    """lambda_2 of the (weighted) Laplacian; edge expansion >= lambda_2 / 2.
-
-    A batch of one for ``spectral_lower_bounds``: plain Lanczos, not ARPACK,
-    at every n, with an iteration cap of ``_LANCZOS_ITERS`` per vertex, past
-    which it raises ConvergenceError.
-    """
-    return float(spectral_lower_bounds([obj])[0])
-
-
 def spectral_lower_bounds(objs) -> np.ndarray:
-    """lambda_2 of each graph or weighted graph; all share one n.
+    """lambda_2 of each graph or weighted graph; all share one n.  Edge
+    expansion is at least lambda_2 / 2.
 
     Each Laplacian L gets the operator L + shift J / n, with J the all-ones
     matrix and shift = 2 max degree + 2 > lambda_max(L), so that lambda_2 is

@@ -116,8 +116,8 @@ def _ge(name, value, bound, se=None) -> Assertion:
     return Assertion(name, bool(value >= bound), float(value), float(bound), ">=", se)
 
 
-def _le(name, value, bound, se=None) -> Assertion:
-    return Assertion(name, bool(value <= bound), float(value), float(bound), "<=", se)
+def _le(name, value, bound) -> Assertion:
+    return Assertion(name, bool(value <= bound), float(value), float(bound), "<=")
 
 
 def _regular_host(n: int, d: int, seed: int, *path):

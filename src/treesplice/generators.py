@@ -79,12 +79,9 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     pairs = n * (n - 1) // 2
     kept = [np.empty(0, dtype=np.int64)]
-    if p >= 1.0:
-        kept.append(np.arange(pairs))
-    elif p > 0.0:
-        rng = substream(seed, "gnp")
-        for lo in range(0, pairs, _GNP_CHUNK):
-            kept.append(np.flatnonzero(rng.random(min(_GNP_CHUNK, pairs - lo)) < p) + lo)
+    rng = substream(seed, "gnp")
+    for lo in range(0, pairs, _GNP_CHUNK):
+        kept.append(np.flatnonzero(rng.random(min(_GNP_CHUNK, pairs - lo)) < p) + lo)
     pair = np.concatenate(kept)
     # Row u of the triu order starts at pair u (2n - u - 1) / 2.
     u = np.arange(n, dtype=np.int64)

@@ -14,17 +14,17 @@ tree) pair is never re-entered, which bounds looping.
 from its failed edges and shares it, with its pairs and base-graph ceiling,
 across every k it compares.
 
-Stretch compares hop distances in a support ``Graph``, such as a splicer
-from ``splice``, with those in its base graph.  Distances are exact and come
-from one of two paths, for n <= DIAMETER_MAX_N (above it ``stretch_stats``
-raises).  A tree support answers from depth and lowest common ancestor
-(binary lifting, O(n log n) memory).  Any other support, and a base that is
-not complete, grows every vertex's ball at once as packed bits, starting
-from the packed neighbour table of ``graph._packed_rows`` (an n^2/8-byte
-table, 2 MiB at n = 4096, with its row gathers capped at 4 MiB); that costs
-O(diameter (n + 2m) ceil(n / 64)) word operations, so long-diameter graphs
-are slow: a cycle of 4000 vertices as base and support takes about 24 s on
-one Xeon core.
+Stretch compares hop distances in a support ``Graph`` on n vertices, such
+as a splicer from ``splice``, with those in K_n, where every pair is at
+distance 1.  Support distances are exact and come from one of two paths, for
+n <= DIAMETER_MAX_N (above it ``stretch_stats`` raises).  A tree support
+answers from depth and lowest common ancestor (binary lifting, O(n log n)
+memory).  Any other support grows every vertex's ball at once as packed
+bits, starting from the packed neighbour table of ``graph._packed_rows`` (an
+n^2/8-byte table, 2 MiB at n = 4096, with its row gathers capped at 4 MiB);
+that costs O(diameter (n + 2m) ceil(n / 64)) word operations, so
+long-diameter supports are slow: a cycle of 4000 vertices takes about 8 s
+on one Xeon core.
 """
 
 from __future__ import annotations
@@ -333,20 +333,19 @@ def _tree_pairs(tree: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nda
     return depth[srcs] + depth[dsts] - 2 * depth[lca], int(depth.max())
 
 
-def _ball_pairs(
-    graph: Graph, ball: np.ndarray, srcs: np.ndarray, dsts: np.ndarray
-) -> tuple[np.ndarray, int | None]:
+def _ball_pairs(graph: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Hop distances srcs[i] -> dsts[i] (inf when unreached) and the diameter
     (None when ``graph`` is disconnected), from bit-parallel all-sources BFS.
 
-    ``ball`` is ``graph``'s packed neighbour table read as uint64 words (row v
-    holds vertex w at bit w % 64 of word w // 64, n^2/8 bytes); with the
-    diagonal set it is the table of radius-1 balls, and it is grown in place.
+    The balls start as ``graph``'s packed neighbour table read as uint64
+    words (row v holds vertex w at bit w % 64 of word w // 64, n^2/8 bytes);
+    with the diagonal set it is the table of radius-1 balls.
     A step ORs the rows over each closed neighbourhood; a pair's distance is
     the step at which its bit first appears, and the diameter the step that
     fills every row.  The rows are gathered in vertex blocks of at most 4 MiB.
     """
     n = graph.n
+    ball = _packed_rows(graph).view("<u8")
     words = ball.shape[1]
     indptr, nbr, _ = graph._csr
     # Closed neighbourhoods: segment v of the gather lists v, then its neighbours.
@@ -379,29 +378,24 @@ def _ball_pairs(
         step += 1
 
 
-def stretch_stats(
-    graph: Graph | int, support: Graph, pairs: int, seed: int
-) -> tuple[float, int | None]:
-    """Mean distance inflation over sampled pairs, plus the exact support diameter.
+def stretch_stats(n: int, support: Graph, pairs: int, seed: int) -> tuple[float, int | None]:
+    """Mean distance inflation of ``support`` against K_n over sampled pairs,
+    plus the exact support diameter.
 
-    Distances are unweighted hops with no failures, and the support must be
-    a subgraph of the base graph.  n may be at most DIAMETER_MAX_N (else
-    ValueError).  Every distance is exact and comes from one of two paths.
-    A spanning-tree support reads the pairs' distances from depth and lowest
-    common ancestor (O(n log n) memory).  Any other support, and the base
-    for sampled pairs that are not base edges, grows all n balls at once as
-    packed bits from the radius-1 balls of ``_packed_rows``: an n^2/8-byte
-    table (2 MiB at n = 4096, gathered under 4 MiB at a time) and
+    Every support on n vertices is a subgraph of K_n, where each pair is at
+    distance 1, so a pair's stretch is its hop distance in the support.  n
+    may be at most DIAMETER_MAX_N (else ValueError).  Every distance is exact
+    and comes from one of two paths.  A spanning-tree support reads the
+    pairs' distances from depth and lowest common ancestor (O(n log n)
+    memory).  Any other support grows all n balls at once as packed bits
+    from the radius-1 balls of ``_packed_rows``: an n^2/8-byte table (2 MiB
+    at n = 4096, gathered under 4 MiB at a time) and
     O(diameter (n + 2m) ceil(n / 64)) word operations, so long-diameter
-    graphs are slow (a cycle of 4000 vertices as base and support takes
-    about 24 s on one Xeon core).  A base with n(n-1)/2 edges builds
-    nothing: every pair is an edge and every support a subgraph; an int n
-    stands for that K_n, as in ``splice``.  The diameter is None when the
-    support is disconnected.  A pair connected in the base but not in the
-    support has infinite stretch, so the mean reads inf; pairs disconnected
-    in the base are skipped.
+    supports are slow.  The diameter is None when the support is
+    disconnected; a pair it does not connect has infinite stretch, so the
+    mean reads inf.
     """
-    n = graph.n if isinstance(graph, Graph) else operator.index(graph)
+    n = operator.index(n)
     if support.n != n:
         raise ValueError("vertex sets differ")
     if pairs < 1:
@@ -411,20 +405,8 @@ def stretch_stats(
     if n > DIAMETER_MAX_N:
         raise ValueError(f"stretch_stats measures exact distances up to n = {DIAMETER_MAX_N}")
     srcs, dsts = _random_pairs(substream(seed, "stretch-pairs"), n, pairs)
-    d_base = np.ones(pairs)
-    if isinstance(graph, Graph) and graph.m < n * (n - 1) // 2:
-        rows = _packed_rows(graph).view("<u8")
-        if not _bits(rows, support.edge_u, support.edge_v).all():
-            raise ValueError("support is not a subgraph of the base graph")
-        far = ~_bits(rows, srcs, dsts)
-        if far.any():
-            d_base[far] = _ball_pairs(graph, rows, srcs[far], dsts[far])[0]
     if support.m == n - 1 and support.is_connected():
-        d_sup, diameter = _tree_pairs(support, srcs, dsts)
+        dist, diameter = _tree_pairs(support, srcs, dsts)
     else:
-        rows = _packed_rows(support).view("<u8")
-        d_sup, diameter = _ball_pairs(support, rows, srcs, dsts)
-    linked = np.isfinite(d_base)
-    ratios = d_sup[linked] / d_base[linked]
-    mean_stretch = float(np.mean(ratios)) if ratios.size else math.nan
-    return mean_stretch, diameter
+        dist, diameter = _ball_pairs(support, srcs, dsts)
+    return float(np.mean(dist.astype(np.float64))), diameter

@@ -14,7 +14,6 @@ from treesplice.cuts import (
     sample_cut_subsets,
     sampled_cut_ratios,
     sparsifier_quality,
-    spectral_lower_bound,
     spectral_lower_bounds,
     vertex_expansion_exact,
 )
@@ -176,21 +175,22 @@ def test_scan_rejects_large_or_disconnected():
 
 
 def test_spectral_closed_forms():
-    assert spectral_lower_bound(complete_graph(30)) == pytest.approx(30, rel=1e-9)
+    assert spectral_lower_bounds([complete_graph(30)])[0] == pytest.approx(30, rel=1e-9)
     for n in (24, 128):
-        got = spectral_lower_bound(cycle_graph(n))
+        got = spectral_lower_bounds([cycle_graph(n)])[0]
         assert got == pytest.approx(2 - 2 * math.cos(2 * math.pi / n), rel=1e-6)
     with pytest.raises(ValueError):
-        spectral_lower_bound(Graph(4, [(0, 1), (2, 3)]))
+        spectral_lower_bounds([Graph(4, [(0, 1), (2, 3)])])
 
 
 def test_spectral_bound_scales_with_edge_weights():
-    # K_4 takes the dense path and K_80 the Lanczos one; lambda_2(K_n) = n.
+    # lambda_2(K_n) = n, scaled by a uniform edge weight.
     for n in (4, 80):
         g = complete_graph(n)
-        got = spectral_lower_bound(WeightedGraph(g, np.full(g.m, 10.0)))
-        assert got == pytest.approx(10 * n, rel=1e-6)
-        assert spectral_lower_bound(WeightedGraph(g, np.ones(g.m))) == pytest.approx(n, rel=1e-6)
+        weighted = [WeightedGraph(g, np.full(g.m, w)) for w in (10.0, 1.0)]
+        tens, ones = spectral_lower_bounds(weighted)
+        assert tens == pytest.approx(10 * n, rel=1e-6)
+        assert ones == pytest.approx(n, rel=1e-6)
 
 
 def test_spectral_is_a_valid_certificate_on_small_graphs():
@@ -198,7 +198,7 @@ def test_spectral_is_a_valid_certificate_on_small_graphs():
         g = gnp_graph(12, 0.4, seed=300 + s)
         if not g.is_connected():
             continue
-        lam = spectral_lower_bound(g)
+        lam = spectral_lower_bounds([g])[0]
         assert edge_expansion_exact(g).value >= lam / 2 - 1e-9
 
 
@@ -641,12 +641,12 @@ def test_lockstep_lanczos_matches_arpack_and_dense(batch, size):
             assert lam == pytest.approx(dense, rel=1e-9)
             assert lam == pytest.approx(_arpack_lambda2(obj), rel=1e-9)
             # A graph's value does not depend on its batchmates.
-            assert lam == spectral_lower_bound(obj)
+            assert lam == spectral_lower_bounds([obj])[0]
 
 
 def test_spectral_bounds_batch_of_one_and_small_splicers():
     u = splice(complete_graph(300), 2, seed=3)
-    assert spectral_lower_bounds([u])[0] == spectral_lower_bound(u)
+    assert spectral_lower_bounds([u])[0] == pytest.approx(_arpack_lambda2(u), rel=1e-9)
     small = [splice(complete_graph(40), 2, seed=s) for s in range(3)]
     want = [np.linalg.eigvalsh(_laplacian(x).toarray())[1] for x in small]
     assert spectral_lower_bounds(small) == pytest.approx(want, rel=1e-9)

@@ -65,18 +65,13 @@ def test_reliability_validates_arguments():
 
 
 def test_stretch_validates_pairs():
-    g = gnp_graph(12, 0.5, seed=1)
     with pytest.raises(ValueError):
-        stretch_stats(g, g, pairs=0, seed=0)
+        stretch_stats(12, gnp_graph(12, 0.5, seed=1), pairs=0, seed=0)
 
 
 def test_stretch_rejects_tiny_graphs_and_foreign_support():
     for n in (0, 1):
         with pytest.raises(ValueError, match="need at least 2 vertices"):
-            stretch_stats(Graph(n, []), Graph(n, []), pairs=5, seed=0)
-    with pytest.raises(ValueError, match="not a subgraph"):
-        stretch_stats(path_graph(5), complete_graph(5), pairs=50, seed=0)
-    # A foreign edge whose bit lies in the second word of its row.
-    edges = list(path_graph(100).iter_edges())
-    with pytest.raises(ValueError, match="not a subgraph"):
-        stretch_stats(Graph(100, edges), Graph(100, edges[1:] + [(3, 90)]), 50, 0)
+            stretch_stats(n, Graph(n, []), pairs=5, seed=0)
+    with pytest.raises(ValueError, match="vertex sets differ"):
+        stretch_stats(5, path_graph(6), pairs=50, seed=0)

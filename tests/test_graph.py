@@ -273,7 +273,7 @@ def test_gnp_chunk_seams(monkeypatch):
     # pairs, one chunk, and 46 have 1035, two.
     monkeypatch.setattr(generators, "_GNP_CHUNK", 1001)
     for n in (2, 45, 46, 64, 1000):
-        for p in (0.05, 0.5, 1.0):
+        for p in (0.0, 0.05, 0.5, 1.0):
             for seed in (1, 7):
                 assert gnp_graph(n, p, seed) == _gnp_all_pairs(n, p, seed)
 

@@ -14,7 +14,7 @@ from treesplice.generators import (
     path_graph,
     random_regular_graph,
 )
-from treesplice.graph import Graph, _packed_rows
+from treesplice.graph import Graph
 from treesplice.routing import (
     ReliabilitySummary,
     ReliabilityTrial,
@@ -399,37 +399,19 @@ def test_three_tree_route_is_pinned():
 
 
 def test_stretch_identity_is_exactly_one():
-    g = gnp_graph(40, 0.3, seed=12)
-    assert g.is_connected()
-    mean, dia = stretch_stats(g, g, pairs=200, seed=13)
-    assert mean == 1.0
-    assert dia is not None and dia >= 1
+    # K_n as its own support: every pair is an edge, at distance 1.
+    assert stretch_stats(40, complete_graph(40), pairs=200, seed=13) == (1.0, 1)
 
 
 def test_stretch_of_single_tree_exceeds_one():
-    g = complete_graph(64)
-    spl = splice(g, 1, seed=14)
-    mean, dia = stretch_stats(g, spl, pairs=500, seed=15)
+    mean, dia = stretch_stats(64, splice(64, 1, seed=14), pairs=500, seed=15)
     assert mean > 2.0
     assert dia >= 2
 
 
 def test_stretch_requires_matching_vertex_sets():
-    with pytest.raises(ValueError):
-        stretch_stats(complete_graph(10), complete_graph(12), pairs=5, seed=0)
-
-
-def test_stretch_of_n_equals_stretch_of_complete_graph():
-    for n in (2, 3, 17, 64, 300):
-        kn = complete_graph(n)
-        for k in (1, 2):
-            for seed in range(3):
-                spl = splice(n, k, seed=seed)
-                want = stretch_stats(kn, spl, 500, seed)
-                assert stretch_stats(n, spl, 500, seed) == want
-                assert stretch_stats(np.int64(n), spl, 500, seed) == want
     with pytest.raises(ValueError, match="vertex sets differ"):
-        stretch_stats(12, complete_graph(10), pairs=5, seed=0)
+        stretch_stats(10, complete_graph(12), pairs=5, seed=0)
 
 
 def _graph_adjacency(g: Graph) -> list[list[int]]:
@@ -440,22 +422,17 @@ def _graph_adjacency(g: Graph) -> list[list[int]]:
     return adj
 
 
-def _stretch_reference(g: Graph, support: Graph, pairs: int, seed: int):
-    """stretch_stats by plain BFS per pair: same pair draws, ratios in pair order."""
+def _stretch_reference(n: int, support: Graph, pairs: int, seed: int):
+    """stretch_stats by plain BFS per pair in the support: same pair draws,
+    distances in pair order; every pair of K_n is at distance 1."""
     rng = substream(seed, "stretch-pairs")
-    srcs = rng.integers(0, g.n, size=pairs)
-    dsts = (srcs + rng.integers(1, g.n, size=pairs)) % g.n
-    d_base = _bfs_rows(_graph_adjacency(g))
+    srcs = rng.integers(0, n, size=pairs)
+    dsts = (srcs + rng.integers(1, n, size=pairs)) % n
     d_sup = _bfs_rows(_graph_adjacency(support))
-    ratios = []
-    for s, d in zip(srcs.tolist(), dsts.tolist()):
-        if d_base[s][d] < 0:
-            continue
-        u = d_sup[s][d]
-        ratios.append(u / d_base[s][d] if u >= 0 else math.inf)
-    mean = float(np.mean(ratios)) if ratios else math.nan
+    ratios = [float(d_sup[s][d]) if d_sup[s][d] >= 0 else math.inf
+              for s, d in zip(srcs.tolist(), dsts.tolist())]
     flat = [x for row in d_sup for x in row]
-    return mean, (None if min(flat) < 0 else max(flat))
+    return float(np.mean(ratios)), (None if min(flat) < 0 else max(flat))
 
 
 def _two_components() -> Graph:
@@ -475,44 +452,29 @@ def test_stretch_matches_plain_bfs_reference(base, k):
     assert base.is_connected()
     spl = splice(base, k, seed=21 + k)
     for seed, pairs in ((0, 1), (1, 7), (2, 600)):
-        got = stretch_stats(base, spl, pairs, seed)
-        assert got == _stretch_reference(base, spl, pairs, seed)
-
-
-def test_stretch_reference_on_disconnected_base():
-    g = _two_components()
-    paths = [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 12)]
-    forest = Graph(13, paths)
-    for support in (g, forest):
-        for seed, pairs in ((0, 5), (1, 400)):
-            got = stretch_stats(g, support, pairs, seed)
-            assert got == _stretch_reference(g, support, pairs, seed)
-            assert got[1] is None
+        got = stretch_stats(base.n, spl, pairs, seed)
+        assert got == _stretch_reference(base.n, spl, pairs, seed)
+        assert stretch_stats(np.int64(base.n), spl, pairs, seed) == got
 
 
 def test_stretch_above_diameter_cap_is_refused(monkeypatch):
     g = gnp_graph(60, 0.1, seed=3)
     monkeypatch.setattr(routing, "DIAMETER_MAX_N", 12)
-    for base, support in ((g, g), (complete_graph(13), path_graph(13))):
+    for support in (g, path_graph(13)):
         with pytest.raises(ValueError, match="up to n = 12"):
-            stretch_stats(base, support, 500, 5)
+            stretch_stats(support.n, support, 500, 5)
 
 
 @pytest.mark.parametrize(
-    "base, support",
-    [
-        (path_graph(50), path_graph(50)),
-        (complete_graph(50), path_graph(50)),
-        (complete_graph(12), Graph(12, [(0, i) for i in range(1, 12)])),
-        (complete_graph(2), path_graph(2)),
-    ],
-    ids=["path", "path-in-k50", "star", "n2"],
+    "support",
+    [path_graph(50), Graph(12, [(0, i) for i in range(1, 12)]), path_graph(2)],
+    ids=["path", "star", "n2"],
 )
-def test_stretch_reference_on_deep_and_shallow_trees(base, support):
+def test_stretch_reference_on_deep_and_shallow_trees(support):
     # A path rooted at one end has depth n - 1, six lifting levels deep.
     for seed, pairs in ((0, 1), (1, 300)):
-        assert stretch_stats(base, support, pairs, seed) == _stretch_reference(
-            base, support, pairs, seed
+        assert stretch_stats(support.n, support, pairs, seed) == _stretch_reference(
+            support.n, support, pairs, seed
         )
 
 
@@ -525,9 +487,8 @@ def test_stretch_on_complete_graph_runs_no_bfs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(routing.csgraph, "shortest_path", counted)
-    g = complete_graph(64)
     for k in (1, 2):
-        stretch_stats(g, splice(g, k, seed=25), pairs=2000, seed=26)
+        stretch_stats(64, splice(64, k, seed=25), pairs=2000, seed=26)
     assert calls == []
 
 
@@ -539,7 +500,7 @@ def test_ball_growth_matches_all_sources_bfs_across_gather_blocks():
     for g, diameter in ((g, 2), (cycle_graph(130), 65), (_two_components(), None)):
         full = csgraph.shortest_path(g._adjacency(), method="D", unweighted=True)
         srcs, dsts = np.nonzero(~np.eye(g.n, dtype=bool))
-        dist, got = routing._ball_pairs(g, _packed_rows(g).view("<u8"), srcs, dsts)
+        dist, got = routing._ball_pairs(g, srcs, dsts)
         assert np.array_equal(dist, full[srcs, dsts])
         assert got == diameter
         assert diameter is None or full.max() == diameter
@@ -549,31 +510,24 @@ def test_stretch_on_dense_support_is_memory_bounded():
     g = gnp_graph(1024, 0.5, seed=1)
     tracemalloc.start()
     try:
-        assert stretch_stats(g, g, 2000, 1) == (1.0, 2)
+        assert stretch_stats(1024, g, 2000, 1)[1] == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 20.2 MiB with blocked ball growth, most of it base BFS; all-sources
-    # BFS on the support peaked at 22.1 MiB, and unblocked growth gathers
-    # about 78 MiB of rows.
-    assert peak < 22 << 20
-
-
-def test_stretch_on_complete_base_builds_no_base_table():
-    g = complete_graph(2048)
-    two = splice(g, 2, seed=33)
-    tracemalloc.start()
-    try:
-        stretch_stats(g, two, 2000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # About 4 MiB; sorting every base edge code for the subgraph check
-    # peaked at 36 MiB.
-    assert peak < 8 << 20
+    # 14.1 MiB with blocked ball growth; all-sources BFS on the support
+    # peaked at 22.1 MiB, and unblocked growth gathers about 78 MiB of rows.
+    assert peak < 18 << 20
 
 
 def test_disconnected_support_has_infinite_stretch():
-    mean, dia = stretch_stats(complete_graph(6), Graph(6, [(0, 1)]), pairs=50, seed=0)
+    mean, dia = stretch_stats(6, Graph(6, [(0, 1)]), pairs=50, seed=0)
     assert mean == math.inf
     assert dia is None
+    # K_6 beside a 7-cycle, and a forest of two paths on the same vertex sets.
+    g = _two_components()
+    paths = [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 12)]
+    for support in (g, Graph(13, paths)):
+        for seed, pairs in ((0, 5), (1, 400)):
+            got = stretch_stats(13, support, pairs, seed)
+            assert got == _stretch_reference(13, support, pairs, seed)
+            assert got[1] is None

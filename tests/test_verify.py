@@ -113,20 +113,6 @@ def test_exact_tree_law_matches_enumeration_counts():
                 assert marg == tuple(Fraction(int(c), total) for c in sub.sum(axis=0)), (name, ids)
 
 
-def test_single_resistance_is_bitwise_the_batched_value():
-    graphs = dict(CORPUS, petersen=petersen_graph(), rr40=random_regular_graph(40, 3, seed=4))
-    for name, g in graphs.items():
-        batch = effective_resistances(g)
-        for eid in range(g.m):
-            assert effective_resistances(g, [eid])[0] == batch[eid], (name, eid)
-    for n in (64, 70):
-        g = random_regular_graph(n, 3, seed=5)
-        assert g.is_connected()
-        batch = effective_resistances(g)
-        for eid in (0, g.m // 2, g.m - 1):
-            assert effective_resistances(g, [eid])[0] == batch[eid], (n, eid)
-
-
 def test_float_resistances_match_exact_at_every_n():
     rr70 = random_regular_graph(70, 3, seed=6)
     ground_edge = next(e for e in range(rr70.m) if rr70.n - 1 in rr70.edge(e))
