@@ -25,18 +25,24 @@ four sampled cut families stand in for "every cut".  The families are arrays
 from the start: int8 family codes and one CSR ``indptr``/``members`` pair.
 Uniform subsets of each size come from one lockstep Floyd draw over a boolean
 row block, tree cuts are subtree intervals of the DFS order, and BFS balls
-grow a chunk of attempts at a time as boolean sparse products B <- B (A + I),
-with the sequential rule that retires a radius replayed over their sizes.  How a
-sampled cut is counted depends on density.  A graph is dense when
-ceil(n / 64) <= 2m / n: a packed row is then no longer than an average CSR
-row, and the table's 8 n ceil(n / 64) bytes stay within the 16 m bytes of the
-CSR the graph already holds.  On a dense unweighted graph |cut(S)| is the sum
-over u in S of popcount(row_u & ~S), or over V∖S for |S| > n/2; a block of
-cuts' bitsets and per-member words stays within ``_CUT_BLOCK_BYTES`` (4 MiB).
-Weighted and sparse graphs keep x^T L_w x for the indicator x, summed a block
-of indicator columns X at a time as the column sums of (L_w X) * X, with the
-three float64 n-by-block arrays within the same budget.  Both ways give the
-same values.
+grow a chunk of attempts at a time, with the sequential rule that retires a
+radius replayed over their sizes.  How balls grow and cuts are counted
+depends on density.  A graph is dense when ceil(n / 64) <= 2m / n: a packed
+row is then no longer than an average CSR row, and the table's
+8 n ceil(n / 64) bytes stay within the 16 m bytes of the CSR the graph
+already holds.  On a dense graph balls grow on the packed closed rows of
+``graph._closed_rows``: radius r + 1 is the OR of the closed rows over
+radius r's members, and a ball's size is its popcount.  On a sparse graph
+they grow as boolean sparse products B <- B (A + I).  On a dense unweighted
+graph |cut(S)| is the sum over u in S of popcount(row_u & ~S), or over V∖S
+for |S| > n/2.  Weighted and sparse graphs count crossing edges: a block of
+sets is one boolean membership block x, an edge uv crosses the sets where
+x[u] ^ x[v], and w(cut(S)) is the sum over the distinct weights c of c times
+the integer count of S's crossing edges of weight c.  The graph and the
+derived object of one ``sampled_cut_ratios`` call share each block when
+both count this way.  Unweighted values are exact integers either way.
+Each block of bitsets, membership flags, unpacked balls or gathered rows
+stays within ``_CUT_BLOCK_BYTES`` (4 MiB).
 Every analysis takes a ``Graph``, and a splicer from ``splice`` is one; the
 spectral bound and cut ratios also take a ``WeightedGraph``.  All analyses
 are read-only.
@@ -52,14 +58,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .graph import ConvergenceError, Graph, _packed_rows
+from .graph import ConvergenceError, Graph, _closed_rows, _packed_rows
 from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
 from .splice import WeightedGraph
 
 EXACT_SCAN_MAX_N = 24
-_CUT_BLOCK_BYTES = 4 << 20   # indicator block, its Laplacian image and their product
+_CUT_BLOCK_BYTES = 4 << 20   # one block of a sampling, ball or cut-count kernel's temporaries
 _SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
 _SCAN_BYTES_PER_SUBSET = 54  # tracemalloc peak of a scan, per subset, at n = 24
 _LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2, at every n
@@ -490,16 +496,17 @@ def _bfs_balls(
     skipped, so dense graphs do not spend the attempt budget on balls that
     fill the graph; attempts stop once ``want`` balls are made, every radius
     is retired or the centers run out.  Balls are grown a chunk of attempts at a
-    time, each radius's as boolean sparse products B <- B (A + I) from the
-    centers' rows of A + I, and ``_replay_balls`` replays the rule over the
-    ball sizes so far.  Chunks double from ``_BALL_PROBE`` attempts but never
-    exceed what the balls still wanted need, so on a graph whose large balls
-    all fail, a radius is retired before many of them are grown.
+    time, each radius's by ``_grow_packed_balls`` on a dense graph and by
+    ``_grow_balls`` on a sparse one, and ``_replay_balls`` replays the rule
+    over the ball sizes so far.  Chunks double from ``_BALL_PROBE`` attempts
+    but never exceed what the balls still wanted need, so on a graph whose
+    large balls all fail, a radius is retired before many of them are grown.
     """
     n, cap = graph.n, centers.size
     if not want:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    step = _closed_adjacency(graph)
+    dense = _is_dense(graph)
+    table = _closed_rows(graph) if dense else _closed_adjacency(graph)
     size = np.zeros(cap, dtype=np.int64)  # 0 for attempts not grown
     ids, grown = [], []
     lo, chunk, made, fails = 0, _BALL_PROBE, 0, np.zeros(3, dtype=np.int64)
@@ -508,8 +515,12 @@ def _bfs_balls(
         hi = min(cap, lo + chunk, lo + 3 * -(-(want - made) // live.size))
         for k in live:
             at = np.arange(lo + (k - lo) % 3, hi, 3)
-            ball = _grow_balls(step, centers[at], k + 1)
-            size[at] = np.diff(ball.indptr)
+            if dense:
+                ball = _grow_packed_balls(table, centers[at], k + 1)
+                size[at] = _popcounts(ball)
+            else:
+                ball = _grow_balls(table, centers[at], k + 1)
+                size[at] = np.diff(ball.indptr)
             ids.append(at)
             grown.append(ball)
         used, kept, fails = _replay_balls(size[:hi] == n, want)
@@ -520,9 +531,13 @@ def _bfs_balls(
     ids = np.concatenate(ids)
     row = np.empty(cap, dtype=np.int64)
     row[ids] = np.arange(ids.size)
-    balls = sp.vstack(grown, format="csr")[row[kept]]
-    balls.sort_indices()
-    return np.diff(balls.indptr).astype(np.int64), balls.indices.astype(np.int64), used
+    if dense:
+        members = _packed_members(np.concatenate(grown)[row[kept]], size[kept])
+    else:
+        balls = sp.vstack(grown, format="csr")[row[kept]]
+        balls.sort_indices()
+        members = balls.indices.astype(np.int64)
+    return size[kept], members, used
 
 
 def _closed_adjacency(graph: Graph) -> sp.csr_matrix:
@@ -537,6 +552,62 @@ def _grow_balls(step: sp.csr_matrix, centers: np.ndarray, radius: int) -> sp.csr
     for _ in range(radius - 1):
         ball = ball @ step
     return ball
+
+
+def _grow_packed_balls(closed: np.ndarray, centers: np.ndarray, radius: int) -> np.ndarray:
+    """Row i holds the vertices within ``radius`` >= 1 of ``centers[i]`` as
+    packed bits: the centers' rows of ``closed`` (``_closed_rows``), then
+    radius - 1 times the OR of the closed rows over each ball's members.  A
+    block of balls' unpacked bits, members and gathered rows stays within
+    ``_CUT_BLOCK_BYTES``."""
+    ball = closed[centers]
+    words = closed.shape[1]
+    for _ in range(radius - 1):
+        size = _popcounts(ball)
+        first = np.cumsum(size) - size
+        grown = np.empty_like(ball)
+        for lo, hi in _blocks(72 * words + (8 * words + 16) * size):
+            grown[lo:hi] = np.bitwise_or.reduceat(
+                closed[_packed_members(ball[lo:hi], size[lo:hi])], first[lo:hi] - first[lo], axis=0
+            )
+        ball = grown
+    return ball
+
+
+def _popcounts(packed: np.ndarray) -> np.ndarray:
+    """The number of set bits in each row of 64-bit words."""
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+
+
+def _packed_members(packed: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The set bits of each row of 64-bit words, ascending, row after row;
+    ``size`` holds the rows' popcounts.  A block of rows' unpacked bits and
+    positions stays within ``_CUT_BLOCK_BYTES``."""
+    width = 64 * packed.shape[1]
+    first = np.zeros(size.size + 1, dtype=np.int64)
+    np.cumsum(size, out=first[1:])
+    out = np.empty(first[-1], dtype=np.int64)
+    for lo, hi in _blocks(width + 8 * size):
+        # One expression: no block's bits or positions outlive it.
+        np.remainder(
+            np.flatnonzero(np.unpackbits(packed[lo:hi].view(np.uint8), axis=1, bitorder="little")),
+            width,
+            out=out[first[lo] : first[hi]],
+        )
+    return out
+
+
+def _blocks(cost: np.ndarray):
+    """Consecutive ranges [lo, hi) of items whose summed ``cost`` in bytes
+    stays within ``_CUT_BLOCK_BYTES``, or single items above it."""
+    spent = np.zeros(cost.size + 1, dtype=np.int64)
+    np.cumsum(cost, out=spent[1:])
+    lo = 0
+    while lo < cost.size:
+        hi = int(np.searchsorted(spent, spent[lo] + _CUT_BLOCK_BYTES, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _replay_balls(full: np.ndarray, want: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -555,23 +626,68 @@ def _replay_balls(full: np.ndarray, want: int) -> tuple[int, np.ndarray, np.ndar
     return t, np.flatnonzero(kept[:t]), fails[:, t - 1]
 
 
-def _cut_values(graph: Graph, weights, indptr, members) -> np.ndarray:
-    """w(cut) for each CSR vertex set: by popcount over packed rows on a dense
-    unweighted graph, else as x^T L_w x for its indicator x."""
-    if weights is None and _is_dense(graph):
-        return _popcount_cut_values(_packed_rows(graph).view("<u8"), indptr, members)
-    n = graph.n
-    lap = laplacian_sparse(graph, weights)
-    cuts = indptr.size - 1
-    out = np.empty(cuts)
-    block = max(1, _CUT_BLOCK_BYTES // (3 * 8 * n))
-    for lo in range(0, cuts, block):
-        hi = min(lo + block, cuts)
-        x = np.zeros((n, hi - lo))
-        cols = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
-        x[members[indptr[lo] : indptr[hi]], cols] = 1.0
-        out[lo:hi] = ((lap @ x) * x).sum(axis=0)
+def _cut_values(objs, indptr, members) -> list[np.ndarray]:
+    """w(cut) for each CSR vertex set in each graph or weighted graph of
+    ``objs`` (one vertex set): by popcount over packed rows on a dense
+    unweighted graph, else by ``_crossing_cut_values``, whose membership
+    blocks all the other graphs share."""
+    out, crossing = [], []
+    for obj in objs:
+        graph, weights = _graph_and_weights(obj)
+        if weights is None and _is_dense(graph):
+            out.append(_popcount_cut_values(_packed_rows(graph).view("<u8"), indptr, members))
+        else:
+            out.append(np.empty(indptr.size - 1))
+            crossing.append((graph, weights, out[-1]))
+    if crossing:
+        _crossing_cut_values(crossing, indptr, members)
     return out
+
+
+def _crossing_cut_values(graphs: list, indptr, members) -> None:
+    """Fill ``out`` of each (graph, weights, out) with w(cut(S)) for every CSR
+    vertex set S: the sum over the distinct weights c of c times the number
+    of edges of weight c that cross S (weight 1 for a plain graph).
+
+    A block of sets is one boolean membership block x, vertex by set; an
+    edge uv crosses the sets where x[u] ^ x[v].  With the edges sorted by
+    weight, each weight's crossing flags are summed into integer counts
+    (uint16 while a weight has fewer than 2^16 edges), so the flags are
+    never cast, and one product with the weights gives the values.  A
+    block's membership, flags, counts and index entries stay within
+    ``_CUT_BLOCK_BYTES``.
+    """
+    n = graphs[0][0].n
+    edges, widest = [], 0
+    for graph, weights, out in graphs:
+        if weights is None:
+            weights = np.ones(graph.m)
+        order = np.argsort(weights, kind="stable")
+        value, first = np.unique(weights[order], return_index=True)
+        bounds = np.append(first, graph.m).tolist()
+        acc = np.uint16 if np.diff(bounds).max(initial=0) < 1 << 16 else np.uint32
+        edges.append((graph.edge_u[order], graph.edge_v[order], bounds, acc, value, out))
+        widest = max(widest, 2 * graph.m + 12 * value.size)  # flags, counts, their cast
+    sizes = np.diff(indptr)
+    blocks = list(_blocks(n + widest + 16 * sizes))
+    matrix = np.empty(n * max((hi - lo for lo, hi in blocks), default=0), dtype=bool)
+    for lo, hi in blocks:
+        x = matrix[: n * (hi - lo)].reshape(n, hi - lo)
+        x[:] = False
+        x[members[indptr[lo] : indptr[hi]], np.repeat(np.arange(hi - lo), sizes[lo:hi])] = True
+        for eu, ev, bounds, acc, value, out in edges:
+            out[lo:hi] = value @ _weight_counts(x, eu, ev, bounds, acc)
+
+
+def _weight_counts(x: np.ndarray, eu, ev, bounds: list, acc) -> np.ndarray:
+    """Row c, column j: how many edges eu[i]ev[i], bounds[c] <= i < bounds[c + 1],
+    cross set j of the membership block x, summed in ``acc``."""
+    flags = x[eu]
+    flags ^= x[ev]
+    count = np.empty((len(bounds) - 1, x.shape[1]), dtype=acc)
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        np.add.reduce(flags[a:b].view(np.uint8), axis=0, dtype=acc, out=count[c])
+    return count
 
 
 def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
@@ -585,14 +701,9 @@ def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
     # A set costs its bitset's words, flipped also 2 bytes a vertex to unpack;
     # a counted member its gathered row and complement words, their popcounts
     # and about five index entries.
-    spent = np.zeros(cuts + 1, dtype=np.int64)
     counted = np.where(flip, n - sizes, sizes)
-    np.cumsum(8 * words + 128 * words * flip + (17 * words + 40) * counted, out=spent[1:])
     out = np.empty(cuts)
-    lo = 0
-    while lo < cuts:
-        hi = int(np.searchsorted(spent, spent[lo] + _CUT_BLOCK_BYTES, side="right")) - 1
-        hi = max(hi, lo + 1)
+    for lo, hi in _blocks(8 * words + 128 * words * flip + (17 * words + 40) * counted):
         which = np.repeat(np.arange(hi - lo), sizes[lo:hi])
         vertex = members[indptr[lo] : indptr[hi]]
         outside = np.full((hi - lo, words), ~np.uint64(0))
@@ -612,23 +723,15 @@ def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
         out[lo:hi] = np.bincount(
             which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=hi - lo
         )
-        lo = hi
     return out
 
 
 def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> CutRatios:
     """Cut sizes of ``derived`` against ``graph`` over the sampled families."""
-    d_graph, weights = _graph_and_weights(derived)
-    if d_graph.n != graph.n:
+    if derived.n != graph.n:
         raise ValueError("graph and derived object must share a vertex set")
     family, indptr, members = sample_cut_subsets(graph, samples, seed)
-    return CutRatios(
-        family=family,
-        indptr=indptr,
-        members=members,
-        base_cut=_cut_values(graph, None, indptr, members),
-        derived_cut=_cut_values(d_graph, weights, indptr, members),
-    )
+    return CutRatios(family, indptr, members, *_cut_values([graph, derived], indptr, members))
 
 
 def sparsifier_quality(

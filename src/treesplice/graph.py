@@ -17,7 +17,9 @@ the arrays as a scipy matrix for csgraph searches, less failed edges.
 ``_packed_rows`` builds the one packed neighbour table, fresh per call
 (n^2/8 bytes): row v is v's neighbours as ceil(n / 64) 64-bit words, vertex
 w at bit w % 64 of word w // 64.  The subset scan and cut counting in
-``cuts`` and the stretch distances in ``routing`` read it.
+``cuts`` read it; ``_closed_rows`` adds the diagonal, the radius-1 balls
+from which ``cuts`` grows BFS balls on dense graphs and ``routing`` its
+stretch distances.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ def _packed_rows(graph: Graph) -> np.ndarray:
     at = np.repeat(np.arange(n, dtype=np.int64) * width, np.diff(indptr)) + (nbr >> 3)
     np.bitwise_or.at(rows, at, np.left_shift(1, nbr & 7).astype(np.uint8))
     return rows.reshape(n, width)
+
+
+def _closed_rows(graph: Graph) -> np.ndarray:
+    """``_packed_rows`` as 64-bit words with the diagonal set: row v holds v
+    and its neighbours, the ball of radius 1 around v."""
+    rows = _packed_rows(graph).view("<u8")
+    ids = np.arange(graph.n)
+    rows[ids, ids >> 6] |= np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    return rows
 
 
 def _cover_step_cap(n: int, ratio: float = 1.0) -> int:

@@ -20,7 +20,7 @@ distance 1.  Support distances are exact and come from one of two paths, for
 n <= DIAMETER_MAX_N (above it ``stretch_stats`` raises).  A tree support
 answers from depth and lowest common ancestor (binary lifting, O(n log n)
 memory).  Any other support grows every vertex's ball at once as packed
-bits, starting from the packed neighbour table of ``graph._packed_rows`` (an
+bits, starting from the radius-1 balls of ``graph._closed_rows`` (an
 n^2/8-byte table, 2 MiB at n = 4096, with its row gathers capped at 4 MiB);
 that costs O(diameter (n + 2m) ceil(n / 64)) word operations, so
 long-diameter supports are slow: a cycle of 4000 vertices takes about 8 s
@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .graph import Graph, _packed_rows, _vertex_pairs
+from .graph import Graph, _closed_rows, _vertex_pairs
 from .sampler import sample_trees
 from .seeds import below, child_seed, substream, word_stream
 
@@ -337,15 +337,15 @@ def _ball_pairs(graph: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nd
     """Hop distances srcs[i] -> dsts[i] (inf when unreached) and the diameter
     (None when ``graph`` is disconnected), from bit-parallel all-sources BFS.
 
-    The balls start as ``graph``'s packed neighbour table read as uint64
-    words (row v holds vertex w at bit w % 64 of word w // 64, n^2/8 bytes);
-    with the diagonal set it is the table of radius-1 balls.
+    The balls start as ``graph``'s radius-1 balls, its packed neighbour
+    table with the diagonal set, read as uint64 words (row v holds vertex w
+    at bit w % 64 of word w // 64, n^2/8 bytes).
     A step ORs the rows over each closed neighbourhood; a pair's distance is
     the step at which its bit first appears, and the diameter the step that
     fills every row.  The rows are gathered in vertex blocks of at most 4 MiB.
     """
     n = graph.n
-    ball = _packed_rows(graph).view("<u8")
+    ball = _closed_rows(graph)
     words = ball.shape[1]
     indptr, nbr, _ = graph._csr
     # Closed neighbourhoods: segment v of the gather lists v, then its neighbours.
@@ -357,8 +357,6 @@ def _ball_pairs(graph: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nd
         lo = blocks[-1]
         hi = int(np.searchsorted(starts, starts[lo] + budget, side="right")) - 1
         blocks.append(min(max(hi, lo + 1), n))
-    ids = np.arange(n)
-    ball[ids, ids >> 6] |= np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
     full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if n % 64:
         full[-1] = (1 << (n % 64)) - 1
@@ -388,7 +386,7 @@ def stretch_stats(n: int, support: Graph, pairs: int, seed: int) -> tuple[float,
     and comes from one of two paths.  A spanning-tree support reads the
     pairs' distances from depth and lowest common ancestor (O(n log n)
     memory).  Any other support grows all n balls at once as packed bits
-    from the radius-1 balls of ``_packed_rows``: an n^2/8-byte table (2 MiB
+    from the radius-1 balls of ``_closed_rows``: an n^2/8-byte table (2 MiB
     at n = 4096, gathered under 4 MiB at a time) and
     O(diameter (n + 2m) ceil(n / 64)) word operations, so long-diameter
     supports are slow.  The diameter is None when the support is

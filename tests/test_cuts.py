@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -27,10 +28,10 @@ from treesplice.generators import (
     random_regular_graph,
     wheel_graph,
 )
-from treesplice.graph import ConvergenceError, Graph, _packed_rows, cut_edges
+from treesplice.graph import ConvergenceError, Graph, _closed_rows, _packed_rows, cut_edges
 from treesplice.linalg import laplacian_sparse
 from treesplice.sampler import aldous_broder
-from treesplice.splice import WeightedGraph, splice, splice_gnp
+from treesplice.splice import WeightedGraph, sparsify_gnp, splice, splice_gnp
 from treesplice.seeds import child_seed, substream
 
 
@@ -294,11 +295,11 @@ def _random_subsets(n, count, seed):
     ],
 )
 def test_cut_values_count_cut_edges_exactly(g, monkeypatch):
-    # 7 indicator columns a Laplacian block; popcount blocks hold a few sets
-    # each.  Either way blocks split and the last one is short.
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * 8 * g.n * 7)
+    # A few sets a crossing-count block (n + 2m bytes a set, 16 a member) or
+    # a popcount block.  Either way blocks split and the last one is short.
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 7 * (17 * g.n + 2 * g.m))
     subsets = _random_subsets(g.n, 300, seed=g.m)
-    got = _cut_values(g, None, *_csr(subsets))
+    (got,) = _cut_values([g], *_csr(subsets))
     want = [len(cut_edges(g, a)) for a in subsets]
     assert got.tolist() == want
 
@@ -355,15 +356,29 @@ def reference_ball(g, center, radius):
 
 
 @pytest.mark.parametrize(
-    "g", [gnp_graph(150, 0.05, seed=3), random_regular_graph(300, 3, seed=11)]
+    "g",
+    [
+        gnp_graph(150, 0.05, seed=3),
+        random_regular_graph(300, 3, seed=11),
+        gnp_graph(150, 0.3, seed=5),
+        complete_graph(12),
+    ],
 )
-def test_balls_match_a_set_bfs(g):
+def test_balls_match_a_set_bfs(g, monkeypatch):
+    # Both growths on every graph: sparse products, and packed rows, whose
+    # blocks hold one or two balls at the small budget.
     assert g.is_connected()
     step = cuts._closed_adjacency(g)
+    closed = _closed_rows(g)
     centers = np.arange(0, g.n, 7)
-    for radius in (1, 2, 3, 4):
+    for radius, budget in itertools.product((1, 2, 3, 4), (1 << 10, 1 << 22)):
+        monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", budget)
         balls = cuts._grow_balls(step, centers, radius)
         balls.sort_indices()
+        packed = cuts._grow_packed_balls(closed, centers, radius)
+        size = cuts._popcounts(packed)
+        assert np.array_equal(size, np.diff(balls.indptr))
+        assert np.array_equal(cuts._packed_members(packed, size), balls.indices)
         for i, center in enumerate(centers):
             want = reference_ball(g, int(center), radius)
             got = balls.indices[balls.indptr[i] : balls.indptr[i + 1]].tolist()
@@ -383,17 +398,43 @@ def test_dense_and_sparse_paths_give_the_same_cuts(g, monkeypatch):
         assert np.array_equal(getattr(got, name), getattr(other, name))
 
 
+@pytest.mark.parametrize(
+    "radius, centers", [(1, np.arange(1000).repeat(4)), (3, np.arange(0, 1000, 5))]
+)
+def test_packed_balls_stay_within_the_block_budget(radius, centers, monkeypatch):
+    # A dense n = 1000 host: 4000 radius-1 balls unpack to 4 MB of bits, and
+    # 200 radius-3 balls of ~1000 members gather 25 MB of rows in one block.
+    n = 1000
+    closed = _closed_rows(gnp_graph(n, 10 * math.log(n) / n, seed=7))
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        ball = cuts._grow_packed_balls(closed, centers, radius)
+        grow_peak = tracemalloc.get_traced_memory()[1]
+        size = cuts._popcounts(ball)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        members = cuts._packed_members(ball, size)
+        unpack_peak = tracemalloc.get_traced_memory()[1] - held - members.nbytes
+    finally:
+        tracemalloc.stop()
+    assert members.size == size.sum()
+    assert grow_peak < 1.2 * (1 << 20)
+    assert unpack_peak < 1.2 * (1 << 20)
+
+
 def test_ball_loop_stops_once_every_radius_is_retired(monkeypatch):
     # On K_n every ball swallows the graph: each radius fails three times in
-    # the first nine attempts, and then no radius is left to try.
-    real = cuts._grow_balls
+    # the first nine attempts, and then no radius is left to try.  K_n is
+    # dense, so its balls grow on packed rows.
+    real = cuts._grow_packed_balls
     grown = []
 
-    def counting(step, centers, radius):
+    def counting(closed, centers, radius):
         grown.append(centers.size)
-        return real(step, centers, radius)
+        return real(closed, centers, radius)
 
-    monkeypatch.setattr(cuts, "_grow_balls", counting)
+    monkeypatch.setattr(cuts, "_grow_packed_balls", counting)
     g = complete_graph(12)
     family, _, _ = sample_cut_subsets(g, 60, seed=3)
     assert sum(grown) == 9
@@ -547,14 +588,84 @@ def test_sampled_cuts_reject_tiny_or_disconnected_graphs():
 
 
 def test_cut_values_match_weighted_cut_weight(monkeypatch):
-    g = gnp_graph(60, 0.2, seed=21)
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * 8 * g.n * 7)
+    # Every weight distinct; 40 weights of about 450 edges each; and
+    # sparsify_gnp's one weight p n.  About 7 sets a block.
     rng = np.random.default_rng(8)
-    wg = WeightedGraph(g, rng.uniform(0.05, 20.0, g.m))
-    subsets = _random_subsets(g.n, 300, seed=9)
-    got = _cut_values(g, wg.weights, *_csr(subsets))
-    want = np.array([wg.weights[cut_edges(g, a)].sum() for a in subsets])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    g = gnp_graph(60, 0.2, seed=21)
+    dense = gnp_graph(200, 0.9, seed=4)
+    p = 10 * math.log(300) / 300
+    for wg in (
+        WeightedGraph(g, rng.uniform(0.05, 20.0, g.m)),
+        WeightedGraph(dense, rng.choice(rng.uniform(0.05, 20.0, 40), dense.m)),
+        sparsify_gnp(gnp_graph(300, p, seed=6), p, seed=7),
+    ):
+        n, m = wg.graph.n, wg.graph.m
+        monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 7 * (17 * n + 14 * m))
+        subsets = _random_subsets(n, 300, seed=9)
+        (got,) = _cut_values([wg], *_csr(subsets))
+        want = np.array([wg.weights[cut_edges(wg.graph, a)].sum() for a in subsets])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "g", [random_regular_graph(300, 3, seed=11), gnp_graph(150, 0.05, seed=3)]
+)
+def test_crossing_counts_match_cut_edges_on_sampled_sets(g, monkeypatch):
+    # Every sampled set, with blocks of a few sets each, and the host, its
+    # splicer and a weighted copy sharing one membership block give the
+    # values each gets alone.
+    spl = splice(g, 2, seed=1)
+    wg = WeightedGraph(spl, np.random.default_rng(2).uniform(0.5, 2.0, spl.m))
+    _, indptr, members = sample_cut_subsets(g, 600, seed=4)
+    monkeypatch.setattr(cuts, "_is_dense", lambda graph: False)
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 5 * (17 * g.n + 14 * g.m))
+    shared = _cut_values([g, spl, wg], indptr, members)
+    alone = [_cut_values([obj], indptr, members)[0] for obj in (g, spl, wg)]
+    for a, b in zip(shared, alone):
+        assert np.array_equal(a, b)
+    sets = [members[indptr[i] : indptr[i + 1]] for i in range(indptr.size - 1)]
+    assert shared[0].tolist() == [len(cut_edges(g, a)) for a in sets]
+    assert shared[1].tolist() == [len(cut_edges(spl, a)) for a in sets]
+    want = np.array([wg.weights[cut_edges(spl, a)].sum() for a in sets])
+    np.testing.assert_allclose(shared[2], want, rtol=1e-12, atol=0)
+
+
+def test_crossing_counts_stay_within_the_block_budget(monkeypatch):
+    # A sparse host and its splicer share each membership block; one block
+    # for all 400 sets would take about 9 MiB.
+    g = random_regular_graph(2048, 3, seed=5)
+    spl = splice(g, 2, seed=1)
+    subsets = _random_subsets(g.n, 400, seed=3)
+    indptr, members = _csr(subsets)
+    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        base, derived = _cut_values([g, spl], indptr, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * (1 << 20)
+    assert base.tolist() == [len(cut_edges(g, a)) for a in subsets]
+    assert derived.tolist() == [len(cut_edges(spl, a)) for a in subsets]
+
+
+def test_sampled_cut_ratios_on_a_sparsifier_host_are_memory_bounded():
+    # thm-sparsifier's first host and cuts at seed 1.  The peak was 14.3 MiB
+    # while cut values came from Laplacian products and balls from sparse
+    # products; it is 14.4 MiB with crossing-edge counts and packed balls,
+    # and 55 MiB if one crossing-count block held all 10 000 sets.
+    n = 1000
+    p = 10 * math.log(n) / n
+    host = gnp_graph(n, p, child_seed(1, "host", 0))
+    wg = sparsify_gnp(host, p, child_seed(1, "sparsify", 0))
+    tracemalloc.start()
+    try:
+        ratios = sampled_cut_ratios(host, wg, 10_000, child_seed(1, "cuts", 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ratios) == 10_000
+    assert peak < 16 << 20
 
 
 def test_cut_ratios_line_up_with_sampled_subsets():
