@@ -42,7 +42,7 @@ the integer count of S's crossing edges of weight c.  The graph and the
 derived object of one ``sampled_cut_ratios`` call share each block when
 both count this way.  Unweighted values are exact integers either way.
 Each block of bitsets, membership flags, unpacked balls or gathered rows
-stays within ``_CUT_BLOCK_BYTES`` (4 MiB).
+stays within ``graph._BLOCK_BYTES`` (4 MiB).
 Every analysis takes a ``Graph``, and a splicer from ``splice`` is one; the
 spectral bound and cut ratios also take a ``WeightedGraph``.  All analyses
 are read-only.
@@ -58,14 +58,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .graph import ConvergenceError, Graph, _closed_rows, _packed_rows
+from .graph import ConvergenceError, Graph, _blocks, _closed_rows, _packed_rows
 from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
 from .splice import WeightedGraph
 
 EXACT_SCAN_MAX_N = 24
-_CUT_BLOCK_BYTES = 4 << 20   # one block of a sampling, ball or cut-count kernel's temporaries
 _SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
 _SCAN_BYTES_PER_SUBSET = 54  # tracemalloc peak of a scan, per subset, at n = 24
 _LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2, at every n
@@ -446,13 +445,12 @@ def _floyd_subsets(rng, n: int, out: np.ndarray) -> None:
     in [0, j] and takes j if it already holds v, else v, so after s draws each
     row is a uniform s-subset.  A block is a boolean matrix whose row-major
     nonzeros are its members in order; the matrix and its members stay within
-    ``_CUT_BLOCK_BYTES``.
+    ``_BLOCK_BYTES``.
     """
     rows, s = out.shape
-    block = max(1, _CUT_BLOCK_BYTES // (n + 8 * s))
-    matrix = np.empty(min(block, rows) * n, dtype=bool)
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
+    blocks = list(_blocks(np.full(rows, n + 8 * s)))
+    matrix = np.empty(max((hi - lo for lo, hi in blocks), default=0) * n, dtype=bool)
+    for lo, hi in blocks:
         picked = matrix[: (hi - lo) * n]
         picked[:] = False
         start = np.arange(0, picked.size, n)
@@ -559,7 +557,7 @@ def _grow_packed_balls(closed: np.ndarray, centers: np.ndarray, radius: int) -> 
     packed bits: the centers' rows of ``closed`` (``_closed_rows``), then
     radius - 1 times the OR of the closed rows over each ball's members.  A
     block of balls' unpacked bits, members and gathered rows stays within
-    ``_CUT_BLOCK_BYTES``."""
+    ``_BLOCK_BYTES``."""
     ball = closed[centers]
     words = closed.shape[1]
     for _ in range(radius - 1):
@@ -582,7 +580,7 @@ def _popcounts(packed: np.ndarray) -> np.ndarray:
 def _packed_members(packed: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The set bits of each row of 64-bit words, ascending, row after row;
     ``size`` holds the rows' popcounts.  A block of rows' unpacked bits and
-    positions stays within ``_CUT_BLOCK_BYTES``."""
+    positions stays within ``_BLOCK_BYTES``."""
     width = 64 * packed.shape[1]
     first = np.zeros(size.size + 1, dtype=np.int64)
     np.cumsum(size, out=first[1:])
@@ -595,19 +593,6 @@ def _packed_members(packed: np.ndarray, size: np.ndarray) -> np.ndarray:
             out=out[first[lo] : first[hi]],
         )
     return out
-
-
-def _blocks(cost: np.ndarray):
-    """Consecutive ranges [lo, hi) of items whose summed ``cost`` in bytes
-    stays within ``_CUT_BLOCK_BYTES``, or single items above it."""
-    spent = np.zeros(cost.size + 1, dtype=np.int64)
-    np.cumsum(cost, out=spent[1:])
-    lo = 0
-    while lo < cost.size:
-        hi = int(np.searchsorted(spent, spent[lo] + _CUT_BLOCK_BYTES, side="right")) - 1
-        hi = max(hi, lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def _replay_balls(full: np.ndarray, want: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -655,7 +640,7 @@ def _crossing_cut_values(graphs: list, indptr, members) -> None:
     (uint16 while a weight has fewer than 2^16 edges), so the flags are
     never cast, and one product with the weights gives the values.  A
     block's membership, flags, counts and index entries stay within
-    ``_CUT_BLOCK_BYTES``.
+    ``_BLOCK_BYTES``.
     """
     n = graphs[0][0].n
     edges, widest = [], 0
@@ -691,39 +676,49 @@ def _weight_counts(x: np.ndarray, eu, ev, bounds: list, acc) -> np.ndarray:
 
 
 def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
-    """|cut(S)| = sum over u in S of popcount(row_u & ~S), a block of sets at a
-    time: each block's bitsets and per-member words fit ``_CUT_BLOCK_BYTES``.
+    """|cut(S)| = sum over u in S of popcount(row_u & ~S), a ``_popcount_block``
+    of sets at a time, whose temporaries fit ``_BLOCK_BYTES`` and die with it.
     A set above n/2 is counted as V∖S, since |cut(S)| = |cut(V∖S)|."""
     n, words = rows.shape
-    cuts = indptr.size - 1
+    out = np.empty(indptr.size - 1)
+    for lo, hi in _popcount_blocks(n, words, np.diff(indptr)):
+        out[lo:hi] = _popcount_block(rows, indptr[lo : hi + 1], members)
+    return out
+
+
+def _popcount_blocks(n: int, words: int, sizes: np.ndarray) -> list[tuple[int, int]]:
+    """``_popcount_cut_values``' blocks, listed so that no per-set cost outlives
+    them.  A set costs its bitset, four entries, and five index entries a
+    member (``which``, ``word``, ``bit`` and casts); flipped, a byte a vertex
+    unpacked and two ``np.nonzero`` entries a counted member.  A counted
+    member costs its gathered row and mask words, popcounts and two entries."""
+    counted = np.minimum(sizes, n - sizes)
+    per_set = 8 * words + 32 + 40 * sizes + (sizes > n // 2) * (64 * words + 16 * counted)
+    return list(_blocks(per_set + (17 * words + 16) * counted))
+
+
+def _popcount_block(rows: np.ndarray, indptr, members) -> np.ndarray:
+    """The cut sizes of the CSR sets whose bounds in ``members`` are ``indptr``."""
+    n, words = rows.shape
     sizes = np.diff(indptr)
     flip = sizes > n // 2
-    # A set costs its bitset's words, flipped also 2 bytes a vertex to unpack;
-    # a counted member its gathered row and complement words, their popcounts
-    # and about five index entries.
-    counted = np.where(flip, n - sizes, sizes)
-    out = np.empty(cuts)
-    for lo, hi in _blocks(8 * words + 128 * words * flip + (17 * words + 40) * counted):
-        which = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        vertex = members[indptr[lo] : indptr[hi]]
-        outside = np.full((hi - lo, words), ~np.uint64(0))
-        word = which * words + (vertex >> 6)
-        bit = np.uint64(1) << (vertex & 63).astype(np.uint64)
-        np.bitwise_and.at(outside.reshape(-1), word, ~bit)
-        # A flipped set's members are the bits of V∖S, and its mask is S.
-        big = np.flatnonzero(flip[lo:hi])
-        bits = np.unpackbits(outside[big].view(np.uint8), axis=1, count=n, bitorder="little")
-        rest, vert = np.nonzero(bits)
-        keep = ~flip[lo:hi][which]
-        which = np.concatenate([which[keep], big[rest]])
-        vertex = np.concatenate([vertex[keep], vert])
-        outside[big] = ~outside[big]
-        crossing = rows[vertex]
-        crossing &= outside[which]
-        out[lo:hi] = np.bincount(
-            which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=hi - lo
-        )
-    return out
+    which = np.repeat(np.arange(sizes.size), sizes)
+    vertex = members[indptr[0] : indptr[-1]]
+    outside = np.full((sizes.size, words), ~np.uint64(0))
+    word = which * words + (vertex >> 6)
+    bit = np.uint64(1) << (vertex & 63).astype(np.uint64)
+    np.bitwise_and.at(outside.reshape(-1), word, ~bit)
+    # A flipped set's members are the bits of V∖S, and its mask is S.
+    big = np.flatnonzero(flip)
+    bits = np.unpackbits(outside[big].view(np.uint8), axis=1, count=n, bitorder="little")
+    rest, vert = np.nonzero(bits)
+    keep = ~flip[which]
+    which = np.concatenate([which[keep], big[rest]])
+    vertex = np.concatenate([vertex[keep], vert])
+    outside[big] = ~outside[big]
+    crossing = rows[vertex]
+    crossing &= outside[which]
+    return np.bincount(which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=sizes.size)
 
 
 def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> CutRatios:

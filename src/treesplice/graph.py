@@ -12,14 +12,15 @@ row v holds v's neighbours and their edge ids.  The views derive from it.  An
 arc its masks allow.  ``_csr_rows`` splits a column into per-vertex Python
 lists, which scalar per-step loops index several times faster than numpy
 arrays; ``Graph._neighbor_lists`` caches the neighbour column so, and walks
-read edge ids back from ``eid`` by row position.  ``Graph._adjacency`` wraps
+find tree edge ids in ``eid`` by parent.  ``Graph._adjacency`` wraps
 the arrays as a scipy matrix for csgraph searches, less failed edges.
 ``_packed_rows`` builds the one packed neighbour table, fresh per call
 (n^2/8 bytes): row v is v's neighbours as ceil(n / 64) 64-bit words, vertex
 w at bit w % 64 of word w // 64.  The subset scan and cut counting in
 ``cuts`` read it; ``_closed_rows`` adds the diagonal, the radius-1 balls
 from which ``cuts`` grows BFS balls on dense graphs and ``routing`` its
-stretch distances.
+stretch distances.  ``_blocks`` splits their items into runs whose
+temporaries fit one ``_BLOCK_BYTES`` (4 MiB) block.
 """
 
 from __future__ import annotations
@@ -67,10 +68,27 @@ def _closed_rows(graph: Graph) -> np.ndarray:
     return rows
 
 
-def _cover_step_cap(n: int, ratio: float = 1.0) -> int:
-    """64 n ln(n) * ratio, the cover-walk cap on n >= 2 vertices with
-    max / min degree ``ratio``; K_n's by default."""
-    return int(math.ceil(64 * n * math.log(max(n, 2)) * ratio))
+def _cover_step_cap(n: int, ratio: float = 1.0, m: int | None = None) -> int:
+    """``Graph.walk_step_cap`` for n >= 2, m (K_n's by default) and Δ/δ ``ratio``."""
+    m = n * (n - 1) // 2 if m is None else m
+    fast = math.ceil(64 * n * math.log(max(n, 2)) * ratio)
+    return min(max(fast, 80 * m * (n - 1)), (1 << 62) - 1)
+
+
+_BLOCK_BYTES = 4 << 20  # one block of a kernel's temporaries
+
+
+def _blocks(cost: np.ndarray):
+    """Consecutive ranges [lo, hi) of items whose summed ``cost`` in bytes
+    stays within ``_BLOCK_BYTES``, or single items above it."""
+    spent = np.zeros(cost.size + 1, dtype=np.int64)
+    np.cumsum(cost, out=spent[1:])
+    lo = 0
+    while lo < cost.size:
+        hi = int(np.searchsorted(spent, spent[lo] + _BLOCK_BYTES, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 class GraphFormatError(ValueError):
@@ -241,14 +259,14 @@ class Graph:
         return reached.size == self.n
 
     def walk_step_cap(self) -> int:
-        """Safety cap for cover walks: 64 n ln(n) * (max degree / min degree)."""
+        """Cover-walk cap, below 2^62: the larger of 64 n ln(n) Δ/δ and
+        80 m (n - 1), 20 rounds of twice the 2m(n - 1) bound on a connected
+        graph's expected cover time (Aleliunas, Karp, Lipton, Lovász &
+        Rackoff, FOCS 1979), so by Markov a walk misses it w.p. <= 2^-20."""
         if self.n <= 1:
             return 1
         deg = self.degrees
-        dmin = int(deg.min())
-        if dmin == 0:
-            return 64 * self.n
-        return _cover_step_cap(self.n, int(deg.max()) / dmin)
+        return _cover_step_cap(self.n, int(deg.max()) / max(int(deg.min()), 1), self.m)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

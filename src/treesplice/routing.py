@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .graph import Graph, _closed_rows, _vertex_pairs
+from .graph import Graph, _blocks, _closed_rows, _vertex_pairs
 from .sampler import sample_trees
 from .seeds import below, child_seed, substream, word_stream
 
@@ -342,7 +342,7 @@ def _ball_pairs(graph: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nd
     at bit w % 64 of word w // 64, n^2/8 bytes).
     A step ORs the rows over each closed neighbourhood; a pair's distance is
     the step at which its bit first appears, and the diameter the step that
-    fills every row.  The rows are gathered in vertex blocks of at most 4 MiB.
+    fills every row.  The rows are gathered in 4 MiB vertex ``_blocks``.
     """
     n = graph.n
     ball = _closed_rows(graph)
@@ -351,12 +351,7 @@ def _ball_pairs(graph: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nd
     # Closed neighbourhoods: segment v of the gather lists v, then its neighbours.
     closed = np.insert(nbr, indptr[:-1], np.arange(n, dtype=nbr.dtype))
     starts = indptr + np.arange(n + 1)
-    budget = max(1, (4 << 20) // (8 * words))
-    blocks = [0]
-    while blocks[-1] < n:
-        lo = blocks[-1]
-        hi = int(np.searchsorted(starts, starts[lo] + budget, side="right")) - 1
-        blocks.append(min(max(hi, lo + 1), n))
+    blocks = list(_blocks(8 * words * np.diff(starts)))
     full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if n % 64:
         full[-1] = (1 << (n % 64)) - 1
@@ -367,7 +362,7 @@ def _ball_pairs(graph: Graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nd
         dist[_bits(ball, srcs, dsts) & np.isinf(dist)] = step
         if (ball == full).all():
             return dist, step
-        for lo, hi in zip(blocks[:-1], blocks[1:]):
+        for lo, hi in blocks:
             a, b = starts[lo], starts[hi]
             grown[lo:hi] = np.bitwise_or.reduceat(ball[closed[a:b]], starts[lo:hi] - a)
         if np.array_equal(grown, ball):

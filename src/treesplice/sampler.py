@@ -28,22 +28,19 @@ Every walk but K_n's reads the graph's CSR; an orientation's is its base
 graph's, with the rows filtered by the direction masks.  ``aldous_broder``
 takes a block of words at a time and makes the block's moves at once,
 through the cached neighbour lists or, on K_n in ``triu`` order, as a
-cumulative sum mod n; it keeps first visits in numpy and reads each
-first-entry edge from its row slot, or on K_n from the ``triu`` formula, so
-its tree and trace are those of a step loop on the same words.  The K_n walk
-needs only n: ``aldous_broder``, ``sample_trees`` and ``splice`` take an int
-n for K_n, and K_n's trees then cost O(n) memory, not its n(n-1)/2 edges.
+cumulative sum mod n; it keeps first visits in numpy, so its tree and trace
+are those of a step loop on the same words.  The K_n walk needs only n:
+``aldous_broder``, ``sample_trees`` and ``splice`` take an int n for K_n,
+and K_n's trees then cost O(n) memory, not its n(n-1)/2 edges.
 ``process_bp_on`` permutes list rows it slices afresh per call.  Both apply
 ``seeds.below``'s exact rule inline to raw 64-bit words; a word below 2^64
-minus the walk's largest bound passes for every bound.
-The lockstep engine draws differently, with ``Generator.integers``: one
-draw per active walk and step, on array bounds, or on a regular graph of
-degree d on the scalar bound d, which gives the same values.  It holds the
-state of the active walks only (current vertex, vertices left to enter, row
-offset into the flat ``first`` table).  A step writes the first-entry edges
-and counts down vertices left at the indices of the walks that entered a
-new vertex only, and compacts the state only when one of those finishes or
-some walk gets stuck.
+minus the walk's largest bound passes for every bound.  The lockstep engine
+draws with ``Generator.integers`` instead, once per active walk and step.
+
+The scalar walks record parents only.  In a simple graph, v's first-entry
+edge is the one edge joining v to its parent, and ``_parent_edges`` reads it
+from the CSR for every v at once after a walk or phase; on K_n the ``triu``
+formula gives it.
 """
 
 from __future__ import annotations
@@ -158,8 +155,9 @@ def aldous_broder(
     for K_n in ``complete_graph``'s edge order, which is then never built.
     Steps come a block at a time, in closed form from n alone on K_n in
     ``triu`` edge order, else from the neighbour lists; first visits are
-    kept in numpy after each block, and the trace is cut at the last first
-    visit.
+    kept in numpy after each block, and the int32 trace (about 9 bytes a
+    step at peak) is cut at the last first visit.  A parent is the trace
+    vertex before a first visit; ``_parent_edges`` names its edge.
     """
     if isinstance(graph, Graph):
         n, complete, cap = graph.n, graph._complete_in_order, graph.walk_step_cap()
@@ -173,13 +171,11 @@ def aldous_broder(
     if not complete and not graph.is_connected():
         raise SamplingError("graph is disconnected; the walk cannot cover")
     gen = substream(seed, "aldous-broder")
-    draws: list[np.ndarray] = []
-    blocks = (_complete_steps(gen, n, start) if complete
-              else _neighbour_steps(graph, gen, start, draws))
+    blocks = _complete_steps(gen, n, start) if complete else _neighbour_steps(graph, gen, start)
     # cap marks a vertex not yet entered; the walk may take cap - 1 steps.
     first_visit = np.full(n, cap, dtype=np.int64)
     first_visit[start] = 0
-    pieces = [np.array([start], dtype=np.int64)]
+    pieces = [np.array([start], dtype=np.int32)]
     steps = 0
     while first_visit.max() == cap:
         if steps == cap - 1:
@@ -189,21 +185,27 @@ def aldous_broder(
         np.minimum.at(first_visit, pos, np.arange(steps + 1, steps + 1 + pos.size))
         steps += pos.size
     trace = np.concatenate(pieces)[: first_visit.max() + 1]
-    # The step before each first visit (0 at the start) and its vertex.
-    entry = np.maximum(first_visit - 1, 0)
-    parent = trace[entry]
+    # The vertex before each first visit; the start has none.
+    parent = trace[first_visit - 1]
+    parent[start] = -1
     if complete:
         # Edge (u, v), u < v, has id u (2n - u - 1) / 2 + v - u - 1.
         lo, hi = np.minimum(parent, np.arange(n)), np.maximum(parent, np.arange(n))
-        parent_edge = (lo * (2 * n - lo - 1) // 2 + hi - lo - 1).astype(np.int32)
+        parent_edge = np.where(lo < 0, -1, lo * (2 * n - lo - 1) // 2 + hi - lo - 1)
     else:
-        # v's first-entry edge sits at slot draw mod d(parent) of its row.
-        indptr, _, eid = graph._csr
-        slot = np.concatenate(draws)[entry] % graph.degrees.astype(np.uint64)[parent]
-        parent_edge = eid[indptr[parent] + slot.astype(np.int64)]
-    parent[start] = parent_edge[start] = -1
-    tree = SpanningTree(start, parent.astype(np.int32), parent_edge)
-    return tree, WalkTrace(trace.astype(np.int32), first_visit)
+        parent_edge = _parent_edges(graph, parent)
+    return SpanningTree(start, parent, parent_edge.astype(np.int32)), WalkTrace(trace, first_visit)
+
+
+def _parent_edges(graph: Graph, parent: np.ndarray) -> np.ndarray:
+    """Per vertex v, the id of the edge joining v to ``parent[v]``, -1 where
+    ``parent[v]`` is -1: the one entry of v's ``_csr`` row that names
+    ``parent[v]``, which is unique in a simple graph."""
+    indptr, nbr, eid = graph._csr
+    out = np.full(parent.size, -1, dtype=np.int32)
+    # Row order is vertex order, and every non-root row holds one hit.
+    out[parent >= 0] = eid[nbr == np.repeat(parent, np.diff(indptr))]
+    return out
 
 
 def _complete_steps(gen: np.random.Generator, n: int, start: int):
@@ -227,20 +229,20 @@ def _complete_steps(gen: np.random.Generator, n: int, start: int):
         pos += cur
         pos %= n
         cur = int(pos[-1])
-        yield pos
+        yield pos.astype(np.int32)
 
 
 _WALK_BLOCK = 4096  # words per block of the walk on a general graph
 
 
-def _neighbour_steps(graph: Graph, gen: np.random.Generator, start: int, draws: list):
+def _neighbour_steps(graph: Graph, gen: np.random.Generator, start: int):
     """``aldous_broder``'s steps on any graph, ``_WALK_BLOCK`` words at a time.
 
     Word w moves to slot w mod d(cur) of the current neighbour list, one
     comprehension a block, with w reduced mod the lcm of the degrees when it
     is below 2^64.  A word at or above 2^64 minus the largest degree splits
     the block and is dropped if the exact rule rejects it at the vertex it
-    is read at (w >= 2^64 - 2^64 mod d(cur)).  Used words go to ``draws``.
+    is read at (w >= 2^64 - 2^64 mod d(cur)).
     """
     nbrs = graph._neighbor_lists
     deg = graph.degrees.tolist()
@@ -249,17 +251,14 @@ def _neighbour_steps(graph: Graph, gen: np.random.Generator, start: int, draws: 
     cur = start
     while True:
         raw = gen.integers(0, WORDS, size=_WALK_BLOCK, dtype=np.uint64)
-        words = raw % np.uint64(lcm) if lcm < WORDS else raw
-        xs = words.tolist()
-        pos, lo, dropped = [], 0, []
+        xs = (raw % np.uint64(lcm) if lcm < WORDS else raw).tolist()
+        pos, lo = [], 0
         for t in np.flatnonzero(raw >= safe).tolist() + [_WALK_BLOCK]:
             pos += [cur := nbrs[cur][x % deg[cur]] for x in xs[lo:t]]
             lo = t
             if t < _WALK_BLOCK and int(raw[t]) >= WORDS - WORDS % deg[cur]:
-                dropped.append(t)
                 lo += 1
-        draws.append(np.delete(words, dropped) if dropped else words)
-        yield np.array(pos, dtype=np.int64)
+        yield np.array(pos, dtype=np.int32)
 
 
 def sample_trees(graph: Graph | int, k: int, seed: int) -> list[SpanningTree]:
@@ -478,12 +477,13 @@ class ProcessBResult:
 def process_bp_on(oriented: Orientation, seed: int, phases: int = 1) -> ProcessBResult:
     """Run the oriented-walk process on an existing orientation, from vertex 0.
 
-    Per vertex the out-arc list is kept partitioned: the first d1 slots hold
-    previously traversed arcs.  A step draws one integer below
+    Per vertex the out-arc head list is kept partitioned: the first d1 slots
+    hold previously traversed arcs.  A step draws one integer below
     (d - d1) * (n - 1); values under d1 * (d - d1) select an old arc (each
     with probability 1/(n-1)), the rest split evenly over new arcs.  Each
-    phase keeps the first-entry arcs until cover; the next phase roots its
-    tree at the current vertex, and traversed-arc state carries over.  The
+    phase keeps first-entry parents until cover, then reads its tree's base
+    edge ids with ``_parent_edges``; the next phase roots its tree at the
+    current vertex, and traversed-arc state carries over.  The
     walk stops with no further tree when every out-arc at the current vertex
     has been traversed before cover, and raises SamplingError after
     ``phases * oriented.walk_step_cap()`` steps without cover.
@@ -493,8 +493,8 @@ def process_bp_on(oriented: Orientation, seed: int, phases: int = 1) -> ProcessB
         raise ValueError("need at least 2 vertices")
     if phases < 1:
         raise ValueError("phases must be >= 1")
-    indptr, heads, eids = oriented._csr
-    targets, srcs = _csr_rows(indptr, heads), _csr_rows(indptr, eids)
+    indptr, heads, _ = oriented._csr
+    targets = _csr_rows(indptr, heads)
     d1 = [0] * n
     word = word_stream(substream(seed, "walk"))
     safe = WORDS - int(oriented.out_degrees.max(initial=0)) * (n - 1)
@@ -504,10 +504,9 @@ def process_bp_on(oriented: Orientation, seed: int, phases: int = 1) -> ProcessB
     trees = []
     for _ in range(phases):
         root = cur
-        seen = [False] * n
-        seen[root] = True
+        # -1 marks a vertex not yet entered, so the root holds itself until cover.
         parent = [-1] * n
-        parent_edge = [-1] * n
+        parent[root] = root
         unvisited = n - 1
         while unvisited:
             tl = targets[cur]
@@ -520,32 +519,24 @@ def process_bp_on(oriented: Orientation, seed: int, phases: int = 1) -> ProcessB
             while w >= safe and w >= WORDS - WORDS % bound:
                 w = word()
             r = w % bound
-            sl = srcs[cur]
             if r < k * span:
                 slot = r // span
             else:
                 slot = k + (r - k * span) // (n - 1 - k)
                 tl[slot], tl[k] = tl[k], tl[slot]
-                sl[slot], sl[k] = sl[k], sl[slot]
                 slot = k
                 d1[cur] = k + 1
             nxt = tl[slot]
-            if not seen[nxt]:
-                seen[nxt] = True
+            if parent[nxt] < 0:
                 parent[nxt] = cur
-                parent_edge[nxt] = sl[slot]
                 unvisited -= 1
             cur = nxt
             steps += 1
             if steps > cap:
                 raise SamplingError(f"oriented walk exceeded {cap} steps without cover")
-        trees.append(
-            SpanningTree(
-                root,
-                np.array(parent, dtype=np.int32),
-                np.array(parent_edge, dtype=np.int32),
-            )
-        )
+        parent = np.array(parent, dtype=np.int32)
+        parent[root] = -1
+        trees.append(SpanningTree(root, parent, _parent_edges(oriented.graph, parent)))
     return ProcessBResult(True, tuple(trees), steps_taken=steps)
 
 

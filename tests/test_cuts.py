@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from treesplice import cuts
+from treesplice import graph as graph_module
 from treesplice.cuts import (
     CutRatios,
     _cut_values,
@@ -297,7 +298,7 @@ def _random_subsets(n, count, seed):
 def test_cut_values_count_cut_edges_exactly(g, monkeypatch):
     # A few sets a crossing-count block (n + 2m bytes a set, 16 a member) or
     # a popcount block.  Either way blocks split and the last one is short.
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 7 * (17 * g.n + 2 * g.m))
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 7 * (17 * g.n + 2 * g.m))
     subsets = _random_subsets(g.n, 300, seed=g.m)
     (got,) = _cut_values([g], *_csr(subsets))
     want = [len(cut_edges(g, a)) for a in subsets]
@@ -305,21 +306,36 @@ def test_cut_values_count_cut_edges_exactly(g, monkeypatch):
 
 
 def test_popcount_cut_values_stay_within_the_block_budget(monkeypatch):
+    # A random graph's 400 sets: one block would hold ~1.3e5 members'
+    # gathered words, about 27 MiB.  And thm-sparsifier's first two hosts at
+    # seed 1 with their 10 000 sampled sets, 245 and 532 of them flipped:
+    # when a flipped set's full-size index arrays and unpacked bits went
+    # uncounted, the 4 MiB budget peaked at 6.8 and 8.6 MiB.
+    # Their values are checked against cut_edges and crossing counts.
+    default = graph_module._BLOCK_BYTES
     g = gnp_graph(640, 0.05, seed=2)
-    assert cuts._is_dense(g)
     subsets = _random_subsets(g.n, 400, seed=3)
-    indptr, members = _csr(subsets)
-    rows = _packed_rows(g).view("<u8")
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
-    tracemalloc.start()
-    try:
-        got = cuts._popcount_cut_values(rows, indptr, members)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # One block would hold ~1.3e5 members' gathered words, about 27 MiB.
-    assert peak < 2 << 20
-    assert got.tolist() == [len(cut_edges(g, a)) for a in subsets]
+    cases = [(g, *_csr(subsets), [len(cut_edges(g, a)) for a in subsets])]
+    n = 1000
+    for s in (0, 1):
+        host = gnp_graph(n, 10 * math.log(n) / n, child_seed(1, "host", s))
+        _, indptr, members = sample_cut_subsets(host, 10_000, child_seed(1, "cuts", s))
+        want = np.empty(indptr.size - 1)
+        cuts._crossing_cut_values([(host, None, want)], indptr, members)
+        cases.append((host, indptr, members, want.tolist()))
+    for g, indptr, members, want in cases:
+        assert cuts._is_dense(g)
+        rows = _packed_rows(g).view("<u8")
+        for budget in (default, 1 << 20):
+            monkeypatch.setattr(graph_module, "_BLOCK_BYTES", budget)
+            tracemalloc.start()
+            try:
+                got = cuts._popcount_cut_values(rows, indptr, members)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget + got.nbytes
+            assert got.tolist() == want
 
 
 @pytest.mark.parametrize("budget", [1 << 12, 1 << 24])
@@ -333,7 +349,7 @@ def test_popcount_counts_large_sets_by_their_complement(monkeypatch, budget):
     sizes = [1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1]
     sizes += rng.integers(1, n, size=120).tolist()
     subsets = [rng.permutation(n)[:k] for k in sizes]
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", budget)
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", budget)
     got = cuts._popcount_cut_values(_packed_rows(g).view("<u8"), *_csr(subsets))
     assert got.tolist() == [len(cut_edges(g, a)) for a in subsets]
 
@@ -372,7 +388,7 @@ def test_balls_match_a_set_bfs(g, monkeypatch):
     closed = _closed_rows(g)
     centers = np.arange(0, g.n, 7)
     for radius, budget in itertools.product((1, 2, 3, 4), (1 << 10, 1 << 22)):
-        monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", budget)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", budget)
         balls = cuts._grow_balls(step, centers, radius)
         balls.sort_indices()
         packed = cuts._grow_packed_balls(closed, centers, radius)
@@ -406,7 +422,7 @@ def test_packed_balls_stay_within_the_block_budget(radius, centers, monkeypatch)
     # 200 radius-3 balls of ~1000 members gather 25 MB of rows in one block.
     n = 1000
     closed = _closed_rows(gnp_graph(n, 10 * math.log(n) / n, seed=7))
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
         ball = cuts._grow_packed_balls(closed, centers, radius)
@@ -467,7 +483,7 @@ def test_floyd_subsets_are_uniform():
 @pytest.mark.parametrize("n, s", [(2, 1), (37, 1), (37, 16), (100, 50), (256, 128)])
 def test_floyd_rows_hold_distinct_ascending_members(n, s, monkeypatch):
     # A budget of about three rows splits 50 rows into blocks, the last short.
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 3 * (n + 8 * s) + 1)
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 3 * (n + 8 * s) + 1)
     out = np.full((50, s), -1, dtype=np.int64)
     cuts._floyd_subsets(np.random.default_rng(n + s), n, out)
     assert (np.diff(out, axis=1) > 0).all()
@@ -477,7 +493,7 @@ def test_floyd_rows_hold_distinct_ascending_members(n, s, monkeypatch):
 def test_floyd_blocks_stay_within_the_budget(monkeypatch):
     # 400 rows of 2048 from 4096 vertices: unblocked, the boolean matrix and
     # its nonzeros would take about 8 MiB.
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 1 << 20)
     out = np.empty((400, 2048), dtype=np.int64)
     tracemalloc.start()
     try:
@@ -574,7 +590,7 @@ def test_sampled_cuts_keep_temporaries_within_a_block():
         tracemalloc.stop()
     result = family.nbytes + indptr.nbytes + members.nbytes
     assert result > 6 << 20
-    assert peak < 2 * result + cuts._CUT_BLOCK_BYTES
+    assert peak < 2 * result + graph_module._BLOCK_BYTES
 
 
 def test_sampled_cuts_reject_tiny_or_disconnected_graphs():
@@ -600,7 +616,7 @@ def test_cut_values_match_weighted_cut_weight(monkeypatch):
         sparsify_gnp(gnp_graph(300, p, seed=6), p, seed=7),
     ):
         n, m = wg.graph.n, wg.graph.m
-        monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 7 * (17 * n + 14 * m))
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 7 * (17 * n + 14 * m))
         subsets = _random_subsets(n, 300, seed=9)
         (got,) = _cut_values([wg], *_csr(subsets))
         want = np.array([wg.weights[cut_edges(wg.graph, a)].sum() for a in subsets])
@@ -618,7 +634,7 @@ def test_crossing_counts_match_cut_edges_on_sampled_sets(g, monkeypatch):
     wg = WeightedGraph(spl, np.random.default_rng(2).uniform(0.5, 2.0, spl.m))
     _, indptr, members = sample_cut_subsets(g, 600, seed=4)
     monkeypatch.setattr(cuts, "_is_dense", lambda graph: False)
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 5 * (17 * g.n + 14 * g.m))
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 5 * (17 * g.n + 14 * g.m))
     shared = _cut_values([g, spl, wg], indptr, members)
     alone = [_cut_values([obj], indptr, members)[0] for obj in (g, spl, wg)]
     for a, b in zip(shared, alone):
@@ -637,7 +653,7 @@ def test_crossing_counts_stay_within_the_block_budget(monkeypatch):
     spl = splice(g, 2, seed=1)
     subsets = _random_subsets(g.n, 400, seed=3)
     indptr, members = _csr(subsets)
-    monkeypatch.setattr(cuts, "_CUT_BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
         base, derived = _cut_values([g, spl], indptr, members)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,56 @@ def test_disconnected_graph_walk_fails_fast():
     with pytest.raises(SamplingError, match="disconnected"):
         aldous_broder(g, seed=0)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_walks_cover_paths_and_cycles_within_the_cover_time_cap():
+    # Each seed needs at least 64 n ln(n) (max / min degree) steps, the cap
+    # that assumed an expander's cover time and made these walks raise.
+    for g, seeds in ((path_graph(1024), (0, 6, 7)), (cycle_graph(1024), (0, 1, 5, 6, 7))):
+        assert g.walk_step_cap() == 80 * g.m * (g.n - 1)
+        ratio = int(g.degrees.max()) / int(g.degrees.min())
+        for seed in seeds:
+            tree, trace = aldous_broder(g, seed)
+            tree.validate(g)
+            assert trace.steps >= math.ceil(64 * g.n * math.log(g.n) * ratio)
+
+
+def test_cover_step_caps_stay_below_2_to_the_62():
+    # first_visit marks unentered vertices with the cap in int64.
+    assert sampler._cover_step_cap(1024) == 80 * (1024 * 1023 // 2) * 1023
+    assert sampler._cover_step_cap(1 << 20) == (1 << 62) - 1
+
+
+def test_parent_edges_name_each_tree_edge():
+    # Edge ids in shuffled order, so that no id follows from a row position,
+    # and a G(n, p); trees from both scalar walks.
+    g = gnp_graph(60, 0.15, seed=5)
+    assert g.is_connected()
+    edges = np.array(list(g.iter_edges()))[:, ::-1]
+    shuffled = Graph(g.n, edges[np.random.default_rng(3).permutation(g.m)])
+    for graph in (g, shuffled):
+        trees = [aldous_broder(graph, s, start=s)[0] for s in range(4)]
+        trees += process_bp_on(Orientation(graph, np.ones(graph.m), np.ones(graph.m)), 1, 2).trees
+        for tree in trees:
+            got = sampler._parent_edges(graph, tree.parent)
+            want = [-1 if p < 0 else graph.edge_id(v, p) for v, p in enumerate(tree.parent.tolist())]
+            assert got.dtype == np.int32 and got[tree.root] == -1
+            assert got.tolist() == tree.parent_edge.tolist() == want
+
+
+def test_walk_holds_about_nine_bytes_a_step():
+    # The int32 trace until cover and its concatenation; a log of the used
+    # words beside an int64 trace took the peak to 33 bytes a step.
+    g = cycle_graph(1024)
+    aldous_broder(g, 2)  # builds the graph's cached rows outside the trace
+    tracemalloc.start()
+    try:
+        _, trace = aldous_broder(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps > 200_000
+    assert peak <= 12 * trace.steps
 
 
 def test_batch_walks_on_disconnected_graph_fail_fast():

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesplice.cuts import spectral_lower_bounds
-from treesplice.generators import complete_graph, gnp_graph, path_graph, random_regular_graph
+from treesplice.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    random_regular_graph,
+)
 from treesplice.graph import Graph, SamplingError, cut_edges
 from treesplice.sampler import sample_trees
 from treesplice.splice import (
@@ -125,6 +131,16 @@ def test_splices_of_k_n_by_n_are_memory_bounded():
     # Building complete_graph(1024) alone traced over 32 MiB.
     assert peak < 12 << 20
     assert (lams > 0.15).all()
+
+
+def test_splice_covers_a_cycle():
+    # At these seeds a walk on the 1024-cycle needed more steps than the
+    # expander cap of 64 n ln(n), and splice raised SamplingError.
+    g = cycle_graph(1024)
+    for seed in (2, 3, 4):
+        spl = splice(g, 2, seed)
+        assert spl.is_connected() and spl.m in (g.n - 1, g.n)
+        assert all(g.edge_id(u, v) is not None for u, v in spl.iter_edges())
 
 
 def test_splice_support_bounds_and_connectivity():
