@@ -48,7 +48,6 @@ from .lowerbound import (
     validate_family,
 )
 from .cuts import (
-    CutRatios,
     ExpansionReport,
     edge_expansion_exact,
     sampled_cut_ratios,
@@ -62,7 +61,6 @@ from .verify import (
     chernoff_tail_check,
     coupling_distance_estimate,
     enumerate_trees,
-    min_tree_edge_probability,
     negative_correlation_check,
 )
 from .routing import (

@@ -6,9 +6,9 @@ One process, subcommand style:
                verify | route-sim | preset
 
 Exit codes: 0 on success, 1 when an embedded assertion, a sampling step or
-a numerical iteration (Lanczos for lambda_2) fails, 2 on usage or input
-errors, including a file that cannot be read or written.  Each of these
-failures prints one line to stderr.
+a numerical iteration (Lanczos for lambda_2) fails or memory runs out, 2 on
+usage or input errors, including a file that cannot be read or written.
+Each of these failures prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from .experiments import (
 )
 from .graph import ConvergenceError, Graph, GraphFormatError, SamplingError
 from .routing import reliability_experiment
-from .sampler import aldous_broder
+from .sampler import aldous_broder, tree_edge_frequencies
 from .splice import sparsify_gnp, splice
 from .verify import (
     chernoff_tail_check,
     coupling_distance_estimate,
-    min_tree_edge_probability,
     negative_correlation_check,
     uniformity_check,
 )
@@ -183,7 +182,6 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     if check == "resistance":
         from .linalg import effective_resistances
-        from .sampler import tree_edge_frequencies
 
         freqs = tree_edge_frequencies(g, args.trials, args.seed)
         worst = float(np.abs(freqs - effective_resistances(g)).max(initial=0.0))
@@ -216,7 +214,7 @@ def _cmd_verify(args) -> int:
         _emit(args, payload, rows=[payload])
         return EXIT_OK if rep.passed else EXIT_FAIL
     if check == "min-edge-prob":
-        val = min_tree_edge_probability(g, args.trials, args.seed)
+        val = float(tree_edge_frequencies(g, args.trials, args.seed).min())
         payload = {
             "check": check,
             "trials": args.trials,
@@ -373,6 +371,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -16,7 +16,7 @@ index order finds.  An edge count is a low-part cut table plus h's cut minus
 twice the edges between them, an outer sum of small subset-sum tables; a vertex
 count is |N[S]| - |S| for the closed neighbourhood N[S], one OR of a low-part
 and a high-part table entry.  L is the largest with 2^L subsets' temporaries
-(about 54 bytes each) within ``_SCAN_BLOCK_BYTES`` (5 MiB), so L = 16, a scan
+(about 54 bytes each) within ``graph._BLOCK_BYTES`` (4 MiB), so L = 16, a scan
 at n = 24 peaks near 2.3 MiB (edge) and 3.4 MiB (vertex) under tracemalloc, and
 no array holds 2^(n-1) entries; a graph with n - 1 <= L runs as one block.
 
@@ -43,35 +43,34 @@ derived object of one ``sampled_cut_ratios`` call share each block when
 both count this way.  Unweighted values are exact integers either way.
 Each block of bitsets, membership flags, unpacked balls or gathered rows
 stays within ``graph._BLOCK_BYTES`` (4 MiB).
-Every analysis takes a ``Graph``, and a splicer from ``splice`` is one; the
-spectral bound and cut ratios also take a ``WeightedGraph``.  All analyses
-are read-only.
+Every analysis takes a ``Graph``, and a splicer from ``splice`` is one; cut
+ratios also take a ``WeightedGraph`` as the derived side.  All analyses are
+read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .graph import ConvergenceError, Graph, _blocks, _closed_rows, _packed_rows
+from .graph import _BLOCK_BYTES, ConvergenceError, Graph, _blocks, _closed_rows, _packed_rows
 from .linalg import laplacian_sparse
 from .sampler import aldous_broder
 from .seeds import child_seed, substream
 from .splice import WeightedGraph
 
 EXACT_SCAN_MAX_N = 24
-_SCAN_BLOCK_BYTES = 5 << 20  # one block of the subset scan's temporaries
 _SCAN_BYTES_PER_SUBSET = 54  # tracemalloc peak of a scan, per subset, at n = 24
 _LANCZOS_TOL = 1e-8  # relative accuracy of lambda_2, at every n
 _LANCZOS_ITERS = 10  # Lanczos iteration cap, per vertex
 _LANCZOS_CHECK = 10  # Lanczos iterations between convergence tests
 _BALL_PROBE = 9     # first chunk of ball attempts: three per radius
 _STEBZ, _STEIN = lapack.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+CUT_FAMILIES = ("min-degree-singleton", "random-size-class", "tree-component", "bfs-ball")
 
 
 @dataclass(frozen=True)
@@ -87,28 +86,6 @@ class ExpansionReport:
             "witness": sorted(self.witness),
             "method": "exact",
         }
-
-
-@dataclass(frozen=True)
-class CutRatios:
-    """Sampled cuts as arrays: cut i is family ``FAMILIES[family[i]]``, has vertex
-    set ``members[indptr[i]:indptr[i + 1]]`` and values base_cut[i], derived_cut[i]."""
-
-    FAMILIES: ClassVar[tuple[str, ...]] = (
-        "min-degree-singleton", "random-size-class", "tree-component", "bfs-ball"
-    )
-    family: np.ndarray
-    indptr: np.ndarray
-    members: np.ndarray
-    base_cut: np.ndarray
-    derived_cut: np.ndarray
-
-    @property
-    def ratio(self) -> np.ndarray:
-        return self.derived_cut / self.base_cut
-
-    def __len__(self) -> int:
-        return self.family.shape[0]
 
 
 def _is_dense(graph: Graph) -> bool:
@@ -176,7 +153,7 @@ def _subset_scan(graph: Graph, kind: str) -> tuple[float, int]:
 
     # t indexes subsets of {1..n-1}; vertex i is bit i-1 of t, so A = (t << 1) | 1.
     # t = (h << low) | lo: block h scans every lo.
-    low = min(n - 1, (_SCAN_BLOCK_BYTES // _SCAN_BYTES_PER_SUBSET).bit_length() - 1)
+    low = min(n - 1, (_BLOCK_BYTES // _SCAN_BYTES_PER_SUBSET).bit_length() - 1)
     high = n - 1 - low
     hs = np.arange(1 << high, dtype=np.uint32) << np.uint32(low + 1)  # block h's vertices
     size_lo = np.bitwise_count(np.arange(1 << low, dtype=np.uint32)) + np.uint8(1)  # |{0} u lo|
@@ -288,16 +265,9 @@ def _require_connected(graph: Graph, what: str) -> None:
         raise ValueError(f"{what} needs a connected graph")
 
 
-def _graph_and_weights(obj) -> tuple[Graph, np.ndarray | None]:
-    """A ``WeightedGraph``'s graph and weights, or a plain graph and None."""
-    if isinstance(obj, WeightedGraph):
-        return obj.graph, obj.weights
-    return obj, None
-
-
-def spectral_lower_bounds(objs) -> np.ndarray:
-    """lambda_2 of each graph or weighted graph; all share one n.  Edge
-    expansion is at least lambda_2 / 2.
+def spectral_lower_bounds(graphs) -> np.ndarray:
+    """lambda_2 of each graph; all share one n.  Edge expansion is at least
+    lambda_2 / 2.
 
     Each Laplacian L gets the operator L + shift J / n, with J the all-ones
     matrix and shift = 2 max degree + 2 > lambda_max(L), so that lambda_2 is
@@ -314,17 +284,14 @@ def spectral_lower_bounds(objs) -> np.ndarray:
     ValueError for an empty batch, mixed vertex counts, or a graph that is
     disconnected or has fewer than 2 vertices.
     """
-    objs = list(objs)
-    if not objs:
+    graphs = list(graphs)
+    if not graphs:
         raise ValueError("need at least one graph")
-    weighted = [_graph_and_weights(obj) for obj in objs]
-    n = weighted[0][0].n
-    if any(g.n != n for g, _ in weighted):
+    if any(g.n != graphs[0].n for g in graphs):
         raise ValueError("graphs of one batch must share one vertex count")
-    for g, _ in weighted:
+    for g in graphs:
         _require_connected(g, "spectral bound")
-    laps = [laplacian_sparse(g, w) for g, w in weighted]
-    return _lockstep_lanczos(laps)
+    return _lockstep_lanczos([laplacian_sparse(g) for g in graphs])
 
 
 def _lockstep_lanczos(laps: list) -> np.ndarray:
@@ -392,7 +359,7 @@ def sample_cut_subsets(
     graph: Graph, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The four adversarial cut families as arrays ``(family, indptr, members)``:
-    cut i is family ``CutRatios.FAMILIES[family[i]]`` (int8 codes) with vertex
+    cut i is family ``CUT_FAMILIES[family[i]]`` (int8 codes) with vertex
     set ``members[indptr[i]:indptr[i + 1]]``, ascending but for tree cuts,
     which keep the DFS order.
 
@@ -618,8 +585,9 @@ def _cut_values(objs, indptr, members) -> list[np.ndarray]:
     blocks all the other graphs share."""
     out, crossing = [], []
     for obj in objs:
-        graph, weights = _graph_and_weights(obj)
-        if weights is None and _is_dense(graph):
+        weighted = isinstance(obj, WeightedGraph)
+        graph, weights = (obj.graph, obj.weights) if weighted else (obj, None)
+        if not weighted and _is_dense(graph):
             out.append(_popcount_cut_values(_packed_rows(graph).view("<u8"), indptr, members))
         else:
             out.append(np.empty(indptr.size - 1))
@@ -721,17 +689,19 @@ def _popcount_block(rows: np.ndarray, indptr, members) -> np.ndarray:
     return np.bincount(which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=sizes.size)
 
 
-def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> CutRatios:
-    """Cut sizes of ``derived`` against ``graph`` over the sampled families."""
+def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> np.ndarray:
+    """w(cut) in ``derived`` (a ``Graph`` or ``WeightedGraph``) over |cut| in
+    ``graph``, one float64 entry per cut of ``sample_cut_subsets``, in its order."""
     if derived.n != graph.n:
         raise ValueError("graph and derived object must share a vertex set")
-    family, indptr, members = sample_cut_subsets(graph, samples, seed)
-    return CutRatios(family, indptr, members, *_cut_values([graph, derived], indptr, members))
+    _, indptr, members = sample_cut_subsets(graph, samples, seed)
+    base, cut = _cut_values([graph, derived], indptr, members)
+    return cut / base
 
 
 def sparsifier_quality(
     graph: Graph, weighted: WeightedGraph, samples: int, seed: int
 ) -> tuple[float, float]:
     """(c_low, c_high): min ratio and max log-normalized ratio over sampled cuts."""
-    ratio = sampled_cut_ratios(graph, weighted, samples, seed).ratio
+    ratio = sampled_cut_ratios(graph, weighted, samples, seed)
     return float(ratio.min()), float(ratio.max() / math.log(graph.n))

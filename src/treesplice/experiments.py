@@ -138,7 +138,7 @@ def _run_bounded_degree(cfg: ExperimentConfig):
         g = _regular_host(n, d, cfg.seed, s)
         u = splice(g, cfg.k, child_seed(cfg.seed, "splice", s))
         ratios = sampled_cut_ratios(g, u, cfg.samples, child_seed(cfg.seed, "cuts", s))
-        m = float(ratios.ratio.min())
+        m = float(ratios.min())
         worst = min(worst, m)
         rows.append({"seed_index": s, "min_ratio": m, "cuts": len(ratios)})
     assertions = [_ge("min cut ratio across seeds", worst, bound)]
@@ -355,11 +355,7 @@ def _run_routing(cfg: ExperimentConfig):
     g = complete_graph(cfg.n)
     args = (cfg.failure_prob, cfg.samples, cfg.trials, child_seed(cfg.seed, "routes"))
     base, multi = reliability_experiment(g, (1, k), *args)
-    ceiling_ok = all(
-        t.delivered_fraction <= t.ceiling_fraction + 1e-12 for t in multi.trials
-    ) and all(
-        t.delivered_fraction <= t.ceiling_fraction + 1e-12 for t in base.trials
-    )
+    ceiling_ok = all((s.delivered <= s.ceiling + 1e-12).all() for s in (base, multi))
     gain = multi.delivered_fraction - base.delivered_fraction
     assertions = [
         _ge(f"delivery gain of k={k} over k=1", gain, 0.05),

@@ -6,9 +6,10 @@ different generators never share a stream.  The regular generators hold
 edge sets as codes lo * n + hi (lo < hi), so one sort finds a repeated edge
 and one ``np.isin`` a colliding one; ``hamiltonian_regular_graph`` lists its
 edges in code order.  ``gnp_graph`` draws one double per pair in ``triu``
-order, ``_GNP_CHUNK`` (2^20) at a time, and decodes only the kept pair
-indices, so beyond the graph it holds O(chunk) memory, not O(n^2); Philox
-gives the same doubles at any chunk size, so the graph does not depend on it.
+order, one ``graph._BLOCK_BYTES`` block (2^19 doubles) at a time, and
+decodes only the kept pair indices, so beyond the graph it holds O(block)
+memory, not O(n^2); Philox gives the same doubles at any chunk size, so the
+graph does not depend on it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import math
 
 import numpy as np
 
-from .graph import Graph, Orientation, SamplingError
+from .graph import _BLOCK_BYTES, Graph, Orientation, SamplingError
 from .seeds import substream
 
 _REGULAR_RETRY_CAP = 1000
 _MATCHING_RETRY_CAP = 1000
-_GNP_CHUNK = 1 << 20  # G(n, p) pair draws at a time: 8 MiB of doubles
 
 
 def complete_graph(n: int) -> Graph:
@@ -80,8 +80,9 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     pairs = n * (n - 1) // 2
     kept = [np.empty(0, dtype=np.int64)]
     rng = substream(seed, "gnp")
-    for lo in range(0, pairs, _GNP_CHUNK):
-        kept.append(np.flatnonzero(rng.random(min(_GNP_CHUNK, pairs - lo)) < p) + lo)
+    chunk = _BLOCK_BYTES // 8  # pair draws, one double each
+    for lo in range(0, pairs, chunk):
+        kept.append(np.flatnonzero(rng.random(min(chunk, pairs - lo)) < p) + lo)
     pair = np.concatenate(kept)
     # Row u of the triu order starts at pair u (2n - u - 1) / 2.
     u = np.arange(n, dtype=np.int64)

@@ -29,16 +29,14 @@ def laplacian_dense(graph: Graph, dtype=np.float64) -> np.ndarray:
     return laplacian_sparse(graph).toarray().astype(dtype, copy=False)
 
 
-def laplacian_sparse(graph: Graph, weights=None) -> sp.csr_matrix:
-    """Laplacian D_w - A_w in CSR form; unit edge weights when ``weights`` is None."""
+def laplacian_sparse(graph: Graph) -> sp.csr_matrix:
+    """Combinatorial Laplacian D - A in CSR form."""
     n = graph.n
     eu = graph.edge_u
     ev = graph.edge_v
-    w = np.ones(graph.m) if weights is None else np.asarray(weights, dtype=np.float64)
-    diag = np.bincount(eu, w, minlength=n) + np.bincount(ev, w, minlength=n)
     rows = np.concatenate([eu, ev, np.arange(n)])
     cols = np.concatenate([ev, eu, np.arange(n)])
-    vals = np.concatenate([-w, -w, diag])
+    vals = np.concatenate([np.full(2 * graph.m, -1.0), graph.degrees])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

@@ -185,42 +185,44 @@ def route(
     return RouteResult(True, hops, switches, tuple(path))
 
 
-@dataclass(frozen=True)
-class ReliabilityTrial:
-    trial: int
-    delivered_fraction: float
-    ceiling_fraction: float
-    mean_hops: float
-    mean_switches: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilitySummary:
+    """One k's trials as float64 arrays indexed by trial: the fraction of
+    pairs delivered, the ceiling (the fraction still connected in the
+    surviving base graph), and the mean hops and switches of the delivered
+    routes (0 when none is delivered)."""
+
     k: int
     failure_prob: float
     pairs: int
-    trials: tuple[ReliabilityTrial, ...]
+    delivered: np.ndarray
+    ceiling: np.ndarray
+    mean_hops: np.ndarray
+    mean_switches: np.ndarray
 
     @property
     def delivered_fraction(self) -> float:
-        return float(np.mean([t.delivered_fraction for t in self.trials]))
+        return float(self.delivered.mean())
 
     @property
     def ceiling_fraction(self) -> float:
-        return float(np.mean([t.ceiling_fraction for t in self.trials]))
+        return float(self.ceiling.mean())
 
     def csv_rows(self, seed: int) -> list[dict]:
+        columns = (self.delivered, self.ceiling, self.mean_hops, self.mean_switches)
         return [
             {
                 "seed": seed,
-                "trial": t.trial,
+                "trial": t,
                 "failure_prob": self.failure_prob,
-                "delivered_fraction": t.delivered_fraction,
-                "ceiling_fraction": t.ceiling_fraction,
-                "mean_hops": t.mean_hops,
-                "mean_switches": t.mean_switches,
+                "delivered_fraction": delivered,
+                "ceiling_fraction": ceiling,
+                "mean_hops": hops,
+                "mean_switches": switches,
             }
-            for t in self.trials
+            for t, (delivered, ceiling, hops, switches) in enumerate(
+                zip(*(c.tolist() for c in columns))
+            )
         ]
 
 
@@ -235,7 +237,8 @@ def reliability_experiment(
     graph: Graph, ks, failure_prob: float, pairs: int, trials: int, seed: int
 ) -> tuple[ReliabilitySummary, ...]:
     """Per trial: fail base edges independently, route random pairs over a
-    splicer of each k in ``ks``; one summary per k.
+    splicer of each k in ``ks``; one ``ReliabilitySummary`` of per-trial
+    arrays per k.
 
     Also reports the per-trial ceiling (fraction of sampled pairs still
     connected in the surviving base graph); delivery can never exceed it.
@@ -255,7 +258,8 @@ def reliability_experiment(
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    results = [[] for _ in ks]
+    # Per k: delivered, ceiling, mean hops and mean switches, per trial.
+    results = np.zeros((len(ks), 4, trials))
     for t in range(trials):
         trees = sample_trees(graph, max(ks), child_seed(seed, "splice", t))
         dead = substream(seed, "failures", t).random(graph.m) < failure_prob
@@ -279,18 +283,10 @@ def reliability_experiment(
                     delivered += 1
                     hop_total += r.hops
                     switch_total += r.switches
-            out.append(
-                ReliabilityTrial(
-                    trial=t,
-                    delivered_fraction=delivered / pairs,
-                    ceiling_fraction=ceiling,
-                    mean_hops=hop_total / max(delivered, 1),
-                    mean_switches=switch_total / max(delivered, 1),
-                )
-            )
+            routed = max(delivered, 1)
+            out[:, t] = delivered / pairs, ceiling, hop_total / routed, switch_total / routed
     return tuple(
-        ReliabilitySummary(k=k, failure_prob=failure_prob, pairs=pairs, trials=tuple(out))
-        for k, out in zip(ks, results)
+        ReliabilitySummary(k, failure_prob, pairs, *out) for k, out in zip(ks, results)
     )
 
 

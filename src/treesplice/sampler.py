@@ -275,7 +275,9 @@ def sample_trees(graph: Graph | int, k: int, seed: int) -> list[SpanningTree]:
 # tracemalloc: at most 69 under the uniform rule, 143 under the oriented rule.
 _STEP_TEMP_BYTES = 96
 _ORIENTED_TEMP_BYTES = 64
-# Byte budget of one lockstep chunk.
+# Byte budget of one lockstep chunk.  It stays apart from graph._BLOCK_BYTES:
+# a chunk's walks draw in lockstep, so its size fixes which walk reads which
+# draw, and changing it would change every batch-walk result.
 _BATCH_BYTES = 16 << 20
 
 

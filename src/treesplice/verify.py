@@ -3,7 +3,7 @@
 Every Monte Carlo report carries its trial count, point estimates, and
 standard errors; assertions compare against estimate +/- 4 standard errors
 with frozen seeds.  They reduce lockstep walk trees with ``sampler``'s
-``_tree_edge_counts``, ``_tree_masks`` or ``_tree_sums``; the tail check
+``_tree_masks`` or ``_tree_sums``; the tail check
 sums a cut-membership table over one tree batch that all its cuts share.
 On graphs with at most ``EXACT_LAW_MAX_N`` vertices the
 negative-correlation check is exact instead: its joint, all-absent and
@@ -28,7 +28,7 @@ import numpy as np
 from .graph import Graph, Orientation, cut_edges
 from .linalg import _bareiss_det, _ground_adjugate, _transfer_current, spanning_tree_count
 from .generators import complete_graph, direct_edges_dp, gnp_graph
-from .sampler import _tree_edge_counts, _tree_masks, _tree_sums, process_bp
+from .sampler import _tree_masks, _tree_sums, process_bp
 from .seeds import child_seed, substream
 
 ENUMERATION_EDGE_CAP = 20
@@ -277,12 +277,6 @@ def chernoff_tail_check(
         std_errors=np.sqrt(np.maximum(tails * (1.0 - tails), 0.0) / trials),
         trials=trials,
     )
-
-
-def min_tree_edge_probability(graph: Graph, trials: int, seed: int) -> float:
-    """Smallest empirical tree-membership frequency over all edges."""
-    rng = substream(seed, "min-edge-probability")
-    return float(_tree_edge_counts(graph, trials, rng).min()) / trials
 
 
 def uniform_tv_distance(

@@ -107,6 +107,28 @@ def test_lanczos_non_convergence_is_a_one_line_failure(tmp_path, capsys, monkeyp
     assert err.count("\n") == 1
 
 
+def test_out_of_memory_is_a_one_line_failure(tmp_path, capsys):
+    # 2^62 vertices: the uniformity check's first allocation fails at once,
+    # whatever the host's overcommit setting.
+    gpath = tmp_path / "huge.txt"
+    gpath.write_text("4611686018427387904 0\n")
+    assert run(["verify", "--check", "uniformity", "--graph", str(gpath)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+def test_memory_error_of_any_command_exits_one(tmp_path, capsys, monkeypatch):
+    from treesplice import cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_route_sim", exhausted)
+    assert run(["route-sim", "--graph", str(tmp_path / "g.txt"), "--k", "2"]) == 1
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 745. GiB for an array\n"
+
+
 def test_sparsify_cli(tmp_path):
     gpath = tmp_path / "g.txt"
     wpath = tmp_path / "w.txt"

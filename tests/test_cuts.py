@@ -9,9 +9,8 @@ import scipy.linalg as sla
 from treesplice import cuts
 from treesplice import graph as graph_module
 from treesplice.cuts import (
-    CutRatios,
+    CUT_FAMILIES,
     _cut_values,
-    _graph_and_weights,
     edge_expansion_exact,
     sample_cut_subsets,
     sampled_cut_ratios,
@@ -79,7 +78,7 @@ def brute_scan(g, kind):
 
 def small_blocks(monkeypatch, low_bits):
     """Make the subset scan run in blocks of 2**low_bits subsets."""
-    monkeypatch.setattr(cuts, "_SCAN_BLOCK_BYTES", cuts._SCAN_BYTES_PER_SUBSET << low_bits)
+    monkeypatch.setattr(cuts, "_BLOCK_BYTES", cuts._SCAN_BYTES_PER_SUBSET << low_bits)
 
 
 def connected_gnp(n, p, seed):
@@ -185,16 +184,6 @@ def test_spectral_closed_forms():
         spectral_lower_bounds([Graph(4, [(0, 1), (2, 3)])])
 
 
-def test_spectral_bound_scales_with_edge_weights():
-    # lambda_2(K_n) = n, scaled by a uniform edge weight.
-    for n in (4, 80):
-        g = complete_graph(n)
-        weighted = [WeightedGraph(g, np.full(g.m, w)) for w in (10.0, 1.0)]
-        tens, ones = spectral_lower_bounds(weighted)
-        assert tens == pytest.approx(10 * n, rel=1e-6)
-        assert ones == pytest.approx(n, rel=1e-6)
-
-
 def test_spectral_is_a_valid_certificate_on_small_graphs():
     for s in range(6):
         g = gnp_graph(12, 0.4, seed=300 + s)
@@ -232,7 +221,7 @@ def test_cut_families_cover_requested_kinds():
     family, indptr, members = sample_cut_subsets(g, 60, seed=2)
     assert family.dtype == np.int8 and indptr.size == family.size + 1
     assert indptr[0] == 0 and indptr[-1] == members.size
-    kinds = {CutRatios.FAMILIES[f] for f in family}
+    kinds = {CUT_FAMILIES[f] for f in family}
     assert kinds >= {
         "min-degree-singleton",
         "random-size-class",
@@ -247,7 +236,7 @@ def test_cut_families_cover_requested_kinds():
     for i in range(family.size):
         cut = members[indptr[i] : indptr[i + 1]]
         assert np.unique(cut).size == cut.size and 0 <= cut.min() and cut.max() < g.n
-        if CutRatios.FAMILIES[family[i]] != "tree-component":
+        if CUT_FAMILIES[family[i]] != "tree-component":
             assert (np.diff(cut) > 0).all()
 
 
@@ -255,15 +244,15 @@ def test_sampled_ratios_identity_is_one():
     g = gnp_graph(40, 0.3, seed=23)
     assert g.is_connected()
     ratios = sampled_cut_ratios(g, g, 40, seed=3)
-    assert (ratios.ratio == 1.0).all()
+    assert ratios.dtype == np.float64 and (ratios == 1.0).all()
 
 
 def test_sampled_ratios_of_splicer_at_most_one():
     g = complete_graph(48)
     spl = splice(g, 2, seed=5)
     ratios = sampled_cut_ratios(g, spl, 60, seed=6)
-    assert (ratios.ratio <= 1.0 + 1e-12).all()
-    assert (ratios.base_cut >= 1).all()
+    # Each spanning splicer keeps at least one edge of every cut.
+    assert ((0 < ratios) & (ratios <= 1.0 + 1e-12)).all()
 
 
 def _csr(subsets):
@@ -407,11 +396,11 @@ def test_balls_match_a_set_bfs(g, monkeypatch):
 def test_dense_and_sparse_paths_give_the_same_cuts(g, monkeypatch):
     spl = splice(g, 2, seed=1)
     dense = cuts._is_dense(g)
-    got = sampled_cut_ratios(g, spl, 300, seed=5)
+    got = (*sample_cut_subsets(g, 300, seed=5), sampled_cut_ratios(g, spl, 300, seed=5))
     monkeypatch.setattr(cuts, "_is_dense", lambda graph: not dense)
-    other = sampled_cut_ratios(g, spl, 300, seed=5)
-    for name in ("family", "indptr", "members", "base_cut", "derived_cut"):
-        assert np.array_equal(getattr(got, name), getattr(other, name))
+    other = (*sample_cut_subsets(g, 300, seed=5), sampled_cut_ratios(g, spl, 300, seed=5))
+    for a, b in zip(got, other):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -454,7 +443,7 @@ def test_ball_loop_stops_once_every_radius_is_retired(monkeypatch):
     g = complete_graph(12)
     family, _, _ = sample_cut_subsets(g, 60, seed=3)
     assert sum(grown) == 9
-    assert CutRatios.FAMILIES.index("bfs-ball") not in family
+    assert CUT_FAMILIES.index("bfs-ball") not in family
     # 60 samples leave 16 balls wanted, so 144 centers are drawn.  A first
     # chunk of 30 attempts is cut to the 18 that 16 balls need; all 18 balls
     # are grown, and the replay still stops after the ninth attempt and keeps
@@ -544,7 +533,7 @@ def reference_ball_loop(graph, rng, want):
 
 
 def family_cuts(family, indptr, members, name):
-    code = CutRatios.FAMILIES.index(name)
+    code = CUT_FAMILIES.index(name)
     return [members[indptr[i] : indptr[i + 1]].tolist() for i in np.flatnonzero(family == code)]
 
 
@@ -689,15 +678,10 @@ def test_cut_ratios_line_up_with_sampled_subsets():
     spl = splice(g, 2, seed=3)
     family, indptr, members = sample_cut_subsets(g, 90, seed=4)
     ratios = sampled_cut_ratios(g, spl, 90, seed=4)
-    assert len(ratios) == family.size == ratios.indptr.size - 1
-    assert ratios.indptr[-1] == ratios.members.size
-    assert np.array_equal(ratios.family, family)
-    assert np.array_equal(ratios.indptr, indptr)
-    assert np.array_equal(ratios.members, members)
+    assert ratios.dtype == np.float64 and ratios.shape == family.shape
     for i in range(family.size):
         cut = members[indptr[i] : indptr[i + 1]]
-        assert ratios.base_cut[i] == len(cut_edges(g, cut))
-        assert ratios.derived_cut[i] == len(cut_edges(spl, cut))
+        assert ratios[i] == len(cut_edges(spl, cut)) / len(cut_edges(g, cut))
 
 
 def test_sparsifier_quality_identity_weights():
@@ -716,15 +700,11 @@ def test_report_serialization():
     assert d["witness"] == sorted(rep.witness)
 
 
-def _laplacian(obj):
-    return laplacian_sparse(*_graph_and_weights(obj))
-
-
-def _arpack_lambda2(obj) -> float:
+def _arpack_lambda2(g) -> float:
     """lambda_2 by ARPACK on the same shifted operator, as a test oracle."""
     import scipy.sparse.linalg as spla
 
-    lap = _laplacian(obj)
+    lap = laplacian_sparse(g)
     n = lap.shape[0]
     shift = 2.0 * float(lap.diagonal().max()) + 2.0
     op = spla.LinearOperator(
@@ -732,11 +712,6 @@ def _arpack_lambda2(obj) -> float:
     )
     v0 = np.cos(np.arange(n, dtype=np.float64) + 1.0)
     return float(spla.eigsh(op, k=1, which="SA", tol=1e-8, v0=v0, return_eigenvectors=False)[0])
-
-
-def _weighted(n, p, seed):
-    g = gnp_graph(n, p, seed=seed)
-    return WeightedGraph(g, np.random.default_rng(seed).uniform(0.5, 3.0, g.m))
 
 
 @pytest.mark.parametrize(
@@ -749,61 +724,56 @@ def _weighted(n, p, seed):
             for s in range(6)
         ], 6),
         (lambda: [cycle_graph(n) for n in (65, 128, 250, 400)], 4),
-        (lambda: [_weighted(200, 0.1, s) for s in (8, 9, 10)], 3),
-        (lambda: [WeightedGraph(complete_graph(80), np.full(3160, w)) for w in (1.0, 10.0)], 2),
     ],
-    ids=["K128-splicers", "K512-splicers", "gnp-unions", "cycles", "weighted-gnp", "weighted-K80"],
+    ids=["K128-splicers", "K512-splicers", "gnp-unions", "cycles"],
 )
 def test_lockstep_lanczos_matches_arpack_and_dense(batch, size):
-    objs = batch()
-    assert len(objs) == size
+    graphs = batch()
+    assert len(graphs) == size
     by_n = {}
-    for obj in objs:
-        by_n.setdefault(obj.n, []).append(obj)
+    for g in graphs:
+        by_n.setdefault(g.n, []).append(g)
     for group in by_n.values():
         got = spectral_lower_bounds(group)
         assert got.shape == (len(group),)
-        for obj, lam in zip(group, got):
-            dense = np.linalg.eigvalsh(_laplacian(obj).toarray())[1]
+        for g, lam in zip(group, got):
+            dense = np.linalg.eigvalsh(laplacian_sparse(g).toarray())[1]
             assert lam == pytest.approx(dense, rel=1e-9)
-            assert lam == pytest.approx(_arpack_lambda2(obj), rel=1e-9)
+            assert lam == pytest.approx(_arpack_lambda2(g), rel=1e-9)
             # A graph's value does not depend on its batchmates.
-            assert lam == spectral_lower_bounds([obj])[0]
+            assert lam == spectral_lower_bounds([g])[0]
 
 
 def test_spectral_bounds_batch_of_one_and_small_splicers():
     u = splice(complete_graph(300), 2, seed=3)
     assert spectral_lower_bounds([u])[0] == pytest.approx(_arpack_lambda2(u), rel=1e-9)
     small = [splice(complete_graph(40), 2, seed=s) for s in range(3)]
-    want = [np.linalg.eigvalsh(_laplacian(x).toarray())[1] for x in small]
+    want = [np.linalg.eigvalsh(laplacian_sparse(x).toarray())[1] for x in small]
     assert spectral_lower_bounds(small) == pytest.approx(want, rel=1e-9)
 
 
 def _small_spectral_cases():
     """Paths, complete graphs, stars, cycles and wheels on 2..64 vertices, the
-    Petersen graph, the prism and a G(40, 0.2), each with one of its 2-splicers,
-    and each of those with unit and with random weights in [0.05, 20]."""
+    Petersen graph, the prism and a G(40, 0.2), each with one of its 2-splicers."""
     bases = [petersen_graph(), prism_graph(), gnp_graph(40, 0.2, seed=3)]
     for n in range(2, 65):
         bases += [path_graph(n), complete_graph(n), Graph(n, [(0, i) for i in range(1, n)])]
         bases += [cycle_graph(n)] if n >= 3 else []
         bases += [wheel_graph(n)] if n >= 4 else []
     for i, g in enumerate(bases):
-        for h in (g, splice(g, 2, seed=i)):
-            yield h
-            yield WeightedGraph(h, np.random.default_rng(i).uniform(0.05, 20.0, h.m))
+        yield from (g, splice(g, 2, seed=i))
 
 
 def test_lanczos_matches_dense_eigvalsh_at_small_n():
     # Lanczos is the one lambda_2 path at every n; below 65 vertices dense
     # eigvalsh is the oracle.
     by_n = {}
-    for obj in _small_spectral_cases():
-        by_n.setdefault(obj.n, []).append(obj)
+    for g in _small_spectral_cases():
+        by_n.setdefault(g.n, []).append(g)
     assert sorted(by_n) == list(range(2, 65))
     for group in by_n.values():
-        for obj, lam in zip(group, spectral_lower_bounds(group)):
-            dense = np.linalg.eigvalsh(_laplacian(obj).toarray())[1]
+        for g, lam in zip(group, spectral_lower_bounds(group)):
+            dense = np.linalg.eigvalsh(laplacian_sparse(g).toarray())[1]
             assert lam == pytest.approx(dense, rel=1e-9)
 
 

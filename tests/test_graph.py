@@ -263,7 +263,7 @@ def _gnp_all_pairs(n, p, seed):
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 3001])
 def test_gnp_equals_the_all_pairs_construction(n, p):
-    # n = 3001 has 4.5M pairs, so its draws span five chunks of 2^20.
+    # n = 3001 has 4.5M pairs, so its draws span nine chunks of 2^19.
     for seed in (1,) if n > 1000 else (1, 2, 2**64 - 1):
         assert gnp_graph(n, p, seed) == _gnp_all_pairs(n, p, seed)
 
@@ -271,7 +271,7 @@ def test_gnp_equals_the_all_pairs_construction(n, p):
 def test_gnp_chunk_seams(monkeypatch):
     # An odd chunk puts seams everywhere in a row; 45 vertices have 990
     # pairs, one chunk, and 46 have 1035, two.
-    monkeypatch.setattr(generators, "_GNP_CHUNK", 1001)
+    monkeypatch.setattr(generators, "_BLOCK_BYTES", 8 * 1001)
     for n in (2, 45, 46, 64, 1000):
         for p in (0.0, 0.05, 0.5, 1.0):
             for seed in (1, 7):
@@ -286,7 +286,7 @@ def test_gnp_draws_are_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One chunk of 2^20 doubles is 8 MiB; all pairs at once traced 200 MiB.
+    # One chunk of 2^19 doubles is 4 MiB; all pairs at once traced 200 MiB.
     assert peak < 24 << 20
     assert 0.9 < g.m / (10 * math.log(n) * (n - 1) / 2) < 1.1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import deque
@@ -17,7 +18,6 @@ from treesplice.generators import (
 from treesplice.graph import Graph
 from treesplice.routing import (
     ReliabilitySummary,
-    ReliabilityTrial,
     build_routing,
     reliability_experiment,
     route,
@@ -206,8 +206,8 @@ def test_reliability_extremes():
 def test_reliability_delivery_below_ceiling_per_trial():
     g = complete_graph(48)
     (summary,) = reliability_experiment(g, (2,), 0.2, pairs=60, trials=8, seed=11)
-    for t in summary.trials:
-        assert t.delivered_fraction <= t.ceiling_fraction + 1e-12
+    assert summary.delivered.shape == summary.ceiling.shape == (8,)
+    assert (summary.delivered <= summary.ceiling + 1e-12).all()
     rows = summary.csv_rows(seed=11)
     assert len(rows) == 8
     assert {"seed", "trial", "failure_prob", "delivered_fraction"} <= set(rows[0])
@@ -244,7 +244,7 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
     """The trial loop with every failed base edge, eager route streams and
     undirected components."""
     n = graph.n
-    results = []
+    results = np.zeros((4, trials))
     for t in range(trials):
         state = build_routing(sample_trees(graph, k, child_seed(seed, "splice", t)))
         fail_mask = substream(seed, "failures", t).random(graph.m) < failure_prob
@@ -266,16 +266,21 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
                 delivered += 1
                 hop_total += hops
                 switch_total += switches
-        results.append(
-            ReliabilityTrial(
-                trial=t,
-                delivered_fraction=delivered / pairs,
-                ceiling_fraction=float(connected) / pairs,
-                mean_hops=hop_total / max(delivered, 1),
-                mean_switches=switch_total / max(delivered, 1),
-            )
+        results[:, t] = (
+            delivered / pairs,
+            float(connected) / pairs,
+            hop_total / max(delivered, 1),
+            switch_total / max(delivered, 1),
         )
-    return ReliabilitySummary(k, failure_prob, pairs, tuple(results))
+    return ReliabilitySummary(k, failure_prob, pairs, *results)
+
+
+def _same_summary(a, b) -> bool:
+    """Equal k, failure probability and pair count, and bit-equal trial arrays."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(ReliabilitySummary)
+    )
 
 
 @pytest.mark.parametrize(
@@ -286,9 +291,8 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
 def test_reliability_matches_reference_trial_loop(graph, k, failure_prob):
     assert graph.is_connected()
     args = (failure_prob, 40, 3, 29)
-    assert reliability_experiment(graph, (k,), *args) == (
-        _reliability_reference(graph, k, *args),
-    )
+    (got,) = reliability_experiment(graph, (k,), *args)
+    assert _same_summary(got, _reliability_reference(graph, k, *args))
 
 
 @pytest.mark.parametrize(
@@ -331,11 +335,9 @@ def test_shared_trial_loop_matches_separate_calls(ks):
     assert len(shared) == len(ks)
     for k, summary in zip(ks, shared):
         (alone,) = reliability_experiment(g, (k,), *args)
-        for name in ("k", "failure_prob", "pairs", "trials"):
-            assert getattr(summary, name) == getattr(alone, name), name
+        assert _same_summary(summary, alone)
     # A shared trial routes every k over the same failures, pairs and ceiling.
-    for a, b in zip(shared[0].trials, shared[1].trials):
-        assert a.ceiling_fraction == b.ceiling_fraction
+    assert np.array_equal(shared[0].ceiling, shared[1].ceiling)
 
 
 def test_reliability_routes_through_the_public_kernel(monkeypatch):

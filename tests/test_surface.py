@@ -1,6 +1,6 @@
-"""Every function, class and method in ``src/treesplice`` is read by code in
-``src/`` or ``perfbench/``, not by tests alone, and every defaulted
-parameter of one is set by some call there.
+"""Every function, class, method and dataclass field in ``src/treesplice``
+is read by code in ``src/`` or ``perfbench/``, not by tests alone, and
+every defaulted parameter of one is set by some call there.
 
 A read is a name or attribute in code, an import outside the package's
 ``__init__``, or a part of a string such as perfbench's
@@ -8,8 +8,9 @@ A read is a name or attribute in code, an import outside the package's
 or a part of a dotted string, so a local variable or a parameter of the same
 name does not hide an unread method; ``self.name`` inside class C reads
 only ``C.name``, so a field of one class does not hide another class's
-method.  Docstrings, comments, definitions and the ``__init__`` exports do
-not count.
+method.  A dataclass field is read as a method is, so a field that
+``to_dict`` or ``csv_rows`` writes out is read.  Docstrings, comments,
+definitions and the ``__init__`` exports do not count.
 
 A call sets a parameter by keyword, by position, or through ``*args`` /
 ``**kwargs``.  Calls are matched by the callee's last name (``f(...)``,
@@ -31,6 +32,9 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 KEEP = {"SpanningTree.validate", "effective_resistance_exact"}
 # Set by tests alone on purpose: a safety bound that tests lower.
 KEEP_OPTIONS = {"route.hop_cap"}
+# Dataclass fields read by tests alone on purpose: the vertex where an
+# oriented walk stranded, which the walk pins and the stranding tests read.
+KEEP_FIELDS = {"ProcessBResult.stuck_vertex"}
 
 
 def _trees():
@@ -68,15 +72,26 @@ def _reads(node: ast.AST, is_init: bool, owner: str | None = None):
         yield from _reads(child, is_init, owner)
 
 
-def test_every_definition_is_read_outside_tests():
-    reads, attr_reads, defined = Counter(), defaultdict(set), []
-    for path, tree in _trees():
+def _read_names(trees):
+    """Read counts by name, and per name the classes whose ``self`` reads it
+    as an attribute (None for any other attribute read)."""
+    reads, attr_reads = Counter(), defaultdict(set)
+    for path, tree in trees:
         for name, as_attr, owner in _reads(tree, path == PACKAGE / "__init__.py"):
             reads[name] += 1
             if as_attr:
                 attr_reads[name].add(owner)
-        if path.parent == PACKAGE:
-            defined += [(path.stem, name) for name, _, _ in _definitions(tree)]
+    return reads, attr_reads
+
+
+def test_every_definition_is_read_outside_tests():
+    trees = _trees()
+    reads, attr_reads = _read_names(trees)
+    defined = [
+        (path.stem, name)
+        for path, tree in trees if path.parent == PACKAGE
+        for name, _, _ in _definitions(tree)
+    ]
     assert KEEP <= {name for _, name in defined}
 
     def is_read(name: str) -> bool:
@@ -90,6 +105,32 @@ def test_every_definition_is_read_outside_tests():
         if name not in KEEP
         and not re.fullmatch(r"__\w+__", name.rsplit(".", 1)[-1])
         and not is_read(name)
+    ]
+    assert unread == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    trees = _trees()
+    _, attr_reads = _read_names(trees)
+    fields = [
+        (node.name, item.target.id)
+        for path, tree in trees if path.parent == PACKAGE
+        for node in tree.body if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert KEEP_FIELDS <= {f"{cls}.{name}" for cls, name in fields}
+    unread = [
+        f"{cls}.{name}" for cls, name in fields
+        if f"{cls}.{name}" not in KEEP_FIELDS and not attr_reads[name] & {None, cls}
     ]
     assert unread == []
 
