@@ -48,7 +48,6 @@ from .lowerbound import (
     validate_family,
 )
 from .cuts import (
-    ExpansionReport,
     edge_expansion_exact,
     sampled_cut_ratios,
     sparsifier_quality,
@@ -56,8 +55,6 @@ from .cuts import (
     vertex_expansion_exact,
 )
 from .verify import (
-    CorrelationReport,
-    TailCheckReport,
     chernoff_tail_check,
     coupling_distance_estimate,
     enumerate_trees,

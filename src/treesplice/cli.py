@@ -9,6 +9,16 @@ Exit codes: 0 on success, 1 when an embedded assertion, a sampling step or
 a numerical iteration (Lanczos for lambda_2) fails or memory runs out, 2 on
 usage or input errors, including a file that cannot be read or written.
 Each of these failures prints one line to stderr.
+
+``generate`` and ``verify`` dispatch from one table each, kind or check ->
+call.  Each check returns the JSON payload the CLI prints, less ``check``
+and ``seed``: ``verify``'s uniformity, negative-correlation and tail-bound
+checks and exact ``expansion`` take theirs from the library, and the
+one-number checks (resistance, min-edge-prob, coupling) build theirs in
+their table entry.  ``verify`` adds ``check`` and ``seed`` (``expansion``
+the seed) and emits; of a report's fields it reads only the flags that
+decide exit 1, negative-correlation's ``inclusion_ok`` and ``exclusion_ok``
+and tail-bound's ``passed``.
 """
 
 from __future__ import annotations
@@ -33,8 +43,11 @@ from .experiments import (
     summary_json,
 )
 from .graph import ConvergenceError, Graph, GraphFormatError, SamplingError
+from .linalg import effective_resistances
+from .lowerbound import lower_bound_family, validate_family
 from .routing import reliability_experiment
 from .sampler import aldous_broder, tree_edge_frequencies
+from .seeds import substream
 from .splice import sparsify_gnp, splice
 from .verify import (
     chernoff_tail_check,
@@ -61,50 +74,46 @@ def _load_graph(path: str) -> Graph:
         return gio.parse_graph(fh.read())
 
 
-def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
-    if args.format == "csv" and rows is not None:
+def _emit(args, payload: dict, rows: list[dict]) -> None:
+    if args.format == "csv":
         _write(args.out, rows_csv(rows))
     else:
         _write(args.out, summary_json(payload))
 
 
-def _cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "complete":
-        g = generators.complete_graph(args.n)
-    elif kind == "gnp":
-        g = generators.gnp_graph(args.n, args.p, args.seed)
-    elif kind == "regular":
-        g = generators.random_regular_graph(args.n, args.d, args.seed)
-    elif kind == "cycle":
-        g = generators.cycle_graph(args.n)
-    elif kind == "path":
-        g = generators.path_graph(args.n)
-    elif kind == "petersen":
-        g = generators.petersen_graph()
-    elif kind == "wheel":
-        g = generators.wheel_graph(args.n)
-    elif kind == "prism":
-        g = generators.prism_graph()
-    elif kind == "lower-bound":
-        from .lowerbound import lower_bound_family, validate_family
+def _lower_bound(args) -> tuple[Graph, dict]:
+    fam = lower_bound_family(args.n, args.d, args.ell, args.seed)
+    validate_family(fam)
+    meta = {
+        "n": fam.n,
+        "d": fam.d,
+        "ell": fam.ell,
+        "segments": [list(p) for p in fam.paths],
+        "rings": [list(r) for r in fam.ring_cycles],
+    }
+    return fam.graph, meta
 
-        fam = lower_bound_family(args.n, args.d, args.ell, args.seed)
-        validate_family(fam)
-        _write(args.out, gio.serialize_graph(fam.graph))
-        if args.meta_out:
-            meta = {
-                "n": fam.n,
-                "d": fam.d,
-                "ell": fam.ell,
-                "segments": [list(p) for p in fam.paths],
-                "rings": [list(r) for r in fam.ring_cycles],
-            }
-            _write(args.meta_out, summary_json(meta))
-        return EXIT_OK
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind}")
-    _write(args.out, gio.serialize_graph(g))
+
+# kind -> (its graph, the metadata that --meta-out writes or None), from the
+# parsed arguments
+_GENERATORS = {
+    "complete": lambda a: (generators.complete_graph(a.n), None),
+    "gnp": lambda a: (generators.gnp_graph(a.n, a.p, a.seed), None),
+    "regular": lambda a: (generators.random_regular_graph(a.n, a.d, a.seed), None),
+    "cycle": lambda a: (generators.cycle_graph(a.n), None),
+    "path": lambda a: (generators.path_graph(a.n), None),
+    "petersen": lambda a: (generators.petersen_graph(), None),
+    "wheel": lambda a: (generators.wheel_graph(a.n), None),
+    "prism": lambda a: (generators.prism_graph(), None),
+    "lower-bound": _lower_bound,
+}
+
+
+def _cmd_generate(args) -> int:
+    graph, meta = _GENERATORS[args.kind](args)
+    _write(args.out, gio.serialize_graph(graph))
+    if meta is not None and args.meta_out:
+        _write(args.meta_out, summary_json(meta))
     return EXIT_OK
 
 
@@ -136,94 +145,79 @@ def _cmd_expansion(args) -> int:
         if g.n > EXACT_SCAN_MAX_N:
             raise ValueError(f"exact expansion is capped at n = {EXACT_SCAN_MAX_N}; "
                              "use --method spectral for an edge-expansion bound at this scale")
-        rep = (edge_expansion_exact if args.kind == "edge" else vertex_expansion_exact)(g)
-        payload = rep.to_dict()
-        payload["seed"] = args.seed
+        report = (edge_expansion_exact if args.kind == "edge" else vertex_expansion_exact)(g)
     else:
         if args.kind != "edge":
             raise ValueError("the spectral certificate bounds edge expansion only; "
                              "use --method exact for --kind vertex")
         lam = float(spectral_lower_bounds([g])[0])
-        payload = {
-            "kind": "edge",
-            "method": "spectral-bound",
-            "lambda2": lam,
-            "value": lam / 2.0,
-            "seed": args.seed,
-        }
-    _emit(args, payload, rows=[payload])
+        report = {"kind": "edge", "method": "spectral-bound", "lambda2": lam, "value": lam / 2.0}
+    payload = {**report, "seed": args.seed}
+    _emit(args, payload, [payload])
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    check = args.check
-    if check == "coupling":
-        if args.n is None:
-            raise ValueError("--n is required for the coupling check")
-        p = args.p if args.p is not None else 1.0
-        est = coupling_distance_estimate(args.n, p, args.trials, args.seed)
-        payload = {
-            "check": check,
-            "n": args.n,
-            "p": p,
-            "trials": args.trials,
-            "estimate": est,
-            "seed": args.seed,
-        }
-        _emit(args, payload, rows=[payload])
-        return EXIT_OK
+def _graph(args) -> Graph:
     if args.graph is None:
-        raise ValueError(f"--graph is required for the {check} check")
-    g = _load_graph(args.graph)
-    if check == "uniformity":
-        rep = uniformity_check(g, args.trials, args.seed)
-        payload = {"check": check, **rep, "seed": args.seed}
-        _emit(args, payload, rows=[payload])
-        return EXIT_OK
-    if check == "resistance":
-        from .linalg import effective_resistances
+        raise ValueError(f"--graph is required for the {args.check} check")
+    return _load_graph(args.graph)
 
-        freqs = tree_edge_frequencies(g, args.trials, args.seed)
-        worst = float(np.abs(freqs - effective_resistances(g)).max(initial=0.0))
-        payload = {
-            "check": check,
-            "trials": args.trials,
-            "max_abs_error": worst,
-            "seed": args.seed,
-        }
-        _emit(args, payload, rows=[payload])
-        return EXIT_OK
-    if check == "negative-correlation":
-        from .seeds import substream
 
-        if g.m < 2:
-            raise ValueError("the negative-correlation check needs at least 2 edges")
-        rng = substream(args.seed, "pair-choice")
-        e1, e2 = (int(x) for x in rng.choice(g.m, size=2, replace=False))
-        rep = negative_correlation_check(g, [e1, e2], args.trials, args.seed)
-        payload = dict(rep.to_dict(), check=check, seed=args.seed)
-        _emit(args, payload, rows=[payload])
-        return EXIT_OK if rep.inclusion_ok and rep.exclusion_ok else EXIT_FAIL
-    if check == "tail-bound":
-        from .seeds import substream
+def _resistance(args) -> dict:
+    g = _graph(args)
+    freqs = tree_edge_frequencies(g, args.trials, args.seed)
+    worst = float(np.abs(freqs - effective_resistances(g)).max(initial=0.0))
+    return {"trials": args.trials, "max_abs_error": worst}
 
-        rng = substream(args.seed, "cut-choice")
-        subset = np.sort(rng.choice(g.n, size=g.n // 2, replace=False)).tolist()
-        rep = chernoff_tail_check(g, [subset], args.trials, args.seed)
-        payload = dict(rep.to_dict(), check=check, seed=args.seed)
-        _emit(args, payload, rows=[payload])
-        return EXIT_OK if rep.passed else EXIT_FAIL
-    if check == "min-edge-prob":
-        val = float(tree_edge_frequencies(g, args.trials, args.seed).min())
-        payload = {
-            "check": check,
-            "trials": args.trials,
-            "min_probability": val,
-            "seed": args.seed,
-        }
-        _emit(args, payload, rows=[payload])
-        return EXIT_OK
-    raise ValueError(f"unknown check {check!r}")
+
+def _negative_correlation(args) -> dict:
+    g = _graph(args)
+    if g.m < 2:
+        raise ValueError("the negative-correlation check needs at least 2 edges")
+    pair = substream(args.seed, "pair-choice").choice(g.m, size=2, replace=False)
+    return negative_correlation_check(g, pair.tolist(), args.trials, args.seed)
+
+
+def _tail_bound(args) -> dict:
+    g = _graph(args)
+    cut = substream(args.seed, "cut-choice").choice(g.n, size=g.n // 2, replace=False)
+    return chernoff_tail_check(g, [cut], args.trials, args.seed)
+
+
+def _min_edge_prob(args) -> dict:
+    freqs = tree_edge_frequencies(_graph(args), args.trials, args.seed)
+    return {"trials": args.trials, "min_probability": float(freqs.min())}
+
+
+def _coupling(args) -> dict:
+    if args.n is None:
+        raise ValueError("--n is required for the coupling check")
+    p = args.p if args.p is not None else 1.0
+    estimate = coupling_distance_estimate(args.n, p, args.trials, args.seed)
+    return {"n": args.n, "p": p, "trials": args.trials, "estimate": estimate}
+
+
+# check -> (its report from the parsed arguments, the report's flags that
+# must all hold for exit 0)
+_CHECKS = {
+    "uniformity": (lambda a: uniformity_check(_graph(a), a.trials, a.seed), ()),
+    "resistance": (_resistance, ()),
+    "negative-correlation": (_negative_correlation, ("inclusion_ok", "exclusion_ok")),
+    "tail-bound": (_tail_bound, ("passed",)),
+    "min-edge-prob": (_min_edge_prob, ()),
+    "coupling": (_coupling, ()),
+}
+
+
+def _cmd_verify(args) -> int:
+    call, flags = _CHECKS[args.check]
+    report = call(args)
+    # A check with a verdict lists check and seed after its report's fields,
+    # the others lead with check: that is the order of the CSV columns.
+    lead = {} if flags else {"check": args.check}
+    payload = {**lead, **report, "check": args.check, "seed": args.seed}
+    _emit(args, payload, [payload])
+    return EXIT_OK if all(report[f] for f in flags) else EXIT_FAIL
 
 
 def _cmd_route_sim(args) -> int:
@@ -241,7 +235,7 @@ def _cmd_route_sim(args) -> int:
         "ceiling_fraction": summary.ceiling_fraction,
         "seed": args.seed,
     }
-    _emit(args, payload, rows=rows)
+    _emit(args, payload, rows)
     return EXIT_OK
 
 
@@ -284,10 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=[
-            "complete", "gnp", "regular", "cycle", "path",
-            "petersen", "wheel", "prism", "lower-bound",
-        ],
+        choices=list(_GENERATORS),
     )
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--p", type=float, default=0.5)
@@ -327,10 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=[
-            "uniformity", "resistance", "negative-correlation",
-            "tail-bound", "min-edge-prob", "coupling",
-        ],
+        choices=list(_CHECKS),
     )
     p.add_argument("--graph")
     p.add_argument("--n", type=int)

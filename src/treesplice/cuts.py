@@ -51,7 +51,6 @@ read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,21 +70,6 @@ _LANCZOS_CHECK = 10  # Lanczos iterations between convergence tests
 _BALL_PROBE = 9     # first chunk of ball attempts: three per radius
 _STEBZ, _STEIN = lapack.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 CUT_FAMILIES = ("min-degree-singleton", "random-size-class", "tree-component", "bfs-ball")
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    kind: str            # "edge" or "vertex"
-    value: float
-    witness: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "witness": sorted(self.witness),
-            "method": "exact",
-        }
 
 
 def _is_dense(graph: Graph) -> bool:
@@ -233,7 +217,10 @@ def _subset_scan(graph: Graph, kind: str) -> tuple[float, int]:
     return count / size, mask
 
 
-def _scan_report(graph: Graph, kind: str) -> ExpansionReport:
+def _scan_report(graph: Graph, kind: str) -> dict:
+    """The payload ``expansion --method exact`` prints, less ``seed``:
+    ``kind``, the min ratio ``value``, its ascending ``witness`` vertices
+    and ``method`` "exact"."""
     if graph.n > EXACT_SCAN_MAX_N:
         raise ValueError(
             f"exhaustive scan is capped at n = {EXACT_SCAN_MAX_N}; "
@@ -244,16 +231,16 @@ def _scan_report(graph: Graph, kind: str) -> ExpansionReport:
     if not graph.is_connected():
         raise ValueError("expansion of a disconnected graph is 0; expected connected input")
     value, mask = _subset_scan(graph, kind)
-    witness = tuple(i for i in range(graph.n) if mask >> i & 1)
-    return ExpansionReport(kind=kind, value=value, witness=witness)
+    witness = [i for i in range(graph.n) if mask >> i & 1]
+    return {"kind": kind, "value": value, "witness": witness, "method": "exact"}
 
 
-def edge_expansion_exact(graph: Graph) -> ExpansionReport:
+def edge_expansion_exact(graph: Graph) -> dict:
     """min |cut(A)| / |A| over proper A with |A| <= n/2, with a witness."""
     return _scan_report(graph, "edge")
 
 
-def vertex_expansion_exact(graph: Graph) -> ExpansionReport:
+def vertex_expansion_exact(graph: Graph) -> dict:
     """min |outside neighbors of A| / |A| over the same range, with a witness."""
     return _scan_report(graph, "vertex")
 

@@ -90,34 +90,18 @@ class ExperimentConfig:
         return cls(**values)
 
 
-@dataclass
-class Assertion:
-    name: str
-    passed: bool
-    value: float
-    bound: float
-    direction: str       # ">=" or "<="
-    std_error: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "bound": self.bound,
-            "direction": self.direction,
-        }
-        if self.std_error is not None:
-            out["std_error"] = self.std_error
-        return out
+def _ge(name, value, bound, se=None) -> dict:
+    """One summary assertion, value >= bound, with its standard error if given."""
+    out = {"name": name, "passed": bool(value >= bound), "value": float(value),
+           "bound": float(bound), "direction": ">="}
+    if se is not None:
+        out["std_error"] = se
+    return out
 
 
-def _ge(name, value, bound, se=None) -> Assertion:
-    return Assertion(name, bool(value >= bound), float(value), float(bound), ">=", se)
-
-
-def _le(name, value, bound) -> Assertion:
-    return Assertion(name, bool(value <= bound), float(value), float(bound), "<=")
+def _le(name, value, bound) -> dict:
+    return {"name": name, "passed": bool(value <= bound), "value": float(value),
+            "bound": float(bound), "direction": "<="}
 
 
 def _regular_host(n: int, d: int, seed: int, *path):
@@ -187,15 +171,15 @@ def _run_complete_graph(cfg: ExperimentConfig):
     rows = []
     good = 0
     for s in range(seeds):
-        rep = vertex_expansion_exact(splice(n, k, child_seed(cfg.seed, "splice", s)))
-        ok = rep.value >= 0.5
+        value = vertex_expansion_exact(splice(n, k, child_seed(cfg.seed, "splice", s)))["value"]
+        ok = value >= 0.5
         good += ok
         rows.append(
             {
                 "kind": "exact-vertex-expansion",
                 "n": n,
                 "seed_index": s,
-                "value": rep.value,
+                "value": value,
                 "passed": int(ok),
             }
         )
@@ -306,11 +290,11 @@ def _run_tail_bound(cfg: ExperimentConfig):
         {"cut": c, "lambda": lam, "empirical": emp, "bound": bnd, "std_error": se}
         for c in range(cfg.samples)
         for lam, emp, bnd, se in zip(
-            rep.lambdas[c].tolist(), rep.empirical[c].tolist(),
-            rep.bounds[c].tolist(), rep.std_errors[c].tolist(),
+            rep["lambdas"][c].tolist(), rep["empirical"][c].tolist(),
+            rep["bounds"][c].tolist(), rep["std_errors"][c].tolist(),
         )
     ]
-    assertions = [_ge("tail bound holds on all cuts", float(rep.passed), 1.0)]
+    assertions = [_ge("tail bound holds on all cuts", float(rep["passed"]), 1.0)]
     return assertions, rows, {"trials": trials, "cuts": cfg.samples}
 
 
@@ -394,11 +378,14 @@ PRESETS = {
 
 
 def _plain(obj):
-    """Recursively strip numpy scalar types for stable JSON/CSV text."""
+    """Recursively turn numpy arrays into lists and strip numpy scalar types,
+    for stable JSON/CSV text."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -472,13 +459,13 @@ def run_preset(cfg: ExperimentConfig) -> tuple[dict, int]:
     params = {**defaults, **given}
     t0 = time.time()
     assertions, rows, extra = runner(replace(cfg, **params))
-    passed = all(a.passed for a in assertions)
+    passed = all(a["passed"] for a in assertions)
     summary = {
         "preset": cfg.preset,
         "seed": cfg.seed,
         "parameters": params,
         "derived": extra,
-        "assertions": [a.to_dict() for a in assertions],
+        "assertions": assertions,
         "passed": passed,
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),

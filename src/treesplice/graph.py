@@ -132,6 +132,10 @@ def _as_edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     u, v = _vertex_pairs(n, edges, "edge")
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
+    if hi.size and hi.max() >= 1 << 31:
+        raise ValueError(
+            f"edge endpoint {int(hi.max())} is not below 2^31, the limit of the int32 edge arrays"
+        )
     if (lo == hi).any():
         raise ValueError(f"self-loop at vertex {int(lo[(lo == hi).argmax()])}")
     codes = lo * n + hi
@@ -144,7 +148,10 @@ def _as_edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Graph:
-    """Undirected simple graph; vertices 0..n-1, edges carry dense ids."""
+    """Undirected simple graph; vertices 0..n-1, edges carry dense ids.
+
+    Edge endpoints must lie below 2^31, since the edge arrays are int32;
+    a larger one raises ValueError."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         self.n = int(n)

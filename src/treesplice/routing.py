@@ -192,9 +192,7 @@ class ReliabilitySummary:
     surviving base graph), and the mean hops and switches of the delivered
     routes (0 when none is delivered)."""
 
-    k: int
     failure_prob: float
-    pairs: int
     delivered: np.ndarray
     ceiling: np.ndarray
     mean_hops: np.ndarray
@@ -285,9 +283,7 @@ def reliability_experiment(
                     switch_total += r.switches
             routed = max(delivered, 1)
             out[:, t] = delivered / pairs, ceiling, hop_total / routed, switch_total / routed
-    return tuple(
-        ReliabilitySummary(k, failure_prob, pairs, *out) for k, out in zip(ks, results)
-    )
+    return tuple(ReliabilitySummary(failure_prob, *out) for out in results)
 
 
 DIAMETER_MAX_N = 4096

@@ -1,25 +1,27 @@
 """Distributional checks: uniformity, negative correlation, tail bounds, coupling.
 
-Every Monte Carlo report carries its trial count, point estimates, and
-standard errors; assertions compare against estimate +/- 4 standard errors
-with frozen seeds.  They reduce lockstep walk trees with ``sampler``'s
-``_tree_masks`` or ``_tree_sums``; the tail check
-sums a cut-membership table over one tree batch that all its cuts share.
-On graphs with at most ``EXACT_LAW_MAX_N`` vertices the
-negative-correlation check is exact instead: its joint, all-absent and
-marginal laws are determinants of the integer transfer currents that
-``linalg`` reads from one adjugate.  ``enumerate_trees`` lists the trees of
-graphs with at most ``ENUMERATION_EDGE_CAP`` edges as one edge-id array,
-by a combinatorial scan that is an independent reference for that oracle
-and for ``uniformity_check``.  ``uniform_tv_distance`` is the one TV of
-sampled trees against the uniform law, for that check and the coupling
-estimate.
+``uniformity_check``, ``negative_correlation_check`` and
+``chernoff_tail_check`` each return the JSON payload that ``treesplice
+verify`` prints for its check, less ``check`` and ``seed``: a plain dict,
+whose numpy arrays the summary writer turns into lists.  Every Monte Carlo
+report carries its trial count, point estimates, and standard errors;
+assertions compare against estimate +/- 4 standard errors with frozen
+seeds.  They reduce lockstep walk trees with ``sampler``'s ``_tree_masks``
+or ``_tree_sums``; the tail check sums a cut-membership table over one tree
+batch that all its cuts share.  On graphs with at most ``EXACT_LAW_MAX_N``
+vertices the negative-correlation check is exact instead: its joint,
+all-absent and marginal laws are determinants of the integer transfer
+currents that ``linalg`` reads from one adjugate.  ``enumerate_trees``
+lists the trees of graphs with at most ``ENUMERATION_EDGE_CAP`` edges as
+one edge-id array, by a combinatorial scan that is an independent reference
+for that oracle and for ``uniformity_check``.  ``uniform_tv_distance`` is
+the one TV of sampled trees against the uniform law, for that check and the
+coupling estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -70,48 +72,6 @@ def enumerate_trees(graph: Graph) -> np.ndarray:
     return sub.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    edge_ids: tuple[int, ...]
-    joint: float
-    marginals: tuple[float, ...]
-    joint_complement: float
-    marginals_complement: tuple[float, ...]
-    exact: bool
-    trials: int
-    margin: float
-
-    @property
-    def product(self) -> float:
-        return math.prod(self.marginals)
-
-    @property
-    def product_complement(self) -> float:
-        return math.prod(self.marginals_complement)
-
-    @property
-    def inclusion_ok(self) -> bool:
-        return self.joint <= self.product + self.margin
-
-    @property
-    def exclusion_ok(self) -> bool:
-        return self.joint_complement <= self.product_complement + self.margin
-
-    def to_dict(self) -> dict:
-        return {
-            "edge_ids": list(self.edge_ids),
-            "joint": self.joint,
-            "product": self.product,
-            "joint_complement": self.joint_complement,
-            "product_complement": self.product_complement,
-            "exact": self.exact,
-            "trials": self.trials,
-            "margin": self.margin,
-            "inclusion_ok": self.inclusion_ok,
-            "exclusion_ok": self.exclusion_ok,
-        }
-
-
 def exact_tree_law(
     graph: Graph, edge_ids
 ) -> tuple[int, Fraction, Fraction, tuple[Fraction, ...]]:
@@ -137,9 +97,7 @@ def exact_tree_law(
     )
 
 
-def negative_correlation_check(
-    graph: Graph, edges, trials: int, seed: int
-) -> CorrelationReport:
+def negative_correlation_check(graph: Graph, edges, trials: int, seed: int) -> dict:
     """Joint tree-membership of distinct edges versus the product of marginals.
 
     Exact (``exact_tree_law``, ``trials`` = the tree count) on graphs with at
@@ -147,56 +105,62 @@ def negative_correlation_check(
     0.05 s on a 3-regular graph, 0.11-0.13 s on G(64, p) for p = 1/2, 3/4
     and 9/10, and 0.14 s on K_64 (one Xeon core).  Otherwise Monte Carlo
     with a 4-standard-error margin.  Checks the complementary (all-absent)
-    events too.
+    events too: ``inclusion_ok`` asks joint <= product + margin, and
+    ``exclusion_ok`` the same of the all-absent event.
     """
     ids = [graph.resolve_edge(e) for e in edges]
     if not 1 <= len(ids) <= 4:
         raise ValueError("between 1 and 4 edges required")
     if len(set(ids)) < len(ids):
         raise ValueError(f"edges must be distinct, got ids {ids}")
-    if graph.n <= EXACT_LAW_MAX_N:
-        tau, joint, joint_c, marg = exact_tree_law(graph, ids)
-        return CorrelationReport(
-            edge_ids=tuple(ids),
-            joint=float(joint),
-            marginals=tuple(float(x) for x in marg),
-            joint_complement=float(joint_c),
-            marginals_complement=tuple(float(1 - x) for x in marg),
-            exact=True,
-            trials=tau,
-            margin=0.0,
-        )
-    rng = substream(seed, "negative-correlation")
-    masks, _ = _tree_masks(graph, trials, rng, ids)
-    all_bits = np.uint64((1 << len(ids)) - 1)
-    joint = float(np.count_nonzero(masks == all_bits)) / trials
-    joint_c = float(np.count_nonzero(masks == np.uint64(0))) / trials
-    marg = tuple(
-        float(np.count_nonzero(masks & np.uint64(1 << j))) / trials
-        for j in range(len(ids))
-    )
-    # Delta-method error for joint - product, same-sample correlations ignored
-    # in favor of a conservative sum of term variances.
-    var = joint * (1 - joint)
-    for j, mj in enumerate(marg):
-        rest = math.prod(marg[:j] + marg[j + 1 :])
-        var += (rest**2) * mj * (1 - mj)
-    margin = 4.0 * math.sqrt(var / trials)
-    return CorrelationReport(
-        edge_ids=tuple(ids),
-        joint=joint,
-        marginals=marg,
-        joint_complement=joint_c,
-        marginals_complement=tuple(1.0 - x for x in marg),
-        exact=False,
-        trials=trials,
-        margin=margin,
-    )
+    exact = graph.n <= EXACT_LAW_MAX_N
+    if exact:
+        trials, joint, joint_c, marg = exact_tree_law(graph, ids)
+        joint, joint_c, margin = float(joint), float(joint_c), 0.0
+        marg, marg_c = [float(x) for x in marg], [float(1 - x) for x in marg]
+    else:
+        rng = substream(seed, "negative-correlation")
+        masks, _ = _tree_masks(graph, trials, rng, ids)
+        all_bits = np.uint64((1 << len(ids)) - 1)
+        joint = float(np.count_nonzero(masks == all_bits)) / trials
+        joint_c = float(np.count_nonzero(masks == np.uint64(0))) / trials
+        marg = [
+            float(np.count_nonzero(masks & np.uint64(1 << j))) / trials
+            for j in range(len(ids))
+        ]
+        marg_c = [1.0 - x for x in marg]
+        # Delta-method error for joint - product, same-sample correlations
+        # ignored in favor of a conservative sum of term variances.
+        var = joint * (1 - joint)
+        for j, mj in enumerate(marg):
+            rest = math.prod(marg[:j] + marg[j + 1 :])
+            var += (rest**2) * mj * (1 - mj)
+        margin = 4.0 * math.sqrt(var / trials)
+    product, product_c = math.prod(marg), math.prod(marg_c)
+    return {
+        "edge_ids": ids,
+        "joint": joint,
+        "product": product,
+        "joint_complement": joint_c,
+        "product_complement": product_c,
+        "exact": exact,
+        "trials": trials,
+        "margin": margin,
+        "inclusion_ok": joint <= product + margin,
+        "exclusion_ok": joint_c <= product_c + margin,
+    }
 
 
-@dataclass(frozen=True, eq=False)
-class TailCheckReport:
-    """Lower tails of the tree-edge count across several cuts, from one tree batch.
+LAMBDA_GRID = (0.25, 0.5, 1.0, 1.5)
+
+
+def chernoff_tail_check(graph: Graph, subsets, trials: int, seed: int) -> dict:
+    """Lower tail of the tree-edge count across each cut versus exp(-l^2/(2 p m)).
+
+    One batch of ``trials`` uniform trees serves every cut in ``subsets``.
+    Per cut, the mean inclusion probability over its edges is estimated from
+    the same trees, and the tail is evaluated at
+    lambda = {0.25, 0.5, 1, 1.5} * sqrt(p m).
 
     Per cut i: ``subsets[i]`` (sorted vertices), ``cut_sizes[i]`` and
     ``p_bar[i]``; row i of the (cuts, 4) arrays ``lambdas``, ``empirical``,
@@ -206,50 +170,9 @@ class TailCheckReport:
     smallest unsigned type that holds n, and one boolean per (tree, cut,
     grid point) while it counts tails: memory grows as trials x cuts.
     """
-
-    subsets: tuple[tuple[int, ...], ...]
-    cut_sizes: np.ndarray
-    p_bar: np.ndarray
-    lambdas: np.ndarray
-    empirical: np.ndarray
-    bounds: np.ndarray
-    std_errors: np.ndarray
-    trials: int
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.empirical <= self.bounds + 4.0 * self.std_errors))
-
-    def to_dict(self) -> dict:
-        return {
-            "subsets": [list(s) for s in self.subsets],
-            "cut_sizes": self.cut_sizes.tolist(),
-            "p_bar": self.p_bar.tolist(),
-            "lambdas": self.lambdas.tolist(),
-            "empirical": self.empirical.tolist(),
-            "bounds": self.bounds.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "trials": self.trials,
-            "passed": self.passed,
-        }
-
-
-LAMBDA_GRID = (0.25, 0.5, 1.0, 1.5)
-
-
-def chernoff_tail_check(
-    graph: Graph, subsets, trials: int, seed: int
-) -> TailCheckReport:
-    """Lower tail of the tree-edge count across each cut versus exp(-l^2/(2 p m)).
-
-    One batch of ``trials`` uniform trees serves every cut in ``subsets``.
-    Per cut, the mean inclusion probability over its edges is estimated from
-    the same trees, and the tail is evaluated at
-    lambda = {0.25, 0.5, 1, 1.5} * sqrt(p m).
-    """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable tail estimate")
-    subsets = tuple(tuple(sorted(int(v) for v in s)) for s in subsets)
+    subsets = [sorted(int(v) for v in s) for s in subsets]
     cuts = [cut_edges(graph, s) for s in subsets]
     if not cuts:
         raise ValueError("need at least one subset")
@@ -267,16 +190,19 @@ def chernoff_tail_check(
         [math.exp(-(lam**2) / (2.0 * mu)) for lam in row]
         for mu, row in zip(mean.tolist(), lambdas.tolist())
     ]
-    return TailCheckReport(
-        subsets=subsets,
-        cut_sizes=cut_sizes,
-        p_bar=p_bar,
-        lambdas=lambdas,
-        empirical=tails,
-        bounds=np.array(bounds),
-        std_errors=np.sqrt(np.maximum(tails * (1.0 - tails), 0.0) / trials),
-        trials=trials,
-    )
+    bounds = np.array(bounds)
+    std_errors = np.sqrt(np.maximum(tails * (1.0 - tails), 0.0) / trials)
+    return {
+        "subsets": subsets,
+        "cut_sizes": cut_sizes,
+        "p_bar": p_bar,
+        "lambdas": lambdas,
+        "empirical": tails,
+        "bounds": bounds,
+        "std_errors": std_errors,
+        "trials": trials,
+        "passed": bool(np.all(tails <= bounds + 4.0 * std_errors)),
+    }
 
 
 def uniform_tv_distance(

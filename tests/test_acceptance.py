@@ -131,7 +131,7 @@ def test_c03_negative_correlation():
     for name, g in corpus.items():
         for e1, e2 in itertools.combinations(range(g.m), 2):
             rep = negative_correlation_check(g, [e1, e2], 0, 0)
-            assert rep.exact and rep.inclusion_ok and rep.exclusion_ok, (name, e1, e2)
+            assert rep["exact"] and rep["inclusion_ok"] and rep["exclusion_ok"], (name, e1, e2)
             exact_checked += 1
     trials = 1_000_000
     mc_checked = 0
@@ -172,7 +172,7 @@ def test_c04_tail_bound():
     pick = substream(104, "cuts")
     subsets = [np.sort(pick.choice(64, size=32, replace=False)).tolist() for _ in range(10)]
     rep = chernoff_tail_check(g, subsets, trials, child_seed(104, "tail", 0))
-    budget.finish(rep.passed, f"10 cuts x 4 grid points at {trials} trials")
+    budget.finish(rep["passed"], f"10 cuts x 4 grid points at {trials} trials")
 
 
 def test_c05_complete_graph_expansion():
@@ -182,7 +182,7 @@ def test_c05_complete_graph_expansion():
     k16 = complete_graph(16)
     for s in range(seeds):
         u = splice(k16, 2, child_seed(105, "splice", s))
-        good += vertex_expansion_exact(u).value >= 0.5
+        good += vertex_expansion_exact(u)["value"] >= 0.5
     rate = good / seeds
     lam_min = math.inf
     means = []

@@ -157,6 +157,17 @@ def test_sparsify_disconnected_graph_fails_fast(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+def test_endpoint_beyond_the_int32_edge_arrays_is_usage_error(tmp_path, capsys):
+    # Wrapped into int32, the edge (0, 2^32 + 1) would become (0, 1) and
+    # splice would call the graph disconnected (exit 1).
+    gpath = tmp_path / "wide.txt"
+    gpath.write_text(f"{2**33} 1\n0 {2**32 + 1}\n")
+    assert run(["splice", "--graph", str(gpath), "--seed", "1", "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "2^31" in err and err.count("\n") == 1
+
+
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n0 1\n2 2\n")

@@ -48,15 +48,15 @@ def evaluate_subset(graph, subset, kind: str) -> float:
 
 
 def test_edge_expansion_known_values():
-    assert edge_expansion_exact(complete_graph(4)).value == 2.0
-    assert edge_expansion_exact(cycle_graph(6)).value == pytest.approx(2 / 3)
-    assert edge_expansion_exact(Graph(5, [(0, i) for i in range(1, 5)])).value == 1.0
+    assert edge_expansion_exact(complete_graph(4))["value"] == 2.0
+    assert edge_expansion_exact(cycle_graph(6))["value"] == pytest.approx(2 / 3)
+    assert edge_expansion_exact(Graph(5, [(0, i) for i in range(1, 5)]))["value"] == 1.0
 
 
 def test_vertex_expansion_known_values():
-    assert vertex_expansion_exact(complete_graph(4)).value == 1.0
-    assert vertex_expansion_exact(path_graph(4)).value == 0.5
-    assert vertex_expansion_exact(cycle_graph(6)).value == pytest.approx(2 / 3)
+    assert vertex_expansion_exact(complete_graph(4))["value"] == 1.0
+    assert vertex_expansion_exact(path_graph(4))["value"] == 0.5
+    assert vertex_expansion_exact(cycle_graph(6))["value"] == pytest.approx(2 / 3)
 
 
 def brute_scan(g, kind):
@@ -105,10 +105,10 @@ def test_scan_matches_brute_force_on_random_graphs(kind, monkeypatch):
     def check(g):
         rep = (edge_expansion_exact if kind == "edge" else vertex_expansion_exact)(g)
         value, mask = brute_scan(g, kind)
-        assert rep.value == value
-        assert rep.witness == tuple(v for v in range(g.n) if mask >> v & 1)
-        assert evaluate_subset(g, rep.witness, kind) == rep.value
-        assert 1 <= len(rep.witness) <= g.n // 2
+        assert rep["value"] == value
+        assert rep["witness"] == [v for v in range(g.n) if mask >> v & 1]
+        assert evaluate_subset(g, rep["witness"], kind) == rep["value"]
+        assert 1 <= len(rep["witness"]) <= g.n // 2
 
     for g in graphs + ties:
         check(g)
@@ -164,8 +164,8 @@ def test_scan_at_its_cap_is_memory_bounded(kind):
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20       # a block of 2^16 subsets peaks near 3.4 MiB
-    assert evaluate_subset(g, rep.witness, kind) == rep.value
-    assert 1 <= len(rep.witness) <= g.n // 2
+    assert evaluate_subset(g, rep["witness"], kind) == rep["value"]
+    assert 1 <= len(rep["witness"]) <= g.n // 2
 
 
 def test_scan_rejects_large_or_disconnected():
@@ -190,7 +190,7 @@ def test_spectral_is_a_valid_certificate_on_small_graphs():
         if not g.is_connected():
             continue
         lam = spectral_lower_bounds([g])[0]
-        assert edge_expansion_exact(g).value >= lam / 2 - 1e-9
+        assert edge_expansion_exact(g)["value"] >= lam / 2 - 1e-9
 
 
 def test_splicer_expansion_bounded_by_base():
@@ -198,8 +198,8 @@ def test_splicer_expansion_bounded_by_base():
     assert g.is_connected()
     spl = splice(g, 2, seed=4)
     assert (
-        edge_expansion_exact(spl).value
-        <= edge_expansion_exact(g).value + 1e-12
+        edge_expansion_exact(spl)["value"]
+        <= edge_expansion_exact(g)["value"] + 1e-12
     )
 
 
@@ -208,7 +208,7 @@ def test_mean_expansion_monotone_in_k():
     means = []
     for k in (1, 2, 3, 4):
         vals = [
-            edge_expansion_exact(splice(g, k, child_seed(7, "k", k, s))).value
+            edge_expansion_exact(splice(g, k, child_seed(7, "k", k, s)))["value"]
             for s in range(50)
         ]
         means.append(np.mean(vals))
@@ -695,9 +695,9 @@ def test_sparsifier_quality_identity_weights():
 
 def test_report_serialization():
     rep = edge_expansion_exact(complete_graph(6))
-    d = rep.to_dict()
-    assert d["kind"] == "edge" and d["method"] == "exact"
-    assert d["witness"] == sorted(rep.witness)
+    assert list(rep) == ["kind", "value", "witness", "method"]  # the CSV column order
+    assert rep["kind"] == "edge" and rep["method"] == "exact"
+    assert rep["witness"] == sorted(rep["witness"])
 
 
 def _arpack_lambda2(g) -> float:

@@ -40,6 +40,14 @@ def test_graph_rejects_self_loop_and_duplicates():
             Graph(3, edges)
 
 
+def test_graph_rejects_endpoints_beyond_its_int32_edge_arrays():
+    # Cast to int32 unchecked, the edge (0, 2^32 + 1) would read back as (0, 1).
+    for n, edge in ((2**33, (0, 2**32 + 1)), (2**40, (5, 2**33)), (2**31 + 1, (0, 2**31))):
+        with pytest.raises(ValueError, match=r"below 2\^31"):
+            Graph(n, [edge])
+    assert Graph(2**31, [(0, 2**31 - 1)]).edge(0) == (0, 2**31 - 1)
+
+
 def test_adjacency_is_symmetric_and_degree_consistent():
     g = gnp_graph(40, 0.2, seed=11)
     for v in range(g.n):

@@ -272,11 +272,11 @@ def _reliability_reference(graph, k, failure_prob, pairs, trials, seed):
             hop_total / max(delivered, 1),
             switch_total / max(delivered, 1),
         )
-    return ReliabilitySummary(k, failure_prob, pairs, *results)
+    return ReliabilitySummary(failure_prob, *results)
 
 
 def _same_summary(a, b) -> bool:
-    """Equal k, failure probability and pair count, and bit-equal trial arrays."""
+    """Equal failure probability and bit-equal trial arrays."""
     return all(
         np.array_equal(getattr(a, f.name), getattr(b, f.name))
         for f in dataclasses.fields(ReliabilitySummary)

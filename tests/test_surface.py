@@ -9,7 +9,7 @@ or a part of a dotted string, so a local variable or a parameter of the same
 name does not hide an unread method; ``self.name`` inside class C reads
 only ``C.name``, so a field of one class does not hide another class's
 method.  A dataclass field is read as a method is, so a field that
-``to_dict`` or ``csv_rows`` writes out is read.  Docstrings, comments,
+``csv_rows`` writes out is read.  Docstrings, comments,
 definitions and the ``__init__`` exports do not count.
 
 A call sets a parameter by keyword, by position, or through ``*args`` /
@@ -27,14 +27,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "treesplice"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Read by tests alone on purpose: invariant checks, and the exact oracle
-# that the resistance estimates are tested against.
-KEEP = {"SpanningTree.validate", "effective_resistance_exact"}
+# Read by tests alone on purpose: invariant checks, the exact oracle that
+# the resistance estimates are tested against, and the per-tree next hop
+# that tests check routes against.
+KEEP = {"SpanningTree.validate", "effective_resistance_exact", "RoutingState.next_hop"}
 # Set by tests alone on purpose: a safety bound that tests lower.
 KEEP_OPTIONS = {"route.hop_cap"}
 # Dataclass fields read by tests alone on purpose: the vertex where an
-# oriented walk stranded, which the walk pins and the stranding tests read.
-KEEP_FIELDS = {"ProcessBResult.stuck_vertex"}
+# oriented walk stranded, which the walk pins and the stranding tests read,
+# and a route's vertices, which tests use to check routes.
+KEEP_FIELDS = {"ProcessBResult.stuck_vertex", "RouteResult.path"}
 
 
 def _trees():

@@ -137,40 +137,41 @@ def test_negative_correlation_exact_on_all_pairs():
     for name, g in CORPUS.items():
         for e1, e2 in itertools.combinations(range(g.m), 2):
             rep = negative_correlation_check(g, [e1, e2], 0, 0)
-            assert rep.exact
-            assert rep.inclusion_ok, f"{name} ({e1},{e2})"
-            assert rep.exclusion_ok, f"{name} ({e1},{e2})"
+            assert rep["exact"]
+            assert rep["inclusion_ok"], f"{name} ({e1},{e2})"
+            assert rep["exclusion_ok"], f"{name} ({e1},{e2})"
 
 
 def test_negative_correlation_k4_disjoint_pair_values():
     g = complete_graph(4)
     rep = negative_correlation_check(g, [(0, 1), (2, 3)], 0, 0)
-    assert rep.joint == pytest.approx(4 / 16)
-    assert rep.marginals == (0.5, 0.5)
-    assert rep.joint == pytest.approx(rep.product)  # equality at this pair
+    assert rep["joint"] == pytest.approx(4 / 16)
+    # Marginals p, q with pq = (1 - p)(1 - q) = 1/4 are both 1/2.
+    assert rep["product"] == rep["product_complement"] == 0.25
+    assert rep["joint"] == pytest.approx(rep["product"])  # equality at this pair
 
 
 def test_negative_correlation_single_edge_degenerate():
     rep = negative_correlation_check(complete_graph(4), [0], 0, 0)
-    assert rep.joint == rep.product
-    assert rep.inclusion_ok and rep.exclusion_ok
+    assert rep["joint"] == rep["product"]
+    assert rep["inclusion_ok"] and rep["exclusion_ok"]
 
 
 def test_negative_correlation_monte_carlo_on_larger_graph():
     g = random_regular_graph(70, 3, seed=3)  # above EXACT_LAW_MAX_N
     rep = negative_correlation_check(g, [0, 10], 200_000, seed=5)
-    assert not rep.exact
-    assert rep.trials == 200_000
-    assert rep.inclusion_ok and rep.exclusion_ok
-    assert rep.margin > 0
+    assert not rep["exact"]
+    assert rep["trials"] == 200_000
+    assert rep["inclusion_ok"] and rep["exclusion_ok"]
+    assert rep["margin"] > 0
 
 
 def test_negative_correlation_is_exact_up_to_64_vertices():
     g = random_regular_graph(64, 3, seed=3)
     assert g.m > 20
     rep = negative_correlation_check(g, [0, 10], 1000, seed=5)
-    assert rep.exact and rep.trials == spanning_tree_count(g)
-    assert rep.inclusion_ok and rep.exclusion_ok
+    assert rep["exact"] and rep["trials"] == spanning_tree_count(g)
+    assert rep["inclusion_ok"] and rep["exclusion_ok"]
 
 
 def test_sampled_tree_masks_match_the_exact_law_beyond_the_enumeration_cap():
@@ -213,17 +214,17 @@ def test_chernoff_tail_small_regular_graph():
     pick = substream(1, "cut")
     subset = np.sort(pick.choice(64, size=32, replace=False)).tolist()
     rep = chernoff_tail_check(g, [subset], 50_000, seed=2)
-    assert rep.passed
-    assert rep.lambdas.shape == (1, 4)
-    assert (rep.bounds <= 1.0).all()
-    assert rep.trials == 50_000
+    assert rep["passed"]
+    assert rep["lambdas"].shape == (1, 4)
+    assert (rep["bounds"] <= 1.0).all()
+    assert rep["trials"] == 50_000
 
 
 def test_chernoff_mean_inclusion_on_k16():
     g = complete_graph(16)
     rep = chernoff_tail_check(g, [list(range(8))], 50_000, seed=3)
-    se = bernoulli_se(rep.p_bar[0], 50_000 * rep.cut_sizes[0])
-    assert abs(rep.p_bar[0] - 2 / 16) <= 4 * se
+    se = bernoulli_se(rep["p_bar"][0], 50_000 * rep["cut_sizes"][0])
+    assert abs(rep["p_bar"][0] - 2 / 16) <= 4 * se
 
 
 def test_chernoff_tail_counts_the_trees_that_the_masks_see():
@@ -236,10 +237,10 @@ def test_chernoff_tail_counts_the_trees_that_the_masks_see():
     ids = cut_edges(g, subset)
     masks, _ = _tree_masks(g, trials, substream(5, "chernoff-tail"), ids)
     sums = np.bitwise_count(masks)
-    assert rep.p_bar[0] == float(sums.sum()) / (trials * ids.size)
-    mean = rep.p_bar[0] * ids.size
-    assert list(rep.empirical[0]) == [
-        float(np.count_nonzero(sums < mean - lam)) / trials for lam in rep.lambdas[0]
+    assert rep["p_bar"][0] == float(sums.sum()) / (trials * ids.size)
+    mean = rep["p_bar"][0] * ids.size
+    assert list(rep["empirical"][0]) == [
+        float(np.count_nonzero(sums < mean - lam)) / trials for lam in rep["lambdas"][0]
     ]
 
 
@@ -249,18 +250,18 @@ def test_chernoff_tail_batch_equals_each_cut_alone():
     pick = substream(2, "cuts")
     subsets = [pick.choice(40, size=size, replace=False).tolist() for size in (20, 20, 7, 1)]
     rep = chernoff_tail_check(g, subsets, 10_000, seed=6)
-    assert len(rep.subsets) == 4 and rep.trials == 10_000
-    assert rep.cut_sizes.shape == rep.p_bar.shape == (4,)
-    for arr in (rep.lambdas, rep.empirical, rep.bounds, rep.std_errors):
+    assert len(rep["subsets"]) == 4 and rep["trials"] == 10_000
+    assert rep["cut_sizes"].shape == rep["p_bar"].shape == (4,)
+    for arr in (rep["lambdas"], rep["empirical"], rep["bounds"], rep["std_errors"]):
         assert arr.shape == (4, 4)
     passed = []
     for i, subset in enumerate(subsets):
         one = chernoff_tail_check(g, [subset], 10_000, seed=6)
-        assert one.subsets == (tuple(sorted(subset)),) == rep.subsets[i : i + 1]
+        assert one["subsets"] == [sorted(subset)] == rep["subsets"][i : i + 1]
         for field in ("cut_sizes", "p_bar", "lambdas", "empirical", "bounds", "std_errors"):
-            assert np.array_equal(getattr(one, field)[0], getattr(rep, field)[i]), field
-        passed.append(one.passed)
-    assert rep.passed == all(passed)
+            assert np.array_equal(one[field][0], rep[field][i]), field
+        passed.append(one["passed"])
+    assert rep["passed"] == all(passed)
 
 
 def test_chernoff_requires_enough_trials():
