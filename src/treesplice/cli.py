@@ -7,8 +7,10 @@ One process, subcommand style:
 
 Exit codes: 0 on success, 1 when an embedded assertion, a sampling step or
 a numerical iteration (Lanczos for lambda_2) fails or memory runs out, 2 on
-usage or input errors, including a file that cannot be read or written.
-Each of these failures prints one line to stderr.
+usage or input errors, including a file that cannot be read or written and
+an option the command does not read (``--meta-out`` for a kind other than
+lower-bound, ``--graph`` for the coupling check, ``--n`` or ``--p`` for a
+graph check).  Each of these failures prints one line to stderr.
 
 ``generate`` and ``verify`` dispatch from one table each, kind or check ->
 call.  Each check returns the JSON payload the CLI prints, less ``check``
@@ -111,8 +113,10 @@ _GENERATORS = {
 
 def _cmd_generate(args) -> int:
     graph, meta = _GENERATORS[args.kind](args)
+    if meta is None and args.meta_out:
+        raise ValueError(f"--meta-out is written for --kind lower-bound only, not {args.kind}")
     _write(args.out, gio.serialize_graph(graph))
-    if meta is not None and args.meta_out:
+    if args.meta_out:
         _write(args.meta_out, summary_json(meta))
     return EXIT_OK
 
@@ -210,6 +214,10 @@ _CHECKS = {
 
 
 def _cmd_verify(args) -> int:
+    unread = ("--graph",) if args.check == "coupling" else ("--n", "--p")
+    given = [flag for flag in unread if getattr(args, flag[2:]) is not None]
+    if given:
+        raise ValueError(f"the {args.check} check does not read {' or '.join(given)}")
     call, flags = _CHECKS[args.check]
     report = call(args)
     # A check with a verdict lists check and seed after its report's fields,

@@ -23,6 +23,9 @@ no array holds 2^(n-1) entries; a graph with n - 1 <= L runs as one block.
 Above that scale the spectral certificate (edge expansion >= lambda_2 / 2) and
 four sampled cut families stand in for "every cut".  The families are arrays
 from the start: int8 family codes and one CSR ``indptr``/``members`` pair.
+A cut and its complement have one value in every graph on the vertex set,
+so each cut is stored as its smaller side, at most n/2 int32 vertex ids,
+written in place into the one ``members`` array.
 Uniform subsets of each size come from one lockstep Floyd draw over a boolean
 row block, tree cuts are subtree intervals of the DFS order, and BFS balls
 grow a chunk of attempts at a time, with the sequential rule that retires a
@@ -34,8 +37,8 @@ already holds.  On a dense graph balls grow on the packed closed rows of
 ``graph._closed_rows``: radius r + 1 is the OR of the closed rows over
 radius r's members, and a ball's size is its popcount.  On a sparse graph
 they grow as boolean sparse products B <- B (A + I).  On a dense unweighted
-graph |cut(S)| is the sum over u in S of popcount(row_u & ~S), or over V∖S
-for |S| > n/2.  Weighted and sparse graphs count crossing edges: a block of
+graph |cut(S)| is the sum over u in S of popcount(row_u & ~S).  Weighted
+and sparse graphs count crossing edges: a block of
 sets is one boolean membership block x, an edge uv crosses the sets where
 x[u] ^ x[v], and w(cut(S)) is the sum over the distinct weights c of c times
 the integer count of S's crossing edges of weight c.  The graph and the
@@ -347,15 +350,19 @@ def sample_cut_subsets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The four adversarial cut families as arrays ``(family, indptr, members)``:
     cut i is family ``CUT_FAMILIES[family[i]]`` (int8 codes) with vertex
-    set ``members[indptr[i]:indptr[i + 1]]``, ascending but for tree cuts,
-    which keep the DFS order.
+    set ``members[indptr[i]:indptr[i + 1]]``.  A cut and its complement
+    have one value in every graph on the vertex set, so each cut is stored
+    as its smaller side, at most n/2 int32 vertex ids: ascending, but for
+    tree cuts, which keep the DFS order.
 
     All minimum-degree singletons come first; the remaining budget splits
     evenly between uniform subsets of doubling sizes (``_size_class_subsets``),
     cuts induced by deleting one edge of a fresh random spanning tree
     (``_tree_component_subsets``) and BFS balls of radii 1..3 around random
     centers (``_bfs_balls``; balls that swallow every vertex are skipped).
-    The ball centers are drawn after the size classes, from the same stream.
+    The ball centers are drawn after the size classes, from the same stream,
+    so ``members`` is allocated for the other families, filled in place, and
+    grown once in place for the balls.
     A graph with fewer than 2 vertices or more than one component raises
     ValueError.
     """
@@ -368,27 +375,41 @@ def sample_cut_subsets(
     singles = np.flatnonzero(deg == deg.min())[:samples]
     remaining = samples - singles.size
     quota = remaining // 3
-    sized = _size_class_subsets(rng, n, remaining - 2 * quota)
-    trees = _tree_component_subsets(graph, child_seed(seed, "trees"), quota)
-    balls = _bfs_balls(graph, rng.integers(0, n, size=8 * quota + 16), quota)[:2]
-    families = [(np.ones(singles.size, dtype=np.int64), singles), sized, trees, balls]
-    family = np.repeat(np.arange(len(families), dtype=np.int8), [s.size for s, _ in families])
+    sized = _size_classes(n, remaining - 2 * quota)
+    trees, runs = _tree_component_subsets(graph, child_seed(seed, "trees"), quota)
+    head = singles.size + int(sized.sum())
+    members = np.empty(head + int(trees.sum()), dtype=np.int32)
+    members[: singles.size] = singles
+    _size_class_subsets(rng, n, sized, members[singles.size : head])
+    _gather_runs(*runs, members[head:])
+    del runs
+    size, balls, _ = _bfs_balls(graph, rng.integers(0, n, size=8 * quota + 16), quota)
+    smaller = np.minimum(size, n - size)
+    tail = members.size
+    # In place: no view of ``members`` outlives its fill.
+    members.resize(tail + int(smaller.sum()), refcheck=False)
+    _ball_members(balls, size, n, members[tail:])
+    sizes = [np.ones(singles.size, dtype=np.int64), sized, trees, smaller]
+    family = np.repeat(np.arange(len(sizes), dtype=np.int8), [s.size for s in sizes])
     indptr = np.zeros(family.size + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([s for s, _ in families]), out=indptr[1:])
-    return family, indptr, np.concatenate([m for _, m in families])
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    return family, indptr, members
 
 
-def _size_class_subsets(rng, n: int, want: int) -> tuple[np.ndarray, np.ndarray]:
-    """``want`` uniform subsets, set i of size 2^(i mod k) for the k sizes
-    1, 2, 4, ... <= n/2, grouped by size: (sizes, members), sets ascending."""
-    classes = np.array([1 << k for k in range((n // 2).bit_length())], dtype=np.int64)
-    rows = np.array([len(range(c, want, classes.size)) for c in range(classes.size)])
-    members = np.empty(int(rows @ classes), dtype=np.int64)
+def _size_classes(n: int, want: int) -> np.ndarray:
+    """The sizes of ``want`` uniform subsets, set i of size 2^(i mod k) for
+    the k sizes 1, 2, 4, ... <= n/2, grouped by size."""
+    classes = 1 << np.arange((n // 2).bit_length(), dtype=np.int64)
+    return np.sort(classes[np.arange(want) % classes.size])
+
+
+def _size_class_subsets(rng, n: int, sizes: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with uniform subsets of range(n) of the grouped ``sizes``
+    of ``_size_classes``, one after another, each ascending."""
     lo = 0
-    for s, r in zip(classes.tolist(), rows.tolist()):
-        _floyd_subsets(rng, n, members[lo : lo + r * s].reshape(r, s))
+    for s, r in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
+        _floyd_subsets(rng, n, out[lo : lo + r * s].reshape(r, s))
         lo += r * s
-    return np.repeat(classes, rows), members
 
 
 def _floyd_subsets(rng, n: int, out: np.ndarray) -> None:
@@ -411,37 +432,62 @@ def _floyd_subsets(rng, n: int, out: np.ndarray) -> None:
         for j in range(n - s, n):
             at = start + rng.integers(0, j + 1, size=start.size)
             picked[np.where(picked[at], start + j, at)] = True
-        np.remainder(np.flatnonzero(picked).reshape(-1, s), n, out=out[lo:hi])
+        at = np.flatnonzero(picked)
+        np.remainder(at, n, out=at)  # in place: a cast into ``out`` would need a buffer
+        out[lo:hi] = at.reshape(-1, s)
+        del at  # before the next block's draws
 
 
 def _tree_component_subsets(
     graph: Graph, seed: int, want: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cuts induced by deleting one edge of fresh random spanning trees:
-    (sizes, members).  Tree j's cuts are the subtrees ``order[tin[v]:tout[v]]``
-    (in DFS order) of its non-root vertices v, taken in ascending v and cut
-    from the interval clocks with one ``repeat``; trees are drawn until
-    ``want`` cuts are made."""
-    sizes, members = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Cuts induced by deleting one edge of fresh random spanning trees, each
+    as its smaller side: (sizes, runs), where ``_gather_runs(*runs, out)``
+    writes their members.  Tree j's cuts are the subtrees
+    ``order[tin[v]:tout[v]]`` (in DFS order) of its non-root vertices v, in
+    ascending v; a subtree of more than n/2 vertices is replaced by the rest
+    of the order, ``order[:tin[v]]`` then ``order[tout[v]:]``.  So a cut is
+    two runs of the trees' concatenated int32 DFS orders, the second empty
+    for an unflipped subtree.  Trees are drawn until ``want`` cuts are made."""
+    n = graph.n
+    orders = [np.empty(0, dtype=np.int32)]
+    starts, lengths = [np.empty((0, 2), dtype=np.int64)], [np.empty((0, 2), dtype=np.int64)]
     j = made = 0
     while made < want:
         tree, _ = aldous_broder(graph, child_seed(seed, "cut-tree", j))
-        j += 1
         order, tin, tout = tree.dfs_intervals()
         v = np.flatnonzero(tree.parent >= 0)[: want - made]
-        size = tout[v] - tin[v]
-        first = np.cumsum(size) - size
-        members.append(order[np.arange(size.sum()) + np.repeat(tin[v] - first, size)])
-        sizes.append(size)
+        a, b = tin[v], tout[v]
+        flip = 2 * (b - a) > n
+        orders.append(order.astype(np.int32))
+        starts.append(np.column_stack([np.where(flip, 0, a), b]) + j * n)
+        lengths.append(np.column_stack([np.where(flip, a, b - a), np.where(flip, n - b, 0)]))
+        j += 1
         made += v.size
-    return np.concatenate(sizes), np.concatenate(members)
+    lengths = np.concatenate(lengths)
+    runs = (np.concatenate(orders), np.concatenate(starts).ravel(), lengths.ravel())
+    return lengths.sum(axis=1), runs
+
+
+def _gather_runs(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray, out) -> None:
+    """Write the runs ``source[starts[k] : starts[k] + lengths[k]]``, one
+    after another, into ``out``.  A block of runs' index entries stays within
+    ``_BLOCK_BYTES``."""
+    first = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=first[1:])
+    for lo, hi in _blocks(24 * lengths + 24):
+        at = np.repeat(starts[lo:hi] - first[lo:hi], lengths[lo:hi])
+        at += np.arange(first[lo], first[hi])
+        np.take(source, at, out=out[first[lo] : first[hi]])
 
 
 def _bfs_balls(
     graph: Graph, centers: np.ndarray, want: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray | sp.csr_matrix, int]:
     """Up to ``want`` BFS balls, attempt i of radius i % 3 + 1 around
-    ``centers[i]``: (sizes, members, attempts used), balls ascending.
+    ``centers[i]``: (sizes, balls, attempts used), where ``balls`` holds the
+    kept balls as packed rows on a dense graph and as CSR rows on a sparse
+    one, for ``_ball_members``.
 
     The rule is sequential.  A ball that swallows every vertex is a failure;
     a radius retires after three failures, and its later attempts are
@@ -456,7 +502,7 @@ def _bfs_balls(
     """
     n, cap = graph.n, centers.size
     if not want:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+        return np.empty(0, dtype=np.int64), np.empty((0, 1), dtype=np.uint64), 0
     dense = _is_dense(graph)
     table = _closed_rows(graph) if dense else _closed_adjacency(graph)
     size = np.zeros(cap, dtype=np.int64)  # 0 for attempts not grown
@@ -484,12 +530,37 @@ def _bfs_balls(
     row = np.empty(cap, dtype=np.int64)
     row[ids] = np.arange(ids.size)
     if dense:
-        members = _packed_members(np.concatenate(grown)[row[kept]], size[kept])
-    else:
-        balls = sp.vstack(grown, format="csr")[row[kept]]
-        balls.sort_indices()
-        members = balls.indices.astype(np.int64)
-    return size[kept], members, used
+        return size[kept], np.concatenate(grown)[row[kept]], used
+    balls = sp.vstack(grown, format="csr")[row[kept]]
+    balls.sort_indices()
+    return size[kept], balls, used
+
+
+def _ball_members(balls, size: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write the members of each of ``_bfs_balls``' kept ``balls``, of
+    ``size`` vertices, into ``out``, ascending, ball after ball; a ball of more
+    than n/2 vertices gives its complement instead.  Sorted CSR rows are
+    copied as they are unless a ball of their block flips; otherwise a block
+    of balls' flags (n bytes a ball, unpacked or from CSR rows), CSR row
+    slices and member positions stays within ``_BLOCK_BYTES``."""
+    flip = size > n // 2
+    first = np.zeros(size.size + 1, dtype=np.int64)
+    np.cumsum(np.where(flip, n - size, size), out=first[1:])
+    packed = isinstance(balls, np.ndarray)
+    for lo, hi in _blocks(n + 16 + 8 * np.diff(first) + 5 * size):
+        if packed:
+            bits = np.unpackbits(balls[lo:hi].view(np.uint8), axis=1, count=n, bitorder="little")
+        elif flip[lo:hi].any():
+            bits = balls[lo:hi].toarray().view(np.uint8)
+        else:
+            out[first[lo] : first[hi]] = balls.indices[balls.indptr[lo] : balls.indptr[hi]]
+            continue
+        np.bitwise_xor(bits, flip[lo:hi, None], out=bits)
+        at = np.flatnonzero(bits)
+        del bits
+        np.remainder(at, n, out=at)  # in place: a cast into ``out`` would need a buffer
+        out[first[lo] : first[hi]] = at
+        del at  # before the next block's flags are made
 
 
 def _closed_adjacency(graph: Graph) -> sp.csr_matrix:
@@ -631,49 +702,54 @@ def _weight_counts(x: np.ndarray, eu, ev, bounds: list, acc) -> np.ndarray:
 
 
 def _popcount_cut_values(rows: np.ndarray, indptr, members) -> np.ndarray:
-    """|cut(S)| = sum over u in S of popcount(row_u & ~S), a ``_popcount_block``
-    of sets at a time, whose temporaries fit ``_BLOCK_BYTES`` and die with it.
-    A set above n/2 is counted as V∖S, since |cut(S)| = |cut(V∖S)|."""
-    n, words = rows.shape
+    """|cut(S)| = sum over u in S of popcount(row_u & ~S) for each nonempty
+    CSR set S, a ``_popcount_block`` of sets at a time, whose temporaries fit
+    ``_BLOCK_BYTES`` and die with it."""
     out = np.empty(indptr.size - 1)
-    for lo, hi in _popcount_blocks(n, words, np.diff(indptr)):
+    for lo, hi in _popcount_blocks(rows.shape[1], np.diff(indptr)):
         out[lo:hi] = _popcount_block(rows, indptr[lo : hi + 1], members)
     return out
 
 
-def _popcount_blocks(n: int, words: int, sizes: np.ndarray) -> list[tuple[int, int]]:
+def _popcount_blocks(words: int, sizes: np.ndarray) -> list[tuple[int, int]]:
     """``_popcount_cut_values``' blocks, listed so that no per-set cost outlives
-    them.  A set costs its bitset, four entries, and five index entries a
-    member (``which``, ``word``, ``bit`` and casts); flipped, a byte a vertex
-    unpacked and two ``np.nonzero`` entries a counted member.  A counted
-    member costs its gathered row and mask words, popcounts and two entries."""
-    counted = np.minimum(sizes, n - sizes)
-    per_set = 8 * words + 32 + 40 * sizes + (sizes > n // 2) * (64 * words + 16 * counted)
-    return list(_blocks(per_set + (17 * words + 16) * counted))
+    them.  A set costs its mask words and three entries: its size, with its
+    index while the masks are built or its offset and sum at the end.  A member
+    costs the most that one phase of ``_popcount_block`` holds for it: 20
+    bytes of word index and bit while the masks are built; then its gathered
+    words, 8 bytes each, with 8 bytes of gather index or of a repeated mask
+    word, or with at most a byte a word of the popcounts' cast buffer."""
+    return list(_blocks(8 * words + 24 + max(20, 8 * words + 8, 9 * words) * sizes))
 
 
 def _popcount_block(rows: np.ndarray, indptr, members) -> np.ndarray:
-    """The cut sizes of the CSR sets whose bounds in ``members`` are ``indptr``."""
-    n, words = rows.shape
+    """The cut sizes of the nonempty CSR sets whose bounds in ``members`` are
+    ``indptr``.  Masks and gathered words are word-major, so each mask word is
+    repeated over its set's members along one contiguous row."""
+    words = rows.shape[1]
     sizes = np.diff(indptr)
-    flip = sizes > n // 2
-    which = np.repeat(np.arange(sizes.size), sizes)
     vertex = members[indptr[0] : indptr[-1]]
-    outside = np.full((sizes.size, words), ~np.uint64(0))
-    word = which * words + (vertex >> 6)
-    bit = np.uint64(1) << (vertex & 63).astype(np.uint64)
-    np.bitwise_and.at(outside.reshape(-1), word, ~bit)
-    # A flipped set's members are the bits of V∖S, and its mask is S.
-    big = np.flatnonzero(flip)
-    bits = np.unpackbits(outside[big].view(np.uint8), axis=1, count=n, bitorder="little")
-    rest, vert = np.nonzero(bits)
-    keep = ~flip[which]
-    which = np.concatenate([which[keep], big[rest]])
-    vertex = np.concatenate([vertex[keep], vert])
-    outside[big] = ~outside[big]
-    crossing = rows[vertex]
-    crossing &= outside[which]
-    return np.bincount(which, weights=np.bitwise_count(crossing).sum(axis=1), minlength=sizes.size)
+    mask = np.full((words, sizes.size), ~np.uint64(0))  # word w of V∖S, a column a set
+    at = (vertex >> 6).astype(np.int64)
+    at *= sizes.size
+    at += np.repeat(np.arange(sizes.size), sizes)
+    bit = (vertex & 63).astype(np.uint64)
+    np.invert(np.left_shift(np.uint64(1), bit, out=bit), out=bit)
+    np.bitwise_and.at(mask.reshape(-1), at, bit)
+    del bit
+    # Word w of member u's row is rows.flat[words u + w], an index in range.
+    np.multiply(vertex, words, out=at, dtype=np.int64)
+    flat = rows.reshape(-1)
+    crossing = np.empty((words, vertex.size), dtype=np.uint64)
+    for row in crossing:
+        np.take(flat, at, out=row, mode="clip")
+        at += 1
+    del at
+    for row, word in zip(crossing, mask):
+        row &= np.repeat(word, sizes)
+    del mask
+    np.bitwise_count(crossing, out=crossing)
+    return np.add.reduceat(crossing.sum(axis=0), indptr[:-1] - indptr[0])
 
 
 def sampled_cut_ratios(graph: Graph, derived, samples: int, seed: int) -> np.ndarray:

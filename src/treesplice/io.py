@@ -5,8 +5,8 @@ u < v.  Trees: header "tree n root" then the n-1 edges.  Weighted graphs:
 "n m" then "u v w" with the weight printed to 17 significant digits, which
 round-trips floats bit-exactly.  Graphs are read and written; trees and
 weighted graphs are written only, and their edge rows read back as a plain
-graph.  The reader rejects self-loops and duplicates and names the offending
-line.
+graph.  The reader rejects self-loops, duplicates and a vertex count above
+2^31 (``Graph`` keeps vertex ids below 2^31) and names the offending line.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ def parse_graph(text: str) -> Graph:
         n, m = (int(p) for p in parts)
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header field: {exc}", 1) from exc
+    if n > 1 << 31:
+        raise GraphFormatError(f"vertex count {n} is above 2^31, the limit of vertex ids", 1)
     edges = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1 : m + 1], start=2):

@@ -107,15 +107,27 @@ def test_lanczos_non_convergence_is_a_one_line_failure(tmp_path, capsys, monkeyp
     assert err.count("\n") == 1
 
 
-def test_out_of_memory_is_a_one_line_failure(tmp_path, capsys):
-    # 2^62 vertices: the uniformity check's first allocation fails at once,
-    # whatever the host's overcommit setting.
+def test_out_of_memory_is_a_one_line_failure(tmp_path):
+    # 2^31 vertices, the most a header may give: the uniformity check's first
+    # allocation fails.  The command runs in a child process whose address
+    # space is capped at 2 GiB, so it fails the same way whatever the host's
+    # overcommit setting, and never takes the host's memory.
+    import resource
+    import subprocess
+    import sys
+
     gpath = tmp_path / "huge.txt"
-    gpath.write_text("4611686018427387904 0\n")
-    assert run(["verify", "--check", "uniformity", "--graph", str(gpath)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    gpath.write_text(f"{2**31} 0\n")
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "treesplice.cli", "verify", "--check", "uniformity",
+         "--graph", str(gpath)],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
 
 
 def test_memory_error_of_any_command_exits_one(tmp_path, capsys, monkeypatch):
@@ -166,6 +178,50 @@ def test_endpoint_beyond_the_int32_edge_arrays_is_usage_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "2^31" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [2**62, 3_000_000_000])
+@pytest.mark.parametrize(
+    "argv",
+    [["splice"], ["sample-tree"], ["verify", "--check", "uniformity", "--trials", "10"]],
+    ids=["splice", "sample-tree", "uniformity"],
+)
+def test_vertex_count_above_2_31_is_usage_error(tmp_path, capsys, argv, n):
+    # Such counts once reached numpy, which failed with exit 1 or exit 2
+    # depending on how the allocation failed.
+    gpath = tmp_path / "huge.txt"
+    gpath.write_text(f"{n} 0\n")
+    assert run([*argv, "--graph", str(gpath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 1: vertex count {n} is above 2^31, the limit of vertex ids\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["generate", "--kind", "petersen", "--meta-out", "pm.json"], None),
+        (["verify", "--check", "coupling", "--n", "6", "--graph", "nonexistent.txt"], "--graph"),
+        (["verify", "--check", "uniformity", "--graph", "g.txt", "--n", "6"], "--n"),
+        (["verify", "--check", "tail-bound", "--graph", "g.txt", "--p", "0.5"], "--p"),
+        (["verify", "--check", "resistance", "--graph", "g.txt", "--n", "6", "--p", "1"],
+         "--n or --p"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                          argv, flags):
+    # Before, these exited 0: generate wrote no metadata file, and verify
+    # never opened --graph or read --n and --p.
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "--kind", "petersen", "--out", "g.txt"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if flags is None:
+        assert "--meta-out" in err and not (tmp_path / "pm.json").exists()
+    else:
+        assert err == f"error: the {argv[2]} check does not read {flags}\n"
 
 
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):

@@ -76,3 +76,10 @@ def test_roundtrip_function(tmp_path):
     path.write_text(serialize_graph(g))
     obj = roundtrip(str(path))
     assert obj == g
+
+
+def test_parse_rejects_vertex_count_above_2_31():
+    assert parse_graph(f"{2**31} 0\n").n == 2**31
+    for n in (2**31 + 1, 3_000_000_000, 2**62):
+        with pytest.raises(GraphFormatError, match=f"line 1: vertex count {n} is above 2\\^31"):
+            parse_graph(f"{n} 0\n")
