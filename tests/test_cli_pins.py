@@ -1,4 +1,5 @@
-"""Pinned stdout bytes and exit codes of the report commands and of generate.
+"""Pinned stdout bytes and exit codes of the report commands, of generate and
+of sample-tree, whose walk trace file is pinned too.
 
 Each command runs on small fixed graphs at a fixed seed; the SHA-256 of its
 stdout and its exit status must not move.  A change here changes what a
@@ -115,3 +116,33 @@ def test_lower_bound_metadata_is_pinned(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(meta.read_bytes()).hexdigest()[:16] == "d1ebcc8e454d9520"
+
+
+@pytest.fixture(scope="module")
+def walk_graphs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("walks")
+    made = {"rr20": random_regular_graph(20, 3, seed=3), "k12": complete_graph(12)}
+    paths = {}
+    for name, g in made.items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text(serialize_graph(g))
+    return paths
+
+
+# (argv less --graph, the graph it reads, exit status, stdout digest, trace
+# file digest).  K_12's file lists its edges in triu order, so its walk is
+# the closed-form one.
+SAMPLED = [
+    (["--seed", "4", "--start", "5"], "rr20", 0, "ea0daee3fa935e67", "df5485acca0af8c0"),
+    (["--seed", "9"], "k12", 0, "7cef600eef3fbb95", "c4b5a308f2a55883"),
+]
+
+
+@pytest.mark.parametrize("argv, graph, status, digest, trace_digest", SAMPLED)
+def test_sampled_tree_and_trace_are_pinned(
+    walk_graphs, tmp_path, capsys, argv, graph, status, digest, trace_digest
+):
+    trace = tmp_path / "trace.txt"
+    argv = ["sample-tree", *argv, "--graph", str(walk_graphs[graph]), "--trace-out", str(trace)]
+    assert _stdout_digest(argv, capsys) == (status, digest)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == trace_digest
