@@ -7,8 +7,8 @@ pairwise disjoint.  Each kept segment gets its endpoints joined and its
 neighborhood wired into a cycle, so a random-walk tree sampler that happens to
 sweep the neighborhood ring and then the segment leaves only a single tree
 edge crossing the segment's cut.  ``forced_cut_events`` reads that event for
-every segment of one walk trace in one numpy pass, from per-vertex tables
-the family builds once.
+every segment of one walk in one numpy pass over the walk's first visits,
+from a per-segment member table the family builds once.
 
 Edge sets are sorted codes lo * n + hi throughout: the augmented graph is
 the union of the base's codes with those of every ring cycle and every
@@ -46,32 +46,19 @@ class LowerBoundFamily:
 
     def start_vertex(self) -> int:
         """The first vertex outside every selected segment's closure."""
-        free = np.flatnonzero(self._event_tables[2] < 0)
+        free = np.setdiff1d(np.arange(self.n), self._event_tables[0])
         if free.size == 0:
             raise SamplingError("no vertex outside all closures")
         return int(free[0])
 
     @cached_property
-    def _event_tables(self) -> tuple[np.ndarray, ...]:
+    def _event_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``forced_cut_events``' tables: per segment, its ring then its path
-        in window order, padded with the ring's first vertex, and the ring
-        sizes; per vertex, its tag 2 i (on segment i's ring) or 2 i + 1 (on
-        its path), -1 outside every closure, and its position along that
-        ring or path."""
+        in cycle order padded with the ring's first vertex; the ring sizes."""
         c = np.array([len(r) for r in self.ring_cycles], dtype=np.int64)
-        rows, lead = np.arange(c.size), np.cumsum(c) - c
-        ring = np.concatenate(self.ring_cycles).astype(np.int64)
-        seg = np.array(self.paths, dtype=np.int64)
-        owner = np.repeat(rows, c)
-        at = np.arange(ring.size) - lead[owner]
-        members = np.repeat(ring[lead, None], c.max() + self.ell, axis=1)
-        members[owner, at] = ring
-        members[rows[:, None], c[:, None] + np.arange(self.ell)] = seg
-        tag = np.full(self.n, -1, dtype=np.int64)
-        pos = np.zeros(self.n, dtype=np.int64)
-        tag[ring], pos[ring] = 2 * owner, at
-        tag[seg], pos[seg] = 2 * rows[:, None] + 1, np.arange(self.ell)
-        return members, c, tag, pos
+        top, rows = int(c.max()), zip(self.ring_cycles, self.paths)
+        members = np.array([r + p + r[:1] * (top - len(r)) for r, p in rows], dtype=np.int64)
+        return members, c
 
 
 def _neighborhood(base: Graph, vertices: tuple[int, ...]) -> list[int]:
@@ -191,29 +178,26 @@ def forced_cut_events(family: LowerBoundFamily, trace: WalkTrace) -> np.ndarray:
     """Per segment, did the walk sweep its ring then its path on first contact?
 
     Segment i's event asks that from the first visit to any vertex of its
-    ring or path, the next c + ell trace vertices (c and ell the ring's and
+    ring or path, the next c + ell walk vertices (c and ell the ring's and
     the path's sizes) are the whole ring, each step to a neighbour on the
     ring cycle, then the whole path, each step to a neighbour on the segment
-    cycle (path edges plus the endpoint edge); a window that runs past the
-    trace end fails.  When the event happens, the sampled tree crosses the
-    segment's cut on exactly one edge.  One numpy pass reads every segment:
-    c distinct vertices, each adjacent to the last on a c-cycle, walk the
-    cycle one way round, so every step moves +1, or every step -1, mod c.
+    cycle (path edges plus the endpoint edge).  When the event happens, the
+    sampled tree crosses the segment's cut on exactly one edge.  With f a
+    vertex's first visit less the segment's earliest, that is: ring
+    vertices have f in [0, c), path vertices f in [c, c + ell), and in cycle
+    order f steps +1 mod c round the ring at every step, or -1 at every step
+    (distinct vertices cannot turn back), and likewise mod ell on the path.
     """
-    members, c, tag, pos = family._event_tables
+    members, c = family._event_tables
     ell = family.ell
-    verts = trace.vertices
-    t0 = trace.first_visit[members].min(1)
+    f = trace.first_visit[members]
+    f -= f.min(1, keepdims=True)
     j = np.arange(members.shape[1])
-    # Slots past the trace end read its last vertex again, and no sweep
-    # holds a vertex twice running (c >= 3), so such windows fail.
-    window = verts[np.minimum(t0[:, None] + j, verts.size - 1)]
     c = c[:, None]
     # Slot j holds a ring vertex of the row's segment below c, a path vertex
     # of it from c to c + ell - 1, and anything after.
-    want = 2 * np.arange(len(members))[:, None] + (j >= c)
-    ok = ((tag[window] == want) | (j >= c + ell)).all(1)
-    step = np.diff(pos[window], axis=1)
+    ok = (((f < c) == (j < c)) & (f < c + ell) | (j >= c + ell)).all(1)
+    step = np.diff(f, axis=1)
     j = j[1:]
     for part, size in ((j < c, c), ((j > c) & (j < c + ell), ell)):
         step_mod = step % size

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +59,24 @@ from .seeds import WORDS, child_seed, substream, word_stream
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Visited-vertex sequence plus per-vertex first-visit indices."""
+    """First-visit steps; ``blocks()`` rebuilds the walk's blocks to replay it."""
 
-    vertices: np.ndarray
     first_visit: np.ndarray
+    blocks: Callable[[], Iterator[np.ndarray]]
 
     @property
     def steps(self) -> int:
-        return len(self.vertices) - 1
+        return int(self.first_visit.max())
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The walk's vertices up to cover, replayed from ``blocks``."""
+        steps, blocks = self.steps, self.blocks()
+        pieces = [self.first_visit.argmin(keepdims=True).astype(np.int32)]
+        while steps:
+            pieces.append(next(blocks)[:steps])
+            steps -= pieces[-1].size
+        return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
@@ -154,10 +165,10 @@ def aldous_broder(
     within ``graph.walk_step_cap()`` steps raises it too.  An int n stands
     for K_n in ``complete_graph``'s edge order, which is then never built.
     Steps come a block at a time, in closed form from n alone on K_n in
-    ``triu`` edge order, else from the neighbour lists; first visits are
-    kept in numpy after each block, and the int32 trace (about 9 bytes a
-    step at peak) is cut at the last first visit.  A parent is the trace
-    vertex before a first visit; ``_parent_edges`` names its edge.
+    ``triu`` edge order, else from the neighbour lists.  Per block, numpy
+    keeps first visits and each new vertex's parent, the vertex before it,
+    so the walk holds O(n) beyond one block; ``_parent_edges`` names each
+    parent's edge.  The trace's ``vertices`` replay the walk on demand.
     """
     if isinstance(graph, Graph):
         n, complete, cap = graph.n, graph._complete_in_order, graph.walk_step_cap()
@@ -170,31 +181,34 @@ def aldous_broder(
         raise ValueError("start vertex out of range")
     if not complete and not graph.is_connected():
         raise SamplingError("graph is disconnected; the walk cannot cover")
-    gen = substream(seed, "aldous-broder")
-    blocks = _complete_steps(gen, n, start) if complete else _neighbour_steps(graph, gen, start)
+
+    def walk():
+        gen = substream(seed, "aldous-broder")
+        return _complete_steps(gen, n, start) if complete else _neighbour_steps(graph, gen, start)
+
+    blocks = walk()
     # cap marks a vertex not yet entered; the walk may take cap - 1 steps.
     first_visit = np.full(n, cap, dtype=np.int64)
     first_visit[start] = 0
-    pieces = [np.array([start], dtype=np.int32)]
-    steps = 0
+    # The vertex before each first visit; the start has none.
+    parent = np.full(n, -1, dtype=np.int32)
+    steps, cur = 0, start
     while first_visit.max() == cap:
         if steps == cap - 1:
             raise SamplingError(f"walk did not cover within {cap} steps")
         pos = next(blocks)[: cap - 1 - steps]
-        pieces.append(pos)
-        np.minimum.at(first_visit, pos, np.arange(steps + 1, steps + 1 + pos.size))
-        steps += pos.size
-    trace = np.concatenate(pieces)[: first_visit.max() + 1]
-    # The vertex before each first visit; the start has none.
-    parent = trace[first_visit - 1]
-    parent[start] = -1
+        t = np.arange(steps + 1, steps + 1 + pos.size)
+        np.minimum.at(first_visit, pos, t)
+        new = np.flatnonzero(first_visit[pos] == t)
+        parent[pos[new]] = np.where(new > 0, pos[new - 1], cur)
+        steps, cur = steps + pos.size, int(pos[-1])
     if complete:
         # Edge (u, v), u < v, has id u (2n - u - 1) / 2 + v - u - 1.
         lo, hi = np.minimum(parent, np.arange(n)), np.maximum(parent, np.arange(n))
         parent_edge = np.where(lo < 0, -1, lo * (2 * n - lo - 1) // 2 + hi - lo - 1)
     else:
         parent_edge = _parent_edges(graph, parent)
-    return SpanningTree(start, parent, parent_edge.astype(np.int32)), WalkTrace(trace, first_visit)
+    return SpanningTree(start, parent, parent_edge.astype(np.int32)), WalkTrace(first_visit, walk)
 
 
 def _parent_edges(graph: Graph, parent: np.ndarray) -> np.ndarray:

@@ -20,30 +20,36 @@ def _closure(family, i):
     return set(family.paths[i]) | set(family.ring_cycles[i])
 
 
+def _unreplayable():
+    raise AssertionError("forced_cut_events must read first visits only")
+
+
 def _trace_from_sequence(n, seq):
-    """A trace of ``seq``; a vertex it never visits reads a first visit just
-    past its end."""
-    fv = np.full(n, len(seq), dtype=np.int64)
+    """A trace whose first visits are those of ``seq``; a vertex it never
+    visits reads a first visit far past its end, which no sweep can reach.
+    Its vertices cannot be replayed."""
+    fv = np.full(n, 1 << 62, dtype=np.int64)
     for i, v in enumerate(seq):
         fv[v] = min(fv[v], i)
-    return WalkTrace(np.array(seq, dtype=np.int32), fv)
+    return WalkTrace(fv, _unreplayable)
 
 
-def forced_cut_event(family, i, trace):
+def forced_cut_event(family, i, seq):
     """The per-segment loop that ``forced_cut_events`` replaces, kept as its
-    reference: the window's first c vertices must be the whole ring, each
-    joined to the last by a ring-cycle edge, and the rest the whole path,
-    each joined to the last along the segment cycle."""
+    reference on the walk's vertex sequence ``seq``: the window from the
+    first visit to the segment's closure must hold c + ell vertices, the
+    first c the whole ring, each joined to the last by a ring-cycle edge,
+    and the rest the whole path, each joined to the last along the segment
+    cycle."""
     seg = family.paths[i]
     ring = family.ring_cycles[i]
-    fv = trace.first_visit
-    t0 = min(int(fv[v]) for v in list(seg) + list(ring))
-    verts = trace.vertices
+    closure = set(seg) | set(ring)
+    t0 = next((t for t, v in enumerate(seq) if v in closure), len(seq))
     c = len(ring)
     m = c + len(seg)
-    if t0 + m > len(verts):
+    if t0 + m > len(seq):
         return False
-    window = verts[t0 : t0 + m].tolist()
+    window = list(seq[t0 : t0 + m])
     ring_part = window[:c]
     seg_part = window[c:]
     if set(ring_part) != set(ring) or len(set(ring_part)) != c:
@@ -65,10 +71,14 @@ def forced_cut_event(family, i, trace):
     return True
 
 
-def _assert_events_match(fam, trace):
-    """``forced_cut_events`` equals the reference segment by segment; returns it."""
+def _assert_events_match(fam, seq, trace=None):
+    """``forced_cut_events`` on ``trace`` equals the reference on the walk
+    ``seq`` segment by segment; returns it.  ``trace`` defaults to the
+    first visits of ``seq``."""
+    if trace is None:
+        trace = _trace_from_sequence(fam.n, seq)
     got = forced_cut_events(fam, trace)
-    want = [forced_cut_event(fam, i, trace) for i in range(len(fam.paths))]
+    want = [forced_cut_event(fam, i, seq) for i in range(len(fam.paths))]
     assert got.dtype == bool
     assert got.tolist() == want
     return got
@@ -193,17 +203,16 @@ def test_event_detected_on_crafted_trace():
         x = prev[x]
     path.reverse()
     seq = path + [ring[1], ring[2], v]
-    trace = _trace_from_sequence(fam.n, seq)
-    assert _assert_events_match(fam, trace)[i]
+    assert _assert_events_match(fam, seq)[i]
     # Breaking the sweep (revisiting a ring vertex) kills the event.
     bad = path + [ring[1], ring[0], ring[1], v]
-    assert not _assert_events_match(fam, _trace_from_sequence(fam.n, bad))[i]
+    assert not _assert_events_match(fam, bad)[i]
     # Entering the segment before finishing the ring kills it too.
     bad2 = path + [v, ring[1], ring[2]]
-    assert not _assert_events_match(fam, _trace_from_sequence(fam.n, bad2))[i]
+    assert not _assert_events_match(fam, bad2)[i]
     # So does a window that runs past the trace end.
     cut = path + [ring[1], ring[2]]
-    assert not _assert_events_match(fam, _trace_from_sequence(fam.n, cut))[i]
+    assert not _assert_events_match(fam, cut)[i]
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -213,7 +222,8 @@ def test_events_equal_the_scalar_check_on_real_traces(ell):
     hits = 0
     for t in range(40):
         _, trace = aldous_broder(fam.graph, child_seed(23, "t", t), start=start)
-        hits += int(_assert_events_match(fam, trace).sum())
+        seq = trace.vertices.tolist()
+        hits += int(_assert_events_match(fam, seq, replace(trace, blocks=_unreplayable)).sum())
     if ell == 1:
         assert hits > 0
 
@@ -242,7 +252,7 @@ def test_events_equal_the_scalar_check_on_crafted_sweeps(ell):
             (ring[:-1], False),  # the same, inside the ring
         ]
         for seq, fires in cases:
-            got = _assert_events_match(fam, _trace_from_sequence(fam.n, [start] + seq))
+            got = _assert_events_match(fam, [start] + seq)
             assert got[i] == fires, (i, seq)
 
 

@@ -504,6 +504,28 @@ def test_walk_holds_about_nine_bytes_a_step():
     assert peak <= 12 * trace.steps
 
 
+def test_tree_only_walks_hold_linear_memory():
+    # The walk keeps first visits and parents, not its trace: three walks
+    # of 3.9 to 20 million steps on the 4096-cycle each peak near 0.3 MiB
+    # (a kept int32 trace peaked at 30 to 155 MiB), and the trace replays.
+    g = cycle_graph(4096)
+    aldous_broder(g, 2)  # builds the graph's cached rows outside the trace
+    for s in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            tree, trace = aldous_broder(g, child_seed(9, "t", s))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps > 3_000_000
+        assert peak < 1 << 20
+    # The shortest of the three walks replays to its first visits and parents.
+    verts = trace.vertices
+    assert verts.size == trace.steps + 1
+    assert (verts[trace.first_visit] == np.arange(g.n)).all()
+    assert (verts[trace.first_visit[1:] - 1] == tree.parent[1:]).all()
+
+
 def test_batch_walks_on_disconnected_graph_fail_fast():
     # Two disjoint 100-cycles: no vertex is isolated, yet no walk can cover.
     g = _disjoint_cycles(100)
