@@ -28,8 +28,8 @@ Every walk but K_n's reads the graph's CSR; an orientation's is its base
 graph's, with the rows filtered by the direction masks.  ``aldous_broder``
 takes a block of words at a time and makes the block's moves at once,
 through the cached neighbour lists or, on K_n in ``triu`` order, as a
-cumulative sum mod n; it keeps first visits in numpy, so its tree and trace
-are those of a step loop on the same words.  The K_n walk needs only n:
+cumulative sum mod n; it keeps first visits in numpy, so its tree and first
+visits are those of a step loop on the same words.  The K_n walk needs only n:
 ``aldous_broder``, ``sample_trees`` and ``splice`` take an int n for K_n,
 and K_n's trees then cost O(n) memory, not its n(n-1)/2 edges.
 ``process_bp_on`` permutes list rows it slices afresh per call.  Both apply
@@ -37,10 +37,11 @@ and K_n's trees then cost O(n) memory, not its n(n-1)/2 edges.
 minus the walk's largest bound passes for every bound.  The lockstep engine
 draws with ``Generator.integers`` instead, once per active walk and step.
 
-The scalar walks record parents only.  In a simple graph, v's first-entry
-edge is the one edge joining v to its parent, and ``_parent_edges`` reads it
-from the CSR for every v at once after a walk or phase; on K_n the ``triu``
-formula gives it.
+The scalar walks record parents only, so ``aldous_broder`` holds O(n) memory
+and no trace (``WalkTrace.vertices`` replays it).  In a simple graph, v's
+first-entry edge is the one edge joining v to its parent, and
+``_parent_edges`` reads it from the CSR for every v at once after a walk or
+phase; on K_n the ``triu`` formula gives it.
 """
 
 from __future__ import annotations
@@ -197,10 +198,10 @@ def aldous_broder(
         if steps == cap - 1:
             raise SamplingError(f"walk did not cover within {cap} steps")
         pos = next(blocks)[: cap - 1 - steps]
-        t = np.arange(steps + 1, steps + 1 + pos.size)
-        np.minimum.at(first_visit, pos, t)
-        new = np.flatnonzero(first_visit[pos] == t)
-        parent[pos[new]] = np.where(new > 0, pos[new - 1], cur)
+        np.minimum.at(first_visit, pos, np.arange(steps + 1, steps + 1 + pos.size))
+        new = np.flatnonzero((first_visit > steps) & (first_visit <= steps + pos.size))
+        i = first_visit[new] - steps - 1  # block index of each first visit
+        parent[new] = np.where(i > 0, pos[i - 1], cur)
         steps, cur = steps + pos.size, int(pos[-1])
     if complete:
         # Edge (u, v), u < v, has id u (2n - u - 1) / 2 + v - u - 1.
