@@ -106,13 +106,16 @@ def negative_correlation_check(graph: Graph, edges, trials: int, seed: int) -> d
     and 9/10, and 0.14 s on K_64 (one Xeon core).  Otherwise Monte Carlo
     with a 4-standard-error margin.  Checks the complementary (all-absent)
     events too: ``inclusion_ok`` asks joint <= product + margin, and
-    ``exclusion_ok`` the same of the all-absent event.
+    ``exclusion_ok`` the same of the all-absent event.  Raises ``ValueError``
+    at every n when the graph has no spanning tree.
     """
     ids = [graph.resolve_edge(e) for e in edges]
     if not 1 <= len(ids) <= 4:
         raise ValueError("between 1 and 4 edges required")
     if len(set(ids)) < len(ids):
         raise ValueError(f"edges must be distinct, got ids {ids}")
+    if not graph.is_connected():
+        raise ValueError("graph has no spanning tree")
     exact = graph.n <= EXACT_LAW_MAX_N
     if exact:
         trials, joint, joint_c, marg = exact_tree_law(graph, ids)

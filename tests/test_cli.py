@@ -263,6 +263,18 @@ def test_sample_tree_on_disjoint_cycles_fails_fast(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [6, 80])
+def test_negative_correlation_on_disconnected_graph_is_usage_error(tmp_path, capsys, n):
+    # Two cycles: the exact law (n <= 64) and the Monte Carlo estimate alike
+    # have no spanning tree to read.
+    half = n // 2
+    edges = [(v, (v + 1) % half) for v in range(half)]
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(Graph(n, edges + [(u + half, v + half) for u, v in edges])))
+    assert run(["verify", "--check", "negative-correlation", "--graph", str(gpath)]) == 2
+    assert capsys.readouterr().err == "error: graph has no spanning tree\n"
+
+
 def test_verify_checks(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     assert run(["generate", "--kind", "complete", "--n", "4", "--out", str(gpath)]) == 0
