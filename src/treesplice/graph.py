@@ -335,8 +335,14 @@ class Orientation:
         return _frozen(out, nbr[keep], eid[keep])
 
     def walk_step_cap(self) -> int:
-        """Safety cap for oriented walks: 64 n bit_length(n) steps."""
-        return 64 * self.n * max(self.n.bit_length(), 1)
+        """Oriented-walk cap, below 2^62: the larger of 64 n bit_length(n)
+        and 40 n_arcs (n - 1).  Until cover or stranding, each step takes a
+        new arc w.p. >= 1/(n - 1) and each arc is new once, so from any state
+        the walk ends within n_arcs (n - 1) expected steps; by Markov it
+        overruns 20 rounds of twice that w.p. <= 2^-20."""
+        n = self.n
+        cap = max(64 * n * max(n.bit_length(), 1), 40 * self.n_arcs * (n - 1))
+        return min(cap, (1 << 62) - 1)
 
     def __repr__(self) -> str:
         return f"Orientation(n={self.n}, arcs={self.n_arcs})"

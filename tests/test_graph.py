@@ -315,6 +315,18 @@ def test_walk_step_cap_scales():
     assert cap >= 64 * 16 * math.log(16)
 
 
+@pytest.mark.parametrize("n", [6, 1024])
+def test_oriented_walk_cap_is_derived_and_clamped(n):
+    # At least the old 64 n bit_length(n), so a walk that stopped before
+    # stops at the same step; 40 n_arcs (n - 1) from the new-arc bound.
+    # G(6, 1) is K_6.
+    p = 1.0 if n == 6 else 20 * math.log(n) / n
+    o = generators.direct_edges_dp(generators.gnp_graph(n, p, seed=3), p, seed=4)
+    cap = o.walk_step_cap()
+    assert 64 * n * n.bit_length() <= cap < 1 << 62
+    assert cap == max(64 * n * n.bit_length(), 40 * o.n_arcs * (n - 1))
+
+
 def _union_find_components(n, edges):
     root = list(range(n))
 
