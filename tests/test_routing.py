@@ -533,3 +533,47 @@ def test_disconnected_support_has_infinite_stretch():
             got = stretch_stats(13, support, pairs, seed)
             assert got == _stretch_reference(13, support, pairs, seed)
             assert got[1] is None
+
+
+def _tree_distance_law(n):
+    """P(D = k) for k = 0, ..., n - 1, D the tree distance between a uniform
+    pair of distinct vertices on a uniform spanning tree of K_n:
+    (k + 1) (n - 2)! / ((n - k - 1)! n^k) for k >= 1 (Meir & Moon 1970)."""
+    law = np.zeros(n)
+    law[1] = 2 / n
+    for k in range(1, n - 1):
+        law[k + 1] = law[k] * (k + 2) / (k + 1) * (n - k - 1) / n
+    return law
+
+
+def test_tree_distance_law_values():
+    for n, mean, alive in [(64, 8.844, (0.6541, 0.2211)), (256, 18.80, (0.4303, 0.0780))]:
+        law, k = _tree_distance_law(n), np.arange(n)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert law @ k == pytest.approx(mean, abs=0.005)
+        for q, want in zip((0.05, 0.2), alive):
+            assert law @ (1 - q) ** k == pytest.approx(want, abs=5e-5)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_single_tree_stretch_matches_the_exact_distance_law(n):
+    # A pair's stretch on one tree of K_n is its tree distance, so the mean
+    # over trees of the per-tree means estimates E[D].
+    means = [
+        stretch_stats(n, splice(n, 1, child_seed(3, "tree", n, s)), 200, child_seed(4, n, s))[0]
+        for s in range(100)
+    ]
+    want = _tree_distance_law(n) @ np.arange(n)
+    se = np.std(means, ddof=1) / math.sqrt(len(means))
+    assert abs(np.mean(means) - want) <= 4 * se
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("q", [0.05, 0.2])
+def test_one_tree_delivery_matches_the_exact_distance_law(n, q):
+    # k = 1 delivers a pair exactly when every edge of its tree path
+    # survives, so the mean delivered fraction estimates E[(1 - q)^D].
+    (one,) = reliability_experiment(complete_graph(n), (1,), q, 100, 200, seed=5)
+    want = _tree_distance_law(n) @ (1 - q) ** np.arange(n)
+    se = np.std(one.delivered, ddof=1) / math.sqrt(one.delivered.size)
+    assert abs(one.delivered_fraction - want) <= 4 * se
